@@ -80,6 +80,13 @@ def decode_matrix(blob: bytes) -> tuple[HyperMatrix, MatrixMeta]:
     if nrows != DIMENSION or ncols != DIMENSION:
         raise IntegrityError(f"unexpected dimensions {nrows}x{ncols}")
 
+    # exact item counts from the header, checked before any buffer is sized
+    counts = {
+        "rows_present": nrows_present,
+        "row_ptr": nrows_present + 1,
+        "col_ids": nvals,
+        "vals": nvals,
+    }
     offset = _HEADER.size
     arrays = {}
     for name, dtype in _SECTIONS:
@@ -87,6 +94,8 @@ def decode_matrix(blob: bytes) -> tuple[HyperMatrix, MatrixMeta]:
             raise IntegrityError(f"truncated before section {name}")
         raw_len, comp_len = _SECTION_PREFIX.unpack_from(blob, offset)
         offset += _SECTION_PREFIX.size
+        if raw_len != counts[name] * dtype.itemsize:
+            raise IntegrityError(f"section {name} raw length {raw_len} disagrees with header")
         if len(blob) < offset + comp_len:
             raise IntegrityError(f"truncated inside section {name}")
         try:
@@ -94,18 +103,9 @@ def decode_matrix(blob: bytes) -> tuple[HyperMatrix, MatrixMeta]:
         except lz4block.Lz4Error as exc:
             raise IntegrityError(f"section {name} fails decompression: {exc}") from exc
         offset += comp_len
-        if raw_len % dtype.itemsize:
-            raise IntegrityError(f"section {name} length not a multiple of {dtype.itemsize}")
         arrays[name] = np.frombuffer(raw, dtype=dtype)
     if offset != len(blob):
         raise IntegrityError("trailing bytes after last section")
-
-    if len(arrays["rows_present"]) != nrows_present:
-        raise IntegrityError("rows_present length disagrees with header")
-    if len(arrays["col_ids"]) != nvals or len(arrays["vals"]) != nvals:
-        raise IntegrityError("entry section lengths disagree with header nvals")
-    if len(arrays["row_ptr"]) != nrows_present + 1:
-        raise IntegrityError("row_ptr length disagrees with header")
     _check_canonical(arrays, nvals)
 
     m = HyperMatrix(

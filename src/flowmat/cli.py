@@ -13,6 +13,9 @@ from flowmat.eve import open_source
 from flowmat.pipeline import run_bench, run_ingest, verify_archive
 from flowmat.stats import archive_stats
 
+WINDOW_BITS = click.IntRange(0, 63)
+PER_TAR = click.IntRange(min=1)
+
 
 def _emit(obj: dict, pretty: bool) -> None:
     click.echo(json.dumps(obj, indent=2 if pretty else None))
@@ -39,8 +42,10 @@ def main() -> None:
 @click.option("--key", "key_path", default=None, help="32-byte anonymization key file.")
 @click.option("--no-anon", is_flag=True, help="Disable anonymization (explicit opt-out).")
 @click.option("--out", "out_dir", required=True, help="Output directory for TAR archives.")
-@click.option("--window-bits", default=17, show_default=True, help="Window size = 2^N packets.")
-@click.option("--per-tar", default=64, show_default=True, help="Matrices per TAR archive.")
+@click.option("--window-bits", default=17, show_default=True, type=WINDOW_BITS,
+              help="Window size = 2^N packets.")
+@click.option("--per-tar", default=64, show_default=True, type=PER_TAR,
+              help="Matrices per TAR archive.")
 @click.option("--pretty", is_flag=True, help="Pretty-print the summary JSON.")
 def ingest(input_spec, socket_path, key_path, no_anon, out_dir, window_bits, per_tar, pretty):
     """Convert an EVE flow stream into archived traffic matrices."""
@@ -126,11 +131,11 @@ def verify(tar_path):
 @click.option("--key", "key_path", default=None)
 @click.option("--no-anon", is_flag=True)
 @click.option("--out", "out_dir", required=True, help="Scratch directory for archive output.")
-@click.option("--window-bits", default=17, show_default=True)
-@click.option("--per-tar", default=64, show_default=True)
+@click.option("--window-bits", default=17, show_default=True, type=WINDOW_BITS)
+@click.option("--per-tar", default=64, show_default=True, type=PER_TAR)
 @click.option("--pretty", is_flag=True)
 def bench(input_path, key_path, no_anon, out_dir, window_bits, per_tar, pretty):
-    """Measure per-stage and end-to-end throughput on a recorded EVE file."""
+    """Time one streamed ingest of a recorded EVE file, stage by stage."""
     anon = _make_anon(key_path, no_anon)
     report = run_bench(
         input_path, anon, out_dir,

@@ -19,11 +19,6 @@ from flowmat.eve import FlowRecord
 KEY_BYTES = 32
 KEY_ENV_VAR = "FLOWMAT_KEY"
 
-# Deterministic mapping makes memoization safe; the cache is cleared when
-# full rather than tracking LRU order (anonymization dominates pipeline cost,
-# cache bookkeeping must stay cheap).
-CACHE_CAPACITY = 1 << 20
-
 _BIT_WEIGHTS = (np.uint32(1) << np.arange(31, -1, -1, dtype=np.uint32))
 
 
@@ -68,21 +63,13 @@ class CryptoPan:
             [pad_first4 & ~m & 0xFFFFFFFF for m in masks], dtype=np.uint64
         )
         self._pad_tail = np.frombuffer(self.pad[4:], dtype=np.uint8)
-        self._cache: dict[int, int] = {}
 
     def _encrypt(self, data: bytes) -> bytes:
         return self._cipher.encryptor().update(data)
 
     def anonymize(self, addr: int) -> int:
-        """Map one address. Memoized."""
-        cached = self._cache.get(addr)
-        if cached is not None:
-            return cached
-        result = int(self.anonymize_many(np.array([addr], dtype=np.uint32))[0])
-        if len(self._cache) >= CACHE_CAPACITY:
-            self._cache.clear()
-        self._cache[addr] = result
-        return result
+        """Map one address."""
+        return int(self.anonymize_many(np.array([addr], dtype=np.uint32))[0])
 
     def anonymize_many(self, addrs: np.ndarray) -> np.ndarray:
         """Map a batch of uint32 addresses in one AES pass (32 blocks each)."""
@@ -99,14 +86,6 @@ class CryptoPan:
         bits = msb.reshape(n, 32).astype(np.uint32)
         otp = (bits * _BIT_WEIGHTS).sum(axis=1, dtype=np.uint64).astype(np.uint32)
         return addrs.astype(np.uint32) ^ otp
-
-    def anonymize_flow(self, rec: FlowRecord) -> FlowRecord:
-        return FlowRecord(
-            self.anonymize(rec.src_ip),
-            self.anonymize(rec.dest_ip),
-            rec.pkts_toserver,
-            rec.pkts_toclient,
-        )
 
 
 def anonymize_flows(state: CryptoPan | None, records: list[FlowRecord]) -> list[FlowRecord]:

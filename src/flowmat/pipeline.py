@@ -1,34 +1,33 @@
-"""End-to-end wiring: parse -> anonymize -> window/build/archive.
+"""End-to-end wiring: parse -> anonymize -> window/build -> encode/archive.
 
-Ingest runs as three pipeline stages connected by bounded queues (parse
-thread, anonymize thread, window/build/write on the caller's thread), so a
-slow disk back-pressures the reader instead of growing memory. The bench
-harness times each stage in isolation over materialized intermediates, then
-the sequential end-to-end composition.
+Ingest is one sequential generator chain. Lines are parsed into batches of
+BATCH_RECORDS flow records, each batch is anonymized in one Crypto-PAn pass,
+and the windower cuts the batch into exact-size windows that are built,
+encoded and appended to the current TAR as they complete. At most one batch
+and one window are held at a time, so memory stays flat for any input size.
+
+Every ingest times its four stages with a few clock reads per batch and
+per window, never per line. The bench is one such ingest of a recorded file,
+streamed from disk, with its rates derived from those timers.
 """
 
 from __future__ import annotations
 
-import queue
 import resource
-import threading
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-
-import numpy as np
 
 from flowmat.archive import ArchiveWriter, encode_matrix
 from flowmat.cryptopan import CryptoPan, anonymize_flows
-from flowmat.eve import FlowRecord, IngestCounters, parse_flow_record
+from flowmat.eve import FlowRecord, IngestCounters, open_source, parse_flow_record
 from flowmat.hypermat import total_sum
 from flowmat.window import Windower
 
-# 2 batches in flight per queue x 512 records bounds ~1k records per stage
+# records per anonymize_flows call, which deduplicates addresses per batch
 BATCH_RECORDS = 512
-QUEUE_BATCHES = 2
 
-_SENTINEL = None
+STAGES = ("parse", "anonymize", "window_build", "encode_archive")
 
 
 def peak_rss_bytes() -> int:
@@ -44,6 +43,7 @@ class IngestResult:
     packets_total: int = 0
     peak_rss_bytes: int = 0
     seconds: float = 0.0
+    stage_seconds: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
 
     def as_dict(self) -> dict:
         return {
@@ -55,6 +55,7 @@ class IngestResult:
             "packets_total": self.packets_total,
             "peak_rss_bytes": self.peak_rss_bytes,
             "seconds": round(self.seconds, 3),
+            "stage_seconds": {k: round(v, 6) for k, v in self.stage_seconds.items()},
         }
 
 
@@ -73,81 +74,58 @@ def _parse_batches(lines, counters: IngestCounters):
         yield batch
 
 
-class _StageThread(threading.Thread):
-    """Worker that fills a bounded queue and forwards the first exception."""
-
-    def __init__(self, target, out_queue: queue.Queue):
-        super().__init__(daemon=True)
-        self._target_fn = target
-        self.out_queue = out_queue
-        self.error: BaseException | None = None
-
-    def run(self):
-        try:
-            for item in self._target_fn():
-                self.out_queue.put(item)
-        except BaseException as exc:  # re-raised on the consumer side
-            self.error = exc
-        finally:
-            self.out_queue.put(_SENTINEL)
-
-
-def _drain(q: queue.Queue, producer: _StageThread):
-    while True:
-        item = q.get()
-        if item is _SENTINEL:
-            if producer.error is not None:
-                raise producer.error
-            return
-        yield item
-
-
 def run_ingest(
     lines,
     anon: CryptoPan | None,
     out_dir: str | Path,
     window_packets: int = 1 << 17,
     per_tar: int = 64,
-    threaded: bool = True,
 ) -> IngestResult:
-    """Drain an EVE line iterable into rotating TARs of matrix blobs."""
+    """Drain an EVE line iterable into rotating TARs of matrix blobs.
+
+    The stage timers are laps of one clock, so they sum to at most
+    result.seconds. parse includes reading the source, window_build
+    includes the matrix build, encode_archive includes the TAR writes.
+    """
     start = time.perf_counter()
     counters = IngestCounters()
     result = IngestResult(counters=counters)
+    stages = result.stage_seconds
     windower = Windower(window_packets)
     writer = ArchiveWriter(out_dir, per_tar=per_tar)
+    mark = time.perf_counter()
 
-    if threaded:
-        parse_q: queue.Queue = queue.Queue(maxsize=QUEUE_BATCHES)
-        anon_q: queue.Queue = queue.Queue(maxsize=QUEUE_BATCHES)
-        parser = _StageThread(lambda: _parse_batches(lines, counters), parse_q)
-        anonymizer = _StageThread(
-            lambda: (anonymize_flows(anon, b) for b in _drain(parse_q, parser)), anon_q
-        )
-        parser.start()
-        anonymizer.start()
-        batches = _drain(anon_q, anonymizer)
-    else:
-        batches = (anonymize_flows(anon, b) for b in _parse_batches(lines, counters))
+    def lap(stage: str) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        stages[stage] += now - mark
+        mark = now
 
-    def write(buf):
+    def write(buf) -> None:
         matrix, meta = buf.build()
+        lap("window_build")
+        result.windows_written += 1
         result.packets_total += meta.packet_total
         if writer.append(encode_matrix(matrix, meta), meta) is not None:
             result.tars_finalized += 1
+        lap("encode_archive")
 
-    for batch in batches:
+    for batch in _parse_batches(lines, counters):
+        lap("parse")
+        batch = anonymize_flows(anon, batch)
+        lap("anonymize")
         for rec in batch:
             for done in windower.push_flow(rec):
                 write(done)
-                result.windows_written += 1
+        lap("window_build")
+    lap("parse")
     tail = windower.flush()
     if tail is not None:
         write(tail)
-        result.windows_written += 1
         result.windows_partial = 1
     if writer.close() is not None:
         result.tars_finalized += 1
+    lap("encode_archive")
 
     result.peak_rss_bytes = peak_rss_bytes()
     result.seconds = time.perf_counter() - start
@@ -158,7 +136,6 @@ def run_ingest(
 
 MIN_RELIABLE_RECORDS = 100_000
 MEMORY_CEILING_BYTES = 512 * 1024 * 1024
-_ANON_CHUNK = 1 << 16
 
 
 def _rate(count: int, seconds: float) -> float:
@@ -172,110 +149,44 @@ def run_bench(
     window_packets: int = 1 << 17,
     per_tar: int = 64,
 ) -> dict:
-    """Per-stage isolated rates plus the sequential end-to-end rate.
+    """One streamed ingest of a recorded file, reported stage by stage.
 
-    Each stage is timed against materialized input from the previous stage
-    so stages never contend for the same wall clock.
+    Stage rates come from the ingest's own timers: parse is per input line,
+    the other stages per flow record. End to end covers opening the file
+    through closing the last TAR.
     """
-    with open(input_path, "rb") as fh:
-        lines = fh.read().splitlines()
-    n_lines = len(lines)
+    start = time.perf_counter()
+    source = open_source(str(input_path))
+    try:
+        result = run_ingest(
+            iter(source), anon, out_dir, window_packets=window_packets, per_tar=per_tar
+        )
+    finally:
+        source.close()
+    e2e_s = time.perf_counter() - start
 
-    # parse
-    src = np.empty(n_lines, dtype=np.uint32)
-    dst = np.empty(n_lines, dtype=np.uint32)
-    toserver = np.empty(n_lines, dtype=np.uint64)
-    toclient = np.empty(n_lines, dtype=np.uint64)
-    counters = IngestCounters()
-    t0 = time.perf_counter()
-    n_records = 0
-    for line in lines:
-        rec = parse_flow_record(line)
-        counters.count(rec)
-        if isinstance(rec, FlowRecord):
-            src[n_records] = rec.src_ip
-            dst[n_records] = rec.dest_ip
-            toserver[n_records] = rec.pkts_toserver
-            toclient[n_records] = rec.pkts_toclient
-            n_records += 1
-    parse_s = time.perf_counter() - t0
-    src, dst = src[:n_records], dst[:n_records]
-    toserver, toclient = toserver[:n_records], toclient[:n_records]
-
-    # anonymize
-    t0 = time.perf_counter()
-    if anon is not None:
-        a_src = np.empty_like(src)
-        a_dst = np.empty_like(dst)
-        for lo in range(0, n_records, _ANON_CHUNK):
-            hi = min(lo + _ANON_CHUNK, n_records)
-            both = np.concatenate((src[lo:hi], dst[lo:hi]))
-            uniq, inverse = np.unique(both, return_inverse=True)
-            mapped = anon.anonymize_many(uniq)[inverse]
-            a_src[lo:hi] = mapped[: hi - lo]
-            a_dst[lo:hi] = mapped[hi - lo :]
-    else:
-        a_src, a_dst = src, dst
-    anonymize_s = time.perf_counter() - t0
-
-    # window + build
-    records = list(zip(a_src.tolist(), a_dst.tolist(), toserver.tolist(), toclient.tolist()))
-    windower = Windower(window_packets)
-    built: list = []
-    t0 = time.perf_counter()
-    for s, d, ts, tc in records:
-        for buf in windower.push_flow(FlowRecord(s, d, ts, tc)):
-            built.append(buf.build())
-    tail = windower.flush()
-    if tail is not None:
-        built.append(tail.build())
-    window_build_s = time.perf_counter() - t0
-
-    # encode + archive
-    out_dir = Path(out_dir)
-    writer = ArchiveWriter(out_dir / "bench_stage", per_tar=per_tar)
-    t0 = time.perf_counter()
-    for matrix, meta in built:
-        writer.append(encode_matrix(matrix, meta), meta)
-    writer.close()
-    encode_archive_s = time.perf_counter() - t0
-
-    # end-to-end, sequential composition over the same lines
-    t0 = time.perf_counter()
-    e2e = run_ingest(
-        iter(lines), anon, out_dir / "bench_e2e",
-        window_packets=window_packets, per_tar=per_tar, threaded=False,
-    )
-    e2e_s = time.perf_counter() - t0
-
+    counters = result.counters
+    n_lines, n_records = counters.lines_consumed, counters.records_ok
     stage_rates = {
-        "parse": _rate(n_lines, parse_s),
-        "anonymize": _rate(n_records, anonymize_s),
-        "window_build": _rate(n_records, window_build_s),
-        "encode_archive": _rate(n_records, encode_archive_s),
+        name: _rate(n_lines if name == "parse" else n_records, sec)
+        for name, sec in result.stage_seconds.items()
     }
     e2e_rate = _rate(n_lines, e2e_s)
-    peak = peak_rss_bytes()
     return {
         "n_lines": n_lines,
         "n_records": n_records,
         "counters": counters.as_dict(),
         "stages": {
-            name: {"seconds": round(sec, 4), "records_per_second": round(rate, 1)}
-            for name, (sec, rate) in {
-                "parse": (parse_s, stage_rates["parse"]),
-                "anonymize": (anonymize_s, stage_rates["anonymize"]),
-                "window_build": (window_build_s, stage_rates["window_build"]),
-                "encode_archive": (encode_archive_s, stage_rates["encode_archive"]),
-            }.items()
+            name: {"seconds": round(sec, 6), "records_per_second": round(stage_rates[name], 1)}
+            for name, sec in result.stage_seconds.items()
         },
-        "end_to_end": {"seconds": round(e2e_s, 4), "records_per_second": round(e2e_rate, 1)},
-        "windows_written": e2e.windows_written,
+        "end_to_end": {"seconds": round(e2e_s, 6), "records_per_second": round(e2e_rate, 1)},
+        "windows_written": result.windows_written,
         "fastest_stage": max(stage_rates, key=stage_rates.get),
         "min_stage_rate": round(min(stage_rates.values()), 1),
         "e2e_within_min_stage": e2e_rate <= min(stage_rates.values()),
-        "peak_rss_bytes": peak,
-        "under_memory_ceiling": peak < MEMORY_CEILING_BYTES,
+        "peak_rss_bytes": result.peak_rss_bytes,
+        "under_memory_ceiling": result.peak_rss_bytes < MEMORY_CEILING_BYTES,
         "reliable": n_records >= MIN_RELIABLE_RECORDS,
     }
 

@@ -1,3 +1,4 @@
+import struct
 import subprocess
 import tarfile
 
@@ -85,6 +86,29 @@ def test_trailing_bytes_rejected():
     blob = encode_matrix(empty(), META)
     with pytest.raises(IntegrityError, match="trailing"):
         decode_matrix(blob + b"\x00")
+
+
+def _raw_len_offsets(blob: bytes) -> list[int]:
+    """Byte offset of each section's raw_len field."""
+    offsets, offset = [], 64  # fixed header size
+    for _ in range(4):
+        offsets.append(offset)
+        comp_len = struct.unpack_from("<Q", blob, offset + 8)[0]
+        offset += 16 + comp_len
+    assert offset == len(blob)
+    return offsets
+
+
+@pytest.mark.parametrize("section", range(4))
+def test_raw_len_bit_flips_raise_integrity_error(section):
+    blob = encode_matrix(build([(i, i + 1, 2) for i in range(50)]), META)
+    field = _raw_len_offsets(blob)[section]
+    raw_len = struct.unpack_from("<Q", blob, field)[0]
+    for bit in range(64):
+        bad = bytearray(blob)
+        struct.pack_into("<Q", bad, field, raw_len ^ (1 << bit))
+        with pytest.raises(IntegrityError, match="raw length"):
+            decode_matrix(bytes(bad))
 
 
 def test_member_naming():

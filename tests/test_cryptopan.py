@@ -72,7 +72,7 @@ def test_vectorized_matches_scalar(rng):
     cp = CryptoPan(KEY)
     addrs = rng.integers(0, 1 << 32, size=500, dtype=np.uint64).astype(np.uint32)
     vec = cp.anonymize_many(addrs)
-    fresh = CryptoPan(KEY)  # separate cache
+    fresh = CryptoPan(KEY)
     assert all(int(v) == fresh.anonymize(int(a)) for a, v in zip(addrs, vec))
 
 
@@ -111,13 +111,13 @@ def test_key_sensitivity(rng):
     assert (a.anonymize_many(addrs) != b.anonymize_many(addrs)).sum() >= 1
 
 
-def test_anonymize_flow_counts_untouched():
+def test_anonymize_flows_counts_untouched():
     cp = CryptoPan(KEY)
-    rec = FlowRecord(PINNED_INPUT, 0x0A010204, 7, 3)
-    out = cp.anonymize_flow(rec)
-    assert (out.pkts_toserver, out.pkts_toclient) == (7, 3)
-    assert out.src_ip == PINNED_OUTPUT
-    assert cp.anonymize_flow(rec) == out  # deterministic
+    recs = [FlowRecord(PINNED_INPUT, 0x0A010204, 7, 3)]
+    out = anonymize_flows(cp, recs)
+    assert (out[0].pkts_toserver, out[0].pkts_toclient) == (7, 3)
+    assert out[0].src_ip == PINNED_OUTPUT
+    assert anonymize_flows(cp, recs) == out  # deterministic
 
 
 def test_anonymize_flows_passthrough():

@@ -27,15 +27,16 @@ def eve_file(tmp_path_factory):
     return path
 
 
-def test_run_ingest_threaded_matches_sequential(eve_file, tmp_path):
+def test_run_ingest_stage_seconds(eve_file, tmp_path):
     with open(eve_file, "rb") as fh:
         lines = fh.read().splitlines()
-    anon = CryptoPan(KEY)
-    a = run_ingest(iter(lines), anon, tmp_path / "a", window_packets=1 << 12, threaded=True)
-    b = run_ingest(iter(lines), anon, tmp_path / "b", window_packets=1 << 12, threaded=False)
-    assert a.counters.as_dict() == b.counters.as_dict()
-    assert a.windows_written == b.windows_written
-    assert a.packets_total == b.packets_total == 500_000
+    result = run_ingest(iter(lines), CryptoPan(KEY), tmp_path, window_packets=1 << 12)
+    assert result.packets_total == 500_000
+    stages = result.stage_seconds
+    assert set(stages) == {"parse", "anonymize", "window_build", "encode_archive"}
+    assert all(sec >= 0 for sec in stages.values())
+    assert sum(stages.values()) <= result.seconds
+    assert result.as_dict()["stage_seconds"].keys() == stages.keys()
 
 
 def test_run_ingest_propagates_write_errors(eve_file, tmp_path):
@@ -151,6 +152,7 @@ def test_run_bench_report_shape(eve_file, tmp_path):
         assert stage["records_per_second"] > 0
     assert report["reliable"] is False  # < 1e5 records
     assert report["windows_written"] == 500_000 // 4096 + 1
+    assert sum(s["seconds"] for s in report["stages"].values()) <= report["end_to_end"]["seconds"]
 
 
 def test_cli_bench_smoke(eve_file, tmp_path):
@@ -160,6 +162,20 @@ def test_cli_bench_smoke(eve_file, tmp_path):
     report = json.loads(proc.stdout)
     assert "end_to_end" in report
     assert b"unreliable" in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["ingest", "bench"])
+@pytest.mark.parametrize("option, value", [
+    ("--per-tar", "0"), ("--per-tar", "-3"), ("--window-bits", "-1"), ("--window-bits", "64"),
+])
+def test_cli_rejects_out_of_range_options(command, option, value, eve_file, tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli(command, "--input", str(eve_file), "--no-anon", "--out", str(out),
+                   option, value)
+    assert proc.returncode == 2
+    assert b"Invalid value for '" + option.encode() in proc.stderr
+    assert b"Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 @pytest.fixture
