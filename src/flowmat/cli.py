@@ -137,10 +137,13 @@ def verify(tar_path):
 def bench(input_path, key_path, no_anon, out_dir, window_bits, per_tar, pretty):
     """Time one streamed ingest of a recorded EVE file, stage by stage."""
     anon = _make_anon(key_path, no_anon)
-    report = run_bench(
-        input_path, anon, out_dir,
-        window_packets=1 << window_bits, per_tar=per_tar,
-    )
+    try:
+        report = run_bench(
+            input_path, anon, out_dir,
+            window_packets=1 << window_bits, per_tar=per_tar,
+        )
+    except OSError as exc:
+        raise click.ClickException(str(exc))
     if not report["reliable"]:
         click.echo("warning: fewer than 100000 records; rates are unreliable", err=True)
     _emit(report, pretty)

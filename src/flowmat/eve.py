@@ -8,6 +8,7 @@ mixed event streams, and IPv6 traffic it does not handle.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import os
 import socket
@@ -16,6 +17,8 @@ import sys
 import threading
 from dataclasses import dataclass
 from typing import IO, Iterator, NamedTuple
+
+import numpy as np
 
 MAX_LINE_BYTES = 1 << 20  # longer lines are malformed by contract
 
@@ -29,6 +32,30 @@ class FlowRecord(NamedTuple):
     dest_ip: int
     pkts_toserver: int
     pkts_toclient: int
+
+
+@dataclass(frozen=True)
+class FlowColumns:
+    """A batch of flow records as four parallel arrays, one element per record."""
+
+    src: np.ndarray       # uint32
+    dst: np.ndarray       # uint32
+    toserver: np.ndarray  # uint64
+    toclient: np.ndarray  # uint64
+
+    @classmethod
+    def from_records(cls, records: list[FlowRecord]) -> FlowColumns:
+        flat = itertools.chain.from_iterable(records)
+        table = np.fromiter(flat, dtype=np.uint64, count=4 * len(records)).reshape(-1, 4)
+        return cls(
+            table[:, 0].astype(np.uint32),
+            table[:, 1].astype(np.uint32),
+            table[:, 2],
+            table[:, 3],
+        )
+
+    def __len__(self) -> int:
+        return len(self.src)
 
 
 class Skip(enum.Enum):
@@ -81,7 +108,8 @@ def parse_ipv4(text: str) -> int | None:
         return None
     addr = 0
     for part in parts:
-        if not (1 <= len(part) <= 3) or not part.isdigit():
+        # str.isdigit also accepts non-ASCII digits such as "²" and "١"
+        if not (1 <= len(part) <= 3) or not (part.isascii() and part.isdigit()):
             return None
         octet = int(part)
         if octet > 255:

@@ -65,77 +65,77 @@ def empty() -> HyperMatrix:
 
 
 def build_arrays(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> HyperMatrix:
-    """Plus-duplicate build from parallel coordinate arrays.
+    """Plus-duplicate build from parallel coordinate arrays: one segment."""
+    return build_segments(np.zeros(len(vals), dtype=np.int64), rows, cols, vals, 1)[0]
 
-    Sort on packed 64-bit (row, col) keys, then fold runs of equal keys.
+
+def build_segments(
+    segs: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, nseg: int
+) -> list[HyperMatrix]:
+    """Plus-duplicate build of nseg matrices from one set of tagged triples.
+
+    Triple i belongs to matrix segs[i] (0 <= segs[i] < nseg). One sort on
+    (segment, packed 64-bit (row, col) key) orders every matrix at once, one
+    reduceat folds runs of equal keys, and each matrix is a slice of the result.
     """
-    n = len(vals)
-    if n == 0:
-        return empty()
+    if len(vals) == 0:
+        return [empty() for _ in range(nseg)]
     if (vals == 0).any():
         raise ValueError("zero-valued triples must be dropped before build")
 
-    total = float(vals.sum(dtype=np.float64))
-    if total >= 2.0**63:
-        exact = sum(int(v) for v in vals)
-        if exact > _U64_MAX:
-            raise OverflowError("triple values sum past 64 bits")
-
     keys = (rows.astype(np.uint64) << np.uint64(32)) | cols.astype(np.uint64)
-    order = np.argsort(keys, kind="stable")
+    order = np.lexsort((keys, segs))
+    segs = segs[order]
     keys = keys[order]
     sorted_vals = vals.astype(np.uint64)[order]
+    if sorted_vals.sum(dtype=np.float64) >= 2.0**63:
+        _check_segment_sums(segs, sorted_vals, nseg)
 
-    starts = np.flatnonzero(np.diff(keys)) + 1
-    starts = np.concatenate(([0], starts))
+    new_entry = np.empty(len(keys), dtype=bool)
+    new_entry[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=new_entry[1:])
+    new_entry[1:] |= segs[1:] != segs[:-1]
+    starts = np.flatnonzero(new_entry)
     summed = np.add.reduceat(sorted_vals, starts)
-    uniq_keys = keys[starts]
+    entry_segs = segs[starts]
+    entry_rows = (keys[starts] >> np.uint64(32)).astype(np.uint32)
+    col_ids = (keys[starts] & np.uint64(0xFFFFFFFF)).astype(np.uint32)
 
-    entry_rows = (uniq_keys >> np.uint64(32)).astype(np.uint32)
-    col_ids = (uniq_keys & np.uint64(0xFFFFFFFF)).astype(np.uint32)
+    new_row = np.empty(len(starts), dtype=bool)
+    new_row[0] = True
+    np.not_equal(entry_rows[1:], entry_rows[:-1], out=new_row[1:])
+    new_row[1:] |= entry_segs[1:] != entry_segs[:-1]
+    row_starts = np.flatnonzero(new_row)
+    rows_present = entry_rows[row_starts]
 
-    rows_present, row_counts = np.unique(entry_rows, return_counts=True)
-    row_ptr = np.zeros(len(rows_present) + 1, dtype=np.uint64)
-    np.cumsum(row_counts, out=row_ptr[1:])
+    bounds = np.arange(nseg + 1)
+    entry_bounds = np.searchsorted(entry_segs, bounds).tolist()
+    row_bounds = np.searchsorted(entry_segs[row_starts], bounds).tolist()
+    matrices = []
+    for s in range(nseg):
+        e0, e1 = entry_bounds[s], entry_bounds[s + 1]
+        r0, r1 = row_bounds[s], row_bounds[s + 1]
+        row_ptr = np.empty(r1 - r0 + 1, dtype=np.uint64)
+        row_ptr[:-1] = row_starts[r0:r1] - e0
+        row_ptr[-1] = e1 - e0
+        matrices.append(
+            HyperMatrix(
+                rows_present=rows_present[r0:r1],
+                row_ptr=row_ptr,
+                col_ids=col_ids[e0:e1],
+                vals=summed[e0:e1],
+            )
+        )
+    return matrices
 
-    return HyperMatrix(
-        rows_present=rows_present.astype(np.uint32),
-        row_ptr=row_ptr,
-        col_ids=col_ids,
-        vals=summed,
-    )
 
-
-def build(triples) -> HyperMatrix:
-    """Plus-duplicate build from an iterable of (row, col, val) triples."""
-    triples = list(triples)
-    if not triples:
-        return empty()
-    rows = np.fromiter((t[0] for t in triples), dtype=np.uint32, count=len(triples))
-    cols = np.fromiter((t[1] for t in triples), dtype=np.uint32, count=len(triples))
-    vals = np.fromiter((t[2] for t in triples), dtype=np.uint64, count=len(triples))
-    return build_arrays(rows, cols, vals)
+def _check_segment_sums(segs: np.ndarray, sorted_vals: np.ndarray, nseg: int) -> None:
+    """Exact per-matrix sums, for inputs whose float total nears 2^64."""
+    bounds = np.searchsorted(segs, np.arange(nseg + 1)).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        if sum(int(v) for v in sorted_vals[lo:hi]) > _U64_MAX:
+            raise OverflowError("triple values sum past 64 bits")
 
 
 def total_sum(m: HyperMatrix) -> int:
     return int(m.vals.sum(dtype=np.uint64))
-
-
-def row_degrees(m: HyperMatrix) -> list[tuple[int, int]]:
-    degrees = np.diff(m.row_ptr).astype(np.int64)
-    return list(zip(m.rows_present.tolist(), degrees.tolist()))
-
-
-def col_degrees(m: HyperMatrix) -> list[tuple[int, int]]:
-    if m.nvals == 0:
-        return []
-    cols, counts = np.unique(m.col_ids, return_counts=True)
-    return list(zip(cols.tolist(), counts.tolist()))
-
-
-def to_triples(m: HyperMatrix) -> list[tuple[int, int, int]]:
-    """Sorted (row, col, val) list; build(to_triples(m)) == m."""
-    if m.nvals == 0:
-        return []
-    rows = np.repeat(m.rows_present, np.diff(m.row_ptr).astype(np.int64))
-    return list(zip(rows.tolist(), m.col_ids.tolist(), m.vals.tolist()))

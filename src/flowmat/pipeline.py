@@ -1,10 +1,13 @@
 """End-to-end wiring: parse -> anonymize -> window/build -> encode/archive.
 
-Ingest is one sequential generator chain. Lines are parsed into batches of
-BATCH_RECORDS flow records, each batch is anonymized in one Crypto-PAn pass,
-and the windower cuts the batch into exact-size windows that are built,
-encoded and appended to the current TAR as they complete. At most one batch
-and one window are held at a time, so memory stays flat for any input size.
+Ingest is one sequential generator chain over column batches. Lines are
+parsed into batches of BATCH_RECORDS flow records held as four numpy columns
+(src, dst, toserver, toclient); each batch is anonymized with one Crypto-PAn
+pass over its distinct addresses; the windower cuts the batch's directed
+entries at window boundaries and builds every window the batch completes
+with one segmented sort; each matrix is then encoded and appended to the
+current TAR. At most one batch and the open window are held at a time, so
+memory stays flat for any input size.
 
 Every ingest times its four stages with a few clock reads per batch and
 per window, never per line. The bench is one such ingest of a recorded file,
@@ -20,7 +23,7 @@ from pathlib import Path
 
 from flowmat.archive import ArchiveWriter, encode_matrix
 from flowmat.cryptopan import CryptoPan, anonymize_flows
-from flowmat.eve import FlowRecord, IngestCounters, open_source, parse_flow_record
+from flowmat.eve import FlowColumns, FlowRecord, IngestCounters, open_source, parse_flow_record
 from flowmat.hypermat import total_sum
 from flowmat.window import Windower
 
@@ -43,6 +46,8 @@ class IngestResult:
     packets_total: int = 0
     peak_rss_bytes: int = 0
     seconds: float = 0.0
+    raw_bytes: int = 0   # the matrices' four arrays, as the blob sections hold them
+    blob_bytes: int = 0
     stage_seconds: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
 
     def as_dict(self) -> dict:
@@ -60,7 +65,7 @@ class IngestResult:
 
 
 def _parse_batches(lines, counters: IngestCounters):
-    """Group parsed records into batches; counters track every line."""
+    """Group parsed records into column batches; counters track every line."""
     batch: list[FlowRecord] = []
     for line in lines:
         rec = parse_flow_record(line)
@@ -68,10 +73,10 @@ def _parse_batches(lines, counters: IngestCounters):
         if isinstance(rec, FlowRecord):
             batch.append(rec)
             if len(batch) >= BATCH_RECORDS:
-                yield batch
+                yield FlowColumns.from_records(batch)
                 batch = []
     if batch:
-        yield batch
+        yield FlowColumns.from_records(batch)
 
 
 def run_ingest(
@@ -101,12 +106,17 @@ def run_ingest(
         stages[stage] += now - mark
         mark = now
 
-    def write(buf) -> None:
-        matrix, meta = buf.build()
+    def write(matrix, meta) -> None:
         lap("window_build")
+        blob = encode_matrix(matrix, meta)
         result.windows_written += 1
         result.packets_total += meta.packet_total
-        if writer.append(encode_matrix(matrix, meta), meta) is not None:
+        result.raw_bytes += (
+            matrix.rows_present.nbytes + matrix.row_ptr.nbytes
+            + matrix.col_ids.nbytes + matrix.vals.nbytes
+        )
+        result.blob_bytes += len(blob)
+        if writer.append(blob, meta) is not None:
             result.tars_finalized += 1
         lap("encode_archive")
 
@@ -114,14 +124,13 @@ def run_ingest(
         lap("parse")
         batch = anonymize_flows(anon, batch)
         lap("anonymize")
-        for rec in batch:
-            for done in windower.push_flow(rec):
-                write(done)
+        for matrix, meta in windower.push(batch):
+            write(matrix, meta)
         lap("window_build")
     lap("parse")
     tail = windower.flush()
     if tail is not None:
-        write(tail)
+        write(*tail)
         result.windows_partial = 1
     if writer.close() is not None:
         result.tars_finalized += 1
@@ -153,7 +162,8 @@ def run_bench(
 
     Stage rates come from the ingest's own timers: parse is per input line,
     the other stages per flow record. End to end covers opening the file
-    through closing the last TAR.
+    through closing the last TAR. The compression ratio is the matrices'
+    raw section bytes over the blob bytes written.
     """
     start = time.perf_counter()
     source = open_source(str(input_path))
@@ -164,6 +174,7 @@ def run_bench(
     finally:
         source.close()
     e2e_s = time.perf_counter() - start
+    input_bytes = Path(input_path).stat().st_size
 
     counters = result.counters
     n_lines, n_records = counters.lines_consumed, counters.records_ok
@@ -181,6 +192,10 @@ def run_bench(
             for name, sec in result.stage_seconds.items()
         },
         "end_to_end": {"seconds": round(e2e_s, 6), "records_per_second": round(e2e_rate, 1)},
+        "input_mb_per_second": round(_rate(input_bytes / 1e6, e2e_s), 3),
+        "compression_ratio": (
+            round(result.raw_bytes / result.blob_bytes, 3) if result.blob_bytes else None
+        ),
         "windows_written": result.windows_written,
         "fastest_stage": max(stage_rates, key=stage_rates.get),
         "min_stage_rate": round(min(stage_rates.values()), 1),

@@ -1,98 +1,148 @@
-"""Exact packet-count windowing of anonymized flow records.
+"""Exact packet-count windowing of anonymized flow columns.
 
-Each flow record contributes up to two directed entries: (src, dst) with the
-to-server count, then (dst, src) with the to-client count. An entry crossing
-the window boundary is split so every non-final window sums to exactly the
-configured packet count; the remainder seeds the next window.
+Each flow contributes up to two directed entries: (src, dst) with the
+to-server count, then (dst, src) with the to-client count; zero counts are
+dropped. A batch's entries are laid end to end after the open window's
+packets by a cumulative sum and cut at every multiple of the window size, so
+every non-final window sums to exactly the configured packet count and an
+entry crossing a boundary is split between windows. All windows a batch
+completes are built by one segmented sort (hypermat.build_segments); the
+entries of the window still open are carried to the next batch as arrays.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-
-from flowmat.eve import FlowRecord
-from flowmat.hypermat import HyperMatrix, MatrixMeta, build_arrays
+from typing import Iterator
 
 import numpy as np
 
+from flowmat.eve import FlowColumns
+from flowmat.hypermat import HyperMatrix, MatrixMeta, build_arrays, build_segments
+
 DEFAULT_WINDOW_BITS = 17
+
+# windows built per segmented sort; bounds memory when one entry spans many
+MAX_WINDOWS_PER_BUILD = 1024
 
 
 @dataclass
 class TripleBuffer:
-    """Accumulated (row, col, count) entries for one window."""
+    """The open window: its sequence number and (row, col, count) array chunks."""
 
     seq: int
-    rows: list[int] = field(default_factory=list)
-    cols: list[int] = field(default_factory=list)
-    vals: list[int] = field(default_factory=list)
+    rows: list[np.ndarray] = field(default_factory=list)
+    cols: list[np.ndarray] = field(default_factory=list)
+    vals: list[np.ndarray] = field(default_factory=list)
     packets_accumulated: int = 0
 
-    def add(self, row: int, col: int, val: int) -> None:
-        self.rows.append(row)
-        self.cols.append(col)
-        self.vals.append(val)
-        self.packets_accumulated += val
+    def add(self, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> None:
+        if len(vals):
+            self.rows.append(rows)
+            self.cols.append(cols)
+            self.vals.append(vals)
 
-    def __len__(self) -> int:
-        return len(self.vals)
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        return (
+            np.concatenate(self.rows or [np.empty(0, dtype=np.uint32)]),
+            np.concatenate(self.cols or [np.empty(0, dtype=np.uint32)]),
+            np.concatenate(self.vals or [np.empty(0, dtype=np.uint64)]),
+        )
 
-    def build(self) -> tuple[HyperMatrix, MatrixMeta]:
-        matrix = build_arrays(
-            np.array(self.rows, dtype=np.uint32),
-            np.array(self.cols, dtype=np.uint32),
-            np.array(self.vals, dtype=np.uint64),
-        )
-        meta = MatrixMeta(
-            seq=self.seq,
-            packet_total=self.packets_accumulated,
-            created_unix_s=int(time.time()),
-        )
-        return matrix, meta
+
+def _interleave(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.stack((a, b), axis=1).ravel()
+
+
+def _cut(first, last, head, tail, window: int, k0: int, k1: int):
+    """The pieces of entries that fall in windows k0..k1-1, in stream order.
+
+    Returns (entry index, window index, packets) per piece. An entry's first
+    piece skips the head packets its window held before it, its last piece
+    holds tail packets, and any piece between them fills a whole window.
+    """
+    lo = int(np.searchsorted(last, k0))
+    hi = int(np.searchsorted(first, k1))
+    lo_win = np.maximum(first[lo:hi], k0)
+    counts = np.minimum(last[lo:hi], k1 - 1) - lo_win + 1
+    entry = np.repeat(np.arange(lo, hi), counts)
+    win = np.arange(len(entry)) + np.repeat(lo_win - (np.cumsum(counts) - counts), counts)
+    end = np.where(win == last[entry], tail[entry], window)
+    start = np.where(win == first[entry], head[entry], 0)
+    return entry, win, end - start
 
 
 class Windower:
-    """Stateful splitter from a flow-record stream to exact-size windows."""
+    """Stateful splitter from a stream of flow-column batches to exact-size windows."""
 
     def __init__(self, window_packets: int = 1 << DEFAULT_WINDOW_BITS):
         if window_packets < 1:
             raise ValueError("window_packets must be >= 1")
         self.window_packets = window_packets
-        self._next_seq = 0
         self._buffer = TripleBuffer(seq=0)
 
-    def _complete(self) -> TripleBuffer:
-        done = self._buffer
-        self._next_seq += 1
-        self._buffer = TripleBuffer(seq=self._next_seq)
-        return done
+    def push(self, batch: FlowColumns) -> Iterator[tuple[HyperMatrix, MatrixMeta]]:
+        """Add a batch; yield (matrix, meta) for every window it completes.
 
-    def push_flow(self, rec: FlowRecord) -> list[TripleBuffer]:
-        """Add both directions of a record; return any windows it completed."""
-        completed: list[TripleBuffer] = []
-        buf = self._buffer
-        budget = self.window_packets
-        for row, col, remaining in (
-            (rec.src_ip, rec.dest_ip, rec.pkts_toserver),
-            (rec.dest_ip, rec.src_ip, rec.pkts_toclient),
-        ):
-            while remaining > 0:
-                take = budget - buf.packets_accumulated
-                if remaining < take:
-                    take = remaining
-                buf.add(row, col, take)
-                remaining -= take
-                if buf.packets_accumulated == budget:
-                    completed.append(self._complete())
-                    buf = self._buffer
-        return completed
+        The batch takes effect as the generator is drained.
+        """
+        rows = _interleave(batch.src, batch.dst)
+        cols = _interleave(batch.dst, batch.src)
+        vals = _interleave(batch.toserver, batch.toclient)
+        keep = np.flatnonzero(vals)
+        if len(keep) == 0:
+            return
+        rows, cols, vals = rows[keep], cols[keep], vals[keep]
 
-    def flush(self) -> TripleBuffer | None:
-        """Hand back the partial trailing window, if any, and reset."""
+        window = self.window_packets
+        opened = self._buffer
+        # Stream position of each entry's end, counted from the open window's
+        # start. Counts go up to 2^64-1, so uint64 positions could wrap and
+        # window indices overflow int64; unless the float estimate of the
+        # last position is safely below both, use Python ints.
+        fill = opened.packets_accumulated
+        exact = np.uint64 if fill + vals.sum(dtype=np.float64) < 2.0**62 else object
+        counts = vals.astype(exact)
+        ends = np.cumsum(counts) + fill
+        starts = ends - counts
+        first = (starts // window).astype(np.int64)
+        last = ((ends - 1) // window).astype(np.int64)
+        head = (starts % window).astype(np.uint64)
+        tail = ((ends - 1) % window + 1).astype(np.uint64)
+        n_done = int(ends[-1] // window)
+
+        entry, _, pieces = _cut(first, last, head, tail, window, n_done, n_done + 1)
+        if n_done:
+            self._buffer = TripleBuffer(seq=opened.seq + n_done)
+        self._buffer.add(rows[entry], cols[entry], pieces)
+        self._buffer.packets_accumulated = int(ends[-1] % window)
+
+        for k0 in range(0, n_done, MAX_WINDOWS_PER_BUILD):
+            k1 = min(k0 + MAX_WINDOWS_PER_BUILD, n_done)
+            entry, win, pieces = _cut(first, last, head, tail, window, k0, k1)
+            segs, seg_rows, seg_cols = win - k0, rows[entry], cols[entry]
+            if k0 == 0 and opened.vals:
+                open_rows, open_cols, open_vals = opened.arrays()
+                segs = np.concatenate((np.zeros(len(open_vals), dtype=np.int64), segs))
+                seg_rows = np.concatenate((open_rows, seg_rows))
+                seg_cols = np.concatenate((open_cols, seg_cols))
+                pieces = np.concatenate((open_vals, pieces))
+            matrices = build_segments(segs, seg_rows, seg_cols, pieces, k1 - k0)
+            now = int(time.time())
+            for i, matrix in enumerate(matrices):
+                yield matrix, MatrixMeta(seq=opened.seq + k0 + i, packet_total=window,
+                                         created_unix_s=now)
+
+    def flush(self) -> tuple[HyperMatrix, MatrixMeta] | None:
+        """Build and hand back the partial trailing window, if any, and reset."""
         buf = self._buffer
         if buf.packets_accumulated == 0:
             return None
-        self._next_seq += 1
-        self._buffer = TripleBuffer(seq=self._next_seq)
-        return buf
+        self._buffer = TripleBuffer(seq=buf.seq + 1)
+        meta = MatrixMeta(
+            seq=buf.seq,
+            packet_total=buf.packets_accumulated,
+            created_unix_s=int(time.time()),
+        )
+        return build_arrays(*buf.arrays()), meta

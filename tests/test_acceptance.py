@@ -98,7 +98,9 @@ def test_criterion_3_anonymization_invariant_stats(million_record_file, tmp_path
         with open(million_record_file, "rb") as fh:
             run_ingest(iter(fh.read().splitlines()), anon, out, window_packets=WINDOW)
         records = []
-        for tar in sorted(out.glob("*.tar")):
+        # by first seq: TAR names start with a wall-clock second, so name order
+        # puts "<t>_128" before "<t>_64" only when both TARs share a second
+        for tar in sorted(out.glob("*.tar"), key=lambda p: int(p.stem.split("_")[1])):
             records.extend(archive_stats(tar))
         return records
 

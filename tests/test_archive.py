@@ -13,8 +13,8 @@ from flowmat.archive import (
     iter_archive,
     member_name,
 )
-from flowmat.hypermat import MatrixMeta, build, empty, to_triples
-from tests.conftest import random_matrix
+from flowmat.hypermat import MatrixMeta, empty
+from tests.conftest import build, random_matrix, to_triples
 
 META = MatrixMeta(seq=0, packet_total=9, created_unix_s=1_724_000_000)
 

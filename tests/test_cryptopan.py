@@ -3,7 +3,7 @@ import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from flowmat.cryptopan import CryptoPan, KeyError_, anonymize_flows, load_key
-from flowmat.eve import FlowRecord
+from flowmat.eve import FlowColumns, FlowRecord
 
 KEY = bytes(range(32))
 
@@ -111,25 +111,43 @@ def test_key_sensitivity(rng):
     assert (a.anonymize_many(addrs) != b.anonymize_many(addrs)).sum() >= 1
 
 
+def records(batch: FlowColumns) -> list[FlowRecord]:
+    return [
+        FlowRecord(*rec)
+        for rec in zip(batch.src.tolist(), batch.dst.tolist(),
+                       batch.toserver.tolist(), batch.toclient.tolist())
+    ]
+
+
 def test_anonymize_flows_counts_untouched():
     cp = CryptoPan(KEY)
-    recs = [FlowRecord(PINNED_INPUT, 0x0A010204, 7, 3)]
-    out = anonymize_flows(cp, recs)
+    batch = FlowColumns.from_records([FlowRecord(PINNED_INPUT, 0x0A010204, 7, 3)])
+    out = records(anonymize_flows(cp, batch))
     assert (out[0].pkts_toserver, out[0].pkts_toclient) == (7, 3)
     assert out[0].src_ip == PINNED_OUTPUT
-    assert anonymize_flows(cp, recs) == out  # deterministic
+    assert records(anonymize_flows(cp, batch)) == out  # deterministic
 
 
 def test_anonymize_flows_passthrough():
     recs = [FlowRecord(1, 2, 3, 4)]
-    assert anonymize_flows(None, recs) == recs
+    assert records(anonymize_flows(None, FlowColumns.from_records(recs))) == recs
 
 
 def test_anonymize_flows_equal_addresses_map_equal():
     cp = CryptoPan(KEY)
     recs = [FlowRecord(5, 6, 1, 0), FlowRecord(5, 7, 2, 0), FlowRecord(8, 5, 0, 3)]
-    out = anonymize_flows(cp, recs)
+    out = records(anonymize_flows(cp, FlowColumns.from_records(recs)))
     assert out[0].src_ip == out[1].src_ip == out[2].dest_ip
+
+
+@pytest.mark.parametrize("key", [KEY, bytes(32)], ids=["counting_key", "zero_key"])
+def test_prefix_table_boundaries_match_naive_oracle(key):
+    # the first and last addresses under and past a 16-bit table prefix
+    addrs = [0, 0x0000FFFF, 0x00010000, 0xFFFF0000, 0xFFFFFFFF]
+    cp = CryptoPan(key)
+    assert cp._table is None  # built on first use, not at construction
+    out = cp.anonymize_many(np.array(addrs, dtype=np.uint32))
+    assert out.tolist() == [naive_anonymize(key, a) for a in addrs]
 
 
 def test_load_key_file(tmp_path):

@@ -5,16 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmat.hypermat import (
-    DIMENSION,
-    build,
-    build_arrays,
-    col_degrees,
-    empty,
-    row_degrees,
-    to_triples,
-    total_sum,
-)
+from flowmat.hypermat import DIMENSION, build_arrays, build_segments, empty, total_sum
+from tests.conftest import build, col_degrees, row_degrees, to_triples
 
 triples_strategy = st.lists(
     st.tuples(
@@ -157,3 +149,19 @@ def test_hypersparse_footprint(rng):
     ) + sys.getsizeof(m)
     # 24 bytes/entry + 12 bytes/row of array payload, far below the dimension
     assert footprint < 64 * n + 4096
+
+
+@pytest.mark.parametrize("nseg", [1, 3, 17])
+def test_segmented_build_equals_build_arrays(rng, nseg):
+    n = 2000
+    segs = np.sort(rng.integers(0, nseg, size=n))
+    rows = rng.integers(0, 40, size=n, dtype=np.uint64).astype(np.uint32)
+    cols = rng.integers(0, 40, size=n, dtype=np.uint64).astype(np.uint32)
+    vals = rng.integers(1, 1 << 20, size=n, dtype=np.uint64)
+    order = rng.permutation(n)  # input order must not matter
+    built = build_segments(segs[order], rows[order], cols[order], vals[order], nseg + 1)
+    assert len(built) == nseg + 1
+    for s, matrix in enumerate(built):
+        mask = segs == s
+        assert matrix == build_arrays(rows[mask], cols[mask], vals[mask])
+    assert built[nseg].nvals == 0  # a segment with no triples is the empty matrix

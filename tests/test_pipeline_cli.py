@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+from flowmat.archive import decode_matrix, iter_archive
 from flowmat.cryptopan import CryptoPan
 from flowmat.flowgen import GenConfig, generate
 from flowmat.pipeline import run_bench, run_ingest, verify_archive
@@ -153,6 +154,26 @@ def test_run_bench_report_shape(eve_file, tmp_path):
     assert report["reliable"] is False  # < 1e5 records
     assert report["windows_written"] == 500_000 // 4096 + 1
     assert sum(s["seconds"] for s in report["stages"].values()) <= report["end_to_end"]["seconds"]
+    mb = eve_file.stat().st_size / 1e6
+    assert report["input_mb_per_second"] == pytest.approx(
+        mb / report["end_to_end"]["seconds"], rel=1e-3)
+    raw = blob = 0
+    for tar in tmp_path.glob("*.tar"):
+        for _, data in iter_archive(tar):
+            matrix, _ = decode_matrix(data)
+            raw += sum(a.nbytes for a in (matrix.rows_present, matrix.row_ptr,
+                                          matrix.col_ids, matrix.vals))
+            blob += len(data)
+    assert report["compression_ratio"] == pytest.approx(raw / blob, abs=1e-3)
+
+
+def test_cli_bench_missing_input(tmp_path):
+    proc = run_cli("bench", "--input", str(tmp_path / "nope"), "--no-anon",
+                   "--out", str(tmp_path / "o"))
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"Error: cannot open input") and b"nope" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
 
 
 def test_cli_bench_smoke(eve_file, tmp_path):

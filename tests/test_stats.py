@@ -2,8 +2,9 @@ import numpy as np
 
 from flowmat.archive import ArchiveWriter, encode_matrix
 from flowmat.cryptopan import CryptoPan
-from flowmat.hypermat import MatrixMeta, build, build_arrays, empty
+from flowmat.hypermat import MatrixMeta, build_arrays, empty
 from flowmat.stats import MatrixStats, archive_stats, matrix_stats
+from tests.conftest import build
 
 
 def test_empty_matrix_stats():

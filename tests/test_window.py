@@ -2,8 +2,12 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmat.eve import FlowRecord
-from flowmat.window import Windower
+from flowmat.eve import FlowColumns, FlowRecord
+from flowmat.hypermat import total_sum
+from flowmat.window import MAX_WINDOWS_PER_BUILD, Windower
+from tests.conftest import build, to_triples
+
+U64_MAX = 2**64 - 1
 
 flows_strategy = st.lists(
     st.tuples(
@@ -16,52 +20,110 @@ flows_strategy = st.lists(
 )
 
 
+def columns(flows) -> FlowColumns:
+    return FlowColumns.from_records([FlowRecord(*f) for f in flows])
+
+
 def drain(w: Windower, flows):
-    completed = []
-    for src, dst, ts, tc in flows:
-        completed.extend(w.push_flow(FlowRecord(src, dst, ts, tc)))
-    return completed
+    """Push flows as one column batch; return the completed (matrix, meta) pairs."""
+    return list(w.push(columns(flows)))
+
+
+def open_window(w: Windower) -> list[tuple[int, int, int]]:
+    """Entries of the open window, in stream order."""
+    rows, cols, vals = w._buffer.arrays()
+    return list(zip(rows.tolist(), cols.tolist(), vals.tolist()))
+
+
+class ReferenceWindower:
+    """Record-at-a-time windower with Python ints: the reference for Windower."""
+
+    def __init__(self, window: int):
+        self.window = window
+        self.done: list[tuple[int, list, int]] = []  # (seq, triples, packets)
+        self.triples: list[tuple[int, int, int]] = []
+        self.packets = 0
+
+    def push_flow(self, src: int, dst: int, toserver: int, toclient: int) -> None:
+        for row, col, remaining in ((src, dst, toserver), (dst, src, toclient)):
+            while remaining > 0:
+                take = min(self.window - self.packets, remaining)
+                self.triples.append((row, col, take))
+                self.packets += take
+                remaining -= take
+                if self.packets == self.window:
+                    self.done.append((len(self.done), self.triples, self.packets))
+                    self.triples, self.packets = [], 0
+
+    def flush(self) -> None:
+        if self.packets:
+            self.done.append((len(self.done), self.triples, self.packets))
+            self.triples, self.packets = [], 0
+
+
+def assert_matches_reference(flows, window: int, cuts) -> None:
+    """Feed flows split into batches at cuts; every window must equal the reference's."""
+    ref = ReferenceWindower(window)
+    for f in flows:
+        ref.push_flow(*f)
+    ref.flush()
+
+    w = Windower(window)
+    got = []
+    bounds = [0, *sorted(cuts), len(flows)]
+    for lo, hi in zip(bounds, bounds[1:]):
+        got.extend(w.push(columns(flows[lo:hi])))
+    tail = w.flush()
+    if tail is not None:
+        got.append(tail)
+
+    assert len(got) == len(ref.done)
+    for (matrix, meta), (seq, triples, packets) in zip(got, ref.done):
+        assert (meta.seq, meta.packet_total) == (seq, packets)
+        assert matrix == build(triples)
 
 
 def test_under_budget_accumulates():
     w = Windower(10)
-    assert w.push_flow(FlowRecord(1, 2, 4, 3)) == []
-    assert len(w._buffer) == 2
+    assert drain(w, [(1, 2, 4, 3)]) == []
+    assert len(open_window(w)) == 2
     assert w._buffer.packets_accumulated == 7
 
 
 def test_split_at_boundary():
     w = Windower(10)
-    w.push_flow(FlowRecord(1, 2, 7, 0))
-    done = w.push_flow(FlowRecord(3, 4, 5, 0))
+    drain(w, [(1, 2, 7, 0)])
+    done = drain(w, [(3, 4, 5, 0)])
     assert len(done) == 1
-    assert done[0].packets_accumulated == 10
-    assert done[0].vals == [7, 3]
-    assert w._buffer.rows == [3] and w._buffer.cols == [4] and w._buffer.vals == [2]
+    matrix, meta = done[0]
+    assert meta.packet_total == 10
+    assert [v for _, _, v in to_triples(matrix)] == [7, 3]
+    assert open_window(w) == [(3, 4, 2)]
 
 
 def test_single_record_spanning_multiple_windows():
     w = Windower(10)
-    done = w.push_flow(FlowRecord(1, 2, 25, 0))
-    assert [b.packets_accumulated for b in done] == [10, 10]
-    assert [b.seq for b in done] == [0, 1]
-    assert w._buffer.vals == [5]
+    done = drain(w, [(1, 2, 25, 0)])
+    assert [meta.packet_total for _, meta in done] == [10, 10]
+    assert [meta.seq for _, meta in done] == [0, 1]
+    assert [v for _, _, v in open_window(w)] == [5]
 
 
 def test_direction_order_and_reversal():
     w = Windower(100)
-    w.push_flow(FlowRecord(1, 2, 4, 3))
-    buf = w.flush()
-    assert list(zip(buf.rows, buf.cols, buf.vals)) == [(1, 2, 4), (2, 1, 3)]
+    drain(w, [(1, 2, 4, 3)])
+    assert open_window(w) == [(1, 2, 4), (2, 1, 3)]
+    matrix, _ = w.flush()
+    assert to_triples(matrix) == [(1, 2, 4), (2, 1, 3)]
 
 
 def test_zero_direction_elided():
     w = Windower(100)
-    w.push_flow(FlowRecord(1, 2, 5, 0))
-    w.push_flow(FlowRecord(3, 4, 0, 0))
-    buf = w.flush()
-    assert 0 not in buf.vals
-    assert len(buf) == 1
+    drain(w, [(1, 2, 5, 0), (3, 4, 0, 0)])
+    assert open_window(w) == [(1, 2, 5)]
+    matrix, _ = w.flush()
+    assert 0 not in matrix.vals
+    assert matrix.nvals == 1
 
 
 def test_flush_empty_returns_none():
@@ -88,15 +150,17 @@ def test_stream_exactness_and_conservation(rng):
         )
     )
     oracle_total = sum(ts + tc for _, _, ts, tc in flows)
-    done = drain(w, flows)
+    done = []
+    for lo in range(0, n, 512):
+        done.extend(drain(w, flows[lo : lo + 512]))
     tail = w.flush()
     assert len(done) == oracle_total // window
-    assert all(b.packets_accumulated == window for b in done)
-    assert [b.seq for b in done] == list(range(len(done)))
-    emitted = sum(b.packets_accumulated for b in done)
+    assert all(meta.packet_total == window for _, meta in done)
+    assert [meta.seq for _, meta in done] == list(range(len(done)))
+    emitted = sum(total_sum(matrix) for matrix, _ in done)
     if tail is not None:
-        assert 0 < tail.packets_accumulated < window
-        emitted += tail.packets_accumulated
+        assert 0 < tail[1].packet_total < window
+        emitted += total_sum(tail[0])
     assert emitted == oracle_total
 
 
@@ -106,21 +170,61 @@ def test_conservation_property(flows, window):
     w = Windower(window)
     done = drain(w, flows)
     tail = w.flush()
-    total = sum(b.packets_accumulated for b in done)
+    total = sum(meta.packet_total for _, meta in done)
     if tail is not None:
-        total += tail.packets_accumulated
+        total += tail[1].packet_total
     assert total == sum(ts + tc for _, _, ts, tc in flows)
-    assert all(b.packets_accumulated == window for b in done)
-    for b in done + ([tail] if tail else []):
-        assert all(v > 0 for v in b.vals)
-        assert sum(b.vals) == b.packets_accumulated
+    assert all(meta.packet_total == window for _, meta in done)
+    for matrix, meta in done + ([tail] if tail else []):
+        assert (matrix.vals > 0).all()
+        assert total_sum(matrix) == meta.packet_total
 
 
 def test_buffer_build_round_trip():
-    from flowmat.hypermat import total_sum
-
     w = Windower(10)
     done = drain(w, [(1, 2, 6, 0), (1, 2, 6, 0)])
-    matrix, meta = done[0].build()
+    matrix, meta = done[0]
     assert total_sum(matrix) == 10 == meta.packet_total
     assert meta.seq == 0
+
+
+# --- the column windower against the record-at-a-time reference -------------
+
+@given(flows_strategy, st.integers(1, 50), st.lists(st.integers(0, 60), max_size=8))
+@settings(max_examples=100, deadline=None)
+def test_matches_reference_random_streams(flows, window, cuts):
+    assert_matches_reference(flows, window, [c for c in cuts if c <= len(flows)])
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 7), st.integers(0, 7), st.integers(0, 2500),
+                       st.integers(0, 2500)), max_size=6),
+    st.lists(st.integers(0, 6), max_size=3),
+)
+@settings(max_examples=30, deadline=None)
+def test_matches_reference_window_bits_0(flows, cuts):
+    # a window of one packet: every packet is its own window, and one batch
+    # can complete more windows than one segmented build takes
+    assert_matches_reference(flows, 1, [c for c in cuts if c <= len(flows)])
+
+
+def test_window_bits_0_spans_several_builds():
+    flows = [(1, 2, 2 * MAX_WINDOWS_PER_BUILD + 5, 3), (2, 3, 0, 7)]
+    assert_matches_reference(flows, 1, [])
+
+
+@given(
+    st.lists(st.tuples(st.integers(0, 2**32 - 1), st.integers(0, 2**32 - 1),
+                       st.integers(0, U64_MAX), st.integers(0, U64_MAX)), max_size=8),
+    st.lists(st.integers(0, 8), max_size=3),
+)
+@settings(max_examples=60, deadline=None)
+def test_matches_reference_window_bits_63(flows, cuts):
+    assert_matches_reference(flows, 1 << 63, [c for c in cuts if c <= len(flows)])
+
+
+def test_window_bits_63_full_counts_do_not_wrap():
+    # one batch of 24 * (2^64 - 1) packets: a uint64 running sum wraps here
+    flows = [(i, i + 1, U64_MAX, U64_MAX) for i in range(12)]
+    assert_matches_reference(flows, 1 << 63, [])
+    assert_matches_reference(flows, 1 << 63, [3, 7])
