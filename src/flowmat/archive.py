@@ -50,8 +50,8 @@ def encode_matrix(m: HyperMatrix, meta: MatrixMeta) -> bytes:
         _HEADER.pack(
             MAGIC,
             VERSION,
-            m.nrows,
-            m.ncols,
+            DIMENSION,
+            DIMENSION,
             m.nvals,
             len(m.rows_present),
             meta.seq,
@@ -158,7 +158,6 @@ class ArchiveWriter:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.per_tar = per_tar
-        self.tars_finalized: list[Path] = []
         self._tar: tarfile.TarFile | None = None
         self._tar_path: Path | None = None
         self._members_in_tar = 0
@@ -189,7 +188,6 @@ class ArchiveWriter:
         assert self._tar is not None and self._tar_path is not None
         self._tar.close()
         path = self._tar_path
-        self.tars_finalized.append(path)
         self._tar = None
         self._tar_path = None
         self._members_in_tar = 0

@@ -8,10 +8,12 @@ import sys
 import click
 
 from flowmat import flowgen
+from flowmat.archive import DEFAULT_PER_TAR
 from flowmat.cryptopan import CryptoPan, KeyError_, load_key
 from flowmat.eve import open_source
 from flowmat.pipeline import run_bench, run_ingest, verify_archive
 from flowmat.stats import archive_stats
+from flowmat.window import DEFAULT_WINDOW_BITS
 
 WINDOW_BITS = click.IntRange(0, 63)
 PER_TAR = click.IntRange(min=1)
@@ -42,9 +44,9 @@ def main() -> None:
 @click.option("--key", "key_path", default=None, help="32-byte anonymization key file.")
 @click.option("--no-anon", is_flag=True, help="Disable anonymization (explicit opt-out).")
 @click.option("--out", "out_dir", required=True, help="Output directory for TAR archives.")
-@click.option("--window-bits", default=17, show_default=True, type=WINDOW_BITS,
+@click.option("--window-bits", default=DEFAULT_WINDOW_BITS, show_default=True, type=WINDOW_BITS,
               help="Window size = 2^N packets.")
-@click.option("--per-tar", default=64, show_default=True, type=PER_TAR,
+@click.option("--per-tar", default=DEFAULT_PER_TAR, show_default=True, type=PER_TAR,
               help="Matrices per TAR archive.")
 @click.option("--pretty", is_flag=True, help="Pretty-print the summary JSON.")
 def ingest(input_spec, socket_path, key_path, no_anon, out_dir, window_bits, per_tar, pretty):
@@ -127,12 +129,13 @@ def verify(tar_path):
 
 
 @main.command()
-@click.option("--input", "input_path", required=True, help="EVE file to benchmark against.")
+@click.option("--input", "input_path", required=True,
+              help="EVE file to benchmark against (a file, not stdin).")
 @click.option("--key", "key_path", default=None)
 @click.option("--no-anon", is_flag=True)
 @click.option("--out", "out_dir", required=True, help="Scratch directory for archive output.")
-@click.option("--window-bits", default=17, show_default=True, type=WINDOW_BITS)
-@click.option("--per-tar", default=64, show_default=True, type=PER_TAR)
+@click.option("--window-bits", default=DEFAULT_WINDOW_BITS, show_default=True, type=WINDOW_BITS)
+@click.option("--per-tar", default=DEFAULT_PER_TAR, show_default=True, type=PER_TAR)
 @click.option("--pretty", is_flag=True)
 def bench(input_path, key_path, no_anon, out_dir, window_bits, per_tar, pretty):
     """Time one streamed ingest of a recorded EVE file, stage by stage."""

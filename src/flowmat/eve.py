@@ -118,10 +118,6 @@ def parse_ipv4(text: str) -> int | None:
     return addr
 
 
-def format_ipv4(addr: int) -> str:
-    return f"{(addr >> 24) & 0xFF}.{(addr >> 16) & 0xFF}.{(addr >> 8) & 0xFF}.{addr & 0xFF}"
-
-
 def _count(value) -> int | None:
     # bool is an int subclass; JSON true/false must not pass as counts
     if type(value) is not int or value < 0 or value > _U64_MAX:

@@ -3,19 +3,16 @@
 Storage is proportional to the number of stored entries and present rows,
 never to the 4-billion-row logical dimension. Row = source address,
 column = destination address. Only the operations the pipeline needs exist:
-plus-duplicate build from triples, sum/degree reductions, and triple
-extraction for round-trip checks.
+plus-duplicate build from tagged triples and the packet total.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 DIMENSION = 1 << 32
-
-_U64_MAX = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -27,7 +24,7 @@ class MatrixMeta:
 
 @dataclass(frozen=True)
 class HyperMatrix:
-    """Canonical doubly-compressed sparse matrix.
+    """Canonical doubly-compressed sparse matrix of shape DIMENSION x DIMENSION.
 
     rows_present is strictly increasing; col_ids strictly increase within
     each row (duplicates were summed at build); vals are >= 1.
@@ -37,8 +34,6 @@ class HyperMatrix:
     row_ptr: np.ndarray       # uint64, len(rows_present)+1
     col_ids: np.ndarray       # uint32
     vals: np.ndarray          # uint64
-    nrows: int = field(default=DIMENSION)
-    ncols: int = field(default=DIMENSION)
 
     @property
     def nvals(self) -> int:
@@ -77,6 +72,7 @@ def build_segments(
     Triple i belongs to matrix segs[i] (0 <= segs[i] < nseg). One sort on
     (segment, packed 64-bit (row, col) key) orders every matrix at once, one
     reduceat folds runs of equal keys, and each matrix is a slice of the result.
+    Each matrix's values must sum below 2^64, as every window does.
     """
     if len(vals) == 0:
         return [empty() for _ in range(nseg)]
@@ -88,8 +84,6 @@ def build_segments(
     segs = segs[order]
     keys = keys[order]
     sorted_vals = vals.astype(np.uint64)[order]
-    if sorted_vals.sum(dtype=np.float64) >= 2.0**63:
-        _check_segment_sums(segs, sorted_vals, nseg)
 
     new_entry = np.empty(len(keys), dtype=bool)
     new_entry[0] = True
@@ -127,14 +121,6 @@ def build_segments(
             )
         )
     return matrices
-
-
-def _check_segment_sums(segs: np.ndarray, sorted_vals: np.ndarray, nseg: int) -> None:
-    """Exact per-matrix sums, for inputs whose float total nears 2^64."""
-    bounds = np.searchsorted(segs, np.arange(nseg + 1)).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        if sum(int(v) for v in sorted_vals[lo:hi]) > _U64_MAX:
-            raise OverflowError("triple values sum past 64 bits")
 
 
 def total_sum(m: HyperMatrix) -> int:

@@ -21,11 +21,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from flowmat.archive import ArchiveWriter, encode_matrix
+from flowmat.archive import (
+    DEFAULT_PER_TAR, ArchiveWriter, IntegrityError, decode_matrix, encode_matrix, iter_archive,
+)
 from flowmat.cryptopan import CryptoPan, anonymize_flows
 from flowmat.eve import FlowColumns, FlowRecord, IngestCounters, open_source, parse_flow_record
 from flowmat.hypermat import total_sum
-from flowmat.window import Windower
+from flowmat.window import DEFAULT_WINDOW_BITS, Windower
 
 # records per anonymize_flows call, which deduplicates addresses per batch
 BATCH_RECORDS = 512
@@ -83,8 +85,8 @@ def run_ingest(
     lines,
     anon: CryptoPan | None,
     out_dir: str | Path,
-    window_packets: int = 1 << 17,
-    per_tar: int = 64,
+    window_packets: int = 1 << DEFAULT_WINDOW_BITS,
+    per_tar: int = DEFAULT_PER_TAR,
 ) -> IngestResult:
     """Drain an EVE line iterable into rotating TARs of matrix blobs.
 
@@ -155,16 +157,19 @@ def run_bench(
     input_path: str | Path,
     anon: CryptoPan | None,
     out_dir: str | Path,
-    window_packets: int = 1 << 17,
-    per_tar: int = 64,
+    window_packets: int = 1 << DEFAULT_WINDOW_BITS,
+    per_tar: int = DEFAULT_PER_TAR,
 ) -> dict:
     """One streamed ingest of a recorded file, reported stage by stage.
 
     Stage rates come from the ingest's own timers: parse is per input line,
     the other stages per flow record. End to end covers opening the file
     through closing the last TAR. The compression ratio is the matrices'
-    raw section bytes over the blob bytes written.
+    raw section bytes over the blob bytes written. Stdin ("-") is refused
+    before any input is read: the bench needs a file, whose size it reports.
     """
+    if str(input_path) == "-":
+        raise OSError("cannot open input '-': bench reads a recorded file, not stdin")
     start = time.perf_counter()
     source = open_source(str(input_path))
     try:
@@ -208,8 +213,6 @@ def run_bench(
 
 def verify_archive(path: str | Path) -> list[str]:
     """Decode, re-encode, and cross-check every member; returns failures."""
-    from flowmat.archive import IntegrityError, decode_matrix, iter_archive
-
     failures: list[str] = []
     for name, blob in iter_archive(path):
         try:

@@ -77,8 +77,9 @@ class Windower:
     """Stateful splitter from a stream of flow-column batches to exact-size windows."""
 
     def __init__(self, window_packets: int = 1 << DEFAULT_WINDOW_BITS):
-        if window_packets < 1:
-            raise ValueError("window_packets must be >= 1")
+        # every window then sums below 2^64, so its uint64 build cannot wrap
+        if not 1 <= window_packets < 1 << 64:
+            raise ValueError("window_packets must be in [1, 2^64)")
         self.window_packets = window_packets
         self._buffer = TripleBuffer(seq=0)
 

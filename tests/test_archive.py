@@ -136,11 +136,9 @@ def test_rotation_64(tmp_path, rng):
 
 def test_rotation_130_gives_64_64_2(tmp_path, rng):
     w = ArchiveWriter(tmp_path, per_tar=64)
-    for blob, meta in _blobs(130, rng):
-        w.append(blob, meta)
-    w.close()
+    finalized = [w.append(blob, meta) for blob, meta in _blobs(130, rng)] + [w.close()]
     sizes = []
-    for path in w.tars_finalized:
+    for path in filter(None, finalized):
         with tarfile.open(path) as tar:
             sizes.append(len(tar.getnames()))
     assert sizes == [64, 64, 2]
@@ -156,9 +154,7 @@ def test_non_ascending_seq_rejected(tmp_path, rng):
 
 def test_tar_readable_by_system_extractor(tmp_path, rng):
     w = ArchiveWriter(tmp_path / "out", per_tar=4)
-    for blob, meta in _blobs(4, rng):
-        w.append(blob, meta)
-    path = w.tars_finalized[0]
+    path = [w.append(blob, meta) for blob, meta in _blobs(4, rng)][-1]
     extract_dir = tmp_path / "extracted"
     extract_dir.mkdir()
     subprocess.run(["tar", "-xf", str(path), "-C", str(extract_dir)], check=True)
@@ -173,15 +169,13 @@ def test_tar_readable_by_system_extractor(tmp_path, rng):
 def test_iter_archive_round_trip(tmp_path, rng):
     w = ArchiveWriter(tmp_path, per_tar=8)
     originals = list(_blobs(8, rng))
-    for blob, meta in originals:
-        w.append(blob, meta)
-    members = list(iter_archive(w.tars_finalized[0]))
+    path = [w.append(blob, meta) for blob, meta in originals][-1]
+    members = list(iter_archive(path))
     assert [name for name, _ in members] == [member_name(i) for i in range(8)]
     assert [blob for _, blob in members] == [blob for blob, _ in originals]
 
 
 def test_tar_file_naming(tmp_path, rng):
     w = ArchiveWriter(tmp_path, per_tar=2)
-    for blob, meta in _blobs(2, rng):
-        w.append(blob, meta)
-    assert w.tars_finalized[0].name == "1724000000_0.tar"
+    path = [w.append(blob, meta) for blob, meta in _blobs(2, rng)][-1]
+    assert path.name == "1724000000_0.tar"

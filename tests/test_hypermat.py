@@ -1,3 +1,4 @@
+import struct
 import sys
 
 import numpy as np
@@ -5,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmat.hypermat import DIMENSION, build_arrays, build_segments, empty, total_sum
+from flowmat.archive import encode_matrix
+from flowmat.hypermat import MatrixMeta, build_arrays, build_segments, empty, total_sum
 from tests.conftest import build, col_degrees, row_degrees, to_triples
 
 triples_strategy = st.lists(
@@ -41,8 +43,9 @@ def test_duplicate_summation_by_hand():
 
 
 def test_dimensions_fixed():
-    m = build([(0, 0, 1)])
-    assert m.nrows == m.ncols == DIMENSION
+    blob = encode_matrix(build([(0, 0, 1)]), MatrixMeta(seq=0, packet_total=1, created_unix_s=0))
+    nrows, ncols = struct.unpack_from("<QQ", blob, 8)  # after magic and version
+    assert nrows == ncols == 2**32
 
 
 def test_zero_valued_triples_rejected():
@@ -129,12 +132,6 @@ def test_degrees_against_dict_oracle(rng):
     m = build(triples)
     assert row_degrees(m) == sorted((r, len(s)) for r, s in out_oracle.items())
     assert col_degrees(m) == sorted((c, len(s)) for c, s in in_oracle.items())
-
-
-def test_overflow_detected():
-    big = (1 << 63) + 5
-    with pytest.raises(OverflowError):
-        build([(0, 0, big), (0, 1, big), (0, 2, big)])
 
 
 def test_hypersparse_footprint(rng):

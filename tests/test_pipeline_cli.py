@@ -176,6 +176,18 @@ def test_cli_bench_missing_input(tmp_path):
     assert len(proc.stderr.splitlines()) == 1
 
 
+def test_cli_bench_refuses_stdin(eve_file, tmp_path):
+    out = tmp_path / "o"
+    proc = run_cli("bench", "--input", "-", "--no-anon", "--out", str(out),
+                   input_bytes=eve_file.read_bytes())
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"Error: cannot open input '-'")
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == b""
+    assert not out.exists()
+
+
 def test_cli_bench_smoke(eve_file, tmp_path):
     proc = run_cli("bench", "--input", str(eve_file), "--no-anon",
                    "--out", str(tmp_path), "--window-bits", "12")

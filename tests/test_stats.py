@@ -46,8 +46,7 @@ def _write_archive(tmp_path, matrices):
         meta = MatrixMeta(seq=seq, packet_total=int(m.vals.sum(dtype=np.uint64)),
                           created_unix_s=1_724_000_000)
         w.append(encode_matrix(m, meta), meta)
-    w.close()
-    return w.tars_finalized[0]
+    return w.close()
 
 
 def test_archive_stats_single_member(tmp_path):

@@ -1,4 +1,5 @@
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -81,6 +82,12 @@ def assert_matches_reference(flows, window: int, cuts) -> None:
     for (matrix, meta), (seq, triples, packets) in zip(got, ref.done):
         assert (meta.seq, meta.packet_total) == (seq, packets)
         assert matrix == build(triples)
+
+
+@pytest.mark.parametrize("window", [0, 2**64])
+def test_window_size_out_of_range_rejected(window):
+    with pytest.raises(ValueError):
+        Windower(window)
 
 
 def test_under_budget_accumulates():
@@ -228,3 +235,10 @@ def test_window_bits_63_full_counts_do_not_wrap():
     flows = [(i, i + 1, U64_MAX, U64_MAX) for i in range(12)]
     assert_matches_reference(flows, 1 << 63, [])
     assert_matches_reference(flows, 1 << 63, [3, 7])
+
+
+def test_largest_window_full_counts_match_reference():
+    # the largest window: each directed entry of 2^64 - 1 packets fills one
+    flows = [(i, i + 1, U64_MAX, U64_MAX) for i in range(12)]
+    assert_matches_reference(flows, U64_MAX, [])
+    assert_matches_reference(flows, U64_MAX, [3, 7])
