@@ -7,10 +7,10 @@ Blob layout (all little-endian):
           col_ids u32[], vals u64[]
   each section: raw_len_bytes u64, compressed_len_bytes u64, LZ4 block data
 
-Blobs are grouped 64 to a POSIX ustar TAR; member names are the 20-digit
-zero-padded window sequence number plus ".grb", so lexicographic order is
-sequence order. TAR files are named "<created_unix_s>_<seq>.tar" after their
-first member.
+Blobs are grouped DEFAULT_PER_TAR (64) per POSIX ustar TAR; member names are
+the 20-digit zero-padded window sequence number plus ".grb", so lexicographic
+order is sequence order. TAR files are named "<created_unix_s>_<seq>.tar"
+after their first member.
 """
 
 from __future__ import annotations

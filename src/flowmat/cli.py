@@ -11,7 +11,7 @@ from flowmat import flowgen
 from flowmat.archive import DEFAULT_PER_TAR
 from flowmat.cryptopan import CryptoPan, KeyError_, load_key
 from flowmat.eve import open_source
-from flowmat.pipeline import run_bench, run_ingest, verify_archive
+from flowmat.pipeline import MIN_RELIABLE_RECORDS, run_bench, run_ingest, verify_archive
 from flowmat.stats import archive_stats
 from flowmat.window import DEFAULT_WINDOW_BITS
 
@@ -148,7 +148,9 @@ def bench(input_path, key_path, no_anon, out_dir, window_bits, per_tar, pretty):
     except OSError as exc:
         raise click.ClickException(str(exc))
     if not report["reliable"]:
-        click.echo("warning: fewer than 100000 records; rates are unreliable", err=True)
+        click.echo(
+            f"warning: fewer than {MIN_RELIABLE_RECORDS} records; rates are unreliable", err=True
+        )
     _emit(report, pretty)
 
 

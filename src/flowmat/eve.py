@@ -3,14 +3,24 @@
 Only ``event_type == "flow"`` events with IPv4 endpoints are kept; everything
 else is counted and skipped so a long-running sensor survives log corruption,
 mixed event streams, and IPv6 traffic it does not handle.
+
+Each line first meets one compiled bytes regex that accepts only compact,
+escape-free JSON whose shape makes the outcome certain: an IPv4 flow event
+with its keys in Suricata's order, strict dotted quads, plain integer counts
+below 2^64 and no duplicate of any key the parser reads. Such a line becomes
+a FlowRecord from the regex's ten groups. Every other line goes through
+``json.loads`` (``_parse_json``), which decides it alone, so both clauses give
+every line the same outcome.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import os
+import re
 import socket
 import stat
 import sys
@@ -125,8 +135,62 @@ def _count(value) -> int | None:
     return value
 
 
+@functools.cache
+def _compact_flow_pattern() -> re.Pattern:
+    """The compact clause's grammar, compiled on first use so imports stay cheap.
+
+    A line it fully matches is compact JSON that ``_parse_json`` would turn
+    into the record its groups spell. Strings hold no escapes or control
+    bytes, so a key's bytes are its decoded name; integer parts are capped at
+    20 digits, far below the 4300 digits ``int()`` accepts; members other than
+    the four read keys (two inside ``flow``) may not reuse their names, so the
+    last duplicate that ``json.loads`` keeps can never differ from the one
+    captured. Its loops and string bodies are possessive: no member a loop
+    repeats can begin the literal that follows it, and no string body can
+    hold the quote that ends it, so giving anything back could never match.
+    """
+    chars = rb'[^"\\\x00-\x1f]*+'
+    string = rb'"' + chars + rb'"'
+    scalar = (
+        string + rb"|-?(?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
+        rb"|true|false|null"
+    )
+    value = rb"(?:%s|\{(?:%s:(?:%s)(?:,%s:(?:%s))*+)?\})" % (scalar, string, scalar, string, scalar)
+    top = rb'"(?!(?:event_type|src_ip|dest_ip|flow)")' + chars + rb'":' + value
+    inner = rb'"(?!pkts_to(?:server|client)")' + chars + rb'":(?:%s)' % scalar
+    octet = rb"(25[0-5]|2[0-4][0-9]|[01]?[0-9]{1,2})"
+    quad = rb"\.".join([octet] * 4)
+    count = rb"(0|[1-9][0-9]{0,18})"  # at most 19 digits, so below 2^64
+    return re.compile(
+        rb'\{(?:%(top)s,)*+"event_type":"flow",(?:%(top)s,)*+"src_ip":"%(quad)s",'
+        rb'(?:%(top)s,)*+"dest_ip":"%(quad)s",(?:%(top)s,)*+'
+        rb'"flow":\{(?:%(inner)s,)*+"pkts_toserver":%(count)s,'
+        rb'(?:%(inner)s,)*+"pkts_toclient":%(count)s(?:,%(inner)s)*+\}'
+        rb"(?:,%(top)s)*+\}"
+        % {b"top": top, b"inner": inner, b"quad": quad, b"count": count}
+    )
+
+
+def _parse_compact(line: bytes) -> FlowRecord | None:
+    """The compact clause: the record of a line the grammar proves, else None."""
+    if len(line) > MAX_LINE_BYTES or not line.isascii():
+        return None
+    match = _compact_flow_pattern().fullmatch(line)
+    if match is None:
+        return None
+    s1, s2, s3, s4, d1, d2, d3, d4, toserver, toclient = map(int, match.groups())
+    return FlowRecord(
+        s1 << 24 | s2 << 16 | s3 << 8 | s4, d1 << 24 | d2 << 16 | d3 << 8 | d4, toserver, toclient
+    )
+
+
 def parse_flow_record(line: bytes) -> FlowRecord | Skip:
     """Parse one EVE JSON line. Never raises: bad input becomes a Skip."""
+    return _parse_compact(line) or _parse_json(line)
+
+
+def _parse_json(line: bytes) -> FlowRecord | Skip:
+    """The strict clause: ``json.loads`` and a walk of the fields it read."""
     if len(line) > MAX_LINE_BYTES:
         return Skip.MALFORMED
     try:

@@ -67,17 +67,24 @@ class IngestResult:
 
 
 def _parse_batches(lines, counters: IngestCounters):
-    """Group parsed records into column batches; counters track every line."""
+    """Group parsed records into column batches; counters track every line.
+
+    Skips are counted line by line, records a batch at a time as each batch
+    is handed on, so the counters are exact once the lines are drained.
+    """
     batch: list[FlowRecord] = []
     for line in lines:
         rec = parse_flow_record(line)
-        counters.count(rec)
         if isinstance(rec, FlowRecord):
             batch.append(rec)
             if len(batch) >= BATCH_RECORDS:
+                counters.records_ok += len(batch)
                 yield FlowColumns.from_records(batch)
                 batch = []
+        else:
+            counters.count(rec)
     if batch:
+        counters.records_ok += len(batch)
         yield FlowColumns.from_records(batch)
 
 

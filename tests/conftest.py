@@ -1,3 +1,6 @@
+import json
+import random
+
 import numpy as np
 import pytest
 
@@ -46,3 +49,41 @@ def random_matrix(rng: np.random.Generator, max_entries: int = 200) -> HyperMatr
 @pytest.fixture
 def rng():
     return np.random.default_rng(12345)
+
+
+def criterion_9_corpus() -> tuple[list[bytes], int, int]:
+    """The 10^5-line fuzz corpus of acceptance criterion 9.
+
+    Returns the lines, how many of them are valid IPv4 flow lines, and the
+    packet total of those lines.
+    """
+    rnd = random.Random(404)
+    corpus = []
+    valid = 0
+    valid_packets = 0
+    for i in range(100_000):
+        kind = rnd.randrange(6)
+        if kind == 0:
+            corpus.append(bytes(rnd.randrange(1, 256) for _ in range(rnd.randrange(0, 60))))
+        elif kind == 1:
+            corpus.append(b'{"event_type":"alert","signature":"x"}')
+        elif kind == 2:
+            corpus.append(
+                b'{"event_type":"flow","src_ip":"2001:db8::1","dest_ip":"10.0.0.1",'
+                b'"flow":{"pkts_toserver":1,"pkts_toclient":0}}'
+            )
+        elif kind == 3:
+            line = (
+                f'{{"event_type":"flow","src_ip":"10.0.{rnd.randrange(256)}.{rnd.randrange(256)}",'
+                f'"dest_ip":"10.1.0.1","flow":{{"pkts_toserver":{rnd.randrange(1, 50)},'
+                f'"pkts_toclient":0}}}}'
+            ).encode()
+            valid += 1
+            valid_packets += json.loads(line)["flow"]["pkts_toserver"]
+            corpus.append(line)
+        elif kind == 4:
+            corpus.append(b'{"event_type":"flow","src_ip":"10.0.0.1"')  # truncated
+        else:
+            corpus.append(b'{"event_type":"flow","src_ip":"10.0.0.999","dest_ip":"1.2.3.4",'
+                          b'"flow":{"pkts_toserver":1,"pkts_toclient":0}}')
+    return corpus, valid, valid_packets

@@ -4,7 +4,6 @@ them as they complete. The heavy cases (10^6-record stats runs, a
 10^7-record memory-ceiling ingest) take a few minutes combined."""
 
 import json
-import random
 import subprocess
 import sys
 
@@ -18,7 +17,7 @@ from flowmat.flowgen import GenConfig, generate, packet_total
 from flowmat.hypermat import MatrixMeta, total_sum
 from flowmat.pipeline import MEMORY_CEILING_BYTES, run_bench, run_ingest
 from flowmat.stats import archive_stats
-from tests.conftest import random_matrix
+from tests.conftest import criterion_9_corpus, random_matrix
 
 KEY = bytes(range(32))
 WINDOW = 1 << 17
@@ -199,35 +198,7 @@ def test_criterion_8_throughput_report(million_record_file, tmp_path):
 
 
 def test_criterion_9_robust_ingestion(tmp_path):
-    rnd = random.Random(404)
-    corpus = []
-    valid = 0
-    valid_packets = 0
-    for i in range(100_000):
-        kind = rnd.randrange(6)
-        if kind == 0:
-            corpus.append(bytes(rnd.randrange(1, 256) for _ in range(rnd.randrange(0, 60))))
-        elif kind == 1:
-            corpus.append(b'{"event_type":"alert","signature":"x"}')
-        elif kind == 2:
-            corpus.append(
-                b'{"event_type":"flow","src_ip":"2001:db8::1","dest_ip":"10.0.0.1",'
-                b'"flow":{"pkts_toserver":1,"pkts_toclient":0}}'
-            )
-        elif kind == 3:
-            line = (
-                f'{{"event_type":"flow","src_ip":"10.0.{rnd.randrange(256)}.{rnd.randrange(256)}",'
-                f'"dest_ip":"10.1.0.1","flow":{{"pkts_toserver":{rnd.randrange(1, 50)},'
-                f'"pkts_toclient":0}}}}'
-            ).encode()
-            valid += 1
-            valid_packets += json.loads(line)["flow"]["pkts_toserver"]
-            corpus.append(line)
-        elif kind == 4:
-            corpus.append(b'{"event_type":"flow","src_ip":"10.0.0.1"')  # truncated
-        else:
-            corpus.append(b'{"event_type":"flow","src_ip":"10.0.0.999","dest_ip":"1.2.3.4",'
-                          b'"flow":{"pkts_toserver":1,"pkts_toclient":0}}')
+    corpus, valid, valid_packets = criterion_9_corpus()
     result = run_ingest(iter(corpus), CryptoPan(KEY), tmp_path / "out", window_packets=1 << 12)
     c: IngestCounters = result.counters
     assert c.lines_consumed == 100_000
