@@ -83,15 +83,14 @@ class IngestCounters:
     records_skipped_ipv6: int = 0
     records_skipped_malformed: int = 0
 
-    def count(self, result) -> None:
-        if result is Skip.NON_FLOW:
+    def count_skip(self, reason: Skip) -> None:
+        """Count one skipped line; records are added a batch at a time."""
+        if reason is Skip.NON_FLOW:
             self.records_skipped_non_flow += 1
-        elif result is Skip.IPV6:
+        elif reason is Skip.IPV6:
             self.records_skipped_ipv6 += 1
-        elif result is Skip.MALFORMED:
+        elif reason is Skip.MALFORMED:
             self.records_skipped_malformed += 1
-        else:
-            self.records_ok += 1
 
     @property
     def lines_consumed(self) -> int:
@@ -148,6 +147,9 @@ def _compact_flow_pattern() -> re.Pattern:
     captured. Its loops and string bodies are possessive: no member a loop
     repeats can begin the literal that follows it, and no string body can
     hold the quote that ends it, so giving anything back could never match.
+    The octet alternatives are disjoint, so a quad has one parse and a line
+    that fails after it is not retried once per way of splitting its digits.
+    Possessive quantifiers need Python 3.11.
     """
     chars = rb'[^"\\\x00-\x1f]*+'
     string = rb'"' + chars + rb'"'
@@ -158,7 +160,7 @@ def _compact_flow_pattern() -> re.Pattern:
     value = rb"(?:%s|\{(?:%s:(?:%s)(?:,%s:(?:%s))*+)?\})" % (scalar, string, scalar, string, scalar)
     top = rb'"(?!(?:event_type|src_ip|dest_ip|flow)")' + chars + rb'":' + value
     inner = rb'"(?!pkts_to(?:server|client)")' + chars + rb'":(?:%s)' % scalar
-    octet = rb"(25[0-5]|2[0-4][0-9]|[01]?[0-9]{1,2})"
+    octet = rb"(25[0-5]|2[0-4][0-9]|[01][0-9][0-9]|[0-9][0-9]?)"
     quad = rb"\.".join([octet] * 4)
     count = rb"(0|[1-9][0-9]{0,18})"  # at most 19 digits, so below 2^64
     return re.compile(
@@ -173,7 +175,7 @@ def _compact_flow_pattern() -> re.Pattern:
 
 def _parse_compact(line: bytes) -> FlowRecord | None:
     """The compact clause: the record of a line the grammar proves, else None."""
-    if len(line) > MAX_LINE_BYTES or not line.isascii():
+    if not line.isascii():
         return None
     match = _compact_flow_pattern().fullmatch(line)
     if match is None:
@@ -186,6 +188,8 @@ def _parse_compact(line: bytes) -> FlowRecord | None:
 
 def parse_flow_record(line: bytes) -> FlowRecord | Skip:
     """Parse one EVE JSON line. Never raises: bad input becomes a Skip."""
+    if len(line) > MAX_LINE_BYTES:
+        return _parse_json(line)  # which rejects it
     return _parse_compact(line) or _parse_json(line)
 
 

@@ -82,7 +82,7 @@ def _parse_batches(lines, counters: IngestCounters):
                 yield FlowColumns.from_records(batch)
                 batch = []
         else:
-            counters.count(rec)
+            counters.count_skip(rec)
     if batch:
         counters.records_ok += len(batch)
         yield FlowColumns.from_records(batch)

@@ -3,11 +3,13 @@ import os
 import random
 import socket
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from flowmat import eve
 from flowmat.eve import (
     MAX_LINE_BYTES,
     FlowRecord,
@@ -18,6 +20,7 @@ from flowmat.eve import (
     open_source,
     parse_flow_record,
 )
+from flowmat.pipeline import _parse_batches
 from tests.conftest import criterion_9_corpus
 
 FLOW_LINE = (
@@ -112,9 +115,9 @@ def test_parse_never_raises_on_random_bytes():
     rnd = random.Random(99)
     counters = IngestCounters()
     n = 2000
-    for _ in range(n):
-        line = bytes(rnd.randrange(256) for _ in range(rnd.randrange(0, 80)))
-        counters.count(parse_flow_record(line))
+    lines = [bytes(rnd.randrange(256) for _ in range(rnd.randrange(0, 80))) for _ in range(n)]
+    for _ in _parse_batches(lines, counters):
+        pass
     assert counters.lines_consumed == n
 
 
@@ -191,9 +194,39 @@ EDGE_CASES = [
 @pytest.mark.parametrize(
     "line,compact", [case[1:] for case in EDGE_CASES], ids=[case[0] for case in EDGE_CASES]
 )
-def test_compact_clause_matches_strict_on_edge_cases(line, compact):
+def test_compact_clause_matches_strict_on_edge_cases(line, compact, monkeypatch):
+    strict_calls = []
+
+    def counted(strict_line):
+        strict_calls.append(strict_line)
+        return _parse_json(strict_line)
+
+    monkeypatch.setattr(eve, "_parse_json", counted)
     assert parse_flow_record(line) == _parse_json(line)
-    assert (_parse_compact(line) is not None) == compact
+    assert (not strict_calls) == compact
+
+
+@pytest.mark.parametrize("where", ["after_dest_ip", "before_dest_ip"])
+def test_compact_clause_near_miss_costs_about_one_json_loads(where):
+    # "10" is one octet: if the grammar could also read it as "1" then "0",
+    # a line failing after its quads would be retried once per reading
+    quad = b"10.10.10.10"
+    others = b"".join(b'"k%d":1,' % i for i in range(10000))
+    src = b'{"event_type":"flow","src_ip":"%s",' % quad
+    dst = b'"dest_ip":"%s",' % quad
+    body = src + dst + others if where == "after_dest_ip" else src + others + dst
+    line = body + COUNTS + b',"x":[]}'
+
+    def fastest(parse):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            parse(line)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert _parse_compact(line) is None
+    assert fastest(_parse_compact) < 5 * fastest(json.loads)
 
 
 def test_compact_clause_matches_strict_on_criterion_9_corpus():

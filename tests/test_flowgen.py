@@ -2,6 +2,7 @@ import pytest
 
 from flowmat.eve import FlowRecord, IngestCounters, parse_flow_record
 from flowmat.flowgen import ConfigError, GenConfig, generate, packet_total
+from flowmat.pipeline import _parse_batches
 
 
 def test_empty_stream():
@@ -36,8 +37,8 @@ def test_parse_closure_all_models():
         GenConfig(n_flows=300, seed=5, geometric_mean=20.0, split=0.7),
     ):
         counters = IngestCounters()
-        for line in generate(cfg):
-            counters.count(parse_flow_record(line))
+        for _ in _parse_batches(generate(cfg), counters):
+            pass
         assert counters.records_ok == 300
         assert counters.lines_consumed == 300
 
