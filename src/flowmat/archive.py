@@ -11,13 +11,29 @@ Blobs are grouped DEFAULT_PER_TAR (64) per POSIX ustar TAR; member names are
 the 20-digit zero-padded window sequence number plus ".grb", so lexicographic
 order is sequence order. TAR files are named "<created_unix_s>_<seq>.tar"
 after their first member.
+
+The TAR container (IEEE Std 1003.1, pax utility, ustar interchange format) is
+written and read here, without tarfile. Every member header is one constant
+512-byte template (mode 0644, uid and gid 0, empty uname and gname, type '0')
+with four fields patched: the name, NUL-padded to 100 bytes; size and mtime,
+each 11 octal digits and a NUL; and the checksum, 6 octal digits, a NUL and a
+space, that is the template's byte sum plus the sum of the patched bytes. The
+blob follows, zero-padded to 512 bytes. A TAR ends with two zero blocks and
+zero padding to a multiple of 10240 bytes. These are the bytes tarfile writes
+for the same members.
+
+The reader walks the headers. Each must carry a checksum equal to its byte
+sum (the checksum field counted as spaces), the POSIX magic "ustar", NUL,
+"00" or GNU's "ustar", two spaces, NUL, an octal size, an ASCII name (joined
+to the ustar prefix field when that is set) and type '0' or NUL. The walk
+must end in two zero blocks and a whole 10240-byte record. Anything else,
+including a file cut short anywhere, raises ContainerError after the members
+before it have been yielded.
 """
 
 from __future__ import annotations
 
-import io
 import struct
-import tarfile
 from pathlib import Path
 
 import numpy as np
@@ -44,9 +60,17 @@ class IntegrityError(ValueError):
     """Blob fails structural validation; message names the bad part."""
 
 
+class ContainerError(IntegrityError):
+    """The TAR around the blobs is corrupt or cut short at byte offset."""
+
+    def __init__(self, offset: int, after: str | None, problem: str):
+        where = f"after member {after}" if after else "before any member"
+        super().__init__(f"byte {offset}, {where}: {problem}")
+        self.offset = offset
+
+
 def encode_matrix(m: HyperMatrix, meta: MatrixMeta) -> bytes:
-    out = io.BytesIO()
-    out.write(
+    parts = [
         _HEADER.pack(
             MAGIC,
             VERSION,
@@ -58,13 +82,13 @@ def encode_matrix(m: HyperMatrix, meta: MatrixMeta) -> bytes:
             meta.packet_total,
             meta.created_unix_s,
         )
-    )
+    ]
     for name, dtype in _SECTIONS:
         raw = getattr(m, name).astype(dtype, copy=False).tobytes()
         packed = lz4block.compress(raw)
-        out.write(_SECTION_PREFIX.pack(len(raw), len(packed)))
-        out.write(packed)
-    return out.getvalue()
+        parts.append(_SECTION_PREFIX.pack(len(raw), len(packed)))
+        parts.append(packed)
+    return b"".join(parts)
 
 
 def decode_matrix(blob: bytes) -> tuple[HyperMatrix, MatrixMeta]:
@@ -108,12 +132,7 @@ def decode_matrix(blob: bytes) -> tuple[HyperMatrix, MatrixMeta]:
         raise IntegrityError("trailing bytes after last section")
     _check_canonical(arrays, nvals)
 
-    m = HyperMatrix(
-        rows_present=arrays["rows_present"].astype(np.uint32),
-        row_ptr=arrays["row_ptr"].astype(np.uint64),
-        col_ids=arrays["col_ids"].astype(np.uint32),
-        vals=arrays["vals"].astype(np.uint64),
-    )
+    m = HyperMatrix(**arrays)
     meta = MatrixMeta(seq=seq, packet_total=packet_total, created_unix_s=created)
     return m, meta
 
@@ -149,6 +168,44 @@ def member_name(seq: int) -> str:
     return f"{seq:020d}.grb"
 
 
+_BLOCK = 512
+_RECORD = 10240  # 20 blocks: tarfile's and GNU tar's default record size
+_ZERO_BLOCK = bytes(_BLOCK)
+_USTAR_MAGIC = b"ustar\x0000"
+_GNU_MAGIC = b"ustar  \x00"
+_OCTAL_LIMIT = 8**11  # 11 octal digits and a NUL fill a 12-byte field
+
+# name, size and mtime are NUL and the checksum holds the spaces it is summed as
+_TEMPLATE = (
+    bytes(100)  # name
+    + b"0000644\x00"  # mode
+    + b"0000000\x00" * 2  # uid, gid
+    + bytes(24)  # size, mtime
+    + b" " * 8  # checksum
+    + b"0"  # type: regular file
+    + bytes(100)  # linkname
+    + _USTAR_MAGIC  # magic, version
+    + bytes(247)  # uname, gname, devmajor, devminor, prefix, padding
+)
+_TEMPLATE_SUM = sum(_TEMPLATE)
+_MODE_IDS = _TEMPLATE[100:124]
+_AFTER_CHECKSUM = _TEMPLATE[156:]
+
+
+def _ustar_header(name: bytes, size: int, mtime: int) -> bytes:
+    if len(name) > 100:
+        raise ValueError(f"member name {name!r} longer than 100 bytes")
+    if not 0 <= size < _OCTAL_LIMIT or not 0 <= mtime < _OCTAL_LIMIT:
+        raise ValueError(f"member size {size} or mtime {mtime} overflows a ustar field")
+    size_field = b"%011o\x00" % size
+    mtime_field = b"%011o\x00" % mtime
+    checksum = _TEMPLATE_SUM + sum(name) + sum(size_field) + sum(mtime_field)
+    return b"".join((
+        name.ljust(100, b"\x00"), _MODE_IDS, size_field, mtime_field,
+        b"%06o\x00 " % checksum, _AFTER_CHECKSUM,
+    ))
+
+
 class ArchiveWriter:
     """Writes blobs into rotating ustar TARs of per_tar members each."""
 
@@ -158,26 +215,27 @@ class ArchiveWriter:
         self.out_dir = Path(out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
         self.per_tar = per_tar
-        self._tar: tarfile.TarFile | None = None
-        self._tar_path: Path | None = None
+        self._fh = None
         self._members_in_tar = 0
         self._last_seq: int | None = None
 
     def append(self, blob: bytes, meta: MatrixMeta) -> Path | None:
-        """Add one blob; returns the TAR path when this append finalizes one."""
+        """Add one blob; returns the TAR path when this append finalizes one.
+
+        Raises ValueError, with nothing written, when seq does not ascend or
+        the blob's size or the mtime does not fit its ustar field.
+        """
         if self._last_seq is not None and meta.seq <= self._last_seq:
             raise ValueError(f"seq {meta.seq} not ascending past {self._last_seq}")
+        header = _ustar_header(member_name(meta.seq).encode("ascii"), len(blob),
+                               meta.created_unix_s)
         self._last_seq = meta.seq
 
-        if self._tar is None:
-            self._tar_path = self.out_dir / f"{meta.created_unix_s}_{meta.seq}.tar"
-            self._tar = tarfile.open(self._tar_path, "w", format=tarfile.USTAR_FORMAT)
-            self._members_in_tar = 0
-
-        info = tarfile.TarInfo(name=member_name(meta.seq))
-        info.size = len(blob)
-        info.mtime = meta.created_unix_s
-        self._tar.addfile(info, io.BytesIO(blob))
+        if self._fh is None:
+            self._fh = open(self.out_dir / f"{meta.created_unix_s}_{meta.seq}.tar", "wb")
+        self._fh.write(header)
+        self._fh.write(blob)
+        self._fh.write(_ZERO_BLOCK[: -len(blob) % _BLOCK])
         self._members_in_tar += 1
 
         if self._members_in_tar == self.per_tar:
@@ -185,31 +243,79 @@ class ArchiveWriter:
         return None
 
     def _finalize(self) -> Path:
-        assert self._tar is not None and self._tar_path is not None
-        self._tar.close()
-        path = self._tar_path
-        self._tar = None
-        self._tar_path = None
+        fh = self._fh
+        # end-of-archive: two zero blocks, then zeros to a whole record
+        fh.write(bytes(2 * _BLOCK + -(fh.tell() + 2 * _BLOCK) % _RECORD))
+        fh.close()
+        self._fh = None
         self._members_in_tar = 0
-        return path
+        return Path(fh.name)
 
     def close(self) -> Path | None:
         """Finalize a trailing partial TAR, if any."""
-        if self._tar is not None and self._members_in_tar > 0:
-            return self._finalize()
-        if self._tar is not None:
-            self._tar.close()
-            self._tar = None
+        if self._fh is None:
+            return None
+        return self._finalize()
+
+
+def _octal(field: bytes) -> int | None:
+    """Value of a NUL- or space-terminated octal field, or None."""
+    digits = field.split(b"\x00", 1)[0].strip(b" ")
+    if not digits or digits.lstrip(b"01234567"):
         return None
+    return int(digits, 8)
+
+
+def _parse_header(header: bytes) -> tuple[str, int]:
+    """Name and size of a regular member; ValueError names the failed check."""
+    stored = header[148:156]
+    computed = sum(header) - sum(stored) + 8 * 0x20  # checksum field as spaces
+    if _octal(stored) != computed:
+        raise ValueError(f"header checksum {stored!r} is not its byte sum {computed:06o}")
+    magic = header[257:265]
+    if magic != _USTAR_MAGIC and magic != _GNU_MAGIC:
+        raise ValueError(f"magic {magic!r} is not ustar")
+    kind = header[156:157]
+    if kind != b"0" and kind != b"\x00":
+        raise ValueError(f"member type {kind!r} is not a regular file")
+    size = _octal(header[124:136])
+    if size is None:
+        raise ValueError(f"size field {header[124:136]!r} is not octal")
+    name = header[:100].split(b"\x00", 1)[0]
+    if magic == _USTAR_MAGIC and header[345]:
+        name = header[345:500].split(b"\x00", 1)[0] + b"/" + name
+    if not name or not name.isascii():
+        raise ValueError(f"member name {name!r} is empty or not ASCII")
+    return name.decode("ascii"), size
 
 
 def iter_archive(path: str | Path):
-    """Yield (member_name, blob_bytes) from a TAR in member order."""
-    with tarfile.open(path, "r") as tar:
-        for info in tar:
-            if not info.isfile():
-                continue
-            stream = tar.extractfile(info)
-            if stream is None:
-                continue
-            yield info.name, stream.read()
+    """Yield (member_name, blob_bytes) from a TAR in member order.
+
+    A header that fails its checks, a member that is not a regular file and
+    a TAR cut short anywhere raise ContainerError once every member before
+    that point has been yielded.
+    """
+    with open(path, "rb") as fh:
+        offset, last = 0, None
+        while (header := fh.read(_BLOCK)) != _ZERO_BLOCK:
+            if len(header) < _BLOCK:
+                problem = "cut inside a header" if header else "no end-of-archive block"
+                raise ContainerError(offset, last, problem)
+            try:
+                name, size = _parse_header(header)
+            except ValueError as exc:
+                raise ContainerError(offset, last, str(exc)) from None
+            blob = fh.read(size)
+            pad = -size % _BLOCK
+            if len(blob) < size or len(fh.read(pad)) < pad:
+                raise ContainerError(offset, last, f"member {name} cut short")
+            yield name, blob
+            offset += _BLOCK + size + pad
+            last = name
+        if fh.read(_BLOCK) != _ZERO_BLOCK:
+            raise ContainerError(offset + _BLOCK, last, "second end-of-archive block missing")
+        rest = fh.read()
+        end = offset + 2 * _BLOCK + len(rest)
+        if end % _RECORD or rest.strip(b"\x00"):
+            raise ContainerError(end, last, "record padding is cut short or not zero")

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import threading
+
+# lz4.h's LZ4_MAX_INPUT_SIZE; LZ4_COMPRESSBOUND(n) holds below it
+_MAX_INPUT_SIZE = 0x7E000000
 
 
 class Lz4Error(RuntimeError):
@@ -16,8 +20,6 @@ def _load() -> ctypes.CDLL:
         lib = ctypes.CDLL(name)
     except OSError as exc:
         raise Lz4Error(f"cannot load liblz4 ({name}): {exc}") from exc
-    lib.LZ4_compressBound.restype = ctypes.c_int
-    lib.LZ4_compressBound.argtypes = [ctypes.c_int]
     lib.LZ4_compress_default.restype = ctypes.c_int
     lib.LZ4_compress_default.argtypes = [
         ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int, ctypes.c_int,
@@ -32,28 +34,47 @@ def _load() -> ctypes.CDLL:
 _lib = _load()
 
 
+class _Scratch(threading.local):
+    """Per-thread compression destination, grown to the largest bound seen.
+
+    ctypes releases the interpreter lock around the LZ4 call, so threads
+    must not share one buffer.
+    """
+
+    def __init__(self) -> None:
+        self.dst = ctypes.create_string_buffer(0)
+
+
+_scratch = _Scratch()
+
+
 def compress(data: bytes) -> bytes:
     """LZ4 block-compress; empty input maps to empty output."""
-    if not data:
+    n = len(data)
+    if not n:
         return b""
-    bound = _lib.LZ4_compressBound(len(data))
-    if bound <= 0:
-        raise Lz4Error(f"input too large for LZ4 block: {len(data)} bytes")
-    dst = ctypes.create_string_buffer(bound)
-    written = _lib.LZ4_compress_default(data, dst, len(data), bound)
+    if n > _MAX_INPUT_SIZE:
+        raise Lz4Error(f"input too large for LZ4 block: {n} bytes")
+    bound = n + n // 255 + 16  # LZ4_COMPRESSBOUND
+    dst = _scratch.dst
+    if len(dst) < bound:
+        dst = _scratch.dst = ctypes.create_string_buffer(bound)
+    written = _lib.LZ4_compress_default(data, dst, n, len(dst))
     if written <= 0:
         raise Lz4Error("LZ4_compress_default failed")
-    return dst.raw[:written]
+    return ctypes.string_at(dst, written)
 
 
-def decompress(data: bytes, raw_len: int) -> bytes:
+def decompress(data: bytes, raw_len: int) -> bytearray:
     """Inverse of compress; raw_len must be the exact original size."""
     if raw_len == 0:
         if data:
             raise Lz4Error("expected empty compressed payload for raw_len=0")
-        return b""
-    dst = ctypes.create_string_buffer(raw_len)
-    produced = _lib.LZ4_decompress_safe(data, dst, len(data), raw_len)
+        return bytearray()
+    dst = bytearray(raw_len)
+    produced = _lib.LZ4_decompress_safe(
+        data, ctypes.byref(ctypes.c_char.from_buffer(dst)), len(data), raw_len
+    )
     if produced != raw_len:
         raise Lz4Error(f"LZ4 decompression produced {produced}, expected {raw_len}")
-    return dst.raw
+    return dst

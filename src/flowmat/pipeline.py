@@ -22,7 +22,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from flowmat.archive import (
-    DEFAULT_PER_TAR, ArchiveWriter, IntegrityError, decode_matrix, encode_matrix, iter_archive,
+    DEFAULT_PER_TAR, ArchiveWriter, ContainerError, IntegrityError, decode_matrix, encode_matrix,
+    iter_archive,
 )
 from flowmat.cryptopan import CryptoPan, anonymize_flows
 from flowmat.eve import FlowColumns, FlowRecord, IngestCounters, open_source, parse_flow_record
@@ -219,19 +220,26 @@ def run_bench(
 
 
 def verify_archive(path: str | Path) -> list[str]:
-    """Decode, re-encode, and cross-check every member; returns failures."""
+    """Decode, re-encode, and cross-check every member; returns failures.
+
+    A corrupt or cut TAR adds one failure, naming the byte offset and the
+    last good member, after the failures of the members before it.
+    """
     failures: list[str] = []
-    for name, blob in iter_archive(path):
-        try:
-            matrix, meta = decode_matrix(blob)
-        except IntegrityError as exc:
-            failures.append(f"{name}: {exc}")
-            continue
-        if encode_matrix(matrix, meta) != blob:
-            failures.append(f"{name}: re-encode is not bit-identical")
-            continue
-        if total_sum(matrix) != meta.packet_total:
-            failures.append(
-                f"{name}: packet_total {meta.packet_total} != matrix sum {total_sum(matrix)}"
-            )
+    try:
+        for name, blob in iter_archive(path):
+            try:
+                matrix, meta = decode_matrix(blob)
+            except IntegrityError as exc:
+                failures.append(f"{name}: {exc}")
+                continue
+            if encode_matrix(matrix, meta) != blob:
+                failures.append(f"{name}: re-encode is not bit-identical")
+                continue
+            if total_sum(matrix) != meta.packet_total:
+                failures.append(
+                    f"{name}: packet_total {meta.packet_total} != matrix sum {total_sum(matrix)}"
+                )
+    except ContainerError as exc:
+        failures.append(str(exc))
     return failures

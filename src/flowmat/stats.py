@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from flowmat.archive import IntegrityError, decode_matrix, iter_archive
+from flowmat.archive import ContainerError, IntegrityError, decode_matrix, iter_archive
 from flowmat.hypermat import HyperMatrix, total_sum
 
 
@@ -77,22 +77,27 @@ def archive_stats(path) -> list[dict]:
     """Per-member stats records plus one aggregate record for a TAR.
 
     A corrupt member yields an error record; remaining members still report.
+    A corrupt or cut TAR yields one error record whose member is the byte
+    offset where reading stopped, after the records of the members before it.
     """
     records: list[dict] = []
     good: list[MatrixStats] = []
-    for name, blob in iter_archive(path):
-        try:
-            m, meta = decode_matrix(blob)
-        except IntegrityError as exc:
-            records.append({"member": name, "error": str(exc)})
-            continue
-        s = matrix_stats(m)
-        rec = {"member": name, "seq": meta.seq, **s.as_dict()}
-        if s.packet_total != meta.packet_total:
-            rec["error"] = (
-                f"packet_total mismatch: stats {s.packet_total}, meta {meta.packet_total}"
-            )
-        records.append(rec)
-        good.append(s)
+    try:
+        for name, blob in iter_archive(path):
+            try:
+                m, meta = decode_matrix(blob)
+            except IntegrityError as exc:
+                records.append({"member": name, "error": str(exc)})
+                continue
+            s = matrix_stats(m)
+            rec = {"member": name, "seq": meta.seq, **s.as_dict()}
+            if s.packet_total != meta.packet_total:
+                rec["error"] = (
+                    f"packet_total mismatch: stats {s.packet_total}, meta {meta.packet_total}"
+                )
+            records.append(rec)
+            good.append(s)
+    except ContainerError as exc:
+        records.append({"member": f"byte {exc.offset}", "error": str(exc)})
     records.append({"aggregate": True, "members": len(good), **aggregate_stats(good).as_dict()})
     return records

@@ -140,6 +140,32 @@ def test_cli_verify_pass_and_fail(eve_file, tmp_path):
     assert b"00000000000000000000.grb" in proc.stderr
 
 
+def test_cli_verify_and_stats_report_corrupt_header(eve_file, tmp_path):
+    tar = _ingest_archive(eve_file, tmp_path)
+    first_size = len(next(iter_archive(tar))[1])
+    second_header = 512 + -(-first_size // 512) * 512
+    corrupted = bytearray(tar.read_bytes())
+    corrupted[second_header + 10] ^= 0x01  # one bit of the second member's name
+    bad = tmp_path / "bad.tar"
+    bad.write_bytes(bytes(corrupted))
+
+    proc = run_cli("verify", str(bad))
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert b"OK" not in proc.stdout
+    assert f"FAIL byte {second_header}".encode() in proc.stderr
+    assert b"after member 00000000000000000000.grb" in proc.stderr
+
+    proc = run_cli("stats", str(bad))
+    assert proc.returncode == 0, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    records = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert [r["member"] for r in records[:-1]] == [
+        "00000000000000000000.grb", f"byte {second_header}"]
+    assert "error" in records[1]
+    assert records[-1]["aggregate"] is True and records[-1]["members"] == 1
+
+
 def test_verify_archive_reports_failures(eve_file, tmp_path):
     tar = _ingest_archive(eve_file, tmp_path)
     assert verify_archive(tar) == []
