@@ -29,10 +29,19 @@ to the ustar prefix field when that is set) and type '0' or NUL. The walk
 must end in two zero blocks and a whole 10240-byte record. Anything else,
 including a file cut short anywhere, raises ContainerError after the members
 before it have been yielded.
+
+verify and stats read a TAR in groups of members (iter_member_groups). A
+member of at most GROUP_MEMBER_ENTRIES entries whose blob header and section
+prefixes pass decode_matrix's checks is planned without decompressing; a
+group's sections are then decompressed into one buffer per section and
+checked for canonical form once, with a segment id per member. Larger
+members, and members the grouped checks flag, are decoded alone by
+decode_matrix, which stays the reference for every check and message.
 """
 
 from __future__ import annotations
 
+import operator
 import struct
 from pathlib import Path
 
@@ -145,19 +154,20 @@ def _check_canonical(arrays: dict, nvals: int) -> None:
     consistent offsets, no zero values.
     """
     rows_present = arrays["rows_present"]
-    row_ptr = arrays["row_ptr"].astype(np.int64)
+    row_ptr = arrays["row_ptr"]
     col_ids = arrays["col_ids"]
     vals = arrays["vals"]
     if len(rows_present) > 1 and (np.diff(rows_present.astype(np.int64)) <= 0).any():
         raise IntegrityError("section rows_present not strictly increasing")
     if row_ptr[0] != 0 or row_ptr[-1] != nvals:
         raise IntegrityError("section row_ptr endpoints inconsistent")
-    if (np.diff(row_ptr) < 1).any():
+    # compared unsigned, so every offset then lies in [0, nvals]
+    if (row_ptr[1:] <= row_ptr[:-1]).any():
         raise IntegrityError("section row_ptr not strictly increasing")
     if nvals > 1:
         deltas = np.diff(col_ids.astype(np.int64))
         row_starts = np.zeros(nvals - 1, dtype=bool)
-        row_starts[row_ptr[1:-1] - 1] = True
+        row_starts[row_ptr[1:-1].astype(np.int64) - 1] = True
         if (deltas[~row_starts] <= 0).any():
             raise IntegrityError("section col_ids not strictly increasing within a row")
     if (vals == 0).any():
@@ -244,11 +254,11 @@ class ArchiveWriter:
 
     def _finalize(self) -> Path:
         fh = self._fh
-        # end-of-archive: two zero blocks, then zeros to a whole record
-        fh.write(bytes(2 * _BLOCK + -(fh.tell() + 2 * _BLOCK) % _RECORD))
-        fh.close()
         self._fh = None
         self._members_in_tar = 0
+        with fh:
+            # end-of-archive: two zero blocks, then zeros to a whole record
+            fh.write(bytes(2 * _BLOCK + -(fh.tell() + 2 * _BLOCK) % _RECORD))
         return Path(fh.name)
 
     def close(self) -> Path | None:
@@ -319,3 +329,180 @@ def iter_archive(path: str | Path):
         end = offset + 2 * _BLOCK + len(rest)
         if end % _RECORD or rest.strip(b"\x00"):
             raise ContainerError(end, last, "record padding is cut short or not zero")
+
+
+# Members of at most this many entries are decoded in groups, larger ones alone
+GROUP_MEMBER_ENTRIES = 256
+# a group is decoded once its members' entries, plus one per member, reach this
+GROUP_ENTRIES = 1 << 14
+
+
+class MemberGroup:
+    """Consecutive members of one TAR, decoded together.
+
+    Member i is names[i] and blobs[i]. metas[i] is its MatrixMeta when the
+    grouped checks accepted it, and None when it must be decoded alone with
+    decode_matrix, which then names what is wrong with it. The accepted
+    members' sections are concatenated in member order: rows_present,
+    row_ptr, col_ids and vals hold nrows[k], nrows[k] + 1, nvals[k] and
+    nvals[k] items for the k-th accepted member, and packet_sums[k] is the
+    sum of its vals modulo 2^64, as total_sum computes it.
+    """
+
+    def __init__(self, names, blobs, metas, arrays=(None,) * 4, nrows=None, nvals=None,
+                 packet_sums=(), sections=None):
+        self.names = names
+        self.blobs = blobs
+        self.metas = metas
+        self.rows_present, self.row_ptr, self.col_ids, self.vals = arrays
+        self.nrows = nrows
+        self.nvals = nvals
+        self.packet_sums = packet_sums
+        self._sections = sections
+
+    def reencodes(self) -> list[bool]:
+        """For the k-th accepted member: does encode_matrix give back its blob?
+
+        Its header and section prefixes passed every check, so it does exactly
+        when each section, compressed again from the decoded buffer, equals
+        the stored bytes.
+        """
+        if not self.packet_sums:
+            return []
+        per_section = [
+            map(operator.eq, lz4block.compress_slices(buf, bounds), blocks)
+            for buf, bounds, blocks in self._sections
+        ]
+        return [all(same) for same, meta in zip(zip(*per_section), self.metas) if meta is not None]
+
+
+def iter_member_groups(path: str | Path):
+    """Yield a TAR's members in order, as MemberGroups.
+
+    A member of at most GROUP_MEMBER_ENTRIES entries whose header and section
+    prefixes pass decode_matrix's checks joins the pending group, and the
+    group is decoded once it reaches GROUP_ENTRIES. Any other member comes
+    alone, after the pending group. A ContainerError from iter_archive is
+    raised after the pending group, so no more than one group is held.
+    """
+    pending, entries = [], 0
+    try:
+        for name, blob in iter_archive(path):
+            plan = _plan(blob)
+            if plan is None:
+                if pending:
+                    yield _decode_group(pending)
+                    pending, entries = [], 0
+                yield MemberGroup([name], [blob], [None])
+                continue
+            pending.append((name, blob, plan))
+            entries += plan[2] + 1
+            if entries >= GROUP_ENTRIES:
+                yield _decode_group(pending)
+                pending, entries = [], 0
+    except ContainerError:
+        if pending:
+            yield _decode_group(pending)
+        raise
+    if pending:
+        yield _decode_group(pending)
+
+
+def _plan(blob: bytes):
+    """(meta, nrows_present, nvals, section spans) of a small blob, or None.
+
+    None unless the blob passes every check decode_matrix makes before it
+    decompresses, and has at most GROUP_MEMBER_ENTRIES entries and no more
+    rows than entries. A span is a section's (offset, compressed length).
+    """
+    size = len(blob)
+    if size < _HEADER.size:
+        return None
+    magic, version, nrows, ncols, nvals, nrows_present, seq, packet_total, created = (
+        _HEADER.unpack_from(blob)
+    )
+    if (magic != MAGIC or version != VERSION or nrows != DIMENSION or ncols != DIMENSION
+            or not nrows_present <= nvals <= GROUP_MEMBER_ENTRIES):
+        return None
+    offset = _HEADER.size
+    spans = []
+    # the item sizes of _SECTIONS; a section prefix is 16 bytes
+    for raw_size in (4 * nrows_present, 8 * nrows_present + 8, 4 * nvals, 8 * nvals):
+        if size < offset + 16:
+            return None
+        raw_len, comp_len = _SECTION_PREFIX.unpack_from(blob, offset)
+        offset += 16
+        if raw_len != raw_size or size < offset + comp_len:
+            return None
+        spans.append((offset, comp_len))
+        offset += comp_len
+    if offset != size:
+        return None
+    return MatrixMeta(seq, packet_total, created), nrows_present, nvals, spans
+
+
+def _decode_group(members: list) -> MemberGroup:
+    """Decompress planned members into one buffer per section and check them."""
+    names, blobs, plans = (list(column) for column in zip(*members))
+    metas, nrows, nvals, spans = zip(*plans)
+    nrows = np.array(nrows, dtype=np.int64)
+    nvals = np.array(nvals, dtype=np.int64)
+    counts = (nrows, nrows + 1, nvals, nvals)
+
+    bad = np.zeros(len(names), dtype=bool)
+    sections, arrays = [], []
+    for (_, dtype), count, section_spans in zip(_SECTIONS, counts, zip(*spans)):
+        bounds = [0, *np.cumsum(count * dtype.itemsize).tolist()]
+        buf = bytearray(bounds[-1])
+        blocks = [blob[start : start + size] for blob, (start, size) in zip(blobs, section_spans)]
+        bad[lz4block.decompress_slices(blocks, buf, bounds)] = True
+        sections.append((buf, bounds, blocks))
+        arrays.append(np.frombuffer(buf, dtype=dtype))
+    _flag_noncanonical(*arrays, nrows, nvals, bad)
+
+    metas = [None if flagged else meta for flagged, meta in zip(bad.tolist(), metas)]
+    if bad.any():
+        good = ~bad
+        arrays = [a[np.repeat(good, count)] for a, count in zip(arrays, counts)]
+        nrows, nvals = nrows[good], nvals[good]
+    vals = arrays[3]
+    prefix = np.zeros(len(vals) + 1, dtype=np.uint64)
+    np.cumsum(vals, out=prefix[1:])  # wraps modulo 2^64, so differences do too
+    ends = np.cumsum(nvals)
+    packet_sums = (prefix[ends] - prefix[ends - nvals]).tolist()
+    return MemberGroup(names, blobs, metas, arrays, nrows, nvals, packet_sums, sections)
+
+
+def _flag_noncanonical(rows_present, row_ptr, col_ids, vals, nrows, nvals, bad) -> None:
+    """Set bad[i] for each member that fails a check of _check_canonical.
+
+    Member i owns nrows[i] items of rows_present, nrows[i] + 1 of row_ptr and
+    nvals[i] of col_ids and vals, in member order. Each check runs once over
+    all members, with the pairs of items that straddle two members masked
+    out. Row starts are read only from members whose row_ptr passed, so a
+    corrupt member's offsets never index another member's entries.
+    """
+    n = len(nrows)
+    ids = np.arange(n)
+    row_seg = np.repeat(ids, nrows)
+    ptr_seg = np.repeat(ids, nrows + 1)
+    entry_seg = np.repeat(ids, nvals)
+
+    within = row_seg[1:] == row_seg[:-1]
+    bad[row_seg[1:][within & (rows_present[1:] <= rows_present[:-1])]] = True
+
+    ptr_ends = np.cumsum(nrows + 1)
+    bad |= row_ptr[ptr_ends - nrows - 1] != 0
+    bad |= row_ptr[ptr_ends - 1] != nvals.astype(np.uint64)
+    within = ptr_seg[1:] == ptr_seg[:-1]
+    bad[ptr_seg[1:][within & (row_ptr[1:] <= row_ptr[:-1])]] = True
+
+    bad[entry_seg[vals == 0]] = True
+
+    heads = ~bad[ptr_seg]
+    heads[ptr_ends - 1] = False  # a member's last offset is its end, not a row
+    entry_starts = np.cumsum(nvals) - nvals
+    row_start = np.zeros(len(col_ids), dtype=bool)
+    row_start[entry_starts[ptr_seg[heads]] + row_ptr[heads].astype(np.int64)] = True
+    step_down = (col_ids[1:] <= col_ids[:-1]) & ~row_start[1:]
+    bad[entry_seg[1:][step_down]] = True

@@ -112,7 +112,11 @@ def gen(flows, pkts_per_flow, geometric_mean, addr_model, zipf_exponent, seed, s
 @click.option("--pretty", is_flag=True)
 def stats(tar_path, pretty):
     """Report per-matrix and aggregate statistics for a TAR archive."""
-    for record in archive_stats(tar_path):
+    try:
+        records = archive_stats(tar_path)
+    except OSError as exc:
+        raise click.ClickException(str(exc))
+    for record in records:
         _emit(record, pretty)
 
 
@@ -120,7 +124,10 @@ def stats(tar_path, pretty):
 @click.argument("tar_path")
 def verify(tar_path):
     """Decode + re-encode every archive member; exit nonzero on any mismatch."""
-    failures = verify_archive(tar_path)
+    try:
+        failures = verify_archive(tar_path)
+    except OSError as exc:
+        raise click.ClickException(str(exc))
     for failure in failures:
         click.echo(f"FAIL {failure}", err=True)
     if failures:

@@ -65,6 +65,29 @@ def compress(data: bytes) -> bytes:
     return ctypes.string_at(dst, written)
 
 
+def compress_slices(buf: bytearray, bounds: list[int]) -> list[bytes]:
+    """[compress(bytes(buf[a:b])) for each pair a, b of adjacent bounds], without copies."""
+    _check_bounds(buf, bounds)
+    n = max((b - a for a, b in zip(bounds, bounds[1:])), default=0)
+    if n > _MAX_INPUT_SIZE:
+        raise Lz4Error(f"input too large for LZ4 block: {n} bytes")
+    bound = n + n // 255 + 16  # LZ4_COMPRESSBOUND of the largest slice
+    dst = _scratch.dst
+    if len(dst) < bound:
+        dst = _scratch.dst = ctypes.create_string_buffer(bound)
+    base = ctypes.c_char.from_buffer(buf) if buf else None
+    out = []
+    for a, b in zip(bounds, bounds[1:]):
+        if a == b:
+            out.append(b"")
+            continue
+        written = _lib.LZ4_compress_default(ctypes.byref(base, a), dst, b - a, len(dst))
+        if written <= 0:
+            raise Lz4Error("LZ4_compress_default failed")
+        out.append(ctypes.string_at(dst, written))
+    return out
+
+
 def decompress(data: bytes, raw_len: int) -> bytearray:
     """Inverse of compress; raw_len must be the exact original size."""
     if raw_len == 0:
@@ -78,3 +101,33 @@ def decompress(data: bytes, raw_len: int) -> bytearray:
     if produced != raw_len:
         raise Lz4Error(f"LZ4 decompression produced {produced}, expected {raw_len}")
     return dst
+
+
+def decompress_slices(blocks: list[bytes], dst: bytearray, bounds: list[int]) -> list[int]:
+    """Decompress blocks[k] into dst[bounds[k]:bounds[k + 1]], for every k.
+
+    Each slice's length must be its block's exact original size, as for
+    decompress. Returns the k whose block fails; the bytes of their slices
+    are undefined, and no other byte of dst is written.
+    """
+    _check_bounds(dst, bounds)
+    if len(blocks) != len(bounds) - 1:
+        raise ValueError(f"{len(blocks)} blocks for {len(bounds) - 1} slices")
+    base = ctypes.c_char.from_buffer(dst) if dst else None
+    failed = []
+    for k, (data, a, b) in enumerate(zip(blocks, bounds, bounds[1:])):
+        if a < b:
+            ok = _lib.LZ4_decompress_safe(data, ctypes.byref(base, a), len(data), b - a) == b - a
+        else:
+            ok = not data
+        if not ok:
+            failed.append(k)
+    return failed
+
+
+def _check_bounds(buf: bytearray, bounds: list[int]) -> None:
+    """Slice bounds must ascend from 0 or more to len(buf) or less."""
+    if not bounds or bounds[0] < 0 or bounds[-1] > len(buf) or any(
+        a > b for a, b in zip(bounds, bounds[1:])
+    ):
+        raise ValueError(f"slice bounds do not ascend within a {len(buf)}-byte buffer")

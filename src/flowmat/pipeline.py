@@ -16,6 +16,7 @@ streamed from disk, with its rates derived from those timers.
 
 from __future__ import annotations
 
+import contextlib
 import resource
 import time
 from dataclasses import dataclass, field
@@ -23,7 +24,7 @@ from pathlib import Path
 
 from flowmat.archive import (
     DEFAULT_PER_TAR, ArchiveWriter, ContainerError, IntegrityError, decode_matrix, encode_matrix,
-    iter_archive,
+    iter_member_groups,
 )
 from flowmat.cryptopan import CryptoPan, anonymize_flows
 from flowmat.eve import FlowColumns, FlowRecord, IngestCounters, open_source, parse_flow_record
@@ -98,6 +99,10 @@ def run_ingest(
 ) -> IngestResult:
     """Drain an EVE line iterable into rotating TARs of matrix blobs.
 
+    When a stage or the line iterable raises, the open TAR is finalized with
+    the windows written so far and the exception propagates; the open
+    window is not written.
+
     The stage timers are laps of one clock, so they sum to at most
     result.seconds. parse includes reading the source, window_build
     includes the matrix build, encode_archive includes the TAR writes.
@@ -130,18 +135,25 @@ def run_ingest(
             result.tars_finalized += 1
         lap("encode_archive")
 
-    for batch in _parse_batches(lines, counters):
+    try:
+        for batch in _parse_batches(lines, counters):
+            lap("parse")
+            batch = anonymize_flows(anon, batch)
+            lap("anonymize")
+            for matrix, meta in windower.push(batch):
+                write(matrix, meta)
+            lap("window_build")
         lap("parse")
-        batch = anonymize_flows(anon, batch)
-        lap("anonymize")
-        for matrix, meta in windower.push(batch):
-            write(matrix, meta)
-        lap("window_build")
-    lap("parse")
-    tail = windower.flush()
-    if tail is not None:
-        write(*tail)
-        result.windows_partial = 1
+        tail = windower.flush()
+        if tail is not None:
+            write(*tail)
+            result.windows_partial = 1
+    except BaseException:
+        # the open TAR still gets its end-of-archive blocks; the original error
+        # is the one raised, even when finalizing fails too
+        with contextlib.suppress(OSError):
+            writer.close()
+        raise
     if writer.close() is not None:
         result.tars_finalized += 1
     lap("encode_archive")
@@ -222,24 +234,46 @@ def run_bench(
 def verify_archive(path: str | Path) -> list[str]:
     """Decode, re-encode, and cross-check every member; returns failures.
 
+    Members come in groups from iter_member_groups. For each small member a
+    group accepted, every section is compressed again from the group's
+    decoded buffer and compared with the stored bytes, and the group's
+    packet sum is compared with the header. Every other member, one over
+    GROUP_MEMBER_ENTRIES entries or one the grouped checks flagged, goes
+    through decode_matrix and encode_matrix alone, the per-member path that
+    gives the same failures.
+
     A corrupt or cut TAR adds one failure, naming the byte offset and the
     last good member, after the failures of the members before it.
     """
     failures: list[str] = []
     try:
-        for name, blob in iter_archive(path):
-            try:
-                matrix, meta = decode_matrix(blob)
-            except IntegrityError as exc:
-                failures.append(f"{name}: {exc}")
-                continue
-            if encode_matrix(matrix, meta) != blob:
-                failures.append(f"{name}: re-encode is not bit-identical")
-                continue
-            if total_sum(matrix) != meta.packet_total:
-                failures.append(
-                    f"{name}: packet_total {meta.packet_total} != matrix sum {total_sum(matrix)}"
-                )
+        for group in iter_member_groups(path):
+            grouped = zip(group.reencodes(), group.packet_sums)
+            for name, blob, meta in zip(group.names, group.blobs, group.metas):
+                if meta is None:
+                    failure = _verify_member(name, blob)
+                else:
+                    reencodes, total = next(grouped)
+                    failure = (_check_total(name, meta, total) if reencodes
+                               else f"{name}: re-encode is not bit-identical")
+                if failure:
+                    failures.append(failure)
     except ContainerError as exc:
         failures.append(str(exc))
     return failures
+
+
+def _verify_member(name: str, blob: bytes) -> str | None:
+    try:
+        matrix, meta = decode_matrix(blob)
+    except IntegrityError as exc:
+        return f"{name}: {exc}"
+    if encode_matrix(matrix, meta) != blob:
+        return f"{name}: re-encode is not bit-identical"
+    return _check_total(name, meta, total_sum(matrix))
+
+
+def _check_total(name: str, meta, total: int) -> str | None:
+    if total != meta.packet_total:
+        return f"{name}: packet_total {meta.packet_total} != matrix sum {total}"
+    return None

@@ -4,6 +4,15 @@ Every field here depends only on matrix structure under relabeling of
 addresses, so anonymized and passthrough runs of the same input agree
 exactly. Address-valued analytics (subnet rollups etc.) are deliberately
 absent.
+
+archive_stats reads a TAR in member groups (archive.iter_member_groups).
+The small members a group accepted, of at most GROUP_MEMBER_ENTRIES entries
+each, are summarized together by group_stats with segmented reduceat,
+bincount and np.unique over (member, value) keys, as Trigg et al. compute
+per-window network quantities over many windows at once (HPEC 2022). Larger
+members, and members the group's checks flag, go through decode_matrix and
+matrix_stats one at a time; that per-member path gives the same records and
+is the reference the grouped one is tested against.
 """
 
 from __future__ import annotations
@@ -13,8 +22,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from flowmat.archive import ContainerError, IntegrityError, decode_matrix, iter_archive
-from flowmat.hypermat import HyperMatrix, total_sum
+from flowmat.archive import (
+    ContainerError, IntegrityError, MemberGroup, decode_matrix, iter_member_groups,
+)
+from flowmat.hypermat import HyperMatrix, MatrixMeta, total_sum
 
 
 @dataclass
@@ -73,8 +84,64 @@ def aggregate_stats(per_matrix: list[MatrixStats]) -> MatrixStats:
     return agg
 
 
+def group_stats(group: MemberGroup) -> list[MatrixStats]:
+    """matrix_stats of each member the group accepted, computed together.
+
+    Out-degrees are the row_ptr steps inside each member; in-degrees count
+    the (member, column) keys. Maxima are segmented reduceats and the degree
+    histograms one np.unique over (member, degree) keys.
+    """
+    n = len(group.packet_sums)
+    if not n:
+        return []
+    nrows, nvals = group.nrows, group.nvals
+    ids = np.arange(n)
+    ptr_seg = np.repeat(ids, nrows + 1)
+    within = ptr_seg[1:] == ptr_seg[:-1]
+    out_degrees = np.diff(group.row_ptr.astype(np.int64))[within]
+    row_seg = ptr_seg[1:][within]
+    entry_seg = np.repeat(ids, nvals)
+    cols, in_degrees = np.unique((entry_seg << 32) | group.col_ids, return_counts=True)
+    unique_destinations = np.bincount(cols >> 32, minlength=n)
+
+    # an empty member has no rows and no columns: its maxima stay 0
+    nonempty = nvals > 0
+    max_fanout = np.zeros(n, dtype=np.int64)
+    max_fanin = np.zeros(n, dtype=np.int64)
+    row_starts = np.cumsum(nrows) - nrows
+    col_starts = np.cumsum(unique_destinations) - unique_destinations
+    max_fanout[nonempty] = np.maximum.reduceat(out_degrees, row_starts[nonempty])
+    max_fanin[nonempty] = np.maximum.reduceat(in_degrees, col_starts[nonempty])
+
+    width = int(out_degrees.max(initial=0)) + 1
+    keys, counts = np.unique(row_seg * width + out_degrees, return_counts=True)
+    cuts = np.searchsorted(keys // width, np.arange(n + 1)).tolist()
+    degrees, counts = (keys % width).tolist(), counts.tolist()
+    histograms = [dict(zip(degrees[a:b], counts[a:b])) for a, b in zip(cuts, cuts[1:])]
+    return [
+        MatrixStats(packet_total, nv, nr, nd, fanout, fanin, histogram)
+        for packet_total, nv, nr, nd, fanout, fanin, histogram in zip(
+            group.packet_sums, nvals.tolist(), nrows.tolist(), unique_destinations.tolist(),
+            max_fanout.tolist(), max_fanin.tolist(), histograms,
+        )
+    ]
+
+
+def _record(name: str, meta: MatrixMeta, s: MatrixStats) -> dict:
+    rec = {"member": name, "seq": meta.seq, **s.as_dict()}
+    if s.packet_total != meta.packet_total:
+        rec["error"] = f"packet_total mismatch: stats {s.packet_total}, meta {meta.packet_total}"
+    return rec
+
+
 def archive_stats(path) -> list[dict]:
     """Per-member stats records plus one aggregate record for a TAR.
+
+    Members come in groups from iter_member_groups. The small members a
+    group accepted are summarized together by group_stats; every other
+    member, one over GROUP_MEMBER_ENTRIES entries or one the grouped checks
+    flagged, is decoded alone by decode_matrix and summarized by
+    matrix_stats, the per-member path that gives the same records.
 
     A corrupt member yields an error record; remaining members still report.
     A corrupt or cut TAR yields one error record whose member is the byte
@@ -83,20 +150,20 @@ def archive_stats(path) -> list[dict]:
     records: list[dict] = []
     good: list[MatrixStats] = []
     try:
-        for name, blob in iter_archive(path):
-            try:
-                m, meta = decode_matrix(blob)
-            except IntegrityError as exc:
-                records.append({"member": name, "error": str(exc)})
-                continue
-            s = matrix_stats(m)
-            rec = {"member": name, "seq": meta.seq, **s.as_dict()}
-            if s.packet_total != meta.packet_total:
-                rec["error"] = (
-                    f"packet_total mismatch: stats {s.packet_total}, meta {meta.packet_total}"
-                )
-            records.append(rec)
-            good.append(s)
+        for group in iter_member_groups(path):
+            grouped = iter(group_stats(group))
+            for name, blob, meta in zip(group.names, group.blobs, group.metas):
+                if meta is None:
+                    try:
+                        m, meta = decode_matrix(blob)
+                    except IntegrityError as exc:
+                        records.append({"member": name, "error": str(exc)})
+                        continue
+                    s = matrix_stats(m)
+                else:
+                    s = next(grouped)
+                records.append(_record(name, meta, s))
+                good.append(s)
     except ContainerError as exc:
         records.append({"member": f"byte {exc.offset}", "error": str(exc)})
     records.append({"aggregate": True, "members": len(good), **aggregate_stats(good).as_dict()})

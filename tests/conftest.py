@@ -4,7 +4,18 @@ import random
 import numpy as np
 import pytest
 
-from flowmat.hypermat import HyperMatrix, build_arrays, empty
+from flowmat.archive import (
+    ContainerError, IntegrityError, decode_matrix, encode_matrix, iter_archive,
+)
+from flowmat.flowgen import GenConfig, generate
+from flowmat.hypermat import HyperMatrix, build_arrays, empty, total_sum
+from flowmat.pipeline import run_ingest
+from flowmat.stats import aggregate_stats, matrix_stats
+
+# about one window of 2^17 packets per two flows, of 1-16 entries each
+ELEPHANT_INPUT = GenConfig(n_flows=1_000, geometric_mean=65536.0, split=0.5, seed=1)
+# distinct uniform addresses at 100 packets per flow: ~330 entries per 2^15-packet window
+UNIFORM_INPUT = GenConfig(n_flows=4_000, seed=1)
 
 
 def build(triples) -> HyperMatrix:
@@ -87,3 +98,67 @@ def criterion_9_corpus() -> tuple[list[bytes], int, int]:
             corpus.append(b'{"event_type":"flow","src_ip":"10.0.0.999","dest_ip":"1.2.3.4",'
                           b'"flow":{"pkts_toserver":1,"pkts_toclient":0}}')
     return corpus, valid, valid_packets
+
+
+@pytest.fixture(scope="session")
+def shaped_tars(tmp_path_factory) -> dict[str, list]:
+    """Seeded TARs, in sequence order, of two member shapes, built once.
+
+    "elephant": 489 members of 1-15 entries, 64 per TAR, all decoded in groups.
+    "uniform": 13 members, 4 per TAR; all but the partial last window hold more
+    entries than GROUP_MEMBER_ENTRIES and are decoded alone.
+    """
+    tars = {}
+    for shape, cfg, window_bits, per_tar in [
+        ("elephant", ELEPHANT_INPUT, 17, 64), ("uniform", UNIFORM_INPUT, 15, 4),
+    ]:
+        out = tmp_path_factory.mktemp(shape)
+        run_ingest(generate(cfg), None, out, window_packets=1 << window_bits, per_tar=per_tar)
+        tars[shape] = sorted(out.glob("*.tar"), key=lambda p: int(p.stem.split("_")[1]))
+    return tars
+
+
+def per_member_stats(path) -> list[dict]:
+    """archive_stats as one decode_matrix and matrix_stats per member: the oracle."""
+    records, good = [], []
+    try:
+        for name, blob in iter_archive(path):
+            try:
+                m, meta = decode_matrix(blob)
+            except IntegrityError as exc:
+                records.append({"member": name, "error": str(exc)})
+                continue
+            s = matrix_stats(m)
+            rec = {"member": name, "seq": meta.seq, **s.as_dict()}
+            if s.packet_total != meta.packet_total:
+                rec["error"] = (
+                    f"packet_total mismatch: stats {s.packet_total}, meta {meta.packet_total}"
+                )
+            records.append(rec)
+            good.append(s)
+    except ContainerError as exc:
+        records.append({"member": f"byte {exc.offset}", "error": str(exc)})
+    records.append({"aggregate": True, "members": len(good), **aggregate_stats(good).as_dict()})
+    return records
+
+
+def per_member_verify(path) -> list[str]:
+    """verify_archive as one decode_matrix and encode_matrix per member: the oracle."""
+    failures = []
+    try:
+        for name, blob in iter_archive(path):
+            try:
+                matrix, meta = decode_matrix(blob)
+            except IntegrityError as exc:
+                failures.append(f"{name}: {exc}")
+                continue
+            if encode_matrix(matrix, meta) != blob:
+                failures.append(f"{name}: re-encode is not bit-identical")
+                continue
+            if total_sum(matrix) != meta.packet_total:
+                failures.append(
+                    f"{name}: packet_total {meta.packet_total} != matrix sum {total_sum(matrix)}"
+                )
+    except ContainerError as exc:
+        failures.append(str(exc))
+    return failures

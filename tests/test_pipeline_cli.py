@@ -1,6 +1,9 @@
+import gc
+import itertools
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -8,6 +11,7 @@ from flowmat.archive import decode_matrix, iter_archive
 from flowmat.cryptopan import CryptoPan
 from flowmat.flowgen import GenConfig, generate
 from flowmat.pipeline import run_bench, run_ingest, verify_archive
+from tests.conftest import ELEPHANT_INPUT
 
 KEY = bytes(range(32))
 
@@ -47,6 +51,23 @@ def test_run_ingest_propagates_write_errors(eve_file, tmp_path):
         lines = fh.read().splitlines()
     with pytest.raises(OSError):
         run_ingest(iter(lines), None, target, window_packets=1 << 12)
+
+
+def test_run_ingest_finalizes_open_tar_when_lines_raise(tmp_path):
+    def lines():
+        yield from itertools.islice(generate(ELEPHANT_INPUT), 3_000)
+        raise OSError("input went away")
+
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(OSError, match="input went away"):
+            run_ingest(lines(), None, tmp_path)
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
+    tars = list(tmp_path.glob("*.tar"))
+    members = [len(list(iter_archive(tar))) for tar in tars]
+    assert len(tars) > 1 and 0 < min(members) < 64  # the TAR that was open
+    assert all(verify_archive(tar) == [] for tar in tars)
 
 
 def test_cli_ingest_from_file(eve_file, tmp_path, key_file):
@@ -164,6 +185,16 @@ def test_cli_verify_and_stats_report_corrupt_header(eve_file, tmp_path):
         "00000000000000000000.grb", f"byte {second_header}"]
     assert "error" in records[1]
     assert records[-1]["aggregate"] is True and records[-1]["members"] == 1
+
+
+@pytest.mark.parametrize("command", ["verify", "stats"])
+def test_cli_read_commands_missing_path(command, tmp_path):
+    proc = run_cli(command, str(tmp_path / "nope.tar"))
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"Error: ") and b"nope.tar" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stdout == b""
 
 
 def test_verify_archive_reports_failures(eve_file, tmp_path):
