@@ -30,10 +30,14 @@ must end in two zero blocks and a whole 10240-byte record. Anything else,
 including a file cut short anywhere, raises ContainerError after the members
 before it have been yielded.
 
+One function, _layout, checks a blob's layout for both readers below, before
+any decompression: magic, version, dimensions, each section's raw length
+against the header's item count, truncation and trailing bytes. Only then
+are sections decompressed and checked for canonical form.
+
 verify and stats read a TAR in groups of members (iter_member_groups). A
-member of at most GROUP_MEMBER_ENTRIES entries whose blob header and section
-prefixes pass decode_matrix's checks is planned without decompressing; a
-group's sections are then decompressed into one buffer per section and
+member of at most GROUP_MEMBER_ENTRIES entries whose layout passes joins a
+group; a group's sections are decompressed into one buffer per section and
 checked for canonical form once, with a segment id per member. Larger
 members, and members the grouped checks flag, are decoded alone by
 decode_matrix, which stays the reference for every check and message.
@@ -63,6 +67,8 @@ _SECTIONS = (
     ("col_ids", np.dtype("<u4")),
     ("vals", np.dtype("<u8")),
 )
+# ints, read once: dtype.itemsize in _layout's per-member loop slows the grouped reader
+_ITEM_SIZES = tuple(dtype.itemsize for _, dtype in _SECTIONS)
 
 
 class IntegrityError(ValueError):
@@ -101,7 +107,34 @@ def encode_matrix(m: HyperMatrix, meta: MatrixMeta) -> bytes:
 
 
 def decode_matrix(blob: bytes) -> tuple[HyperMatrix, MatrixMeta]:
-    if len(blob) < _HEADER.size:
+    meta, _, nvals, spans = _layout(blob)
+    arrays = {}
+    for (name, dtype), (start, stop, raw_len) in zip(_SECTIONS, spans):
+        try:
+            raw = lz4block.decompress(blob[start:stop], raw_len)
+        except lz4block.Lz4Error as exc:
+            raise IntegrityError(f"section {name} fails decompression: {exc}") from exc
+        arrays[name] = np.frombuffer(raw, dtype=dtype)
+    _check_canonical(arrays, nvals)
+    return HyperMatrix(**arrays), meta
+
+
+def _item_counts(nrows_present, nvals) -> tuple:
+    """Items in each of _SECTIONS, from the header's counts (ints or arrays)."""
+    return nrows_present, nrows_present + 1, nvals, nvals
+
+
+def _layout(blob: bytes):
+    """(meta, nrows_present, nvals, spans) of a blob whose layout is sound.
+
+    Makes every check that needs no decompression: magic, version,
+    dimensions, each section's raw length against the header's item count,
+    truncation and trailing bytes. A span is a section's (start, stop,
+    raw length), start and stop bounding its LZ4 block in the blob.
+    IntegrityError names the first check that fails.
+    """
+    size = len(blob)
+    if size < _HEADER.size:
         raise IntegrityError("blob shorter than header")
     magic, version, nrows, ncols, nvals, nrows_present, seq, packet_total, created = (
         _HEADER.unpack_from(blob)
@@ -113,37 +146,24 @@ def decode_matrix(blob: bytes) -> tuple[HyperMatrix, MatrixMeta]:
     if nrows != DIMENSION or ncols != DIMENSION:
         raise IntegrityError(f"unexpected dimensions {nrows}x{ncols}")
 
-    # exact item counts from the header, checked before any buffer is sized
-    counts = {
-        "rows_present": nrows_present,
-        "row_ptr": nrows_present + 1,
-        "col_ids": nvals,
-        "vals": nvals,
-    }
+    # exact raw lengths from the header, checked before any buffer is sized
     offset = _HEADER.size
-    arrays = {}
-    for name, dtype in _SECTIONS:
-        if len(blob) < offset + _SECTION_PREFIX.size:
+    spans = []
+    counts = _item_counts(nrows_present, nvals)
+    for (name, _), item_size, count in zip(_SECTIONS, _ITEM_SIZES, counts):
+        if size < offset + _SECTION_PREFIX.size:
             raise IntegrityError(f"truncated before section {name}")
         raw_len, comp_len = _SECTION_PREFIX.unpack_from(blob, offset)
         offset += _SECTION_PREFIX.size
-        if raw_len != counts[name] * dtype.itemsize:
+        if raw_len != count * item_size:
             raise IntegrityError(f"section {name} raw length {raw_len} disagrees with header")
-        if len(blob) < offset + comp_len:
+        if size < offset + comp_len:
             raise IntegrityError(f"truncated inside section {name}")
-        try:
-            raw = lz4block.decompress(blob[offset : offset + comp_len], raw_len)
-        except lz4block.Lz4Error as exc:
-            raise IntegrityError(f"section {name} fails decompression: {exc}") from exc
+        spans.append((offset, offset + comp_len, raw_len))
         offset += comp_len
-        arrays[name] = np.frombuffer(raw, dtype=dtype)
-    if offset != len(blob):
+    if offset != size:
         raise IntegrityError("trailing bytes after last section")
-    _check_canonical(arrays, nvals)
-
-    m = HyperMatrix(**arrays)
-    meta = MatrixMeta(seq=seq, packet_total=packet_total, created_unix_s=created)
-    return m, meta
+    return MatrixMeta(seq, packet_total, created), nrows_present, nvals, spans
 
 
 def _check_canonical(arrays: dict, nvals: int) -> None:
@@ -279,7 +299,8 @@ def _octal(field: bytes) -> int | None:
 def _parse_header(header: bytes) -> tuple[str, int]:
     """Name and size of a regular member; ValueError names the failed check."""
     stored = header[148:156]
-    computed = sum(header) - sum(stored) + 8 * 0x20  # checksum field as spaces
+    # the checksum field counts as spaces; NULs add nothing, and summing without them is faster
+    computed = sum(header.translate(None, b"\0")) - sum(stored) + 8 * 0x20
     if _octal(stored) != computed:
         raise ValueError(f"header checksum {stored!r} is not its byte sum {computed:06o}")
     magic = header[257:265]
@@ -409,36 +430,18 @@ def iter_member_groups(path: str | Path):
 
 
 def _plan(blob: bytes):
-    """(meta, nrows_present, nvals, section spans) of a small blob, or None.
+    """_layout of a blob that can join a group, or None.
 
-    None unless the blob passes every check decode_matrix makes before it
-    decompresses, and has at most GROUP_MEMBER_ENTRIES entries and no more
-    rows than entries. A span is a section's (offset, compressed length).
+    None unless the blob passes _layout, the checks decode_matrix makes
+    before it decompresses, and has at most GROUP_MEMBER_ENTRIES entries and
+    no more rows than entries.
     """
-    size = len(blob)
-    if size < _HEADER.size:
+    try:
+        plan = _layout(blob)
+    except IntegrityError:
         return None
-    magic, version, nrows, ncols, nvals, nrows_present, seq, packet_total, created = (
-        _HEADER.unpack_from(blob)
-    )
-    if (magic != MAGIC or version != VERSION or nrows != DIMENSION or ncols != DIMENSION
-            or not nrows_present <= nvals <= GROUP_MEMBER_ENTRIES):
-        return None
-    offset = _HEADER.size
-    spans = []
-    # the item sizes of _SECTIONS; a section prefix is 16 bytes
-    for raw_size in (4 * nrows_present, 8 * nrows_present + 8, 4 * nvals, 8 * nvals):
-        if size < offset + 16:
-            return None
-        raw_len, comp_len = _SECTION_PREFIX.unpack_from(blob, offset)
-        offset += 16
-        if raw_len != raw_size or size < offset + comp_len:
-            return None
-        spans.append((offset, comp_len))
-        offset += comp_len
-    if offset != size:
-        return None
-    return MatrixMeta(seq, packet_total, created), nrows_present, nvals, spans
+    _, nrows_present, nvals, _ = plan
+    return plan if nrows_present <= nvals <= GROUP_MEMBER_ENTRIES else None
 
 
 def _decode_group(members: list) -> MemberGroup:
@@ -447,14 +450,14 @@ def _decode_group(members: list) -> MemberGroup:
     metas, nrows, nvals, spans = zip(*plans)
     nrows = np.array(nrows, dtype=np.int64)
     nvals = np.array(nvals, dtype=np.int64)
-    counts = (nrows, nrows + 1, nvals, nvals)
+    counts = _item_counts(nrows, nvals)
 
     bad = np.zeros(len(names), dtype=bool)
     sections, arrays = [], []
     for (_, dtype), count, section_spans in zip(_SECTIONS, counts, zip(*spans)):
         bounds = [0, *np.cumsum(count * dtype.itemsize).tolist()]
         buf = bytearray(bounds[-1])
-        blocks = [blob[start : start + size] for blob, (start, size) in zip(blobs, section_spans)]
+        blocks = [blob[start:stop] for blob, (start, stop, _) in zip(blobs, section_spans)]
         bad[lz4block.decompress_slices(blocks, buf, bounds)] = True
         sections.append((buf, bounds, blocks))
         arrays.append(np.frombuffer(buf, dtype=dtype))

@@ -51,41 +51,31 @@ _scratch = _Scratch()
 def compress(data: bytes) -> bytes:
     """LZ4 block-compress; empty input maps to empty output."""
     n = len(data)
-    if not n:
-        return b""
+    return _compress(data, n) if n else b""
+
+
+def compress_slices(buf: bytearray, bounds: list[int]) -> list[bytes]:
+    """[compress(bytes(buf[a:b])) for each pair a, b of adjacent bounds], without copies."""
+    _check_bounds(buf, bounds)
+    base = ctypes.c_char.from_buffer(buf) if buf else None
+    return [
+        _compress(ctypes.byref(base, a), b - a) if a < b else b""
+        for a, b in zip(bounds, bounds[1:])
+    ]
+
+
+def _compress(src, n: int) -> bytes:
+    """LZ4 block of the n > 0 bytes at src, through the thread's scratch buffer."""
     if n > _MAX_INPUT_SIZE:
         raise Lz4Error(f"input too large for LZ4 block: {n} bytes")
     bound = n + n // 255 + 16  # LZ4_COMPRESSBOUND
     dst = _scratch.dst
     if len(dst) < bound:
         dst = _scratch.dst = ctypes.create_string_buffer(bound)
-    written = _lib.LZ4_compress_default(data, dst, n, len(dst))
+    written = _lib.LZ4_compress_default(src, dst, n, len(dst))
     if written <= 0:
         raise Lz4Error("LZ4_compress_default failed")
     return ctypes.string_at(dst, written)
-
-
-def compress_slices(buf: bytearray, bounds: list[int]) -> list[bytes]:
-    """[compress(bytes(buf[a:b])) for each pair a, b of adjacent bounds], without copies."""
-    _check_bounds(buf, bounds)
-    n = max((b - a for a, b in zip(bounds, bounds[1:])), default=0)
-    if n > _MAX_INPUT_SIZE:
-        raise Lz4Error(f"input too large for LZ4 block: {n} bytes")
-    bound = n + n // 255 + 16  # LZ4_COMPRESSBOUND of the largest slice
-    dst = _scratch.dst
-    if len(dst) < bound:
-        dst = _scratch.dst = ctypes.create_string_buffer(bound)
-    base = ctypes.c_char.from_buffer(buf) if buf else None
-    out = []
-    for a, b in zip(bounds, bounds[1:]):
-        if a == b:
-            out.append(b"")
-            continue
-        written = _lib.LZ4_compress_default(ctypes.byref(base, a), dst, b - a, len(dst))
-        if written <= 0:
-            raise Lz4Error("LZ4_compress_default failed")
-        out.append(ctypes.string_at(dst, written))
-    return out
 
 
 def decompress(data: bytes, raw_len: int) -> bytearray:

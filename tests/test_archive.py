@@ -157,6 +157,7 @@ def test_non_ascending_seq_rejected(tmp_path, rng):
     w.append(*blobs[1])
     with pytest.raises(ValueError, match="ascending"):
         w.append(*blobs[0])
+    w.close()
 
 
 def test_tar_readable_by_system_extractor(tmp_path, rng):

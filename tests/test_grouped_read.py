@@ -223,3 +223,34 @@ def test_wrapping_row_offsets_are_an_integrity_error():
     m = _crafted([0, 1, 2], WRAPPING_ROW_PTR, [0, 1, 2, 3], [1, 1, 1, 1])
     with pytest.raises(IntegrityError, match="section row_ptr not strictly increasing"):
         decode_matrix(encode_matrix(m, MatrixMeta(0, 4, CREATED)))
+
+
+def _member(rng, seq: int, entries: int) -> tuple[bytes, MatrixMeta]:
+    m = _matrix(rng, entries)
+    meta = MatrixMeta(seq, int(m.vals.sum(dtype=np.uint64)), CREATED)
+    return encode_matrix(m, meta), meta
+
+
+def test_layout_fault_is_named_before_a_decompression_fault(tmp_path, rng):
+    blob, meta = _member(rng, 1, 5)
+    blob = bytearray(blob)
+    prefixes, offset = [], 64  # fixed header size
+    for _ in range(4):
+        prefixes.append(offset)
+        offset += 16 + int.from_bytes(blob[offset + 8 : offset + 16], "little")
+    # a literal run past the end of the block
+    blob[prefixes[0] + 16 : prefixes[1]] = b"\xff" * (prefixes[1] - prefixes[0] - 16)
+    with pytest.raises(IntegrityError, match="section rows_present fails decompression"):
+        decode_matrix(bytes(blob))
+    raw_len = int.from_bytes(blob[prefixes[2] : prefixes[2] + 8], "little")
+    blob[prefixes[2] : prefixes[2] + 8] = (raw_len + 4).to_bytes(8, "little")
+    message = f"section col_ids raw length {raw_len + 4} disagrees with header"
+    with pytest.raises(IntegrityError, match=message):
+        decode_matrix(bytes(blob))
+
+    w = ArchiveWriter(tmp_path, per_tar=3)
+    for member in [_member(rng, 0, 5), (bytes(blob), meta), _member(rng, 2, 3)]:
+        path = w.append(*member)
+    records, failures = _assert_same_as_oracle(path)
+    assert [r.get("error") for r in records[:-1]] == [None, message, None]
+    assert failures == [f"{1:020d}.grb: {message}"]
