@@ -60,7 +60,7 @@ def ingest(input_spec, socket_path, key_path, no_anon, out_dir, window_bits, per
         raise click.ClickException(str(exc))
     try:
         result = run_ingest(
-            iter(source), anon, out_dir,
+            source, anon, out_dir,
             window_packets=1 << window_bits, per_tar=per_tar,
         )
     finally:

@@ -8,16 +8,21 @@ Each line first meets one compiled bytes regex that accepts only compact,
 escape-free JSON whose shape makes the outcome certain: an IPv4 flow event
 with its keys in Suricata's order, strict dotted quads, plain integer counts
 below 2^64 and no duplicate of any key the parser reads. Such a line becomes
-a FlowRecord from the regex's ten groups. Every other line goes through
+a record from the regex's ten groups. Every other line goes through
 ``json.loads`` (``_parse_json``), which decides it alone, so both clauses give
-every line the same outcome.
+every line the same outcome. ``parse_columns`` turns lines into column
+batches without a FlowRecord per compact line.
+
+Lines come from a stream (``_bounded_lines``) or, for a file cut into byte
+chunks, from the lines that start inside one chunk (``chunk_lines``); both
+apply the same rules to blank, over-long and unterminated lines.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import functools
-import itertools
 import json
 import os
 import re
@@ -26,11 +31,12 @@ import stat
 import sys
 import threading
 from dataclasses import dataclass
-from typing import IO, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 MAX_LINE_BYTES = 1 << 20  # longer lines are malformed by contract
+_READ_ON_BYTES = 1 << 16  # read size for a line that crosses a chunk's end
 
 _U64_MAX = (1 << 64) - 1
 
@@ -53,17 +59,6 @@ class FlowColumns:
     toserver: np.ndarray  # uint64
     toclient: np.ndarray  # uint64
 
-    @classmethod
-    def from_records(cls, records: list[FlowRecord]) -> FlowColumns:
-        flat = itertools.chain.from_iterable(records)
-        table = np.fromiter(flat, dtype=np.uint64, count=4 * len(records)).reshape(-1, 4)
-        return cls(
-            table[:, 0].astype(np.uint32),
-            table[:, 1].astype(np.uint32),
-            table[:, 2],
-            table[:, 3],
-        )
-
     def __len__(self) -> int:
         return len(self.src)
 
@@ -83,6 +78,9 @@ class IngestCounters:
     records_skipped_ipv6: int = 0
     records_skipped_malformed: int = 0
 
+    # parsed flows the windower refused: more packets than MAX_WINDOWS_PER_FLOW windows hold
+    records_skipped_window_span: int = 0
+
     def count_skip(self, reason: Skip) -> None:
         """Count one skipped line; records are added a batch at a time."""
         if reason is Skip.NON_FLOW:
@@ -92,22 +90,21 @@ class IngestCounters:
         elif reason is Skip.MALFORMED:
             self.records_skipped_malformed += 1
 
+    def refuse(self, records: int) -> None:
+        """Move records the windower refused from records_ok to their own counter."""
+        self.records_ok -= records
+        self.records_skipped_window_span += records
+
+    def add(self, other: IngestCounters) -> None:
+        for name, value in dataclasses.asdict(other).items():
+            setattr(self, name, getattr(self, name) + value)
+
     @property
     def lines_consumed(self) -> int:
-        return (
-            self.records_ok
-            + self.records_skipped_non_flow
-            + self.records_skipped_ipv6
-            + self.records_skipped_malformed
-        )
+        return sum(dataclasses.asdict(self).values())
 
     def as_dict(self) -> dict:
-        return {
-            "records_ok": self.records_ok,
-            "records_skipped_non_flow": self.records_skipped_non_flow,
-            "records_skipped_ipv6": self.records_skipped_ipv6,
-            "records_skipped_malformed": self.records_skipped_malformed,
-        }
+        return dataclasses.asdict(self)
 
 
 def parse_ipv4(text: str) -> int | None:
@@ -228,6 +225,55 @@ def _parse_json(line: bytes) -> FlowRecord | Skip:
     return FlowRecord(src_addr, dst_addr, toserver, toclient)
 
 
+def parse_columns(
+    lines: Iterable[bytes], counters: IngestCounters, batch_records: int
+) -> Iterator[FlowColumns]:
+    """Parse lines into column batches of batch_records records; counters track every line.
+
+    A line the compact clause matches adds its ten regex groups to one flat
+    list, which becomes a batch's columns with one int() per group and numpy
+    shifts, so no FlowRecord is made for it. Every other line goes through
+    _parse_json, and a record it returns joins the list as the same ten
+    fields. Skips are counted line by line, records a batch at a time as
+    each batch is handed on, so the counters are exact once the lines are
+    drained.
+    """
+    fullmatch = None
+    fields: list = []
+    per_batch = 10 * batch_records
+    for line in lines:
+        if fullmatch is None:  # compiled at the first line, so an empty input stays cheap
+            fullmatch = _compact_flow_pattern().fullmatch
+        match = fullmatch(line) if len(line) <= MAX_LINE_BYTES and line.isascii() else None
+        if match is not None:
+            fields += match.groups()
+        else:
+            rec = _parse_json(line)
+            if isinstance(rec, Skip):
+                counters.count_skip(rec)
+                continue
+            src, dst, toserver, toclient = rec
+            fields += (src >> 24, src >> 16 & 255, src >> 8 & 255, src & 255,
+                       dst >> 24, dst >> 16 & 255, dst >> 8 & 255, dst & 255, toserver, toclient)
+        if len(fields) >= per_batch:
+            batch = _columns(fields)
+            counters.records_ok += len(batch)
+            yield batch
+            fields = []
+    if fields:
+        batch = _columns(fields)
+        counters.records_ok += len(batch)
+        yield batch
+
+
+def _columns(fields: list) -> FlowColumns:
+    """Columns of records given as ten fields each: eight octets and two counts."""
+    table = np.fromiter(map(int, fields), dtype=np.uint64, count=len(fields)).reshape(-1, 10)
+    src = table[:, 0] << 24 | table[:, 1] << 16 | table[:, 2] << 8 | table[:, 3]
+    dst = table[:, 4] << 24 | table[:, 5] << 16 | table[:, 6] << 8 | table[:, 7]
+    return FlowColumns(src.astype(np.uint32), dst.astype(np.uint32), table[:, 8], table[:, 9])
+
+
 def _bounded_lines(stream: IO[bytes]) -> Iterator[bytes]:
     """Yield newline-delimited lines, capping per-line memory.
 
@@ -254,6 +300,45 @@ def _bounded_lines(stream: IO[bytes]) -> Iterator[bytes]:
             if not rest or rest.endswith(b"\n"):
                 break
         yield chunk
+
+
+def chunk_lines(fd: int, start: int, stop: int, size: int) -> list[bytes]:
+    """The lines that start in bytes [start, stop) of a file read up to size.
+
+    A line starts at byte 0 or after a newline, so each line of the file
+    belongs to exactly one chunk, and the lines of all chunks in order are
+    what _bounded_lines yields for the first size bytes: blank lines are
+    dropped, a line over MAX_LINE_BYTES becomes its first MAX_LINE_BYTES + 1
+    bytes, and the last line may lack its newline. The line that crosses
+    stop is read on in pieces of _READ_ON_BYTES, only until its end or until
+    it is over-long; a chunk that lies inside one line owns nothing. Reads
+    use os.pread, so chunks can be read from one descriptor in any order.
+    """
+    lead = 1 if start else 0  # the byte before start says whether a line starts at start
+    data = os.pread(fd, stop - start + lead, start - lead)
+    offset = start - lead + len(data)
+    lines = data.split(b"\n")
+    del data
+    if lead:
+        if len(lines) == 1:
+            return []
+        del lines[0]  # the end of a line that started before start
+    tail = [lines.pop()]  # empty, or the start of the line that crosses stop
+    held = len(tail[0])
+    while tail[0] and held <= MAX_LINE_BYTES and offset < size:
+        piece = os.pread(fd, min(_READ_ON_BYTES, size - offset), offset)
+        end = piece.find(b"\n")
+        if end >= 0:
+            tail.append(piece[:end])
+            break
+        if not piece:
+            break  # the file shrank
+        tail.append(piece)
+        held += len(piece)
+        offset += len(piece)
+    lines.append(b"".join(tail))
+    limit = MAX_LINE_BYTES
+    return [line if len(line) <= limit else line[: limit + 1] for line in lines if line]
 
 
 class SocketLineSource:
@@ -306,10 +391,20 @@ class SocketLineSource:
                 pass
 
 
-class _FileLineSource:
+class FileLineSource:
+    """Lines of a file or stdin. size is a regular file's size when opened, else None."""
+
     def __init__(self, stream: IO[bytes], owns: bool):
         self._stream = stream
         self._owns = owns
+        self.size = None
+        if owns:
+            info = os.fstat(stream.fileno())
+            if stat.S_ISREG(info.st_mode):
+                self.size = info.st_size
+
+    def fileno(self) -> int:
+        return self._stream.fileno()
 
     def close(self) -> None:
         if self._owns:
@@ -328,9 +423,9 @@ def open_source(spec: str, *, socket_mode: bool = False):
     if socket_mode:
         return SocketLineSource(spec)
     if spec == "-":
-        return _FileLineSource(sys.stdin.buffer, owns=False)
+        return FileLineSource(sys.stdin.buffer, owns=False)
     try:
         stream = open(spec, "rb")
     except OSError as exc:
         raise OSError(f"cannot open input {spec!r}: {exc}") from exc
-    return _FileLineSource(stream, owns=True)
+    return FileLineSource(stream, owns=True)

@@ -1,13 +1,20 @@
 """End-to-end wiring: parse -> anonymize -> window/build -> encode/archive.
 
-Ingest is one sequential generator chain over column batches. Lines are
-parsed into batches of BATCH_RECORDS flow records held as four numpy columns
+Ingest is a generator chain over column batches. Lines are parsed into
+batches of at most BATCH_RECORDS flow records held as four numpy columns
 (src, dst, toserver, toclient); each batch is anonymized with one Crypto-PAn
 pass over its distinct addresses; the windower cuts the batch's directed
 entries at window boundaries and builds every window the batch completes
 with one segmented sort; each matrix is then encoded and appended to the
 current TAR. At most one batch and the open window are held at a time, so
 memory stays flat for any input size.
+
+Parsing is the one stage that may leave this process: _parse_batches hands a
+regular input file of at least shard.MIN_FILE_BYTES to forked workers that
+parse its byte chunks in parallel (flowmat.shard), and parses every other
+source here. Either way the batches arrive in input order and everything
+after parsing runs sequentially in this process, so the archives are the
+same byte for byte.
 
 Every ingest times its four stages with a few clock reads per batch and
 per window, never per line. The bench is one such ingest of a recorded file,
@@ -22,12 +29,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from flowmat import shard
 from flowmat.archive import (
     DEFAULT_PER_TAR, ArchiveWriter, ContainerError, IntegrityError, decode_matrix, encode_matrix,
     iter_member_groups,
 )
 from flowmat.cryptopan import CryptoPan, anonymize_flows
-from flowmat.eve import FlowColumns, FlowRecord, IngestCounters, open_source, parse_flow_record
+from flowmat.eve import FileLineSource, IngestCounters, open_source, parse_columns
 from flowmat.hypermat import total_sum
 from flowmat.window import DEFAULT_WINDOW_BITS, Windower
 
@@ -69,25 +77,17 @@ class IngestResult:
 
 
 def _parse_batches(lines, counters: IngestCounters):
-    """Group parsed records into column batches; counters track every line.
+    """Column batches of the lines in input order; the one choice of parse path.
 
-    Skips are counted line by line, records a batch at a time as each batch
-    is handed on, so the counters are exact once the lines are drained.
+    A FileLineSource of a regular file of at least shard.MIN_FILE_BYTES is
+    parsed by forked workers, up to the size the file had when it was opened.
+    Any other line iterable (a smaller file, stdin, a socket, a list) is
+    parsed in this process. Both give the same records in the same order and
+    the same counters, which are exact once the batches are drained.
     """
-    batch: list[FlowRecord] = []
-    for line in lines:
-        rec = parse_flow_record(line)
-        if isinstance(rec, FlowRecord):
-            batch.append(rec)
-            if len(batch) >= BATCH_RECORDS:
-                counters.records_ok += len(batch)
-                yield FlowColumns.from_records(batch)
-                batch = []
-        else:
-            counters.count_skip(rec)
-    if batch:
-        counters.records_ok += len(batch)
-        yield FlowColumns.from_records(batch)
+    if isinstance(lines, FileLineSource) and (lines.size or 0) >= shard.MIN_FILE_BYTES:
+        return shard.parse_file(lines.fileno(), lines.size, counters, BATCH_RECORDS)
+    return parse_columns(lines, counters, BATCH_RECORDS)
 
 
 def run_ingest(
@@ -97,15 +97,18 @@ def run_ingest(
     window_packets: int = 1 << DEFAULT_WINDOW_BITS,
     per_tar: int = DEFAULT_PER_TAR,
 ) -> IngestResult:
-    """Drain an EVE line iterable into rotating TARs of matrix blobs.
+    """Drain EVE lines into rotating TARs of matrix blobs.
 
-    When a stage or the line iterable raises, the open TAR is finalized with
-    the windows written so far and the exception propagates; the open
-    window is not written.
+    lines is a line iterable or a source from open_source; a large file
+    source is parsed by forked workers (see _parse_batches). When a stage,
+    the lines or a parse worker fails, the open TAR is finalized with the
+    windows written so far, every worker is stopped, and the exception
+    propagates; the open window is not written.
 
     The stage timers are laps of one clock, so they sum to at most
-    result.seconds. parse includes reading the source, window_build
-    includes the matrix build, encode_archive includes the TAR writes.
+    result.seconds. parse includes reading the source and, for a sharded
+    file, waiting for the workers' results; window_build includes the matrix
+    build, encode_archive includes the TAR writes.
     """
     start = time.perf_counter()
     counters = IngestCounters()
@@ -136,14 +139,16 @@ def run_ingest(
         lap("encode_archive")
 
     try:
-        for batch in _parse_batches(lines, counters):
-            lap("parse")
-            batch = anonymize_flows(anon, batch)
-            lap("anonymize")
-            for matrix, meta in windower.push(batch):
-                write(matrix, meta)
-            lap("window_build")
+        with contextlib.closing(_parse_batches(lines, counters)) as batches:
+            for batch in batches:
+                lap("parse")
+                batch = anonymize_flows(anon, batch)
+                lap("anonymize")
+                for matrix, meta in windower.push(batch):
+                    write(matrix, meta)
+                lap("window_build")
         lap("parse")
+        counters.refuse(windower.flows_refused)
         tail = windower.flush()
         if tail is not None:
             write(*tail)
@@ -194,7 +199,7 @@ def run_bench(
     source = open_source(str(input_path))
     try:
         result = run_ingest(
-            iter(source), anon, out_dir, window_packets=window_packets, per_tar=per_tar
+            source, anon, out_dir, window_packets=window_packets, per_tar=per_tar
         )
     finally:
         source.close()

@@ -8,6 +8,8 @@ every non-final window sums to exactly the configured packet count and an
 entry crossing a boundary is split between windows. All windows a batch
 completes are built by one segmented sort (hypermat.build_segments); the
 entries of the window still open are carried to the next batch as arrays.
+A flow whose counts would span more than MAX_WINDOWS_PER_FLOW windows is
+refused whole and counted, so one line cannot cost unbounded work.
 """
 
 from __future__ import annotations
@@ -22,9 +24,18 @@ from flowmat.eve import FlowColumns
 from flowmat.hypermat import HyperMatrix, MatrixMeta, build_arrays, build_segments
 
 DEFAULT_WINDOW_BITS = 17
+_U64_MAX = (1 << 64) - 1
 
 # windows built per segmented sort; bounds memory when one entry spans many
 MAX_WINDOWS_PER_BUILD = 1024
+
+# The most windows' worth of packets one direction of a flow may carry. Each
+# completed window is built, encoded and archived, so one line could otherwise
+# cost any amount of work: pkts_toserver = 2^64 - 1 spans ~1.4e14 windows of
+# 2^17 packets, and at one-packet windows its window indices overflow int64.
+# With this bound a line costs at most about 2^15 windows (seconds of work),
+# and a direction of up to 2^31 packets still fits at the default window size.
+MAX_WINDOWS_PER_FLOW = 1 << 14
 
 
 @dataclass
@@ -81,13 +92,23 @@ class Windower:
         if not 1 <= window_packets < 1 << 64:
             raise ValueError("window_packets must be in [1, 2^64)")
         self.window_packets = window_packets
+        self._max_count = min(MAX_WINDOWS_PER_FLOW * window_packets, _U64_MAX)
+        self.flows_refused = 0
         self._buffer = TripleBuffer(seq=0)
 
     def push(self, batch: FlowColumns) -> Iterator[tuple[HyperMatrix, MatrixMeta]]:
         """Add a batch; yield (matrix, meta) for every window it completes.
 
-        The batch takes effect as the generator is drained.
+        A flow with either count above MAX_WINDOWS_PER_FLOW windows' worth of
+        packets is refused whole, counted in flows_refused, and leaves no
+        trace in any window. The batch takes effect as the generator is drained.
         """
+        refused = (batch.toserver > self._max_count) | (batch.toclient > self._max_count)
+        if refused.any():
+            self.flows_refused += int(refused.sum())
+            keep = ~refused
+            batch = FlowColumns(batch.src[keep], batch.dst[keep],
+                                batch.toserver[keep], batch.toclient[keep])
         rows = _interleave(batch.src, batch.dst)
         cols = _interleave(batch.dst, batch.src)
         vals = _interleave(batch.toserver, batch.toclient)

@@ -1,4 +1,6 @@
+import itertools
 import json
+import os
 import random
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 from flowmat.archive import (
     ContainerError, IntegrityError, decode_matrix, encode_matrix, iter_archive,
 )
+from flowmat.eve import FlowColumns, FlowRecord
 from flowmat.flowgen import GenConfig, generate
 from flowmat.hypermat import HyperMatrix, build_arrays, empty, total_sum
 from flowmat.pipeline import run_ingest
@@ -16,6 +19,18 @@ from flowmat.stats import aggregate_stats, matrix_stats
 ELEPHANT_INPUT = GenConfig(n_flows=1_000, geometric_mean=65536.0, split=0.5, seed=1)
 # distinct uniform addresses at 100 packets per flow: ~330 entries per 2^15-packet window
 UNIFORM_INPUT = GenConfig(n_flows=4_000, seed=1)
+
+
+def columns_from_records(records: list[FlowRecord]) -> FlowColumns:
+    """One column batch holding the given records, in order."""
+    flat = itertools.chain.from_iterable(records)
+    table = np.fromiter(flat, dtype=np.uint64, count=4 * len(records)).reshape(-1, 4)
+    return FlowColumns(
+        table[:, 0].astype(np.uint32),
+        table[:, 1].astype(np.uint32),
+        table[:, 2],
+        table[:, 3],
+    )
 
 
 def build(triples) -> HyperMatrix:
@@ -55,6 +70,19 @@ def random_matrix(rng: np.random.Generator, max_entries: int = 200) -> HyperMatr
     cols = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     vals = rng.integers(1, 1 << 20, size=n, dtype=np.uint64)
     return build_arrays(rows, cols, vals)
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """Fail a test that leaves a child process unreaped, running or not."""
+    yield
+    try:
+        pid, status = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return  # no children at all
+    if pid:
+        pytest.fail(f"test left child process {pid} unreaped (wait status {status})")
+    pytest.fail("test left a child process running")
 
 
 @pytest.fixture

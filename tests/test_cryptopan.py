@@ -4,6 +4,7 @@ from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
 
 from flowmat.cryptopan import CryptoPan, KeyError_, anonymize_flows, load_key
 from flowmat.eve import FlowColumns, FlowRecord
+from tests.conftest import columns_from_records
 
 KEY = bytes(range(32))
 
@@ -121,7 +122,7 @@ def records(batch: FlowColumns) -> list[FlowRecord]:
 
 def test_anonymize_flows_counts_untouched():
     cp = CryptoPan(KEY)
-    batch = FlowColumns.from_records([FlowRecord(PINNED_INPUT, 0x0A010204, 7, 3)])
+    batch = columns_from_records([FlowRecord(PINNED_INPUT, 0x0A010204, 7, 3)])
     out = records(anonymize_flows(cp, batch))
     assert (out[0].pkts_toserver, out[0].pkts_toclient) == (7, 3)
     assert out[0].src_ip == PINNED_OUTPUT
@@ -130,13 +131,13 @@ def test_anonymize_flows_counts_untouched():
 
 def test_anonymize_flows_passthrough():
     recs = [FlowRecord(1, 2, 3, 4)]
-    assert records(anonymize_flows(None, FlowColumns.from_records(recs))) == recs
+    assert records(anonymize_flows(None, columns_from_records(recs))) == recs
 
 
 def test_anonymize_flows_equal_addresses_map_equal():
     cp = CryptoPan(KEY)
     recs = [FlowRecord(5, 6, 1, 0), FlowRecord(5, 7, 2, 0), FlowRecord(8, 5, 0, 3)]
-    out = records(anonymize_flows(cp, FlowColumns.from_records(recs)))
+    out = records(anonymize_flows(cp, columns_from_records(recs)))
     assert out[0].src_ip == out[1].src_ip == out[2].dest_ip
 
 

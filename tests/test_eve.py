@@ -5,6 +5,7 @@ import socket
 import threading
 import time
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from flowmat.eve import (
     _parse_compact,
     _parse_json,
     open_source,
+    parse_columns,
     parse_flow_record,
 )
 from flowmat.pipeline import _parse_batches
@@ -237,6 +239,35 @@ def test_compact_clause_matches_strict_on_criterion_9_corpus():
         compact += _parse_compact(line) is not None
     # every valid flow line of the corpus is compact
     assert compact == valid
+
+
+def test_parse_columns_equal_parse_flow_record_line_by_line():
+    rnd = random.Random(8)
+    spaced = [
+        json.dumps({"event_type": "flow", "src_ip": ".".join(str(rnd.randrange(256)) for _ in range(4)),
+                    "dest_ip": ".".join(str(rnd.randrange(256)) for _ in range(4)),
+                    "flow": {"pkts_toserver": rnd.randrange(2**64), "pkts_toclient": rnd.randrange(9)}
+                    }).encode()
+        for _ in range(300)
+    ]
+    lines = [case[1] for case in EDGE_CASES] + criterion_9_corpus()[0][:3000] + spaced
+    rnd.shuffle(lines)
+    counters = IngestCounters()
+    batches = list(parse_columns(lines, counters, 7))
+    assert all(0 < len(b) <= 7 for b in batches)
+    assert all(b.src.dtype == b.dst.dtype == np.uint32 for b in batches)
+    assert all(b.toserver.dtype == b.toclient.dtype == np.uint64 for b in batches)
+    got = [
+        FlowRecord(*rec) for b in batches
+        for rec in zip(b.src.tolist(), b.dst.tolist(), b.toserver.tolist(), b.toclient.tolist())
+    ]
+    results = [parse_flow_record(line) for line in lines]
+    assert got == [r for r in results if isinstance(r, FlowRecord)]
+    want = IngestCounters(records_ok=len(got))
+    for r in results:
+        if isinstance(r, Skip):
+            want.count_skip(r)
+    assert counters == want
 
 
 READ_KEYS = ["event_type", "src_ip", "dest_ip", "flow", "pkts_toserver", "pkts_toclient"]

@@ -14,6 +14,10 @@ from flowmat.pipeline import run_bench, run_ingest, verify_archive
 from tests.conftest import ELEPHANT_INPUT
 
 KEY = bytes(range(32))
+FLOW_LINE = (
+    b'{"event_type":"flow","src_ip":"10.0.0.3","dest_ip":"10.0.0.4",'
+    b'"flow":{"pkts_toserver":7,"pkts_toclient":3}}'
+)
 
 
 def run_cli(*args, input_bytes=None, env=None):
@@ -80,6 +84,28 @@ def test_cli_ingest_from_file(eve_file, tmp_path, key_file):
     assert summary["packets_total"] == 500_000
     assert summary["windows_written"] == 500_000 // 4096 + 1
     assert list(out.glob("*.tar"))
+
+
+@pytest.mark.parametrize("window_bits", ["0", "17"])
+def test_cli_ingest_refuses_a_flow_spanning_too_many_windows(window_bits, tmp_path):
+    line = (
+        b'{"event_type":"flow","src_ip":"10.0.0.1","dest_ip":"10.0.0.2",'
+        b'"flow":{"pkts_toserver":18446744073709551615,"pkts_toclient":0}}\n'
+    )
+    path = tmp_path / "huge.ndjson"
+    path.write_bytes(line + FLOW_LINE + b"\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "flowmat", "ingest", "--input", str(path), "--no-anon",
+         "--out", str(tmp_path / "out"), "--window-bits", window_bits],
+        capture_output=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert b"Traceback" not in proc.stderr
+    summary = json.loads(proc.stdout)
+    assert summary["records_skipped_window_span"] == 1
+    assert summary["records_ok"] == 1
+    assert summary["lines_consumed"] == 2
+    assert summary["packets_total"] == 10
 
 
 def test_cli_ingest_from_stdin(eve_file, tmp_path):

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from flowmat.eve import FlowColumns, FlowRecord
 from flowmat.hypermat import total_sum
-from flowmat.window import MAX_WINDOWS_PER_BUILD, Windower
-from tests.conftest import build, to_triples
+from flowmat.window import MAX_WINDOWS_PER_BUILD, MAX_WINDOWS_PER_FLOW, Windower
+from tests.conftest import build, columns_from_records, to_triples
 
 U64_MAX = 2**64 - 1
 
@@ -22,7 +22,7 @@ flows_strategy = st.lists(
 
 
 def columns(flows) -> FlowColumns:
-    return FlowColumns.from_records([FlowRecord(*f) for f in flows])
+    return columns_from_records([FlowRecord(*f) for f in flows])
 
 
 def drain(w: Windower, flows):
@@ -242,3 +242,25 @@ def test_largest_window_full_counts_match_reference():
     flows = [(i, i + 1, U64_MAX, U64_MAX) for i in range(12)]
     assert_matches_reference(flows, U64_MAX, [])
     assert_matches_reference(flows, U64_MAX, [3, 7])
+
+
+@pytest.mark.parametrize("window", [1, 1 << 17])
+def test_flow_over_the_window_bound_is_refused_whole(window):
+    limit = MAX_WINDOWS_PER_FLOW * window
+    kept = [(1, 2, 3, 4), (5, 6, limit, limit)]  # at the bound: windowed
+    refused = [(7, 8, 1, U64_MAX), (9, 10, limit + 1, 0)]
+    w, ref = Windower(window), Windower(window)
+    got = drain(w, [kept[0], refused[0], kept[1], refused[1]])
+    want = drain(ref, kept)
+    assert w.flows_refused == 2 and ref.flows_refused == 0
+    assert [(meta.seq, meta.packet_total) for _, meta in got] == \
+        [(meta.seq, meta.packet_total) for _, meta in want]
+    assert all(a == b for (a, _), (b, _) in zip(got, want))
+    assert open_window(w) == open_window(ref)
+
+
+def test_batch_of_refused_flows_only_builds_nothing():
+    w = Windower(1)
+    assert drain(w, [(1, 2, U64_MAX, 0), (3, 4, 0, 2**63)]) == []
+    assert w.flows_refused == 2
+    assert w.flush() is None
