@@ -253,16 +253,16 @@ class ArchiveWriter:
         """Add one blob; returns the TAR path when this append finalizes one.
 
         Raises ValueError, with nothing written, when seq does not ascend or
-        the blob's size or the mtime does not fit its ustar field.
+        the blob's size or the mtime does not fit its ustar field, and
+        FileExistsError, leaving that file as it was, when a new TAR's name is taken.
         """
         if self._last_seq is not None and meta.seq <= self._last_seq:
             raise ValueError(f"seq {meta.seq} not ascending past {self._last_seq}")
         header = _ustar_header(member_name(meta.seq).encode("ascii"), len(blob),
                                meta.created_unix_s)
-        self._last_seq = meta.seq
-
         if self._fh is None:
-            self._fh = open(self.out_dir / f"{meta.created_unix_s}_{meta.seq}.tar", "wb")
+            self._fh = open(self.out_dir / f"{meta.created_unix_s}_{meta.seq}.tar", "xb")
+        self._last_seq = meta.seq
         self._fh.write(header)
         self._fh.write(blob)
         self._fh.write(_ZERO_BLOCK[: -len(blob) % _BLOCK])

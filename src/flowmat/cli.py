@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import json
 import sys
 
@@ -21,6 +22,15 @@ PER_TAR = click.IntRange(min=1)
 
 def _emit(obj: dict, pretty: bool) -> None:
     click.echo(json.dumps(obj, indent=2 if pretty else None))
+
+
+@contextlib.contextmanager
+def _one_line_errors():
+    """Report an OSError as one line, "Error: ...", with exit status 1."""
+    try:
+        yield
+    except OSError as exc:
+        raise click.ClickException(str(exc))
 
 
 def _make_anon(key_path: str | None, no_anon: bool) -> CryptoPan | None:
@@ -54,17 +64,12 @@ def ingest(input_spec, socket_path, key_path, no_anon, out_dir, window_bits, per
     if (input_spec is None) == (socket_path is None):
         raise click.UsageError("exactly one of --input or --socket is required")
     anon = _make_anon(key_path, no_anon)
-    try:
-        source = open_source(socket_path or input_spec, socket_mode=socket_path is not None)
-    except OSError as exc:
-        raise click.ClickException(str(exc))
-    try:
+    with _one_line_errors(), contextlib.closing(
+        open_source(socket_path or input_spec, socket_mode=socket_path is not None)
+    ) as source:
         result = run_ingest(
-            source, anon, out_dir,
-            window_packets=1 << window_bits, per_tar=per_tar,
+            source, anon, out_dir, window_packets=1 << window_bits, per_tar=per_tar
         )
-    finally:
-        source.close()
     _emit(result.as_dict(), pretty)
 
 
@@ -95,7 +100,8 @@ def gen(flows, pkts_per_flow, geometric_mean, addr_model, zipf_exponent, seed, s
         cfg.validate()
     except flowgen.ConfigError as exc:
         raise click.ClickException(str(exc))
-    out = sys.stdout.buffer if out_path == "-" else open(out_path, "wb")
+    with _one_line_errors():
+        out = sys.stdout.buffer if out_path == "-" else open(out_path, "wb")
     try:
         for line in flowgen.generate(cfg):
             out.write(line)
@@ -112,10 +118,8 @@ def gen(flows, pkts_per_flow, geometric_mean, addr_model, zipf_exponent, seed, s
 @click.option("--pretty", is_flag=True)
 def stats(tar_path, pretty):
     """Report per-matrix and aggregate statistics for a TAR archive."""
-    try:
+    with _one_line_errors():
         records = archive_stats(tar_path)
-    except OSError as exc:
-        raise click.ClickException(str(exc))
     for record in records:
         _emit(record, pretty)
 
@@ -124,10 +128,8 @@ def stats(tar_path, pretty):
 @click.argument("tar_path")
 def verify(tar_path):
     """Decode + re-encode every archive member; exit nonzero on any mismatch."""
-    try:
+    with _one_line_errors():
         failures = verify_archive(tar_path)
-    except OSError as exc:
-        raise click.ClickException(str(exc))
     for failure in failures:
         click.echo(f"FAIL {failure}", err=True)
     if failures:
@@ -147,13 +149,11 @@ def verify(tar_path):
 def bench(input_path, key_path, no_anon, out_dir, window_bits, per_tar, pretty):
     """Time one streamed ingest of a recorded EVE file, stage by stage."""
     anon = _make_anon(key_path, no_anon)
-    try:
+    with _one_line_errors():
         report = run_bench(
             input_path, anon, out_dir,
             window_packets=1 << window_bits, per_tar=per_tar,
         )
-    except OSError as exc:
-        raise click.ClickException(str(exc))
     if not report["reliable"]:
         click.echo(
             f"warning: fewer than {MIN_RELIABLE_RECORDS} records; rates are unreliable", err=True

@@ -13,9 +13,9 @@ a record from the regex's ten groups. Every other line goes through
 every line the same outcome. ``parse_columns`` turns lines into column
 batches without a FlowRecord per compact line.
 
-Lines come from a stream (``_bounded_lines``) or, for a file cut into byte
-chunks, from the lines that start inside one chunk (``chunk_lines``); both
-apply the same rules to blank, over-long and unterminated lines.
+Lines come from a stream (``_bounded_lines``) or, for a regular file cut into
+byte chunks, from the lines that start inside one chunk (``chunk_lines``);
+both apply the same rules to blank, over-long and unterminated lines.
 """
 
 from __future__ import annotations
@@ -196,7 +196,7 @@ def _parse_json(line: bytes) -> FlowRecord | Skip:
         return Skip.MALFORMED
     try:
         doc = json.loads(line)
-    except (ValueError, UnicodeDecodeError):
+    except (ValueError, UnicodeDecodeError, RecursionError):  # RecursionError: deep nesting
         return Skip.MALFORMED
     if not isinstance(doc, dict):
         return Skip.MALFORMED
@@ -392,7 +392,11 @@ class SocketLineSource:
 
 
 class FileLineSource:
-    """Lines of a file or stdin. size is a regular file's size when opened, else None."""
+    """Lines of a file or stdin. size is a regular file's size when opened, else None.
+
+    A source with a size is read in byte chunks up to it (pipeline._parse_batches).
+    stdin has none, even when redirected from a file, and is read as a stream.
+    """
 
     def __init__(self, stream: IO[bytes], owns: bool):
         self._stream = stream

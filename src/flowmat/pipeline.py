@@ -10,11 +10,10 @@ current TAR. At most one batch and the open window are held at a time, so
 memory stays flat for any input size.
 
 Parsing is the one stage that may leave this process: _parse_batches hands a
-regular input file of at least shard.MIN_FILE_BYTES to forked workers that
-parse its byte chunks in parallel (flowmat.shard), and parses every other
-source here. Either way the batches arrive in input order and everything
-after parsing runs sequentially in this process, so the archives are the
-same byte for byte.
+regular input file, whatever its size, to forked workers that parse its byte
+chunks in parallel (flowmat.shard), and parses every stream here. Either way
+the batches arrive in input order and everything after parsing runs
+sequentially in this process, so the archives are the same byte for byte.
 
 Every ingest times its four stages with a few clock reads per batch and
 per window, never per line. The bench is one such ingest of a recorded file,
@@ -79,13 +78,13 @@ class IngestResult:
 def _parse_batches(lines, counters: IngestCounters):
     """Column batches of the lines in input order; the one choice of parse path.
 
-    A FileLineSource of a regular file of at least shard.MIN_FILE_BYTES is
-    parsed by forked workers, up to the size the file had when it was opened.
-    Any other line iterable (a smaller file, stdin, a socket, a list) is
-    parsed in this process. Both give the same records in the same order and
-    the same counters, which are exact once the batches are drained.
+    A FileLineSource of a regular file is parsed by forked workers, up to the
+    size the file had when it was opened. Any other line iterable (stdin, a
+    socket, a list) is parsed in this process. Both give the same records in
+    the same order and the same counters, which are exact once the batches
+    are drained.
     """
-    if isinstance(lines, FileLineSource) and (lines.size or 0) >= shard.MIN_FILE_BYTES:
+    if isinstance(lines, FileLineSource) and lines.size is not None:
         return shard.parse_file(lines.fileno(), lines.size, counters, BATCH_RECORDS)
     return parse_columns(lines, counters, BATCH_RECORDS)
 
@@ -99,7 +98,7 @@ def run_ingest(
 ) -> IngestResult:
     """Drain EVE lines into rotating TARs of matrix blobs.
 
-    lines is a line iterable or a source from open_source; a large file
+    lines is a line iterable or a source from open_source; a regular file
     source is parsed by forked workers (see _parse_batches). When a stage,
     the lines or a parse worker fails, the open TAR is finalized with the
     windows written so far, every worker is stopped, and the exception

@@ -1,15 +1,16 @@
-"""Parse a large regular input file in forked worker processes.
+"""Parse a regular input file in forked worker processes.
 
 The file is cut into byte chunks of CHUNK_BYTES, read up to the size it had
 when it was opened. A chunk owns the lines that start inside it
 (eve.chunk_lines), so every line is parsed once, by the rules a streamed
-read applies. With n the number of CPUs this process may run on, the parent
-parses chunks 0, n, 2n, ... itself, and n - 1 children made with os.fork
-parse the others: child k takes chunks k, k + n, ... and sends each one's
-(column batches, counters) over its own pipe, in order. The parent takes
-the results in chunk order, so everything after parsing sees the records in
-file order. A child blocks once its pipe is full, which bounds the results
-waiting for the parent to a pipe's worth per child.
+read applies. With n the number of CPUs this process may run on, or the
+number of chunks if that is smaller, the parent parses chunks 0, n, 2n, ...
+itself, and n - 1 children made with os.fork parse the others: child k
+takes chunks k, k + n, ... and sends each one's (column batches, counters)
+over its own pipe, in order. A file of one chunk forks nothing. The parent
+takes the results in chunk order, so everything after parsing sees the
+records in file order. A child blocks once its pipe is full, which bounds the
+results waiting for the parent to a pipe's worth per child.
 
 multiprocessing is not used: it starts helper threads and adds import time,
 and a forked child already holds everything it needs. A child ignores
@@ -31,8 +32,6 @@ from typing import Iterator, NoReturn
 from flowmat.eve import FlowColumns, IngestCounters, chunk_lines, parse_columns
 
 CHUNK_BYTES = 1 << 18
-# smaller files are parsed in process: a fork and its pipe cost more than they save
-MIN_FILE_BYTES = 1 << 22
 
 _LENGTH = struct.Struct("<Q")  # the size of one pickled chunk result
 

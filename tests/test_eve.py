@@ -113,6 +113,19 @@ def test_parse_overlong_line_is_malformed():
     assert parse_flow_record(b"x" * (MAX_LINE_BYTES + 1)) is Skip.MALFORMED
 
 
+@pytest.mark.parametrize("depth", [10**3, 10**5])
+@pytest.mark.parametrize("opener, closer", [(b"[", b"]"), (b'{"a":', b"}")],
+                         ids=["array", "object"])
+def test_parse_deeply_nested_line_is_malformed(depth, opener, closer):
+    # a flow line but for one value nested deeper than json.loads may recurse
+    line = FLOW_LINE[:-1] + b',"x":' + opener * depth + b"0" + closer * depth + b"}"
+    assert parse_flow_record(line) is Skip.MALFORMED
+    counters = IngestCounters()
+    batches = list(parse_columns([FLOW_LINE, line, FLOW_LINE], counters, 512))
+    assert sum(map(len, batches)) == counters.records_ok == 2
+    assert counters.records_skipped_malformed == 1
+
+
 def test_parse_never_raises_on_random_bytes():
     rnd = random.Random(99)
     counters = IngestCounters()

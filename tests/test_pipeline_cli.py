@@ -3,6 +3,7 @@ import itertools
 import json
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -12,6 +13,7 @@ from flowmat.cryptopan import CryptoPan
 from flowmat.flowgen import GenConfig, generate
 from flowmat.pipeline import run_bench, run_ingest, verify_archive
 from tests.conftest import ELEPHANT_INPUT
+from tests.test_golden import FIXED_CLOCK
 
 KEY = bytes(range(32))
 FLOW_LINE = (
@@ -72,6 +74,21 @@ def test_run_ingest_finalizes_open_tar_when_lines_raise(tmp_path):
     members = [len(list(iter_archive(tar))) for tar in tars]
     assert len(tars) > 1 and 0 < min(members) < 64  # the TAR that was open
     assert all(verify_archive(tar) == [] for tar in tars)
+
+
+def tar_packets(tar) -> int:
+    return sum(decode_matrix(blob)[1].packet_total for _, blob in iter_archive(tar))
+
+
+def test_second_ingest_in_the_same_second_keeps_the_first_tar(tmp_path, monkeypatch):
+    monkeypatch.setattr(time, "time", lambda: FIXED_CLOCK)
+    first = run_ingest(generate(GenConfig(n_flows=50, seed=1)), None, tmp_path)
+    (tar,) = tmp_path.glob("*.tar")
+    with pytest.raises(FileExistsError, match=tar.name):
+        run_ingest(generate(GenConfig(n_flows=70, seed=2)), None, tmp_path)
+    assert list(tmp_path.glob("*.tar")) == [tar]
+    assert verify_archive(tar) == []
+    assert tar_packets(tar) == first.packets_total == 5_000
 
 
 def test_cli_ingest_from_file(eve_file, tmp_path, key_file):
@@ -140,6 +157,42 @@ def test_cli_ingest_empty_input(tmp_path):
     assert summary["windows_written"] == 0
     assert summary["tars_finalized"] == 0
     assert not list(out.glob("*.tar"))
+
+
+def assert_one_line_error(proc, name: str) -> None:
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.startswith(b"Error: ") and name.encode() in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+
+
+def test_cli_ingest_out_is_a_file(eve_file, tmp_path):
+    out = tmp_path / "taken"
+    out.write_bytes(b"not a directory")
+    proc = run_cli("ingest", "--input", str(eve_file), "--no-anon", "--out", str(out))
+    assert_one_line_error(proc, "taken")
+    assert out.read_bytes() == b"not a directory"
+
+
+def test_cli_gen_out_in_missing_directory(tmp_path):
+    proc = run_cli("gen", "--flows", "10", "--out", str(tmp_path / "missing" / "x.ndjson"))
+    assert_one_line_error(proc, "x.ndjson")
+
+
+def test_cli_second_ingest_in_the_same_second_is_an_error(eve_file, tmp_path):
+    # each run's clock reads FIXED_CLOCK, so both name their first TAR alike
+    clock = f"import time; time.time = lambda: {FIXED_CLOCK}; from flowmat.cli import main; main()"
+    runs = [
+        subprocess.run([sys.executable, "-c", clock, "ingest", "--input", str(eve_file),
+                        "--no-anon", "--out", str(tmp_path), "--per-tar", "1000"],
+                       capture_output=True)
+        for _ in range(2)
+    ]
+    assert runs[0].returncode == 0, runs[0].stderr
+    assert_one_line_error(runs[1], "File exists")
+    (tar,) = tmp_path.glob("*.tar")
+    assert verify_archive(tar) == []
+    assert tar_packets(tar) == json.loads(runs[0].stdout)["packets_total"] == 500_000
 
 
 def test_cli_gen_deterministic(tmp_path):

@@ -9,7 +9,9 @@ import io
 import os
 import random
 import signal
+import sys
 import time
+import types
 
 import pytest
 
@@ -56,8 +58,7 @@ def forks(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def sharded(monkeypatch, forks):
-    """Every file source is sharded, over three workers: two children and the parent."""
-    monkeypatch.setattr(shard, "MIN_FILE_BYTES", 1)
+    """Up to three parse workers, two children and the parent, and a fixed clock."""
     monkeypatch.setattr(shard, "worker_count", lambda: 3)
     monkeypatch.setattr(time, "time", lambda: FIXED_CLOCK)
     return forks
@@ -158,6 +159,85 @@ def test_file_is_read_up_to_its_size_when_opened(tmp_path, sharded):
     assert result.counters.lines_consumed == 500
 
 
+# --- one reader per kind of input -------------------------------------------
+
+def file_of_chunks(path, chunks: int) -> int:
+    """Write flow lines filling `chunks` chunks of CHUNK_BYTES, the last one half; returns lines."""
+    target = max(0, (2 * chunks - 1) * shard.CHUNK_BYTES // 2)
+    lines = 0
+    with open(path, "wb") as fh:
+        for line in generate(GenConfig(n_flows=target // 100 + 1, seed=9)):
+            if fh.tell() >= target:
+                break
+            fh.write(line + b"\n")
+            lines += 1
+    assert -(-path.stat().st_size // shard.CHUNK_BYTES) == chunks
+    return lines
+
+
+@pytest.mark.parametrize("chunks, children", [(0, 0), (1, 0), (2, 1), (5, 2)])
+def test_every_regular_file_is_read_in_chunks(chunks, children, tmp_path, monkeypatch, sharded):
+    def streamed(self):
+        raise AssertionError("a regular file was read line by line")
+
+    monkeypatch.setattr(eve.FileLineSource, "__iter__", streamed)
+    path = tmp_path / "in.ndjson"
+    lines = file_of_chunks(path, chunks)
+    result = ingest_file(path, tmp_path / "out", sharded=True)
+    assert len(sharded) == children
+    assert result.counters.records_ok == result.counters.lines_consumed == lines
+
+
+@pytest.mark.parametrize("kind", ["stdin", "iterable"])
+def test_streams_are_read_line_by_line_in_process(kind, tmp_path, monkeypatch, sharded):
+    def chunked(*args):
+        raise AssertionError("a stream was read in chunks")
+
+    monkeypatch.setattr(shard, "parse_file", chunked)
+    path = tmp_path / "in.ndjson"
+    n_lines = file_of_chunks(path, 5)
+    with open(path, "rb") as fh:
+        if kind == "stdin":  # stdin redirected from a regular file is still a stream
+            monkeypatch.setattr(sys, "stdin", types.SimpleNamespace(buffer=fh))
+            lines = open_source("-")
+        else:
+            lines = fh.read().splitlines()
+        result = run_ingest(lines, None, tmp_path / "out")
+    assert sharded == []
+    assert result.counters.lines_consumed == n_lines
+
+
+def test_file_of_a_few_chunks_gives_the_same_archives_chunked(tmp_path, sharded):
+    corpus, _, _ = cached_criterion_9_corpus()
+    path = tmp_path / "mixed.ndjson"
+    path.write_bytes(b"\n".join(corpus[:9_000]) + b"\n")
+    assert -(-path.stat().st_size // shard.CHUNK_BYTES) == 3
+    anon = CryptoPan(KEY)
+    want = ingest_file(path, tmp_path / "streamed", sharded=False, anon=anon)
+    assert sharded == []
+    got = ingest_file(path, tmp_path / "chunked", sharded=True, anon=anon)
+    assert len(sharded) == 2
+    assert got.counters == want.counters
+    assert got.counters.records_skipped_malformed > 0 and got.counters.records_ok > 0
+    assert digests(tmp_path / "chunked") == digests(tmp_path / "streamed") != {}
+
+
+@pytest.mark.parametrize("depth", [10**3, 10**5])
+def test_deeply_nested_line_in_a_child_chunk_is_counted_malformed(depth, tmp_path, monkeypatch,
+                                                                  sharded):
+    monkeypatch.setattr(shard, "CHUNK_BYTES", 4096)
+    lines = list(generate(GenConfig(n_flows=2_000, seed=7)))
+    at = 50  # past the first 4096 bytes, so the line starts in a child's chunk
+    assert 4096 <= sum(len(line) + 1 for line in lines[:at]) < 2 * 4096
+    path = tmp_path / "deep.ndjson"
+    path.write_bytes(b"\n".join(lines[:at] + [b'{"event_type":"flow","x":' + b"[" * depth]
+                                + lines[at:]) + b"\n")
+    result = ingest_file(path, tmp_path / "out", sharded=True)
+    assert len(sharded) == 2
+    assert result.counters.records_skipped_malformed == 1
+    assert result.counters.records_ok == 2_000
+
+
 # --- sharded equals sequential ----------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -174,7 +254,6 @@ def test_sharded_ingest_of_golden_input_gives_golden_tars(mode, golden_file, tmp
                                                           monkeypatch, forks):
     monkeypatch.setattr(time, "time", lambda: FIXED_CLOCK)
     monkeypatch.setattr(shard, "worker_count", lambda: 3)
-    assert golden_file.stat().st_size >= shard.MIN_FILE_BYTES
     anon = CryptoPan(KEY) if mode == "anon" else None
     source = open_source(str(golden_file))
     try:
