@@ -1,11 +1,17 @@
 """Bit-exact matrix blob serialization and rotating TAR archives.
 
-Blob layout (all little-endian):
-  header: magic "HSTM", version u32=1, nrows u64, ncols u64, nvals u64,
+Blob layout, version 2 (all little-endian):
+  header: magic "HSTM", version u32=2, nrows u64, ncols u64, nvals u64,
           nrows_present u64, seq u64, packet_total u64, created_unix_s u64
-  then four sections in order: rows_present u32[], row_ptr u64[],
-          col_ids u32[], vals u64[]
-  each section: raw_len_bytes u64, compressed_len_bytes u64, LZ4 block data
+  then raw_len u64, comp_len u64, crc32 u32, and one LZ4 block of raw_len
+          bytes that holds four sections back to back: rows_present u32[],
+          row_ptr u64[], col_ids u32[], vals u64[]
+  crc32 is zlib.crc32 over every byte of the blob except its own four.
+
+Version 1 blobs are still read. They carry the same header with version 1
+and then the four sections each as its own LZ4 block, each prefixed with its
+raw_len u64 and comp_len u64, and no checksum. encode_matrix writes only
+version 2.
 
 Blobs are grouped DEFAULT_PER_TAR (64) per POSIX ustar TAR; member names are
 the 20-digit zero-padded window sequence number plus ".grb", so lexicographic
@@ -30,23 +36,30 @@ must end in two zero blocks and a whole 10240-byte record. Anything else,
 including a file cut short anywhere, raises ContainerError after the members
 before it have been yielded.
 
-One function, _layout, checks a blob's layout for both readers below, before
-any decompression: magic, version, dimensions, each section's raw length
-against the header's item count, truncation and trailing bytes. Only then
-are sections decompressed and checked for canonical form.
+One function, _layout, checks a blob's layout for both readers below and
+both versions, before anything is decompressed or allocated: magic,
+version, dimensions, each block's raw length against the header's item
+counts and against what its compressed length can expand to, truncation,
+trailing bytes and, for version 2, the CRC32. Both readers then decompress a
+blob's blocks into consecutive regions of one buffer, slice the sections out
+by the header's counts and check them for canonical form.
 
 verify and stats read a TAR in groups of members (iter_member_groups). A
 member of at most GROUP_MEMBER_ENTRIES entries whose layout passes joins a
-group; a group's sections are decompressed into one buffer per section and
-checked for canonical form once, with a segment id per member. Larger
-members, and members the grouped checks flag, are decoded alone by
-decode_matrix, which stays the reference for every check and message.
+group; a group's blocks are decompressed into one buffer, each section is
+gathered from it by index, and the canonical-form checks run once, with a
+segment id per member. Larger members, and members the grouped checks flag,
+are decoded alone by decode_matrix, which stays the reference for every
+check and message.
 """
 
 from __future__ import annotations
 
+import itertools
 import operator
 import struct
+import threading
+import zlib
 from pathlib import Path
 
 import numpy as np
@@ -55,11 +68,13 @@ from flowmat import lz4block
 from flowmat.hypermat import DIMENSION, HyperMatrix, MatrixMeta
 
 MAGIC = b"HSTM"
-VERSION = 1
 DEFAULT_PER_TAR = 64
 
 _HEADER = struct.Struct("<4sIQQQQQQQ")
-_SECTION_PREFIX = struct.Struct("<QQ")
+_LENGTHS = struct.Struct("<QQ")  # raw_len, comp_len: version 1's prefix of each section
+_V2_PREFIX = struct.Struct("<QQI")  # raw_len, comp_len, crc32: version 2's of its block
+_V2_HEAD = struct.Struct(_HEADER.format + "QQ")  # a version 2 blob up to its CRC
+_V2_BLOCK_AT = _HEADER.size + _V2_PREFIX.size
 
 _SECTIONS = (
     ("rows_present", np.dtype("<u4")),
@@ -69,6 +84,13 @@ _SECTIONS = (
 )
 # ints, read once: dtype.itemsize in _layout's per-member loop slows the grouped reader
 _ITEM_SIZES = tuple(dtype.itemsize for _, dtype in _SECTIONS)
+# the names of a blob's blocks in messages, by version
+_BLOCK_NAMES = {1: tuple(f"section {name}" for name, _ in _SECTIONS), 2: ("block",)}
+
+# In an LZ4 block every byte of output costs at least 1/255 byte of input: a
+# literal costs one byte, and a match's length grows by at most 255 per byte
+# spent on it. So no block of n bytes decompresses to more than 255 * n.
+_MAX_EXPANSION = 255
 
 
 class IntegrityError(ValueError):
@@ -85,38 +107,101 @@ class ContainerError(IntegrityError):
 
 
 def encode_matrix(m: HyperMatrix, meta: MatrixMeta) -> bytes:
-    parts = [
-        _HEADER.pack(
-            MAGIC,
-            VERSION,
-            DIMENSION,
-            DIMENSION,
-            m.nvals,
-            len(m.rows_present),
-            meta.seq,
-            meta.packet_total,
-            meta.created_unix_s,
-        )
-    ]
-    for name, dtype in _SECTIONS:
-        raw = getattr(m, name).astype(dtype, copy=False).tobytes()
-        packed = lz4block.compress(raw)
-        parts.append(_SECTION_PREFIX.pack(len(raw), len(packed)))
-        parts.append(packed)
-    return b"".join(parts)
+    """The version 2 blob of m."""
+    raw = b"".join((m.rows_present, m.row_ptr, m.col_ids, m.vals))
+    nrows_present = len(m.rows_present)
+    # HyperMatrix's dtypes: 4 + 8 bytes a row, 4 + 8 an entry, 8 for row_ptr's end
+    if len(raw) != 12 * (nrows_present + m.nvals) + 8:
+        raise ValueError("matrix arrays do not have HyperMatrix's dtypes")
+    block = lz4block.compress(raw)
+    head = _V2_HEAD.pack(
+        MAGIC,
+        2,  # version
+        DIMENSION,
+        DIMENSION,
+        m.nvals,
+        nrows_present,
+        meta.seq,
+        meta.packet_total,
+        meta.created_unix_s,
+        len(raw),
+        len(block),
+    )
+    return b"".join((head, _crc32(head, block).to_bytes(4, "little"), block))
+
+
+def _crc32(head, block) -> int:
+    """A version 2 blob's CRC: head is the blob before the CRC field, block the rest."""
+    return zlib.crc32(block, zlib.crc32(head))
 
 
 def decode_matrix(blob: bytes) -> tuple[HyperMatrix, MatrixMeta]:
-    meta, _, nvals, spans = _layout(blob)
-    arrays = {}
-    for (name, dtype), (start, stop, raw_len) in zip(_SECTIONS, spans):
-        try:
-            raw = lz4block.decompress(blob[start:stop], raw_len)
-        except lz4block.Lz4Error as exc:
-            raise IntegrityError(f"section {name} fails decompression: {exc}") from exc
-        arrays[name] = np.frombuffer(raw, dtype=dtype)
+    matrix, meta, _ = _decode(blob)
+    return matrix, meta
+
+
+def decode_and_reencode(blob: bytes) -> tuple[HyperMatrix, MatrixMeta, bool]:
+    """decode_matrix's result, and whether encoding the matrix again, in the
+    blob's version, gives back the blob.
+
+    The header and prefixes passed every check, so it does exactly when each
+    stored block equals the block compressed again from its decoded bytes.
+    """
+    matrix, meta, decompressed = _decode(blob)
+    return matrix, meta, all(_same_blocks(*decompressed))
+
+
+def _decode(blob: bytes):
+    """(matrix, meta, (buf, bounds, stored)): decode_matrix's result, then the
+    buffer the blob's blocks were decompressed into, the bounds of each
+    block's region in it and the stored blocks."""
+    meta, nrows_present, nvals, blocks = _layout(blob)
+    buf, bounds, stored, failed = _decompress([(blob, blocks)], _scratch.buf)
+    _scratch.buf = buf
+    if failed:
+        raise IntegrityError(f"{blocks[failed[0]][0]} fails decompression")
+    arrays, offset = {}, 0
+    for (name, dtype), count in zip(_SECTIONS, _item_counts(nrows_present, nvals)):
+        arrays[name] = np.frombuffer(buf, dtype, count, offset).copy()
+        offset += count * dtype.itemsize
     _check_canonical(arrays, nvals)
-    return HyperMatrix(**arrays), meta
+    return HyperMatrix(**arrays), meta, (buf, bounds, stored)
+
+
+def _same_blocks(buf: bytearray, bounds: list[int], stored: list[bytes]):
+    """For each region of buf between adjacent bounds: does it compress to its stored block?"""
+    return map(operator.eq, lz4block.compress_slices(buf, bounds), stored)
+
+
+def _decompress(members: list, buf: bytearray | None = None) -> tuple:
+    """Decompress every block of the (blob, blocks) members, in order, into one
+    buffer: buf when it is long enough, else a new one.
+
+    Returns the buffer, the bounds of the blocks' regions in it, the stored
+    blocks and the indices of those that fail, as decompress_slices gives them.
+    """
+    stored = [blob[start:stop] for blob, blocks in members for _, start, stop, _ in blocks]
+    raw_lens = (raw_len for _, blocks in members for *_, raw_len in blocks)
+    bounds = [0, *itertools.accumulate(raw_lens)]
+    if buf is None or len(buf) < bounds[-1]:
+        buf = bytearray(bounds[-1])
+    return buf, bounds, stored, lz4block.decompress_slices(stored, buf, bounds)
+
+
+class _Scratch(threading.local):
+    """The buffer _decode decompresses into, per thread, grown to the largest blob.
+
+    _decode copies the sections out, so a large member does not cost a fresh
+    buffer's page faults: on suricata_mixed members of ~13k entries, a new
+    300 KB buffer per member made verify and stats about a fifth slower
+    (2-vCPU x86 host).
+    """
+
+    def __init__(self) -> None:
+        self.buf = bytearray()
+
+
+_scratch = _Scratch()
 
 
 def _item_counts(nrows_present, nvals) -> tuple:
@@ -125,12 +210,14 @@ def _item_counts(nrows_present, nvals) -> tuple:
 
 
 def _layout(blob: bytes):
-    """(meta, nrows_present, nvals, spans) of a blob whose layout is sound.
+    """(meta, nrows_present, nvals, blocks) of a blob whose layout is sound.
 
     Makes every check that needs no decompression: magic, version,
-    dimensions, each section's raw length against the header's item count,
-    truncation and trailing bytes. A span is a section's (start, stop,
-    raw length), start and stop bounding its LZ4 block in the blob.
+    dimensions, each block's raw length against the header's item counts
+    and against what its compressed length can expand to, truncation,
+    trailing bytes and, for version 2, the CRC32. A block is (name, start,
+    stop, raw length), start and stop bounding its LZ4 data in the blob:
+    version 1 has one block per section, version 2 one for all four.
     IntegrityError names the first check that fails.
     """
     size = len(blob)
@@ -141,43 +228,57 @@ def _layout(blob: bytes):
     )
     if magic != MAGIC:
         raise IntegrityError(f"bad magic {magic!r}")
-    if version != VERSION:
+    names = _BLOCK_NAMES.get(version)
+    if names is None:
         raise IntegrityError(f"unsupported version {version}")
     if nrows != DIMENSION or ncols != DIMENSION:
         raise IntegrityError(f"unexpected dimensions {nrows}x{ncols}")
 
     # exact raw lengths from the header, checked before any buffer is sized
+    raw_lens = list(map(operator.mul, _item_counts(nrows_present, nvals), _ITEM_SIZES))
+    prefix = _LENGTHS
+    if version == 2:
+        raw_lens, prefix = [sum(raw_lens)], _V2_PREFIX
     offset = _HEADER.size
-    spans = []
-    counts = _item_counts(nrows_present, nvals)
-    for (name, _), item_size, count in zip(_SECTIONS, _ITEM_SIZES, counts):
-        if size < offset + _SECTION_PREFIX.size:
-            raise IntegrityError(f"truncated before section {name}")
-        raw_len, comp_len = _SECTION_PREFIX.unpack_from(blob, offset)
-        offset += _SECTION_PREFIX.size
-        if raw_len != count * item_size:
-            raise IntegrityError(f"section {name} raw length {raw_len} disagrees with header")
+    blocks = []
+    for name, expected in zip(names, raw_lens):
+        if size < offset + prefix.size:
+            raise IntegrityError(f"truncated before {name}")
+        raw_len, comp_len, *crc = prefix.unpack_from(blob, offset)
+        offset += prefix.size
+        if raw_len != expected:
+            raise IntegrityError(f"{name} raw length {raw_len} disagrees with header")
+        if raw_len > _MAX_EXPANSION * comp_len:
+            raise IntegrityError(
+                f"{name} raw length {raw_len} is more than {comp_len} LZ4 bytes can hold"
+            )
         if size < offset + comp_len:
-            raise IntegrityError(f"truncated inside section {name}")
-        spans.append((offset, offset + comp_len, raw_len))
+            raise IntegrityError(f"truncated inside {name}")
+        blocks.append((name, offset, offset + comp_len, raw_len))
         offset += comp_len
     if offset != size:
-        raise IntegrityError("trailing bytes after last section")
-    return MatrixMeta(seq, packet_total, created), nrows_present, nvals, spans
+        raise IntegrityError(f"trailing bytes after {names[-1]}")
+    if crc:
+        view = memoryview(blob)
+        computed = _crc32(view[:_V2_HEAD.size], view[_V2_BLOCK_AT:])
+        if crc[0] != computed:
+            raise IntegrityError(f"crc32 {crc[0]:08x} is not the blob's {computed:08x}")
+    return MatrixMeta(seq, packet_total, created), nrows_present, nvals, blocks
 
 
 def _check_canonical(arrays: dict, nvals: int) -> None:
     """Reject blobs whose arrays are not in canonical form.
 
-    LZ4 block data carries no checksum, so corruption is caught through the
-    matrix invariants instead: sorted unique rows, sorted columns per row,
-    consistent offsets, no zero values.
+    A version 1 blob carries no checksum, and a version 2 blob can be made
+    with a matching one, so a decoded matrix must also pass the matrix
+    invariants that the stats rely on: sorted unique rows, sorted columns per
+    row, consistent offsets, no zero values.
     """
     rows_present = arrays["rows_present"]
     row_ptr = arrays["row_ptr"]
     col_ids = arrays["col_ids"]
     vals = arrays["vals"]
-    if len(rows_present) > 1 and (np.diff(rows_present.astype(np.int64)) <= 0).any():
+    if (rows_present[1:] <= rows_present[:-1]).any():
         raise IntegrityError("section rows_present not strictly increasing")
     if row_ptr[0] != 0 or row_ptr[-1] != nvals:
         raise IntegrityError("section row_ptr endpoints inconsistent")
@@ -185,10 +286,9 @@ def _check_canonical(arrays: dict, nvals: int) -> None:
     if (row_ptr[1:] <= row_ptr[:-1]).any():
         raise IntegrityError("section row_ptr not strictly increasing")
     if nvals > 1:
-        deltas = np.diff(col_ids.astype(np.int64))
-        row_starts = np.zeros(nvals - 1, dtype=bool)
-        row_starts[row_ptr[1:-1].astype(np.int64) - 1] = True
-        if (deltas[~row_starts] <= 0).any():
+        step_down = col_ids[1:] <= col_ids[:-1]
+        step_down[row_ptr[1:-1].astype(np.int64) - 1] = False  # where a row starts
+        if step_down.any():
             raise IntegrityError("section col_ids not strictly increasing within a row")
     if (vals == 0).any():
         raise IntegrityError("section vals contains zero entries")
@@ -354,6 +454,10 @@ def iter_archive(path: str | Path):
 
 # Members of at most this many entries are decoded in groups, larger ones alone
 GROUP_MEMBER_ENTRIES = 256
+# No sound blob of at most GROUP_MEMBER_ENTRIES entries and rows is longer: its
+# sections hold 24 bytes per entry and 8 more, and the header, the prefixes and
+# LZ4's worst case (1/255 more, plus 16 bytes a block) add less than 256 bytes
+_GROUP_BLOB_BYTES = 24 * GROUP_MEMBER_ENTRIES + 8 + 256
 # a group is decoded once its members' entries, plus one per member, reach this
 GROUP_ENTRIES = 1 << 14
 
@@ -371,7 +475,7 @@ class MemberGroup:
     """
 
     def __init__(self, names, blobs, metas, arrays=(None,) * 4, nrows=None, nvals=None,
-                 packet_sums=(), sections=None):
+                 packet_sums=(), blocks=None):
         self.names = names
         self.blobs = blobs
         self.metas = metas
@@ -379,29 +483,29 @@ class MemberGroup:
         self.nrows = nrows
         self.nvals = nvals
         self.packet_sums = packet_sums
-        self._sections = sections
+        self._blocks = blocks
 
     def reencodes(self) -> list[bool]:
-        """For the k-th accepted member: does encode_matrix give back its blob?
+        """For the k-th accepted member: does encoding it again, in its blob's
+        version, give back the blob?
 
-        Its header and section prefixes passed every check, so it does exactly
-        when each section, compressed again from the decoded buffer, equals
-        the stored bytes.
+        Its header and prefixes passed every check, so it does exactly when
+        each of its blocks, compressed again from the decoded buffer, equals
+        the stored bytes, as decode_and_reencode tells of a member decoded alone.
         """
         if not self.packet_sums:
             return []
-        per_section = [
-            map(operator.eq, lz4block.compress_slices(buf, bounds), blocks)
-            for buf, bounds, blocks in self._sections
-        ]
-        return [all(same) for same, meta in zip(zip(*per_section), self.metas) if meta is not None]
+        buf, bounds, stored, owners = self._blocks
+        same = np.ones(len(self.names), dtype=bool)
+        same[owners[~np.fromiter(_same_blocks(buf, bounds, stored), bool, len(stored))]] = False
+        return [ok for ok, meta in zip(same.tolist(), self.metas) if meta is not None]
 
 
 def iter_member_groups(path: str | Path):
     """Yield a TAR's members in order, as MemberGroups.
 
-    A member of at most GROUP_MEMBER_ENTRIES entries whose header and section
-    prefixes pass decode_matrix's checks joins the pending group, and the
+    A member of at most GROUP_MEMBER_ENTRIES entries whose layout passes
+    decode_matrix's checks joins the pending group, and the
     group is decoded once it reaches GROUP_ENTRIES. Any other member comes
     alone, after the pending group. A ContainerError from iter_archive is
     raised after the pending group, so no more than one group is held.
@@ -434,8 +538,11 @@ def _plan(blob: bytes):
 
     None unless the blob passes _layout, the checks decode_matrix makes
     before it decompresses, and has at most GROUP_MEMBER_ENTRIES entries and
-    no more rows than entries.
+    no more rows than entries. A blob too long for that is left to
+    decode_matrix unread, so its CRC is computed once.
     """
+    if len(blob) > _GROUP_BLOB_BYTES:
+        return None
     try:
         plan = _layout(blob)
     except IntegrityError:
@@ -445,22 +552,26 @@ def _plan(blob: bytes):
 
 
 def _decode_group(members: list) -> MemberGroup:
-    """Decompress planned members into one buffer per section and check them."""
+    """Decompress planned members into one buffer, gather their sections and check them."""
     names, blobs, plans = (list(column) for column in zip(*members))
-    metas, nrows, nvals, spans = zip(*plans)
+    metas, nrows, nvals, blocks = zip(*plans)
+    buf, bounds, stored, failed = _decompress(list(zip(blobs, blocks)))
+    nblocks = [len(b) for b in blocks]
+    owners = np.repeat(np.arange(len(names)), nblocks)
     nrows = np.array(nrows, dtype=np.int64)
     nvals = np.array(nvals, dtype=np.int64)
     counts = _item_counts(nrows, nvals)
 
     bad = np.zeros(len(names), dtype=bool)
-    sections, arrays = [], []
-    for (_, dtype), count, section_spans in zip(_SECTIONS, counts, zip(*spans)):
-        bounds = [0, *np.cumsum(count * dtype.itemsize).tolist()]
-        buf = bytearray(bounds[-1])
-        blocks = [blob[start:stop] for blob, (start, stop, _) in zip(blobs, section_spans)]
-        bad[lz4block.decompress_slices(blocks, buf, bounds)] = True
-        sections.append((buf, bounds, blocks))
-        arrays.append(np.frombuffer(buf, dtype=dtype))
+    bad[owners[failed]] = True
+    # each member's sections lie back to back from the start of its first block
+    data = np.frombuffer(buf, dtype=np.uint8)
+    starts = np.array(bounds[:-1], dtype=np.int64)[np.cumsum(nblocks) - nblocks]
+    arrays = []
+    for (_, dtype), count in zip(_SECTIONS, counts):
+        nbytes = count * dtype.itemsize
+        arrays.append(data[_segments(starts, nbytes)].view(dtype))
+        starts = starts + nbytes
     _flag_noncanonical(*arrays, nrows, nvals, bad)
 
     metas = [None if flagged else meta for flagged, meta in zip(bad.tolist(), metas)]
@@ -473,7 +584,14 @@ def _decode_group(members: list) -> MemberGroup:
     np.cumsum(vals, out=prefix[1:])  # wraps modulo 2^64, so differences do too
     ends = np.cumsum(nvals)
     packet_sums = (prefix[ends] - prefix[ends - nvals]).tolist()
-    return MemberGroup(names, blobs, metas, arrays, nrows, nvals, packet_sums, sections)
+    return MemberGroup(names, blobs, metas, arrays, nrows, nvals, packet_sums,
+                       (buf, bounds, stored, owners))
+
+
+def _segments(starts, lengths):
+    """starts[k], starts[k] + 1, ..., starts[k] + lengths[k] - 1, for each k in order."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def _flag_noncanonical(rows_present, row_ptr, col_ids, vals, nrows, nvals, bad) -> None:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import errno
 import json
 import sys
 
@@ -26,10 +27,16 @@ def _emit(obj: dict, pretty: bool) -> None:
 
 @contextlib.contextmanager
 def _one_line_errors():
-    """Report an OSError as one line, "Error: ...", with exit status 1."""
+    """Report an OSError as one line, "Error: ...", with exit status 1.
+
+    A broken pipe passes through: click ends the program on it with exit
+    status 1 and no message, as a reader that stopped early expects.
+    """
     try:
         yield
     except OSError as exc:
+        if exc.errno == errno.EPIPE:
+            raise
         raise click.ClickException(str(exc))
 
 
@@ -102,15 +109,15 @@ def gen(flows, pkts_per_flow, geometric_mean, addr_model, zipf_exponent, seed, s
         raise click.ClickException(str(exc))
     with _one_line_errors():
         out = sys.stdout.buffer if out_path == "-" else open(out_path, "wb")
-    try:
-        for line in flowgen.generate(cfg):
-            out.write(line)
-            out.write(b"\n")
-    finally:
-        if out_path != "-":
-            out.close()
-        else:
-            out.flush()
+        try:
+            for line in flowgen.generate(cfg):
+                out.write(line)
+                out.write(b"\n")
+        finally:
+            if out_path != "-":
+                out.close()
+            else:
+                out.flush()
 
 
 @main.command()

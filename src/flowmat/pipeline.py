@@ -30,8 +30,8 @@ from pathlib import Path
 
 from flowmat import shard
 from flowmat.archive import (
-    DEFAULT_PER_TAR, ArchiveWriter, ContainerError, IntegrityError, decode_matrix, encode_matrix,
-    iter_member_groups,
+    DEFAULT_PER_TAR, ArchiveWriter, ContainerError, IntegrityError, decode_and_reencode,
+    encode_matrix, iter_member_groups,
 )
 from flowmat.cryptopan import CryptoPan, anonymize_flows
 from flowmat.eve import FileLineSource, IngestCounters, open_source, parse_columns
@@ -239,12 +239,13 @@ def verify_archive(path: str | Path) -> list[str]:
     """Decode, re-encode, and cross-check every member; returns failures.
 
     Members come in groups from iter_member_groups. For each small member a
-    group accepted, every section is compressed again from the group's
+    group accepted, every LZ4 block is compressed again from the group's
     decoded buffer and compared with the stored bytes, and the group's
     packet sum is compared with the header. Every other member, one over
     GROUP_MEMBER_ENTRIES entries or one the grouped checks flagged, goes
-    through decode_matrix and encode_matrix alone, the per-member path that
-    gives the same failures.
+    through decode_and_reencode alone, the per-member path that gives the
+    same failures. Recompressing the stored blocks, rather than encoding the
+    matrix again, lets blobs of either version verify.
 
     A corrupt or cut TAR adds one failure, naming the byte offset and the
     last good member, after the failures of the members before it.
@@ -269,10 +270,10 @@ def verify_archive(path: str | Path) -> list[str]:
 
 def _verify_member(name: str, blob: bytes) -> str | None:
     try:
-        matrix, meta = decode_matrix(blob)
+        matrix, meta, reencodes = decode_and_reencode(blob)
     except IntegrityError as exc:
         return f"{name}: {exc}"
-    if encode_matrix(matrix, meta) != blob:
+    if not reencodes:
         return f"{name}: re-encode is not bit-identical"
     return _check_total(name, meta, total_sum(matrix))
 

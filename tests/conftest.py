@@ -2,16 +2,20 @@ import itertools
 import json
 import os
 import random
+import struct
+import zlib
 
 import numpy as np
 import pytest
 
+from flowmat import lz4block
 from flowmat.archive import (
-    ContainerError, IntegrityError, decode_matrix, encode_matrix, iter_archive,
+    _HEADER, _SECTIONS, MAGIC, ArchiveWriter, ContainerError, IntegrityError, decode_matrix,
+    encode_matrix, iter_archive,
 )
 from flowmat.eve import FlowColumns, FlowRecord
 from flowmat.flowgen import GenConfig, generate
-from flowmat.hypermat import HyperMatrix, build_arrays, empty, total_sum
+from flowmat.hypermat import DIMENSION, HyperMatrix, MatrixMeta, build_arrays, empty, total_sum
 from flowmat.pipeline import run_ingest
 from flowmat.stats import aggregate_stats, matrix_stats
 
@@ -19,6 +23,56 @@ from flowmat.stats import aggregate_stats, matrix_stats
 ELEPHANT_INPUT = GenConfig(n_flows=1_000, geometric_mean=65536.0, split=0.5, seed=1)
 # distinct uniform addresses at 100 packets per flow: ~330 entries per 2^15-packet window
 UNIFORM_INPUT = GenConfig(n_flows=4_000, seed=1)
+
+
+VERSION = 1
+_SECTION_PREFIX = struct.Struct("<QQ")
+
+
+def encode_v1(m: HyperMatrix, meta: MatrixMeta) -> bytes:
+    """The version 1 blob of m: each section its own LZ4 block, no checksum.
+
+    This is the writer of version 1 as it was, kept so that the readers'
+    version 1 path stays tested on blobs of every shape.
+    """
+    parts = [
+        _HEADER.pack(
+            MAGIC,
+            VERSION,
+            DIMENSION,
+            DIMENSION,
+            m.nvals,
+            len(m.rows_present),
+            meta.seq,
+            meta.packet_total,
+            meta.created_unix_s,
+        )
+    ]
+    for name, dtype in _SECTIONS:
+        raw = getattr(m, name).astype(dtype, copy=False).tobytes()
+        packed = lz4block.compress(raw)
+        parts.append(_SECTION_PREFIX.pack(len(raw), len(packed)))
+        parts.append(packed)
+    return b"".join(parts)
+
+
+def blob_version(blob: bytes) -> int:
+    return int.from_bytes(blob[4:8], "little")
+
+
+def with_crc(blob: bytes) -> bytes:
+    """A version 2 blob with its CRC32 made to match its other bytes."""
+    crc = zlib.crc32(blob[84:], zlib.crc32(blob[:80]))
+    return blob[:80] + crc.to_bytes(4, "little") + blob[84:]
+
+
+def rewrite_as_v1(path, out_dir):
+    """A copy of the TAR at path in out_dir, every member re-encoded as version 1."""
+    writer = ArchiveWriter(out_dir, per_tar=len(list(iter_archive(path))))
+    for _, blob in iter_archive(path):
+        matrix, meta = decode_matrix(blob)
+        written = writer.append(encode_v1(matrix, meta), meta)
+    return written
 
 
 def columns_from_records(records: list[FlowRecord]) -> FlowColumns:
@@ -135,6 +189,7 @@ def shaped_tars(tmp_path_factory) -> dict[str, list]:
     "elephant": 489 members of 1-15 entries, 64 per TAR, all decoded in groups.
     "uniform": 13 members, 4 per TAR; all but the partial last window hold more
     entries than GROUP_MEMBER_ENTRIES and are decoded alone.
+    "elephant_v1" and "uniform_v1" hold the same matrices as version 1 blobs.
     """
     tars = {}
     for shape, cfg, window_bits, per_tar in [
@@ -143,6 +198,8 @@ def shaped_tars(tmp_path_factory) -> dict[str, list]:
         out = tmp_path_factory.mktemp(shape)
         run_ingest(generate(cfg), None, out, window_packets=1 << window_bits, per_tar=per_tar)
         tars[shape] = sorted(out.glob("*.tar"), key=lambda p: int(p.stem.split("_")[1]))
+        out_v1 = tmp_path_factory.mktemp(f"{shape}_v1")
+        tars[f"{shape}_v1"] = [rewrite_as_v1(path, out_v1) for path in tars[shape]]
     return tars
 
 
@@ -171,7 +228,10 @@ def per_member_stats(path) -> list[dict]:
 
 
 def per_member_verify(path) -> list[str]:
-    """verify_archive as one decode_matrix and encode_matrix per member: the oracle."""
+    """verify_archive as one decode_matrix and one re-encode per member: the oracle.
+
+    A member is re-encoded whole, by the writer of its version.
+    """
     failures = []
     try:
         for name, blob in iter_archive(path):
@@ -180,7 +240,8 @@ def per_member_verify(path) -> list[str]:
             except IntegrityError as exc:
                 failures.append(f"{name}: {exc}")
                 continue
-            if encode_matrix(matrix, meta) != blob:
+            encode = encode_v1 if blob_version(blob) == 1 else encode_matrix
+            if encode(matrix, meta) != blob:
                 failures.append(f"{name}: re-encode is not bit-identical")
                 continue
             if total_sum(matrix) != meta.packet_total:

@@ -1,8 +1,11 @@
 import io
+import json
 import struct
 import subprocess
 import tarfile
 import time
+import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,10 +23,24 @@ from flowmat.flowgen import generate
 from flowmat.hypermat import MatrixMeta, empty
 from flowmat.pipeline import run_ingest, verify_archive
 from flowmat.stats import archive_stats
-from tests.conftest import build, random_matrix, to_triples
+from tests.conftest import build, encode_v1, random_matrix, to_triples, with_crc
 from tests.test_golden import FIXED_CLOCK, GOLDEN_INPUT
+from tests.test_pipeline_cli import run_cli
 
 META = MatrixMeta(seq=0, packet_total=9, created_unix_s=1_724_000_000)
+DATA = Path(__file__).parent / "data"
+
+
+def test_v2_layout():
+    m = build([(i, i + 1, 2) for i in range(50)])
+    blob = encode_matrix(m, META)
+    assert struct.unpack_from("<4sI", blob) == (b"HSTM", 2)
+    raw_len, comp_len, crc = struct.unpack_from("<QQI", blob, 64)
+    assert raw_len == 50 * 4 + 51 * 8 + 50 * 4 + 50 * 8
+    assert len(blob) == 84 + comp_len
+    assert crc == zlib.crc32(blob[:80] + blob[84:])
+    assert with_crc(blob) == blob
+    assert len(blob) < len(encode_v1(m, META))
 
 
 def test_empty_matrix_blob_small():
@@ -82,11 +99,27 @@ def test_truncated_blob():
 
 
 def test_corrupt_section_names_section():
-    blob = bytearray(encode_matrix(build([(i, i + 1, 2) for i in range(50)]), META))
+    blob = bytearray(encode_v1(build([(i, i + 1, 2) for i in range(50)]), META))
     # zero out the last section's payload: invalid LZ4 stream for that length
     blob[-8:] = b"\x00" * 8
     with pytest.raises(IntegrityError, match="vals"):
         decode_matrix(bytes(blob))
+
+
+def test_corrupt_block_is_named():
+    m = build([(i, i + 1, 2) for i in range(50)])
+    blob = bytearray(encode_matrix(m, META))
+    blob[-8:] = b"\x00" * 8
+    with pytest.raises(IntegrityError, match="crc32"):
+        decode_matrix(bytes(blob))
+    # the same fault behind a matching CRC: invalid LZ4 stream for that length
+    with pytest.raises(IntegrityError, match="^block fails decompression$"):
+        decode_matrix(with_crc(bytes(blob)))
+    # a sound block whose vals hold a zero: the section is named
+    zero_val = build([(i, i + 1, 2) for i in range(50)])
+    zero_val.vals[7] = 0
+    with pytest.raises(IntegrityError, match="section vals contains zero entries"):
+        decode_matrix(encode_matrix(zero_val, META))
 
 
 def test_trailing_bytes_rejected():
@@ -96,7 +129,7 @@ def test_trailing_bytes_rejected():
 
 
 def _raw_len_offsets(blob: bytes) -> list[int]:
-    """Byte offset of each section's raw_len field."""
+    """Byte offset of each section's raw_len field in a version 1 blob."""
     offsets, offset = [], 64  # fixed header size
     for _ in range(4):
         offsets.append(offset)
@@ -108,7 +141,7 @@ def _raw_len_offsets(blob: bytes) -> list[int]:
 
 @pytest.mark.parametrize("section", range(4))
 def test_raw_len_bit_flips_raise_integrity_error(section):
-    blob = encode_matrix(build([(i, i + 1, 2) for i in range(50)]), META)
+    blob = encode_v1(build([(i, i + 1, 2) for i in range(50)]), META)
     field = _raw_len_offsets(blob)[section]
     raw_len = struct.unpack_from("<Q", blob, field)[0]
     for bit in range(64):
@@ -116,6 +149,76 @@ def test_raw_len_bit_flips_raise_integrity_error(section):
         struct.pack_into("<Q", bad, field, raw_len ^ (1 << bit))
         with pytest.raises(IntegrityError, match="raw length"):
             decode_matrix(bytes(bad))
+
+
+def test_v2_raw_len_bit_flips_raise_integrity_error():
+    blob = encode_matrix(build([(i, i + 1, 2) for i in range(50)]), META)
+    raw_len = struct.unpack_from("<Q", blob, 64)[0]
+    for bit in range(64):
+        bad = bytearray(blob)
+        struct.pack_into("<Q", bad, 64, raw_len ^ (1 << bit))
+        with pytest.raises(IntegrityError, match="block raw length"):
+            decode_matrix(bytes(bad))
+        # the raw length is checked before the CRC that would also catch it
+        with pytest.raises(IntegrityError, match="block raw length"):
+            decode_matrix(with_crc(bytes(bad)))
+
+
+@pytest.mark.parametrize("entries", [0, 5, 300])
+def test_every_single_bit_flip_of_a_v2_blob_is_an_integrity_error(entries):
+    m = build([(i * 7919 % 1009, i * 104_729, i + 1) for i in range(entries)])
+    assert m.nvals == entries
+    blob = encode_matrix(m, MatrixMeta(seq=3, packet_total=int(m.vals.sum()), created_unix_s=7))
+    assert decode_matrix(blob)[0] == m
+    for byte in range(len(blob)):
+        for bit in range(8):
+            bad = bytearray(blob)
+            bad[byte] ^= 1 << bit
+            with pytest.raises(IntegrityError):
+                decode_matrix(bytes(bad))
+
+
+def _oversized(version: int, entries: int) -> bytes:
+    """A blob whose header claims `entries` rows and entries, each block 8 bytes long."""
+    header = struct.pack("<4sIQQQQQQQ", b"HSTM", version, 1 << 32, 1 << 32, entries, entries,
+                         0, 0, 0)
+    if version == 1:
+        return header + b"".join(struct.pack("<QQ", n * entries + extra, 8) + bytes(8)
+                                 for n, extra in [(4, 0), (8, 8), (4, 0), (8, 0)])
+    return with_crc(header + struct.pack("<QQI", 24 * entries + 8, 8, 0) + bytes(8))
+
+
+@pytest.mark.parametrize("version", [1, 2])
+@pytest.mark.parametrize("entries", [1 << 28, 1 << 40])
+def test_raw_length_past_lz4_expansion_is_refused_before_allocation(version, entries):
+    blob = _oversized(version, entries)
+    with pytest.raises(IntegrityError, match="is more than 8 LZ4 bytes can hold"):
+        decode_matrix(blob)
+
+
+def test_cli_reports_oversized_raw_length_without_traceback(tmp_path):
+    w = ArchiveWriter(tmp_path, per_tar=2)
+    w.append(_oversized(1, 1 << 40), MatrixMeta(seq=0, packet_total=0, created_unix_s=5))
+    path = w.append(_oversized(2, 1 << 40), MatrixMeta(seq=1, packet_total=0, created_unix_s=5))
+    for command in ["verify", "stats"]:
+        proc = run_cli(command, str(path))
+        assert b"Traceback" not in proc.stderr, proc.stderr
+        if command == "verify":
+            assert proc.returncode == 1
+            lines = proc.stderr.decode().splitlines()
+        else:
+            assert proc.returncode == 0
+            lines = [r.get("error", "") for r in map(json.loads, proc.stdout.splitlines())]
+        assert [line for line in lines if "LZ4 bytes can hold" in line] == lines[:2], lines
+
+
+def test_committed_v1_tar_verifies_and_gives_pinned_stats():
+    # written by ingest when version 1 was the format, members of 1 to 729 entries
+    path = DATA / "v1.tar"
+    blobs = [blob for _, blob in iter_archive(path)]
+    assert {struct.unpack_from("<I", blob, 4)[0] for blob in blobs} == {1}
+    assert verify_archive(path) == []
+    assert archive_stats(path) == json.loads((DATA / "v1_stats.json").read_text())
 
 
 def test_member_naming():

@@ -3,7 +3,8 @@
 The digests pin every byte the pipeline writes (window split points, matrix
 build, blob encoding, TAR layout and naming), so a refactor that claims to
 leave the output unchanged can be checked mechanically. A change that alters
-the archives on purpose must re-record them and say why.
+the archives on purpose must re-record them and say why. These are the
+digests of version 2 blobs, one LZ4 block and one CRC32 per matrix.
 """
 
 import hashlib
@@ -25,14 +26,14 @@ GOLDEN_INPUT = GenConfig(n_flows=200_000, geometric_mean=100.0, addr_model="zipf
 
 GOLDEN_TARS = {
     "anon": {
-        "1724000000_0.tar": "41d0416e096f99daa86e9a64197e32816cb59bd4870778b5b5d53b16190aa8ed",
-        "1724000000_64.tar": "c40b78f1096be755ff61add325c37e50bb22db4435b64197ee33ffc80e16fb99",
-        "1724000000_128.tar": "69e68275052d2de31695a6054fca80c74b62758dec9f71b3e52a5731fee3e00b",
+        "1724000000_0.tar": "60c1bed7f7e16f9d9195fc114913fff27a885784f51fb446a92a7f2b6f9aae2a",
+        "1724000000_64.tar": "c0c5ca66ef555f878c0dbd08eda39f032adaebc5f1c280bd43ad3ea983a83b62",
+        "1724000000_128.tar": "426cec7fbfa66a522311506ea7dc0a32fdbf4b80894f64c08f7775ac145c74ed",
     },
     "raw": {
-        "1724000000_0.tar": "942d1640914f17749d099ae4a41104c95c35324486590782c8d5e8c7ae0e963f",
-        "1724000000_64.tar": "f0fad94a2aa08ab778f13e8f9df27ebc7fdbe4a572828086cce22091161bb87f",
-        "1724000000_128.tar": "2e64e45f2c6a9f294977546c5a01c193705f2fc421aaef7bd8595b0d39793c6c",
+        "1724000000_0.tar": "c52f0afc21b66133a515f5d2f32a8f9543475232aa81ac6ba8d7ca4135066369",
+        "1724000000_64.tar": "8d57cf5c58775f496c94482320259e93fa3a2a2b08e86420707c55df47b16440",
+        "1724000000_128.tar": "02663911337cc43008d1563008b682e8d6888656deb2d57ac511624b9e41f67b",
     },
 }
 

@@ -12,12 +12,14 @@ import pytest
 
 from flowmat.archive import (
     GROUP_ENTRIES, GROUP_MEMBER_ENTRIES, ArchiveWriter, IntegrityError, decode_matrix,
-    encode_matrix, iter_member_groups,
+    encode_matrix, iter_archive, iter_member_groups,
 )
 from flowmat.hypermat import HyperMatrix, MatrixMeta, build_arrays, empty
 from flowmat.pipeline import verify_archive
 from flowmat.stats import archive_stats
-from tests.conftest import per_member_stats, per_member_verify
+from tests.conftest import (
+    blob_version, encode_v1, per_member_stats, per_member_verify, with_crc,
+)
 
 CREATED = 1_724_000_000
 
@@ -31,28 +33,33 @@ def _assert_same_as_oracle(path):
 
 
 def test_grouped_equals_per_member_on_good_archives(shaped_tars):
-    for path in shaped_tars["elephant"] + shaped_tars["uniform"]:
+    for path in [path for paths in shaped_tars.values() for path in paths]:
         records, failures = _assert_same_as_oracle(path)
         assert failures == []
         assert all("error" not in r for r in records)
 
 
 def _regions(data: bytes) -> dict[str, list[range]]:
-    """Byte ranges of a TAR's ustar headers, blob headers and section prefixes,
-    section data, and zero padding (after each blob and at the end)."""
+    """Byte ranges of a TAR's ustar headers, blob headers and prefixes, LZ4
+    data, and zero padding (after each blob and at the end)."""
     regions = {"ustar": [], "blob_header": [], "section": [], "padding": []}
     end = 0
     for offset, blob in _members(data):
         regions["ustar"].append(range(offset, offset + 512))
         start = offset + 512
-        regions["blob_header"].append(range(start, start + 64))
-        pos = 64
-        for _ in range(4):
-            comp_len = int.from_bytes(blob[pos + 8 : pos + 16], "little")
-            regions["blob_header"].append(range(start + pos, start + pos + 16))
-            if comp_len:
-                regions["section"].append(range(start + pos + 16, start + pos + 16 + comp_len))
-            pos += 16 + comp_len
+        if blob_version(blob) == 2:
+            regions["blob_header"].append(range(start, start + 84))
+            regions["section"].append(range(start + 84, start + len(blob)))
+        else:
+            regions["blob_header"].append(range(start, start + 64))
+            pos = 64
+            for _ in range(4):
+                comp_len = int.from_bytes(blob[pos + 8 : pos + 16], "little")
+                regions["blob_header"].append(range(start + pos, start + pos + 16))
+                if comp_len:
+                    regions["section"].append(
+                        range(start + pos + 16, start + pos + 16 + comp_len))
+                pos += 16 + comp_len
         end = start + len(blob) + -len(blob) % 512
         if len(blob) % 512:
             regions["padding"].append(range(start + len(blob), end))
@@ -70,11 +77,12 @@ def _members(data: bytes):
 
 
 def test_grouped_equals_per_member_under_bit_flips(shaped_tars, tmp_path):
+    # version 1 blobs carry no checksum, so flips reach every later check
     rnd = random.Random(707)
     bad = tmp_path / "bad.tar"
     seen = set()
     flagged_in_groups = 0
-    sources = [p.read_bytes() for p in shaped_tars["elephant"] + shaped_tars["uniform"]]
+    sources = [p.read_bytes() for p in shaped_tars["elephant_v1"] + shaped_tars["uniform_v1"]]
     layouts = [_regions(data) for data in sources]
     for case in range(520):
         data, regions = sources[case % len(sources)], layouts[case % len(sources)]
@@ -94,6 +102,35 @@ def test_grouped_equals_per_member_under_bit_flips(shaped_tars, tmp_path):
     assert flagged_in_groups > 50
 
 
+def test_every_bit_flip_in_a_v2_member_is_reported(shaped_tars, tmp_path):
+    rnd = random.Random(808)
+    bad = tmp_path / "bad.tar"
+    seen = set()
+    sources = [p.read_bytes() for p in shaped_tars["elephant"] + shaped_tars["uniform"]]
+    layouts = [_regions(data) for data in sources]
+    for case in range(300):
+        data, regions = sources[case % len(sources)], layouts[case % len(sources)]
+        kind = rnd.choice(["blob_header", "section"])
+        flipped = bytearray(data)
+        for _ in range(rnd.choice((1, 2, 3, 8))):
+            where = rnd.choice(regions[kind])
+            flipped[rnd.choice(where)] ^= 1 << rnd.randrange(8)
+        bad.write_bytes(flipped)
+        records, failures = _assert_same_as_oracle(bad)
+        changed = [name for (name, blob), (_, old) in zip(iter_archive(bad), _named(data))
+                   if blob != old]
+        assert [failure.split(":")[0] for failure in failures] == changed
+        assert [r["member"] for r in records[:-1] if "error" in r] == changed
+        seen.update(_category(failure) for failure in failures)
+    assert seen == {"blob header", "raw length", "checksum"}, seen
+
+
+def _named(data: bytes):
+    """(name, blob) of each member of an intact TAR."""
+    for offset, blob in _members(data):
+        yield data[offset : offset + 100].rstrip(b"\0").decode(), blob
+
+
 def _flagged_in_groups(path) -> int:
     flagged = 0
     try:
@@ -109,7 +146,7 @@ def _category(failure: str) -> str:
     for marker, category in [
         ("byte ", "container"), ("magic", "blob header"), ("version", "blob header"),
         ("dimensions", "blob header"), ("truncated", "blob header"), ("trailing", "blob header"),
-        ("fails decompression", "decompression"),
+        ("fails decompression", "decompression"), ("crc32", "checksum"),
         ("not strictly increasing", "canonical"), ("inconsistent", "canonical"),
         ("zero entries", "canonical"), ("raw length", "raw length"),
         ("re-encode", "re-encode"), ("packet_total", "packet_total"),
@@ -129,13 +166,14 @@ def _matrix(rng, entries: int) -> HyperMatrix:
     return build_arrays(rows, cols, rng.integers(1, 1 << 20, size=entries, dtype=np.uint64))
 
 
-def _write_tar(directory, matrices):
-    """Path of one TAR holding the matrices, in order."""
+def _write_tar(directory, matrices, encoders=(encode_matrix,)):
+    """Path of one TAR holding the matrices, in order, member i encoded by
+    encoders[i % len(encoders)]."""
     w = ArchiveWriter(directory, per_tar=len(matrices))
     for seq, m in enumerate(matrices):
         meta = MatrixMeta(seq=seq, packet_total=int(m.vals.sum(dtype=np.uint64)),
                           created_unix_s=CREATED)
-        path = w.append(encode_matrix(m, meta), meta)
+        path = w.append(encoders[seq % len(encoders)](m, meta), meta)
     return path
 
 
@@ -158,6 +196,18 @@ def test_grouping_boundaries(tmp_path, rng):
     # the member over the bound comes alone, after the four before it; the next
     # group closes at its 64th member of 256 entries (3 + 64 * 257 >= 2^14)
     assert groups == [(4, 0), (1, 1), (66, 0), (3, 0)]
+
+
+def test_mixed_versions_read_the_same_grouped_as_per_member(tmp_path, rng):
+    bound = GROUP_MEMBER_ENTRIES
+    sizes = [0, 3, 1, bound + 1, 7, 1, 200, 5, bound + 20, 2, 0]
+    matrices = [_matrix(rng, n) if n else empty() for n in sizes]
+    path = _write_tar(tmp_path / "mixed", matrices, encoders=(encode_v1, encode_matrix))
+    records, failures = _assert_same_as_oracle(path)
+    assert failures == []
+    assert records == archive_stats(_write_tar(tmp_path / "v2", matrices))
+    versions = [[blob_version(blob) for blob in g.blobs] for g in iter_member_groups(path)]
+    assert versions == [[1, 2, 1], [2], [1, 2, 1, 2], [1], [2, 1]]
 
 
 def test_group_of_empty_matrices(tmp_path):
@@ -225,14 +275,24 @@ def test_wrapping_row_offsets_are_an_integrity_error():
         decode_matrix(encode_matrix(m, MatrixMeta(0, 4, CREATED)))
 
 
-def _member(rng, seq: int, entries: int) -> tuple[bytes, MatrixMeta]:
+def _member(rng, seq: int, entries: int, encode=encode_matrix) -> tuple[bytes, MatrixMeta]:
     m = _matrix(rng, entries)
     meta = MatrixMeta(seq, int(m.vals.sum(dtype=np.uint64)), CREATED)
-    return encode_matrix(m, meta), meta
+    return encode(m, meta), meta
+
+
+def _reported_alone(tmp_path, rng, member, message, encode):
+    """A TAR of member between two sound ones reports message for it alone."""
+    w = ArchiveWriter(tmp_path, per_tar=3)
+    for m in [_member(rng, 0, 5, encode), member, _member(rng, 2, 3, encode)]:
+        path = w.append(*m)
+    records, failures = _assert_same_as_oracle(path)
+    assert [r.get("error") for r in records[:-1]] == [None, message, None]
+    assert failures == [f"{1:020d}.grb: {message}"]
 
 
 def test_layout_fault_is_named_before_a_decompression_fault(tmp_path, rng):
-    blob, meta = _member(rng, 1, 5)
+    blob, meta = _member(rng, 1, 5, encode_v1)
     blob = bytearray(blob)
     prefixes, offset = [], 64  # fixed header size
     for _ in range(4):
@@ -247,10 +307,22 @@ def test_layout_fault_is_named_before_a_decompression_fault(tmp_path, rng):
     message = f"section col_ids raw length {raw_len + 4} disagrees with header"
     with pytest.raises(IntegrityError, match=message):
         decode_matrix(bytes(blob))
+    _reported_alone(tmp_path, rng, (bytes(blob), meta), message, encode_v1)
 
-    w = ArchiveWriter(tmp_path, per_tar=3)
-    for member in [_member(rng, 0, 5), (bytes(blob), meta), _member(rng, 2, 3)]:
-        path = w.append(*member)
-    records, failures = _assert_same_as_oracle(path)
-    assert [r.get("error") for r in records[:-1]] == [None, message, None]
-    assert failures == [f"{1:020d}.grb: {message}"]
+
+def test_v2_layout_fault_is_named_before_a_checksum_or_decompression_fault(tmp_path, rng):
+    blob, meta = _member(rng, 1, 5)
+    # a literal run past the end of the block, behind a matching CRC
+    blob = with_crc(blob[:84] + b"\xff" * (len(blob) - 84))
+    with pytest.raises(IntegrityError, match="^block fails decompression$"):
+        decode_matrix(blob)
+    blob = bytearray(blob)
+    blob[-1] ^= 1
+    with pytest.raises(IntegrityError, match="^crc32 "):
+        decode_matrix(bytes(blob))
+    raw_len = int.from_bytes(blob[64:72], "little")
+    blob[64:72] = (raw_len + 4).to_bytes(8, "little")
+    message = f"block raw length {raw_len + 4} disagrees with header"
+    with pytest.raises(IntegrityError, match=message):
+        decode_matrix(bytes(blob))
+    _reported_alone(tmp_path, rng, (bytes(blob), meta), message, encode_matrix)

@@ -1,6 +1,7 @@
 import gc
 import itertools
 import json
+import os
 import subprocess
 import sys
 import time
@@ -177,6 +178,30 @@ def test_cli_ingest_out_is_a_file(eve_file, tmp_path):
 def test_cli_gen_out_in_missing_directory(tmp_path):
     proc = run_cli("gen", "--flows", "10", "--out", str(tmp_path / "missing" / "x.ndjson"))
     assert_one_line_error(proc, "x.ndjson")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("to", ["stdout", "--out"])
+def test_cli_gen_write_error_is_one_line(to):
+    # /dev/full fails every write with ENOSPC once the buffer is flushed
+    if to == "stdout":
+        with open("/dev/full", "wb") as full:
+            proc = subprocess.run([sys.executable, "-m", "flowmat", "gen", "--flows", "20000"],
+                                  stdout=full, stderr=subprocess.PIPE)
+    else:
+        proc = run_cli("gen", "--flows", "20000", "--out", "/dev/full")
+    assert_one_line_error(proc, "No space left on device")
+
+
+def test_cli_gen_into_a_closed_pipe_is_silent():
+    proc = subprocess.Popen([sys.executable, "-m", "flowmat", "gen", "--flows", "200000"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.read(10)
+    proc.stdout.close()  # as `flowmat gen | head -c 10` does
+    stderr = proc.stderr.read()
+    assert proc.wait(timeout=60) == 1
+    proc.stderr.close()
+    assert stderr == b""
 
 
 def test_cli_second_ingest_in_the_same_second_is_an_error(eve_file, tmp_path):
