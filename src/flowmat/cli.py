@@ -5,6 +5,7 @@ from __future__ import annotations
 import contextlib
 import errno
 import json
+import signal
 import sys
 
 import click
@@ -40,6 +41,31 @@ def _one_line_errors():
         raise click.ClickException(str(exc))
 
 
+class _Terminated(BaseException):
+    """SIGTERM, raised where the program is, as SIGINT raises KeyboardInterrupt."""
+
+
+@contextlib.contextmanager
+def _stop_on_sigterm():
+    """Stop on SIGTERM the way SIGINT stops: by an exception that run_ingest sees.
+
+    run_ingest then finalizes the open TAR and stops its parse workers. The
+    program reports the signal in one line and exits with status 143
+    (128 + SIGTERM), as a process killed by it would.
+    """
+    def terminate(signum, frame):
+        raise _Terminated
+
+    previous = signal.signal(signal.SIGTERM, terminate)
+    try:
+        yield
+    except _Terminated:
+        click.echo("Terminated: stopped on SIGTERM", err=True)
+        sys.exit(128 + signal.SIGTERM)
+    finally:
+        signal.signal(signal.SIGTERM, previous)
+
+
 def _make_anon(key_path: str | None, no_anon: bool) -> CryptoPan | None:
     """Refuse to run without a key unless --no-anon is explicit."""
     if no_anon:
@@ -71,7 +97,7 @@ def ingest(input_spec, socket_path, key_path, no_anon, out_dir, window_bits, per
     if (input_spec is None) == (socket_path is None):
         raise click.UsageError("exactly one of --input or --socket is required")
     anon = _make_anon(key_path, no_anon)
-    with _one_line_errors(), contextlib.closing(
+    with _stop_on_sigterm(), _one_line_errors(), contextlib.closing(
         open_source(socket_path or input_spec, socket_mode=socket_path is not None)
     ) as source:
         result = run_ingest(

@@ -1,19 +1,22 @@
 """End-to-end wiring: parse -> anonymize -> window/build -> encode/archive.
 
-Ingest is a generator chain over column batches. Lines are parsed into
-batches of at most BATCH_RECORDS flow records held as four numpy columns
-(src, dst, toserver, toclient); each batch is anonymized with one Crypto-PAn
-pass over its distinct addresses; the windower cuts the batch's directed
-entries at window boundaries and builds every window the batch completes
-with one segmented sort; each matrix is then encoded and appended to the
-current TAR. At most one batch and the open window are held at a time, so
-memory stays flat for any input size.
+Ingest is a generator chain over column batches of flow records, each held
+as four numpy columns (src, dst, toserver, toclient). Each batch is
+anonymized with one Crypto-PAn pass over its distinct addresses; the
+windower cuts the batch's directed entries at window boundaries and builds
+every window the batch completes with one segmented sort; each matrix is
+then encoded and appended to the current TAR. One batch in each process,
+a pipe's worth of results per parse worker and the open window are held at
+a time, so memory stays flat for any input size.
 
-Parsing is the one stage that may leave this process: _parse_batches hands a
-regular input file, whatever its size, to forked workers that parse its byte
-chunks in parallel (flowmat.shard), and parses every stream here. Either way
-the batches arrive in input order and everything after parsing runs
-sequentially in this process, so the archives are the same byte for byte.
+Parsing and anonymizing are the stages that may leave this process. A
+regular input file, whatever its size, is cut into byte chunks that forked
+workers parse and anonymize in parallel, one batch per chunk
+(flowmat.shard). A stream (stdin, a socket, any other line iterable) is
+parsed here in batches of at most BATCH_RECORDS records, and each batch is
+anonymized here. Either way the batches arrive in input order and window,
+build, encode and archive run sequentially in this process, so the archives
+are the same byte for byte.
 
 Every ingest times its four stages with a few clock reads per batch and
 per window, never per line. The bench is one such ingest of a recorded file,
@@ -38,7 +41,8 @@ from flowmat.eve import FileLineSource, IngestCounters, open_source, parse_colum
 from flowmat.hypermat import total_sum
 from flowmat.window import DEFAULT_WINDOW_BITS, Windower
 
-# records per anonymize_flows call, which deduplicates addresses per batch
+# records per batch of a stream, and so per anonymize_flows call, which
+# deduplicates addresses per batch; a file's batches are its chunks (flowmat.shard)
 BATCH_RECORDS = 512
 
 STAGES = ("parse", "anonymize", "window_build", "encode_archive")
@@ -60,6 +64,10 @@ class IngestResult:
     raw_bytes: int = 0   # the matrices' four arrays, as the blob sections hold them
     blob_bytes: int = 0
     stage_seconds: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
+    # CPU seconds the chunks of a file took to parse and to anonymize, summed
+    # over the processes that did them; 0 for a stream
+    worker_cpu_seconds: dict = field(
+        default_factory=lambda: dict.fromkeys(("parse", "anonymize"), 0.0))
 
     def as_dict(self) -> dict:
         return {
@@ -72,20 +80,12 @@ class IngestResult:
             "peak_rss_bytes": self.peak_rss_bytes,
             "seconds": round(self.seconds, 3),
             "stage_seconds": {k: round(v, 6) for k, v in self.stage_seconds.items()},
+            "worker_cpu_seconds": {k: round(v, 6) for k, v in self.worker_cpu_seconds.items()},
         }
 
 
 def _parse_batches(lines, counters: IngestCounters):
-    """Column batches of the lines in input order; the one choice of parse path.
-
-    A FileLineSource of a regular file is parsed by forked workers, up to the
-    size the file had when it was opened. Any other line iterable (stdin, a
-    socket, a list) is parsed in this process. Both give the same records in
-    the same order and the same counters, which are exact once the batches
-    are drained.
-    """
-    if isinstance(lines, FileLineSource) and lines.size is not None:
-        return shard.parse_file(lines.fileno(), lines.size, counters, BATCH_RECORDS)
+    """Column batches of a stream's lines, in order, of at most BATCH_RECORDS records each."""
     return parse_columns(lines, counters, BATCH_RECORDS)
 
 
@@ -98,16 +98,21 @@ def run_ingest(
 ) -> IngestResult:
     """Drain EVE lines into rotating TARs of matrix blobs.
 
-    lines is a line iterable or a source from open_source; a regular file
-    source is parsed by forked workers (see _parse_batches). When a stage,
-    the lines or a parse worker fails, the open TAR is finalized with the
-    windows written so far, every worker is stopped, and the exception
-    propagates; the open window is not written.
+    lines is a line iterable or a source from open_source. A FileLineSource
+    of a regular file is parsed and anonymized by forked workers, up to the
+    size the file had when it was opened (flowmat.shard); any other line
+    iterable (stdin, a socket, a list) is parsed and anonymized in this
+    process. Both give the same records in the same order and the same
+    counters. When a stage, the lines or a parse worker fails, the open TAR
+    is finalized with the windows written so far, every worker is stopped,
+    and the exception propagates; the open window is not written.
 
     The stage timers are laps of one clock, so they sum to at most
-    result.seconds. parse includes reading the source and, for a sharded
-    file, waiting for the workers' results; window_build includes the matrix
-    build, encode_archive includes the TAR writes.
+    result.seconds. parse includes reading the source; window_build includes
+    the matrix build, encode_archive includes the TAR writes. For a file,
+    the wait for each chunk is split between parse and anonymize in the
+    ratio of the CPU seconds the chunk's worker spent on each, and those CPU
+    seconds are summed in result.worker_cpu_seconds.
     """
     start = time.perf_counter()
     counters = IngestCounters()
@@ -123,6 +128,17 @@ def run_ingest(
         stages[stage] += now - mark
         mark = now
 
+    def lap_chunk(cpu: tuple[float, float]) -> None:
+        nonlocal mark
+        now = time.perf_counter()
+        parse_s, anonymize_s = cpu
+        anonymize_share = anonymize_s / (parse_s + anonymize_s) if anonymize_s > 0 else 0.0
+        stages["parse"] += (now - mark) * (1 - anonymize_share)
+        stages["anonymize"] += (now - mark) * anonymize_share
+        mark = now
+        result.worker_cpu_seconds["parse"] += parse_s
+        result.worker_cpu_seconds["anonymize"] += anonymize_s
+
     def write(matrix, meta) -> None:
         lap("window_build")
         blob = encode_matrix(matrix, meta)
@@ -137,15 +153,26 @@ def run_ingest(
             result.tars_finalized += 1
         lap("encode_archive")
 
+    def window(batch) -> None:
+        for matrix, meta in windower.push(batch):
+            write(matrix, meta)
+        lap("window_build")
+
     try:
-        with contextlib.closing(_parse_batches(lines, counters)) as batches:
-            for batch in batches:
-                lap("parse")
-                batch = anonymize_flows(anon, batch)
-                lap("anonymize")
-                for matrix, meta in windower.push(batch):
-                    write(matrix, meta)
-                lap("window_build")
+        if isinstance(lines, FileLineSource) and lines.size is not None:
+            chunks = shard.parse_file(lines.fileno(), lines.size, counters, anon)
+            with contextlib.closing(chunks):
+                for batches, cpu in chunks:
+                    lap_chunk(cpu)
+                    for batch in batches:
+                        window(batch)
+        else:
+            with contextlib.closing(_parse_batches(lines, counters)) as batches:
+                for batch in batches:
+                    lap("parse")
+                    batch = anonymize_flows(anon, batch)
+                    lap("anonymize")
+                    window(batch)
         lap("parse")
         counters.refuse(windower.flows_refused)
         tail = windower.flush()

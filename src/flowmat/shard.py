@@ -1,23 +1,26 @@
-"""Parse a regular input file in forked worker processes.
+"""Parse and anonymize a regular input file in forked worker processes.
 
 The file is cut into byte chunks of CHUNK_BYTES, read up to the size it had
 when it was opened. A chunk owns the lines that start inside it
 (eve.chunk_lines), so every line is parsed once, by the rules a streamed
-read applies. With n the number of CPUs this process may run on, or the
-number of chunks if that is smaller, the parent parses chunks 0, n, 2n, ...
-itself, and n - 1 children made with os.fork parse the others: child k
-takes chunks k, k + n, ... and sends each one's (column batches, counters)
-over its own pipe, in order. A file of one chunk forks nothing. The parent
-takes the results in chunk order, so everything after parsing sees the
-records in file order. A child blocks once its pipe is full, which bounds the
-results waiting for the parent to a pipe's worth per child.
+read applies. A chunk's records form one column batch, which the process
+that parsed it also anonymizes: Crypto-PAn is a pure function of the batch,
+and a forked child already holds the key. A file of two or more chunks is
+handed to n children made with os.fork, n being the number of CPUs this
+process may run on or the number of chunks if that is smaller: child k takes
+chunks k, k + n, ... and sends each one's (batches, counters, CPU seconds)
+over its own pipe, in order. The parent parses nothing; it takes the results
+in chunk order, so everything after anonymizing sees the records in file
+order. A file of one chunk is parsed in process and forks nothing. A child
+blocks once its pipe is full, which bounds the results waiting for the
+parent to a pipe's worth per child.
 
 multiprocessing is not used: it starts helper threads and adds import time,
 and a forked child already holds everything it needs. A child ignores
-SIGINT, which the parent handles, and exits quietly on a broken pipe once the
-parent is gone. The parent kills and reaps every child that is still running
-when it stops early, and a child that dies before sending a chunk is a
-WorkerError naming its exit status.
+SIGINT and SIGTERM, which the parent handles, and exits quietly on a broken
+pipe once the parent is gone. The parent kills and reaps every child that is
+still running when it stops early, and a child that dies before sending a
+chunk is a WorkerError naming its exit status.
 """
 
 from __future__ import annotations
@@ -27,13 +30,18 @@ import pickle
 import signal
 import struct
 import sys
+import time
 from typing import Iterator, NoReturn
 
+from flowmat.cryptopan import CryptoPan, anonymize_flows
 from flowmat.eve import FlowColumns, IngestCounters, chunk_lines, parse_columns
 
 CHUNK_BYTES = 1 << 18
 
 _LENGTH = struct.Struct("<Q")  # the size of one pickled chunk result
+
+# a child ignores these; the parent stops on them and stops its children
+_STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
 
 class WorkerError(RuntimeError):
@@ -44,34 +52,47 @@ def worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def parse_file(fd: int, size: int, counters: IngestCounters,
-               batch_records: int) -> Iterator[FlowColumns]:
-    """Column batches of the first size bytes of fd, in file order; counters track every line.
+def parse_file(fd: int, size: int, counters: IngestCounters, anon: CryptoPan | None
+               ) -> Iterator[tuple[list[FlowColumns], tuple[float, float]]]:
+    """Each chunk of the first size bytes of fd, in file order; counters track every line.
 
-    Each chunk's batches hold at most batch_records records. A chunk's
-    counters are added when its batches are taken, so the counters are
-    exact once the batches are drained.
+    A chunk gives its anonymized column batch, in a list that is empty when
+    the chunk owns no flow record, and the CPU seconds its parse and its
+    anonymize took, in whichever process did them. A chunk's counters are
+    added when it is taken, so the counters are exact once the chunks are
+    drained.
     """
     chunk = CHUNK_BYTES
     n_chunks = -(-size // chunk)
-    n = max(1, min(worker_count(), n_chunks))
+    n = min(worker_count(), n_chunks) if n_chunks > 1 else 0
 
-    def parse(index: int) -> tuple[list[FlowColumns], IngestCounters]:
-        return _parse_chunk(fd, size, chunk, index, batch_records)
+    def work(index: int) -> tuple[list[FlowColumns], IngestCounters, tuple[float, float]]:
+        return _anonymized_chunk(fd, size, chunk, index, anon)
 
     workers: list[_Worker] = []
     try:
-        for k in range(1, n):
-            workers.append(_Worker.start(parse, range(k, n_chunks, n), workers))
+        for k in range(n):
+            workers.append(_Worker.start(work, range(k, n_chunks, n), workers))
         for i in range(n_chunks):
-            batches, chunk_counters = workers[i % n - 1].receive(i) if i % n else parse(i)
+            batches, chunk_counters, cpu = workers[i % n].receive(i) if workers else work(i)
             counters.add(chunk_counters)
-            yield from batches
+            yield batches, cpu
         for worker in workers:
             worker.finish()
     finally:
         for worker in workers:
             worker.stop()
+
+
+def _anonymized_chunk(fd: int, size: int, chunk: int, index: int, anon: CryptoPan | None
+                      ) -> tuple[list[FlowColumns], IngestCounters, tuple[float, float]]:
+    """One chunk's anonymized batches, its counters, and its parse and anonymize CPU seconds."""
+    start = time.process_time()
+    # a chunk owns at most one line per byte, so a bound of chunk records makes one batch
+    batches, counters = _parse_chunk(fd, size, chunk, index, chunk)
+    parsed = time.process_time()
+    batches = [anonymize_flows(anon, batch) for batch in batches]
+    return batches, counters, (parsed - start, time.process_time() - parsed)
 
 
 def _parse_chunk(fd: int, size: int, chunk: int, index: int,
@@ -94,9 +115,13 @@ class _Worker:
     def start(cls, parse, indices: range, siblings: list[_Worker]) -> _Worker:
         """Fork a child that sends parse(i) for each chunk index in indices."""
         read_fd, write_fd = os.pipe()
+        # blocked across the fork, so the child cannot run the parent's handlers
+        # for them before it ignores them
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, _STOP_SIGNALS)
         try:
             pid = os.fork()
         except OSError:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
             os.close(read_fd)
             os.close(write_fd)
             raise
@@ -106,10 +131,12 @@ class _Worker:
             for sibling in siblings:
                 os.close(sibling.pipe.fileno())
             _serve(parse, indices, write_fd)
+        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         os.close(write_fd)
         return cls(pid, open(read_fd, "rb"))
 
-    def receive(self, index: int) -> tuple[list[FlowColumns], IngestCounters]:
+    def receive(self, index: int) -> tuple:
+        """The child's result for chunk index, the next one on its pipe."""
         head = self.pipe.read(_LENGTH.size)
         if len(head) == _LENGTH.size:
             (length,) = _LENGTH.unpack(head)
@@ -144,7 +171,9 @@ def _serve(parse, indices: range, write_fd: int) -> NoReturn:
     """The child: send parse(i) for each chunk index in indices, in order; never returns."""
     code = 1
     try:
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        for signum in _STOP_SIGNALS:
+            signal.signal(signum, signal.SIG_IGN)
+        signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
         with open(write_fd, "wb") as pipe:
             for i in indices:
                 payload = pickle.dumps(parse(i), protocol=pickle.HIGHEST_PROTOCOL)

@@ -1,7 +1,10 @@
 import gc
 import itertools
 import json
+import math
 import os
+import signal
+import socket
 import subprocess
 import sys
 import time
@@ -9,8 +12,10 @@ import warnings
 
 import pytest
 
+from flowmat import shard
 from flowmat.archive import decode_matrix, iter_archive
 from flowmat.cryptopan import CryptoPan
+from flowmat.eve import open_source
 from flowmat.flowgen import GenConfig, generate
 from flowmat.pipeline import run_bench, run_ingest, verify_archive
 from tests.conftest import ELEPHANT_INPUT
@@ -49,6 +54,20 @@ def test_run_ingest_stage_seconds(eve_file, tmp_path):
     assert all(sec >= 0 for sec in stages.values())
     assert sum(stages.values()) <= result.seconds
     assert result.as_dict()["stage_seconds"].keys() == stages.keys()
+
+
+def test_sharded_file_stage_seconds_split_the_wait_by_worker_cpu(eve_file, tmp_path):
+    assert eve_file.stat().st_size > shard.CHUNK_BYTES  # parsed and anonymized by workers
+    source = open_source(str(eve_file))
+    try:
+        result = run_ingest(source, CryptoPan(KEY), tmp_path, window_packets=1 << 12)
+    finally:
+        source.close()
+    stages, cpu = result.stage_seconds, result.worker_cpu_seconds
+    assert all(sec > 0 for sec in stages.values())
+    assert sum(stages.values()) <= result.seconds
+    assert set(cpu) == {"parse", "anonymize"} and all(sec > 0 for sec in cpu.values())
+    assert result.as_dict()["worker_cpu_seconds"] == {k: round(v, 6) for k, v in cpu.items()}
 
 
 def test_run_ingest_propagates_write_errors(eve_file, tmp_path):
@@ -356,6 +375,57 @@ def test_cli_bench_smoke(eve_file, tmp_path):
     report = json.loads(proc.stdout)
     assert "end_to_end" in report
     assert b"unreliable" in proc.stderr
+
+
+def test_cli_bench_of_a_sharded_file_prints_strict_json(eve_file, tmp_path, key_file):
+    assert eve_file.stat().st_size > shard.CHUNK_BYTES
+    proc = run_cli("bench", "--input", str(eve_file), "--key", str(key_file),
+                   "--out", str(tmp_path), "--window-bits", "12")
+    assert proc.returncode == 0, proc.stderr
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    report = json.loads(proc.stdout, parse_constant=refuse)
+    for stage in report["stages"].values():
+        assert math.isfinite(stage["records_per_second"]) and stage["records_per_second"] > 0
+
+
+def test_cli_sigterm_finalizes_the_open_tar(tmp_path):
+    sock, out = tmp_path / "eve.sock", tmp_path / "out"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flowmat", "ingest", "--socket", str(sock), "--no-anon",
+         "--out", str(out), "--window-bits", "10"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not sock.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, "no socket"
+            time.sleep(0.05)
+        # two whole batches of 512 lines of 7 packets: 7 windows of 2^10 packets
+        lines = generate(GenConfig(n_flows=1024, pkts_per_flow=7, seed=4))
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as peer:
+            peer.connect(str(sock))
+            peer.sendall(b"".join(line + b"\n" for line in lines))
+        while not list(out.glob("*.tar")):
+            assert proc.poll() is None and time.monotonic() < deadline, "no TAR"
+            time.sleep(0.05)
+        time.sleep(1.0)  # the second batch is windowed
+        proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 143, stderr
+    assert stderr.decode().splitlines() == ["Terminated: stopped on SIGTERM"]
+    assert stdout == b""
+    (tar,) = out.glob("*.tar")
+    assert verify_archive(tar) == []
+    metas = [decode_matrix(blob)[1] for _, blob in iter_archive(tar)]
+    assert [meta.packet_total for meta in metas] == [1 << 10] * 7
+    assert not sock.exists()
 
 
 @pytest.mark.parametrize("command", ["ingest", "bench"])

@@ -6,6 +6,7 @@ import errno
 import functools
 import hashlib
 import io
+import json
 import os
 import random
 import signal
@@ -18,7 +19,9 @@ import pytest
 from flowmat import eve, shard
 from flowmat.archive import ArchiveWriter, iter_archive
 from flowmat.cryptopan import CryptoPan
-from flowmat.eve import MAX_LINE_BYTES, IngestCounters, _bounded_lines, chunk_lines, open_source
+from flowmat.eve import (
+    MAX_LINE_BYTES, IngestCounters, _bounded_lines, chunk_lines, open_source, parse_columns,
+)
 from flowmat.flowgen import GenConfig, generate
 from flowmat.pipeline import BATCH_RECORDS, run_ingest, verify_archive
 from tests.conftest import criterion_9_corpus
@@ -58,7 +61,7 @@ def forks(monkeypatch) -> list[int]:
 
 @pytest.fixture
 def sharded(monkeypatch, forks):
-    """Up to three parse workers, two children and the parent, and a fixed clock."""
+    """Up to three parse workers, all children, and a fixed clock."""
     monkeypatch.setattr(shard, "worker_count", lambda: 3)
     monkeypatch.setattr(time, "time", lambda: FIXED_CLOCK)
     return forks
@@ -175,7 +178,7 @@ def file_of_chunks(path, chunks: int) -> int:
     return lines
 
 
-@pytest.mark.parametrize("chunks, children", [(0, 0), (1, 0), (2, 1), (5, 2)])
+@pytest.mark.parametrize("chunks, children", [(0, 0), (1, 0), (2, 2), (5, 3)])
 def test_every_regular_file_is_read_in_chunks(chunks, children, tmp_path, monkeypatch, sharded):
     def streamed(self):
         raise AssertionError("a regular file was read line by line")
@@ -216,7 +219,7 @@ def test_file_of_a_few_chunks_gives_the_same_archives_chunked(tmp_path, sharded)
     want = ingest_file(path, tmp_path / "streamed", sharded=False, anon=anon)
     assert sharded == []
     got = ingest_file(path, tmp_path / "chunked", sharded=True, anon=anon)
-    assert len(sharded) == 2
+    assert len(sharded) == 3
     assert got.counters == want.counters
     assert got.counters.records_skipped_malformed > 0 and got.counters.records_ok > 0
     assert digests(tmp_path / "chunked") == digests(tmp_path / "streamed") != {}
@@ -233,7 +236,7 @@ def test_deeply_nested_line_in_a_child_chunk_is_counted_malformed(depth, tmp_pat
     path.write_bytes(b"\n".join(lines[:at] + [b'{"event_type":"flow","x":' + b"[" * depth]
                                 + lines[at:]) + b"\n")
     result = ingest_file(path, tmp_path / "out", sharded=True)
-    assert len(sharded) == 2
+    assert len(sharded) == 3
     assert result.counters.records_skipped_malformed == 1
     assert result.counters.records_ok == 2_000
 
@@ -260,7 +263,7 @@ def test_sharded_ingest_of_golden_input_gives_golden_tars(mode, golden_file, tmp
         result = run_ingest(source, anon, tmp_path)
     finally:
         source.close()
-    assert len(forks) == 2
+    assert len(forks) == 3
     assert result.counters.records_ok == GOLDEN_INPUT.n_flows
     assert digests(tmp_path) == GOLDEN_TARS[mode]
 
@@ -295,7 +298,7 @@ def test_sharded_ingest_equals_sequential_at_small_chunks(chunk, ends_on_chunk_e
     want = ingest_file(path, tmp_path / "sequential", sharded=False, anon=anon)
     assert sharded == []
     got = ingest_file(path, tmp_path / "sharded", sharded=True, anon=anon)
-    assert len(sharded) == 2
+    assert len(sharded) == 3
     assert got.counters == want.counters
     assert got.counters.records_skipped_malformed > 0 and got.counters.records_ok > 0
     assert (got.windows_written, got.packets_total) == (want.windows_written, want.packets_total)
@@ -309,13 +312,87 @@ def test_parse_batches_count_every_line_like_the_stream(tmp_path, sharded, monke
     fd = os.open(path, os.O_RDONLY)
     try:
         counters = IngestCounters()
-        batches = list(shard.parse_file(fd, path.stat().st_size, counters, BATCH_RECORDS))
+        chunks = [batches for batches, _ in shard.parse_file(fd, path.stat().st_size, counters,
+                                                              None)]
     finally:
         os.close(fd)
-    assert all(0 < len(batch) <= BATCH_RECORDS for batch in batches)
+    # one non-empty batch per chunk that owns a record
+    assert all(len(batches) <= 1 for batches in chunks)
+    batches = [batch for batches in chunks for batch in batches]
+    assert all(len(batch) > 0 for batch in batches)
     assert sum(map(len, batches)) == counters.records_ok
     with open(path, "rb") as fh:
         assert counters.lines_consumed == len(list(_bounded_lines(fh)))
+
+
+# --- the column kernel at its boundaries ------------------------------------
+
+def boundary_line(src: str, dst: str, toserver: int, toclient: int, *, spaced: bool) -> bytes:
+    sep = b", " if spaced else b","  # a space takes the line past the compact clause
+    return sep.join([
+        b'{"event_type":"flow"', b'"src_ip":"%s"' % src.encode(), b'"dest_ip":"%s"' % dst.encode(),
+        b'"flow":{"pkts_toserver":%d,"pkts_toclient":%d}}' % (toserver, toclient),
+    ])
+
+
+BIG19 = 9_999_999_999_999_999_999
+U64_MAX = (1 << 64) - 1
+BOUNDARY_LINES = [
+    boundary_line("0.0.0.0", "255.255.255.255", BIG19, 0, spaced=False),
+    boundary_line("255.0.255.0", "0.255.0.255", 0, BIG19, spaced=False),
+    boundary_line("010.001.0.255", "255.9.99.0", BIG19, BIG19, spaced=False),
+    boundary_line("255.255.255.255", "0.0.0.0", U64_MAX, 1, spaced=True),
+    boundary_line("1.2.3.4", "5.6.7.8", 3, U64_MAX, spaced=True),
+    boundary_line("1.2.3.4", "5.6.7.8", U64_MAX + 1, 1, spaced=True),  # over 2^64 - 1: malformed
+]
+
+
+def oracle_columns(lines) -> tuple[list[list[int]], int]:
+    """The four columns of the lines by Python ints and json.loads, and the malformed count."""
+    columns, malformed = [[], [], [], []], 0
+    for line in lines:
+        doc = json.loads(line)
+        counts = doc["flow"]["pkts_toserver"], doc["flow"]["pkts_toclient"]
+        if max(counts) > U64_MAX:
+            malformed += 1
+            continue
+        addrs = [int.from_bytes(bytes(map(int, doc[key].split("."))), "big")
+                 for key in ("src_ip", "dest_ip")]
+        for column, value in zip(columns, addrs + list(counts)):
+            column.append(value)
+    return columns, malformed
+
+
+def batch_columns(batches) -> list[list[int]]:
+    batches = list(batches)
+    return [[v for b in batches for v in getattr(b, name).tolist()]
+            for name in ("src", "dst", "toserver", "toclient")]
+
+
+def test_column_kernel_is_exact_at_its_boundaries(tmp_path, monkeypatch, sharded):
+    compact = eve._compact_flow_pattern().fullmatch
+    assert [bool(compact(line)) for line in BOUNDARY_LINES] == [True] * 3 + [False] * 3
+    lines = BOUNDARY_LINES * 400  # many 4 KiB chunks, so every worker parses each kind
+    want, malformed = oracle_columns(lines)
+    assert malformed == 400
+
+    counters = IngestCounters()
+    assert batch_columns(parse_columns(lines, counters, BATCH_RECORDS)) == want
+    assert counters.records_skipped_malformed == malformed
+
+    monkeypatch.setattr(shard, "CHUNK_BYTES", 4096)
+    path = tmp_path / "boundary.ndjson"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        counters = IngestCounters()
+        chunks = list(shard.parse_file(fd, path.stat().st_size, counters, None))
+    finally:
+        os.close(fd)
+    assert len(sharded) == 3
+    assert batch_columns(batch for batches, _ in chunks for batch in batches) == want
+    assert counters.records_skipped_malformed == malformed
+    assert counters.records_ok == len(want[0])
 
 
 # --- worker lifecycle --------------------------------------------------------
@@ -344,7 +421,7 @@ def test_parent_error_kills_and_reaps_every_child(big_input, tmp_path, monkeypat
     monkeypatch.setattr(ArchiveWriter, "append", failing_append)
     with deadline(60), pytest.raises(OSError, match="No space left"):
         ingest_file(big_input, tmp_path / "out", sharded=True, window_packets=1 << 8)
-    assert len(sharded) == 2
+    assert len(sharded) == 3
     for pid in sharded:
         with pytest.raises(ChildProcessError):
             os.waitpid(pid, os.WNOHANG)  # already reaped
@@ -380,6 +457,24 @@ def test_child_exit_status_after_its_last_chunk_is_checked(big_input, tmp_path, 
     monkeypatch.setattr(os, "_exit", lambda code: exit_(5 if os.getpid() != parent else code))
     with deadline(60), pytest.raises(shard.WorkerError, match="status 5 after its last chunk"):
         ingest_file(big_input, tmp_path / "out", sharded=True)
+
+
+def test_workers_ignore_sigterm(big_input, sharded):
+    size = big_input.stat().st_size
+    fd = os.open(big_input, os.O_RDONLY)
+    try:
+        counters = IngestCounters()
+        chunks = shard.parse_file(fd, size, counters, None)
+        with deadline(60), contextlib.closing(chunks):
+            taken = [next(chunks), next(chunks)]  # every worker has sent a chunk
+            for pid in sharded:
+                os.kill(pid, signal.SIGTERM)
+            taken += chunks  # and the last chunk is checked for exit status 0
+    finally:
+        os.close(fd)
+    assert len(sharded) == 3
+    assert len(taken) == -(-size // 4096)
+    assert counters.records_ok == counters.lines_consumed == 20_000
 
 
 def test_result_cut_short_is_a_worker_error():
