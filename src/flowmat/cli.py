@@ -180,7 +180,7 @@ def verify(tar_path):
 @click.option("--per-tar", default=DEFAULT_PER_TAR, show_default=True, type=PER_TAR)
 @click.option("--pretty", is_flag=True)
 def bench(input_path, key_path, no_anon, out_dir, window_bits, per_tar, pretty):
-    """Time one streamed ingest of a recorded EVE file, stage by stage."""
+    """Time one ingest of a recorded EVE file, read in chunks, stage by stage."""
     anon = _make_anon(key_path, no_anon)
     with _one_line_errors():
         report = run_bench(

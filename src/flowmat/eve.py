@@ -4,14 +4,17 @@ Only ``event_type == "flow"`` events with IPv4 endpoints are kept; everything
 else is counted and skipped so a long-running sensor survives log corruption,
 mixed event streams, and IPv6 traffic it does not handle.
 
-Each line first meets one compiled bytes regex that accepts only compact,
+One classifier, ``_classify``, decides every line: it gives the line's
+record as ten decimal fields (eight octets and two counts) or its ``Skip``.
+Its compact clause is one compiled bytes regex that accepts only compact,
 escape-free JSON whose shape makes the outcome certain: an IPv4 flow event
 with its keys in Suricata's order, strict dotted quads, plain integer counts
-below 2^64 and no duplicate of any key the parser reads. Such a line becomes
-a record from the regex's ten groups. Every other line goes through
+below 2^64 and no duplicate of any key the parser reads. Such a line's
+fields are the regex's ten groups. Every other line goes through
 ``json.loads`` (``_parse_json``), which decides it alone, so both clauses give
-every line the same outcome. ``parse_columns`` turns lines into column
-batches without a FlowRecord per compact line.
+every line the same outcome. ``parse_flow_record`` and ``parse_columns``
+both call the classifier; ``parse_columns`` turns lines into one column
+batch without a FlowRecord per line.
 
 Lines come from a stream (``_bounded_lines``) or, for a regular file cut into
 byte chunks, from the lines that start inside one chunk (``chunk_lines``);
@@ -170,24 +173,35 @@ def _compact_flow_pattern() -> re.Pattern:
     )
 
 
-def _parse_compact(line: bytes) -> FlowRecord | None:
-    """The compact clause: the record of a line the grammar proves, else None."""
-    if not line.isascii():
-        return None
-    match = _compact_flow_pattern().fullmatch(line)
-    if match is None:
-        return None
-    s1, s2, s3, s4, d1, d2, d3, d4, toserver, toclient = map(int, match.groups())
+def parse_flow_record(line: bytes) -> FlowRecord | Skip:
+    """Parse one EVE JSON line. Never raises: bad input becomes a Skip."""
+    fields = _classify(line)
+    if isinstance(fields, Skip):
+        return fields
+    s1, s2, s3, s4, d1, d2, d3, d4, toserver, toclient = map(int, fields)
     return FlowRecord(
         s1 << 24 | s2 << 16 | s3 << 8 | s4, d1 << 24 | d2 << 16 | d3 << 8 | d4, toserver, toclient
     )
 
 
-def parse_flow_record(line: bytes) -> FlowRecord | Skip:
-    """Parse one EVE JSON line. Never raises: bad input becomes a Skip."""
-    if len(line) > MAX_LINE_BYTES:
-        return _parse_json(line)  # which rejects it
-    return _parse_compact(line) or _parse_json(line)
+def _classify(line: bytes) -> tuple[bytes, ...] | Skip:
+    """A line's record as ten decimal fields, eight octets and two counts, or its Skip.
+
+    A line the compact clause matches gives its regex groups. Every other
+    line goes through _parse_json, and a record it returns gives the same
+    ten fields, formatted as b"%d".
+    """
+    if len(line) <= MAX_LINE_BYTES and line.isascii():
+        match = _compact_flow_pattern().fullmatch(line)
+        if match is not None:
+            return match.groups()
+    rec = _parse_json(line)
+    if isinstance(rec, Skip):
+        return rec
+    src, dst, toserver, toclient = rec
+    return tuple(b"%d" % field for field in (
+        src >> 24, src >> 16 & 255, src >> 8 & 255, src & 255,
+        dst >> 24, dst >> 16 & 255, dst >> 8 & 255, dst & 255, toserver, toclient))
 
 
 def _parse_json(line: bytes) -> FlowRecord | Skip:
@@ -225,46 +239,24 @@ def _parse_json(line: bytes) -> FlowRecord | Skip:
     return FlowRecord(src_addr, dst_addr, toserver, toclient)
 
 
-def parse_columns(
-    lines: Iterable[bytes], counters: IngestCounters, batch_records: int
-) -> Iterator[FlowColumns]:
-    """Parse lines into column batches of batch_records records; counters track every line.
+def parse_columns(lines: Iterable[bytes], counters: IngestCounters) -> FlowColumns:
+    """Parse lines into one column batch; counters track every line.
 
-    A line the compact clause matches adds its ten regex groups, as bytes of
-    ASCII digits, to one flat list, so no FlowRecord is made for it. Every
-    other line goes through _parse_json, and a record it returns joins the
-    list as the same ten fields, formatted as b"%d". A batch's columns come
-    from one C parse of the joined list (_columns) and numpy shifts. Skips
-    are counted line by line, records a batch at a time as each batch is
-    handed on, so the counters are exact once the lines are drained.
+    The ten fields of each record (_classify) join one flat list, and the
+    batch's columns come from one C parse of that list (_columns) and numpy
+    shifts. Skips are counted line by line and records once the lines are
+    drained, so the counters are exact when this returns.
     """
-    fullmatch = None
     fields: list = []
-    per_batch = 10 * batch_records
     for line in lines:
-        if fullmatch is None:  # compiled at the first line, so an empty input stays cheap
-            fullmatch = _compact_flow_pattern().fullmatch
-        match = fullmatch(line) if len(line) <= MAX_LINE_BYTES and line.isascii() else None
-        if match is not None:
-            fields += match.groups()
+        result = _classify(line)
+        if isinstance(result, Skip):
+            counters.count_skip(result)
         else:
-            rec = _parse_json(line)
-            if isinstance(rec, Skip):
-                counters.count_skip(rec)
-                continue
-            src, dst, toserver, toclient = rec
-            fields += [b"%d" % field for field in (
-                src >> 24, src >> 16 & 255, src >> 8 & 255, src & 255,
-                dst >> 24, dst >> 16 & 255, dst >> 8 & 255, dst & 255, toserver, toclient)]
-        if len(fields) >= per_batch:
-            batch = _columns(fields)
-            counters.records_ok += len(batch)
-            yield batch
-            fields = []
-    if fields:
-        batch = _columns(fields)
-        counters.records_ok += len(batch)
-        yield batch
+            fields += result
+    batch = _columns(fields)
+    counters.records_ok += len(batch)
+    return batch
 
 
 def _columns(fields: list) -> FlowColumns:

@@ -9,18 +9,17 @@ then encoded and appended to the current TAR. One batch in each process,
 a pipe's worth of results per parse worker and the open window are held at
 a time, so memory stays flat for any input size.
 
-Parsing and anonymizing are the stages that may leave this process. A
-regular input file, whatever its size, is cut into byte chunks that forked
-workers parse and anonymize in parallel, one batch per chunk
-(flowmat.shard). A stream (stdin, a socket, any other line iterable) is
-parsed here in batches of at most BATCH_RECORDS records, and each batch is
-anonymized here. Either way the batches arrive in input order and window,
-build, encode and archive run sequentially in this process, so the archives
-are the same byte for byte.
+Parsing and anonymizing are the stages that may leave this process. Every
+input comes in chunks, each parsed and anonymized into one batch
+(flowmat.shard): a regular file, whatever its size, in byte chunks that
+forked workers take in parallel; a stream (stdin, a socket, any other line
+iterable) in blocks of lines, in this process. Either way the batches arrive
+in input order and window, build, encode and archive run sequentially in
+this process, so the archives are the same byte for byte.
 
 Every ingest times its four stages with a few clock reads per batch and
 per window, never per line. The bench is one such ingest of a recorded file,
-streamed from disk, with its rates derived from those timers.
+read in chunks like any other, with its rates derived from those timers.
 """
 
 from __future__ import annotations
@@ -36,14 +35,10 @@ from flowmat.archive import (
     DEFAULT_PER_TAR, ArchiveWriter, ContainerError, IntegrityError, decode_and_reencode,
     encode_matrix, iter_member_groups,
 )
-from flowmat.cryptopan import CryptoPan, anonymize_flows
-from flowmat.eve import FileLineSource, IngestCounters, open_source, parse_columns
+from flowmat.cryptopan import CryptoPan
+from flowmat.eve import FileLineSource, IngestCounters, open_source
 from flowmat.hypermat import total_sum
 from flowmat.window import DEFAULT_WINDOW_BITS, Windower
-
-# records per batch of a stream, and so per anonymize_flows call, which
-# deduplicates addresses per batch; a file's batches are its chunks (flowmat.shard)
-BATCH_RECORDS = 512
 
 STAGES = ("parse", "anonymize", "window_build", "encode_archive")
 
@@ -64,8 +59,8 @@ class IngestResult:
     raw_bytes: int = 0   # the matrices' four arrays, as the blob sections hold them
     blob_bytes: int = 0
     stage_seconds: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
-    # CPU seconds the chunks of a file took to parse and to anonymize, summed
-    # over the processes that did them; 0 for a stream
+    # CPU seconds the chunks of the input took to parse and to anonymize,
+    # summed over the processes that did them
     worker_cpu_seconds: dict = field(
         default_factory=lambda: dict.fromkeys(("parse", "anonymize"), 0.0))
 
@@ -84,11 +79,6 @@ class IngestResult:
         }
 
 
-def _parse_batches(lines, counters: IngestCounters):
-    """Column batches of a stream's lines, in order, of at most BATCH_RECORDS records each."""
-    return parse_columns(lines, counters, BATCH_RECORDS)
-
-
 def run_ingest(
     lines,
     anon: CryptoPan | None,
@@ -99,20 +89,22 @@ def run_ingest(
     """Drain EVE lines into rotating TARs of matrix blobs.
 
     lines is a line iterable or a source from open_source. A FileLineSource
-    of a regular file is parsed and anonymized by forked workers, up to the
-    size the file had when it was opened (flowmat.shard); any other line
-    iterable (stdin, a socket, a list) is parsed and anonymized in this
-    process. Both give the same records in the same order and the same
-    counters. When a stage, the lines or a parse worker fails, the open TAR
-    is finalized with the windows written so far, every worker is stopped,
-    and the exception propagates; the open window is not written.
+    of a regular file is parsed and anonymized in byte chunks, by forked
+    workers, up to the size the file had when it was opened
+    (shard.parse_file); any other line iterable (stdin, a socket, a list) in
+    blocks of lines in this process (shard.parse_stream). Both give the same
+    records in the same order and the same counters. When a stage, the lines
+    or a parse worker fails, the open TAR is finalized with the windows
+    written so far, every worker is stopped, and the exception propagates;
+    the open window is not written.
 
     The stage timers are laps of one clock, so they sum to at most
     result.seconds. parse includes reading the source; window_build includes
-    the matrix build, encode_archive includes the TAR writes. For a file,
-    the wait for each chunk is split between parse and anonymize in the
-    ratio of the CPU seconds the chunk's worker spent on each, and those CPU
-    seconds are summed in result.worker_cpu_seconds.
+    the matrix build, encode_archive includes the TAR writes. The wait for
+    each chunk is split between parse and anonymize: anonymize gets the
+    smaller of its share of the wait, in the ratio of the CPU seconds spent
+    on each, and its own CPU seconds, so a stream's read waits stay in
+    parse. Those CPU seconds are summed in result.worker_cpu_seconds.
     """
     start = time.perf_counter()
     counters = IngestCounters()
@@ -133,8 +125,9 @@ def run_ingest(
         now = time.perf_counter()
         parse_s, anonymize_s = cpu
         anonymize_share = anonymize_s / (parse_s + anonymize_s) if anonymize_s > 0 else 0.0
-        stages["parse"] += (now - mark) * (1 - anonymize_share)
-        stages["anonymize"] += (now - mark) * anonymize_share
+        anonymize_wait = min((now - mark) * anonymize_share, anonymize_s)
+        stages["parse"] += now - mark - anonymize_wait
+        stages["anonymize"] += anonymize_wait
         mark = now
         result.worker_cpu_seconds["parse"] += parse_s
         result.worker_cpu_seconds["anonymize"] += anonymize_s
@@ -154,25 +147,21 @@ def run_ingest(
         lap("encode_archive")
 
     def window(batch) -> None:
+        # a helper, so no matrix outlives its write while the next chunk is awaited
         for matrix, meta in windower.push(batch):
             write(matrix, meta)
         lap("window_build")
 
+    if isinstance(lines, FileLineSource) and lines.size is not None:
+        chunks = shard.parse_file(lines.fileno(), lines.size, anon)
+    else:
+        chunks = shard.parse_stream(lines, anon)
     try:
-        if isinstance(lines, FileLineSource) and lines.size is not None:
-            chunks = shard.parse_file(lines.fileno(), lines.size, counters, anon)
-            with contextlib.closing(chunks):
-                for batches, cpu in chunks:
-                    lap_chunk(cpu)
-                    for batch in batches:
-                        window(batch)
-        else:
-            with contextlib.closing(_parse_batches(lines, counters)) as batches:
-                for batch in batches:
-                    lap("parse")
-                    batch = anonymize_flows(anon, batch)
-                    lap("anonymize")
-                    window(batch)
+        with contextlib.closing(chunks):
+            for batch, chunk_counters, cpu in chunks:
+                counters.add(chunk_counters)
+                lap_chunk(cpu)
+                window(batch)
         lap("parse")
         counters.refuse(windower.flows_refused)
         tail = windower.flush()
@@ -200,8 +189,8 @@ MIN_RELIABLE_RECORDS = 100_000
 MEMORY_CEILING_BYTES = 512 * 1024 * 1024
 
 
-def _rate(count: int, seconds: float) -> float:
-    return count / seconds if seconds > 0 else float("inf")
+def _rounded(value: float | None, digits: int = 1) -> float | None:
+    return None if value is None else round(value, digits)
 
 
 def run_bench(
@@ -211,10 +200,12 @@ def run_bench(
     window_packets: int = 1 << DEFAULT_WINDOW_BITS,
     per_tar: int = DEFAULT_PER_TAR,
 ) -> dict:
-    """One streamed ingest of a recorded file, reported stage by stage.
+    """One ingest of a recorded file, read in chunks like any other, reported stage by stage.
 
     Stage rates come from the ingest's own timers: parse is per input line,
-    the other stages per flow record. End to end covers opening the file
+    the other stages per flow record. A stage that took no measurable time
+    has no rate (null) and is left out of fastest_stage and min_stage_rate,
+    so the report stays strict JSON. End to end covers opening the file
     through closing the last TAR. The compression ratio is the matrices'
     raw section bytes over the blob bytes written. Stdin ("-") is refused
     before any input is read: the bench needs a file, whose size it reports.
@@ -235,27 +226,28 @@ def run_bench(
     counters = result.counters
     n_lines, n_records = counters.lines_consumed, counters.records_ok
     stage_rates = {
-        name: _rate(n_lines if name == "parse" else n_records, sec)
-        for name, sec in result.stage_seconds.items()
+        name: (n_lines if name == "parse" else n_records) / sec
+        for name, sec in result.stage_seconds.items() if sec > 0
     }
-    e2e_rate = _rate(n_lines, e2e_s)
+    min_rate = min(stage_rates.values(), default=None)
+    e2e_rate = n_lines / e2e_s
     return {
         "n_lines": n_lines,
         "n_records": n_records,
         "counters": counters.as_dict(),
         "stages": {
-            name: {"seconds": round(sec, 6), "records_per_second": round(stage_rates[name], 1)}
+            name: {"seconds": round(sec, 6), "records_per_second": _rounded(stage_rates.get(name))}
             for name, sec in result.stage_seconds.items()
         },
         "end_to_end": {"seconds": round(e2e_s, 6), "records_per_second": round(e2e_rate, 1)},
-        "input_mb_per_second": round(_rate(input_bytes / 1e6, e2e_s), 3),
+        "input_mb_per_second": round(input_bytes / 1e6 / e2e_s, 3),
         "compression_ratio": (
             round(result.raw_bytes / result.blob_bytes, 3) if result.blob_bytes else None
         ),
         "windows_written": result.windows_written,
-        "fastest_stage": max(stage_rates, key=stage_rates.get),
-        "min_stage_rate": round(min(stage_rates.values()), 1),
-        "e2e_within_min_stage": e2e_rate <= min(stage_rates.values()),
+        "fastest_stage": max(stage_rates, key=stage_rates.get, default=None),
+        "min_stage_rate": _rounded(min_rate),
+        "e2e_within_min_stage": min_rate is None or e2e_rate <= min_rate,
         "peak_rss_bytes": result.peak_rss_bytes,
         "under_memory_ceiling": result.peak_rss_bytes < MEMORY_CEILING_BYTES,
         "reliable": n_records >= MIN_RELIABLE_RECORDS,

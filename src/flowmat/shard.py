@@ -1,19 +1,22 @@
-"""Parse and anonymize a regular input file in forked worker processes.
+"""Parse and anonymize an input in chunks: a file's byte chunks or a stream's line blocks.
 
-The file is cut into byte chunks of CHUNK_BYTES, read up to the size it had
-when it was opened. A chunk owns the lines that start inside it
+Every chunk goes through one function, _anonymized: its lines become one
+column batch (eve.parse_columns), which the same process anonymizes.
+Crypto-PAn is a pure function of the batch, and a forked child already holds
+the key. The chunks' results come in input order.
+
+A stream (stdin, a socket, any other line iterable) is taken in blocks of
+STREAM_BLOCK_LINES lines in this process (parse_stream). A regular file is
+cut into byte chunks of CHUNK_BYTES, read up to the size it had when it was
+opened (parse_file). A chunk owns the lines that start inside it
 (eve.chunk_lines), so every line is parsed once, by the rules a streamed
-read applies. A chunk's records form one column batch, which the process
-that parsed it also anonymizes: Crypto-PAn is a pure function of the batch,
-and a forked child already holds the key. A file of two or more chunks is
-handed to n children made with os.fork, n being the number of CPUs this
-process may run on or the number of chunks if that is smaller: child k takes
-chunks k, k + n, ... and sends each one's (batches, counters, CPU seconds)
-over its own pipe, in order. The parent parses nothing; it takes the results
-in chunk order, so everything after anonymizing sees the records in file
-order. A file of one chunk is parsed in process and forks nothing. A child
-blocks once its pipe is full, which bounds the results waiting for the
-parent to a pipe's worth per child.
+read applies. A file of two or more chunks is handed to n children made with
+os.fork, n being the number of CPUs this process may run on or the number of
+chunks if that is smaller: child k takes chunks k, k + n, ... and sends each
+one's result over its own pipe, in order. The parent parses nothing; it
+takes the results in chunk order. A file of one chunk is parsed in process
+and forks nothing. A child blocks once its pipe is full, which bounds the
+results waiting for the parent to a pipe's worth per child.
 
 multiprocessing is not used: it starts helper threads and adds import time,
 and a forked child already holds everything it needs. A child ignores
@@ -25,18 +28,25 @@ chunk is a WorkerError naming its exit status.
 
 from __future__ import annotations
 
+import itertools
 import os
 import pickle
 import signal
 import struct
 import sys
 import time
-from typing import Iterator, NoReturn
+from typing import Iterable, Iterator, NoReturn
 
 from flowmat.cryptopan import CryptoPan, anonymize_flows
 from flowmat.eve import FlowColumns, IngestCounters, chunk_lines, parse_columns
 
 CHUNK_BYTES = 1 << 18
+# lines per block of a stream, and so per anonymize_flows call, which
+# deduplicates addresses per batch
+STREAM_BLOCK_LINES = 512
+
+# (batch, counters, (parse CPU seconds, anonymize CPU seconds)) of one chunk
+Chunk = tuple[FlowColumns, IngestCounters, tuple[float, float]]
 
 _LENGTH = struct.Struct("<Q")  # the size of one pickled chunk result
 
@@ -52,31 +62,22 @@ def worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def parse_file(fd: int, size: int, counters: IngestCounters, anon: CryptoPan | None
-               ) -> Iterator[tuple[list[FlowColumns], tuple[float, float]]]:
-    """Each chunk of the first size bytes of fd, in file order; counters track every line.
-
-    A chunk gives its anonymized column batch, in a list that is empty when
-    the chunk owns no flow record, and the CPU seconds its parse and its
-    anonymize took, in whichever process did them. A chunk's counters are
-    added when it is taken, so the counters are exact once the chunks are
-    drained.
-    """
+def parse_file(fd: int, size: int, anon: CryptoPan | None) -> Iterator[Chunk]:
+    """The result of each chunk of the first size bytes of fd, in file order."""
     chunk = CHUNK_BYTES
     n_chunks = -(-size // chunk)
     n = min(worker_count(), n_chunks) if n_chunks > 1 else 0
 
-    def work(index: int) -> tuple[list[FlowColumns], IngestCounters, tuple[float, float]]:
-        return _anonymized_chunk(fd, size, chunk, index, anon)
+    def work(index: int) -> Chunk:
+        start = index * chunk
+        return _anonymized(chunk_lines(fd, start, min(start + chunk, size), size), anon)
 
     workers: list[_Worker] = []
     try:
         for k in range(n):
             workers.append(_Worker.start(work, range(k, n_chunks, n), workers))
         for i in range(n_chunks):
-            batches, chunk_counters, cpu = workers[i % n].receive(i) if workers else work(i)
-            counters.add(chunk_counters)
-            yield batches, cpu
+            yield workers[i % n].receive(i) if workers else work(i)
         for worker in workers:
             worker.finish()
     finally:
@@ -84,23 +85,26 @@ def parse_file(fd: int, size: int, counters: IngestCounters, anon: CryptoPan | N
             worker.stop()
 
 
-def _anonymized_chunk(fd: int, size: int, chunk: int, index: int, anon: CryptoPan | None
-                      ) -> tuple[list[FlowColumns], IngestCounters, tuple[float, float]]:
-    """One chunk's anonymized batches, its counters, and its parse and anonymize CPU seconds."""
+def parse_stream(lines: Iterable[bytes], anon: CryptoPan | None) -> Iterator[Chunk]:
+    """The result of each block of STREAM_BLOCK_LINES lines, in order; the last may be shorter.
+
+    A block's lines are drawn from lines as they are parsed, never held as a
+    list, so one over-long line at a time is the most raw input held.
+    """
+    lines = iter(lines)
+    for first in lines:
+        block = itertools.chain((first,), itertools.islice(lines, STREAM_BLOCK_LINES - 1))
+        yield _anonymized(block, anon)
+
+
+def _anonymized(lines: Iterable[bytes], anon: CryptoPan | None) -> Chunk:
+    """The anonymized batch of lines, its counters, and its parse and anonymize CPU seconds."""
     start = time.process_time()
-    # a chunk owns at most one line per byte, so a bound of chunk records makes one batch
-    batches, counters = _parse_chunk(fd, size, chunk, index, chunk)
-    parsed = time.process_time()
-    batches = [anonymize_flows(anon, batch) for batch in batches]
-    return batches, counters, (parsed - start, time.process_time() - parsed)
-
-
-def _parse_chunk(fd: int, size: int, chunk: int, index: int,
-                 batch_records: int) -> tuple[list[FlowColumns], IngestCounters]:
     counters = IngestCounters()
-    start = index * chunk
-    lines = chunk_lines(fd, start, min(start + chunk, size), size)
-    return list(parse_columns(lines, counters, batch_records)), counters
+    batch = parse_columns(lines, counters)
+    parsed = time.process_time()
+    batch = anonymize_flows(anon, batch)
+    return batch, counters, (parsed - start, time.process_time() - parsed)
 
 
 class _Worker:

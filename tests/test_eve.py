@@ -10,19 +10,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmat import eve
+from flowmat import eve, shard
 from flowmat.eve import (
     MAX_LINE_BYTES,
     FlowRecord,
     IngestCounters,
     Skip,
-    _parse_compact,
+    _compact_flow_pattern,
     _parse_json,
     open_source,
     parse_columns,
     parse_flow_record,
 )
-from flowmat.pipeline import _parse_batches
 from tests.conftest import criterion_9_corpus
 
 FLOW_LINE = (
@@ -121,8 +120,8 @@ def test_parse_deeply_nested_line_is_malformed(depth, opener, closer):
     line = FLOW_LINE[:-1] + b',"x":' + opener * depth + b"0" + closer * depth + b"}"
     assert parse_flow_record(line) is Skip.MALFORMED
     counters = IngestCounters()
-    batches = list(parse_columns([FLOW_LINE, line, FLOW_LINE], counters, 512))
-    assert sum(map(len, batches)) == counters.records_ok == 2
+    batch = parse_columns([FLOW_LINE, line, FLOW_LINE], counters)
+    assert len(batch) == counters.records_ok == 2
     assert counters.records_skipped_malformed == 1
 
 
@@ -131,12 +130,22 @@ def test_parse_never_raises_on_random_bytes():
     counters = IngestCounters()
     n = 2000
     lines = [bytes(rnd.randrange(256) for _ in range(rnd.randrange(0, 80))) for _ in range(n)]
-    for _ in _parse_batches(lines, counters):
-        pass
+    parse_columns(lines, counters)
     assert counters.lines_consumed == n
 
 
 # --- the compact clause against the strict json.loads clause ---------------
+
+def compact_record(line: bytes) -> FlowRecord | None:
+    """The record the compact grammar's groups spell for a line it fully matches, else None."""
+    match = _compact_flow_pattern().fullmatch(line)
+    if match is None:
+        return None
+    s1, s2, s3, s4, d1, d2, d3, d4, toserver, toclient = map(int, match.groups())
+    return FlowRecord(
+        s1 << 24 | s2 << 16 | s3 << 8 | s4, d1 << 24 | d2 << 16 | d3 << 8 | d4, toserver, toclient
+    )
+
 
 HEAD = b'{"event_type":"flow","src_ip":"10.0.0.1","dest_ip":"10.0.0.2",'
 COUNTS = b'"flow":{"pkts_toserver":7,"pkts_toclient":3}'
@@ -240,8 +249,8 @@ def test_compact_clause_near_miss_costs_about_one_json_loads(where):
             times.append(time.perf_counter() - start)
         return min(times)
 
-    assert _parse_compact(line) is None
-    assert fastest(_parse_compact) < 5 * fastest(json.loads)
+    assert compact_record(line) is None
+    assert fastest(compact_record) < 5 * fastest(json.loads)
 
 
 def test_compact_clause_matches_strict_on_criterion_9_corpus():
@@ -249,12 +258,12 @@ def test_compact_clause_matches_strict_on_criterion_9_corpus():
     compact = 0
     for line in corpus:
         assert parse_flow_record(line) == _parse_json(line)
-        compact += _parse_compact(line) is not None
+        compact += compact_record(line) is not None
     # every valid flow line of the corpus is compact
     assert compact == valid
 
 
-def test_parse_columns_equal_parse_flow_record_line_by_line():
+def test_parse_columns_equal_parse_flow_record_line_by_line(monkeypatch):
     rnd = random.Random(8)
     spaced = [
         json.dumps({"event_type": "flow", "src_ip": ".".join(str(rnd.randrange(256)) for _ in range(4)),
@@ -266,21 +275,29 @@ def test_parse_columns_equal_parse_flow_record_line_by_line():
     lines = [case[1] for case in EDGE_CASES] + criterion_9_corpus()[0][:3000] + spaced
     rnd.shuffle(lines)
     counters = IngestCounters()
-    batches = list(parse_columns(lines, counters, 7))
-    assert all(0 < len(b) <= 7 for b in batches)
-    assert all(b.src.dtype == b.dst.dtype == np.uint32 for b in batches)
-    assert all(b.toserver.dtype == b.toclient.dtype == np.uint64 for b in batches)
-    got = [
-        FlowRecord(*rec) for b in batches
-        for rec in zip(b.src.tolist(), b.dst.tolist(), b.toserver.tolist(), b.toclient.tolist())
-    ]
+    whole = parse_columns(lines, counters)
+    # the same lines in stream blocks of 7 lines, one batch and one set of counters each
+    monkeypatch.setattr(shard, "STREAM_BLOCK_LINES", 7)
+    blocks = list(shard.parse_stream(lines, None))
+    assert len(blocks) == -(-len(lines) // 7)
+    assert all(len(batch) <= 7 for batch, _, _ in blocks)
+    block_counters = IngestCounters()
+    for _, chunk_counters, _ in blocks:
+        block_counters.add(chunk_counters)
     results = [parse_flow_record(line) for line in lines]
-    assert got == [r for r in results if isinstance(r, FlowRecord)]
+    for batches in ([whole], [batch for batch, _, _ in blocks]):
+        assert all(b.src.dtype == b.dst.dtype == np.uint32 for b in batches)
+        assert all(b.toserver.dtype == b.toclient.dtype == np.uint64 for b in batches)
+        got = [
+            FlowRecord(*rec) for b in batches
+            for rec in zip(b.src.tolist(), b.dst.tolist(), b.toserver.tolist(), b.toclient.tolist())
+        ]
+        assert got == [r for r in results if isinstance(r, FlowRecord)]
     want = IngestCounters(records_ok=len(got))
     for r in results:
         if isinstance(r, Skip):
             want.count_skip(r)
-    assert counters == want
+    assert counters == block_counters == want
 
 
 READ_KEYS = ["event_type", "src_ip", "dest_ip", "flow", "pkts_toserver", "pkts_toclient"]
@@ -417,7 +434,7 @@ def compact_flow_lines(draw):
     st.integers(1, 255),
 )
 def test_compact_clause_matches_strict_on_mutations(line, op, where, byte):
-    assert _parse_compact(line) == _parse_json(line)
+    assert compact_record(line) == _parse_json(line)
     i = where % (len(line) + (op == "insert"))
     if op == "flip":
         mutated = line[:i] + bytes([line[i] ^ byte]) + line[i + 1 :]

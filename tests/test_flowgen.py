@@ -1,8 +1,7 @@
 import pytest
 
-from flowmat.eve import FlowRecord, IngestCounters, parse_flow_record
+from flowmat.eve import FlowRecord, IngestCounters, parse_columns, parse_flow_record
 from flowmat.flowgen import ConfigError, GenConfig, generate, packet_total
-from flowmat.pipeline import _parse_batches
 
 
 def test_empty_stream():
@@ -37,8 +36,7 @@ def test_parse_closure_all_models():
         GenConfig(n_flows=300, seed=5, geometric_mean=20.0, split=0.7),
     ):
         counters = IngestCounters()
-        for _ in _parse_batches(generate(cfg), counters):
-            pass
+        parse_columns(generate(cfg), counters)
         assert counters.records_ok == 300
         assert counters.lines_consumed == 300
 

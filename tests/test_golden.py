@@ -4,7 +4,9 @@ The digests pin every byte the pipeline writes (window split points, matrix
 build, blob encoding, TAR layout and naming), so a refactor that claims to
 leave the output unchanged can be checked mechanically. A change that alters
 the archives on purpose must re-record them and say why. These are the
-digests of version 2 blobs, one LZ4 block and one CRC32 per matrix.
+digests of version 2 blobs, one LZ4 block and one CRC32 per matrix. Both
+kinds of input are pinned: a line iterable, parsed in blocks of lines, and
+the same lines in a file, parsed in byte chunks.
 """
 
 import hashlib
@@ -12,7 +14,9 @@ import time
 
 import pytest
 
+from flowmat import shard
 from flowmat.cryptopan import CryptoPan
+from flowmat.eve import open_source
 from flowmat.flowgen import GenConfig, generate
 from flowmat.pipeline import run_ingest
 
@@ -43,11 +47,27 @@ def golden_lines():
     return list(generate(GOLDEN_INPUT))
 
 
+@pytest.fixture(scope="module")
+def golden_file(golden_lines, tmp_path_factory):
+    path = tmp_path_factory.mktemp("golden") / "golden.ndjson"
+    path.write_bytes(b"".join(line + b"\n" for line in golden_lines))
+    return path
+
+
+@pytest.mark.parametrize("source", ["stream", "file"])
 @pytest.mark.parametrize("mode", sorted(GOLDEN_TARS))
-def test_golden_archives(mode, golden_lines, tmp_path, monkeypatch):
+def test_golden_archives(mode, source, golden_lines, golden_file, tmp_path, monkeypatch):
     monkeypatch.setattr(time, "time", lambda: FIXED_CLOCK)
     anon = CryptoPan(KEY) if mode == "anon" else None
-    run_ingest(iter(golden_lines), anon, tmp_path)
+    if source == "file":
+        assert golden_file.stat().st_size > 10 * shard.CHUNK_BYTES
+        lines = open_source(str(golden_file))
+        try:
+            run_ingest(lines, anon, tmp_path)
+        finally:
+            lines.close()
+    else:
+        run_ingest(iter(golden_lines), anon, tmp_path)
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.glob("*.tar"))

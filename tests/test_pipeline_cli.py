@@ -15,7 +15,7 @@ import pytest
 from flowmat import shard
 from flowmat.archive import decode_matrix, iter_archive
 from flowmat.cryptopan import CryptoPan
-from flowmat.eve import open_source
+from flowmat.eve import IngestCounters, open_source
 from flowmat.flowgen import GenConfig, generate
 from flowmat.pipeline import run_bench, run_ingest, verify_archive
 from tests.conftest import ELEPHANT_INPUT
@@ -68,6 +68,37 @@ def test_sharded_file_stage_seconds_split_the_wait_by_worker_cpu(eve_file, tmp_p
     assert sum(stages.values()) <= result.seconds
     assert set(cpu) == {"parse", "anonymize"} and all(sec > 0 for sec in cpu.values())
     assert result.as_dict()["worker_cpu_seconds"] == {k: round(v, 6) for k, v in cpu.items()}
+
+
+def test_stream_read_waits_stay_in_parse(tmp_path):
+    block, pause = shard.STREAM_BLOCK_LINES, 0.2
+
+    def lines():
+        for i, line in enumerate(generate(GenConfig(n_flows=3 * block, seed=12))):
+            if i and i % block == 0:
+                time.sleep(pause)  # a quiet sensor between two blocks
+            yield line
+
+    result = run_ingest(lines(), CryptoPan(KEY), tmp_path, window_packets=1 << 12)
+    stages, cpu = result.stage_seconds, result.worker_cpu_seconds
+    assert result.counters.records_ok == 3 * block
+    assert all(sec > 0 for sec in cpu.values())
+    # anonymize never gets more than its own CPU seconds, so the waits are parse's
+    assert stages["anonymize"] <= cpu["anonymize"]
+    assert stages["parse"] >= 2 * pause
+    assert sum(stages.values()) <= result.seconds
+
+
+@pytest.mark.parametrize("kind", ["empty", "non_flow"])
+def test_stream_without_records_writes_no_window(kind, tmp_path):
+    # 1,000 non-flow lines are two blocks, neither holding a record
+    lines = [] if kind == "empty" else [b'{"event_type":"alert","src_ip":"10.0.0.1"}'] * 1000
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        result = run_ingest(iter(lines), CryptoPan(KEY), tmp_path, window_packets=1 << 12)
+    assert result.counters == IngestCounters(records_skipped_non_flow=len(lines))
+    assert (result.windows_written, result.windows_partial, result.tars_finalized) == (0, 0, 0)
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_run_ingest_propagates_write_errors(eve_file, tmp_path):
@@ -377,18 +408,45 @@ def test_cli_bench_smoke(eve_file, tmp_path):
     assert b"unreliable" in proc.stderr
 
 
+def strict_json(text: bytes):
+    """json.loads that refuses NaN and Infinity, which are not JSON."""
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
 def test_cli_bench_of_a_sharded_file_prints_strict_json(eve_file, tmp_path, key_file):
     assert eve_file.stat().st_size > shard.CHUNK_BYTES
     proc = run_cli("bench", "--input", str(eve_file), "--key", str(key_file),
                    "--out", str(tmp_path), "--window-bits", "12")
     assert proc.returncode == 0, proc.stderr
-
-    def refuse(name):
-        raise ValueError(f"not JSON: {name}")
-
-    report = json.loads(proc.stdout, parse_constant=refuse)
+    report = strict_json(proc.stdout)
     for stage in report["stages"].values():
         assert math.isfinite(stage["records_per_second"]) and stage["records_per_second"] > 0
+
+
+@pytest.mark.parametrize("kind", ["empty", "chunks"])
+def test_cli_bench_without_anon_prints_strict_json(kind, eve_file, tmp_path):
+    path = tmp_path / "empty.ndjson"
+    if kind == "empty":
+        path.write_bytes(b"")
+    else:
+        path = eve_file
+        assert path.stat().st_size > 2 * shard.CHUNK_BYTES
+    proc = run_cli("bench", "--input", str(path), "--no-anon",
+                   "--out", str(tmp_path / "out"), "--window-bits", "12")
+    assert proc.returncode == 0, proc.stderr
+    report = strict_json(proc.stdout)
+    # a stage that took no measurable time has no rate and takes no part in the extremes
+    rates = {name: stage["records_per_second"] for name, stage in report["stages"].items()}
+    timed = {name: rate for name, rate in rates.items() if rate is not None}
+    assert all(math.isfinite(rate) and rate >= 0 for rate in timed.values())
+    assert report["fastest_stage"] in timed
+    assert report["min_stage_rate"] == min(timed.values())
+    if kind == "empty":
+        assert rates["anonymize"] is None and rates["window_build"] is None
+        assert report["stages"]["anonymize"]["seconds"] == 0
 
 
 def test_cli_sigterm_finalizes_the_open_tar(tmp_path):

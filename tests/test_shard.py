@@ -23,7 +23,7 @@ from flowmat.eve import (
     MAX_LINE_BYTES, IngestCounters, _bounded_lines, chunk_lines, open_source, parse_columns,
 )
 from flowmat.flowgen import GenConfig, generate
-from flowmat.pipeline import BATCH_RECORDS, run_ingest, verify_archive
+from flowmat.pipeline import run_ingest, verify_archive
 from tests.conftest import criterion_9_corpus
 from tests.test_golden import FIXED_CLOCK, GOLDEN_INPUT, GOLDEN_TARS, KEY
 
@@ -311,16 +311,16 @@ def test_parse_batches_count_every_line_like_the_stream(tmp_path, sharded, monke
     path.write_bytes(edge_corpus(4096, False))
     fd = os.open(path, os.O_RDONLY)
     try:
-        counters = IngestCounters()
-        chunks = [batches for batches, _ in shard.parse_file(fd, path.stat().st_size, counters,
-                                                              None)]
+        chunks = list(shard.parse_file(fd, path.stat().st_size, None))
     finally:
         os.close(fd)
-    # one non-empty batch per chunk that owns a record
-    assert all(len(batches) <= 1 for batches in chunks)
-    batches = [batch for batches in chunks for batch in batches]
-    assert all(len(batch) > 0 for batch in batches)
-    assert sum(map(len, batches)) == counters.records_ok
+    # one batch per chunk, holding every record the chunk owns
+    assert len(chunks) == -(-path.stat().st_size // 4096)
+    counters = IngestCounters()
+    for batch, chunk_counters, _ in chunks:
+        assert len(batch) == chunk_counters.records_ok
+        counters.add(chunk_counters)
+    assert sum(len(batch) for batch, _, _ in chunks) == counters.records_ok
     with open(path, "rb") as fh:
         assert counters.lines_consumed == len(list(_bounded_lines(fh)))
 
@@ -377,7 +377,7 @@ def test_column_kernel_is_exact_at_its_boundaries(tmp_path, monkeypatch, sharded
     assert malformed == 400
 
     counters = IngestCounters()
-    assert batch_columns(parse_columns(lines, counters, BATCH_RECORDS)) == want
+    assert batch_columns([parse_columns(lines, counters)]) == want
     assert counters.records_skipped_malformed == malformed
 
     monkeypatch.setattr(shard, "CHUNK_BYTES", 4096)
@@ -385,12 +385,14 @@ def test_column_kernel_is_exact_at_its_boundaries(tmp_path, monkeypatch, sharded
     path.write_bytes(b"\n".join(lines) + b"\n")
     fd = os.open(path, os.O_RDONLY)
     try:
-        counters = IngestCounters()
-        chunks = list(shard.parse_file(fd, path.stat().st_size, counters, None))
+        chunks = list(shard.parse_file(fd, path.stat().st_size, None))
     finally:
         os.close(fd)
     assert len(sharded) == 3
-    assert batch_columns(batch for batches, _ in chunks for batch in batches) == want
+    assert batch_columns(batch for batch, _, _ in chunks) == want
+    counters = IngestCounters()
+    for _, chunk_counters, _ in chunks:
+        counters.add(chunk_counters)
     assert counters.records_skipped_malformed == malformed
     assert counters.records_ok == len(want[0])
 
@@ -432,16 +434,15 @@ def test_parent_error_kills_and_reaps_every_child(big_input, tmp_path, monkeypat
 def test_dead_child_is_an_error_naming_its_status(death, big_input, tmp_path, monkeypatch,
                                                   sharded):
     parent = os.getpid()
-    parse_chunk = shard._parse_chunk
 
-    def dying_parse_chunk(fd, size, chunk, index, batch_records):
-        if os.getpid() != parent and index == 40:
+    def dying_chunk_lines(fd, start, stop, size):
+        if os.getpid() != parent and start == 40 * shard.CHUNK_BYTES:
             if death == "exit":
                 os._exit(7)
             os.kill(os.getpid(), signal.SIGKILL)
-        return parse_chunk(fd, size, chunk, index, batch_records)
+        return chunk_lines(fd, start, stop, size)
 
-    monkeypatch.setattr(shard, "_parse_chunk", dying_parse_chunk)
+    monkeypatch.setattr(shard, "chunk_lines", dying_chunk_lines)
     message = "exited with status 7" if death == "exit" else "was killed by signal 9"
     with deadline(60), pytest.raises(shard.WorkerError, match=f"{message} before sending chunk 40"):
         ingest_file(big_input, tmp_path / "out", sharded=True, window_packets=1 << 8)
@@ -463,8 +464,7 @@ def test_workers_ignore_sigterm(big_input, sharded):
     size = big_input.stat().st_size
     fd = os.open(big_input, os.O_RDONLY)
     try:
-        counters = IngestCounters()
-        chunks = shard.parse_file(fd, size, counters, None)
+        chunks = shard.parse_file(fd, size, None)
         with deadline(60), contextlib.closing(chunks):
             taken = [next(chunks), next(chunks)]  # every worker has sent a chunk
             for pid in sharded:
@@ -474,6 +474,9 @@ def test_workers_ignore_sigterm(big_input, sharded):
         os.close(fd)
     assert len(sharded) == 3
     assert len(taken) == -(-size // 4096)
+    counters = IngestCounters()
+    for _, chunk_counters, _ in taken:
+        counters.add(chunk_counters)
     assert counters.records_ok == counters.lines_consumed == 20_000
 
 
@@ -492,6 +495,12 @@ def test_result_cut_short_is_a_worker_error():
         worker.stop()
 
 
+def chunk_result(fd, size, chunk, index):
+    """What a worker sends for chunk index: its batch, its counters and its CPU seconds."""
+    start = index * chunk
+    return shard._anonymized(chunk_lines(fd, start, min(start + chunk, size), size), None)
+
+
 def serve_in_child(path, chunk, k, n):
     """Fork one worker by hand; returns its pid and the parent's end of its pipe."""
     fd = os.open(path, os.O_RDONLY)
@@ -500,7 +509,7 @@ def serve_in_child(path, chunk, k, n):
     pid = os.fork()
     if pid == 0:
         os.close(read_fd)
-        shard._serve(lambda i: shard._parse_chunk(fd, size, chunk, i, BATCH_RECORDS),
+        shard._serve(lambda i: chunk_result(fd, size, chunk, i),
                      range(k, -(-size // chunk), n), write_fd)
     os.close(write_fd)
     os.close(fd)
@@ -523,10 +532,10 @@ def test_child_ignores_sigint(big_input):
     assert worker.exit_code == 0
     fd = os.open(big_input, os.O_RDONLY)
     try:
-        for i, (batches, counters) in zip(range(1, n_chunks, 2), received):
-            want_batches, want_counters = shard._parse_chunk(fd, size, 4096, i, BATCH_RECORDS)
+        for i, (batch, counters, _) in zip(range(1, n_chunks, 2), received):
+            want_batch, want_counters, _ = chunk_result(fd, size, 4096, i)
             assert counters == want_counters
-            assert [b.src.tolist() for b in batches] == [b.src.tolist() for b in want_batches]
+            assert batch.src.tolist() == want_batch.src.tolist()
     finally:
         os.close(fd)
 
