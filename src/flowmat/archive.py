@@ -10,8 +10,14 @@ Blob layout, version 2 (all little-endian):
 
 Version 1 blobs are still read. They carry the same header with version 1
 and then the four sections each as its own LZ4 block, each prefixed with its
-raw_len u64 and comp_len u64, and no checksum. encode_matrix writes only
-version 2.
+raw_len u64 and comp_len u64, and no checksum. Only version 2 is written.
+
+Ingest encodes and writes windows a group at a time, never one by one:
+encode_group turns the matrices of one segmented build (a
+hypermat.MatrixGroup) into their blobs, and ArchiveWriter.extend writes
+them as consecutive members, rotating TARs inside the run, with one write
+per TAR it reaches, after checking every member's header. encode_matrix and
+ArchiveWriter.append are the one-member calls of the two.
 
 Blobs are grouped DEFAULT_PER_TAR (64) per POSIX ustar TAR; member names are
 the 20-digit zero-padded window sequence number plus ".grb", so lexicographic
@@ -65,7 +71,7 @@ from pathlib import Path
 import numpy as np
 
 from flowmat import lz4block
-from flowmat.hypermat import DIMENSION, HyperMatrix, MatrixMeta
+from flowmat.hypermat import DIMENSION, HyperMatrix, MatrixGroup, MatrixMeta
 
 MAGIC = b"HSTM"
 DEFAULT_PER_TAR = 64
@@ -108,26 +114,39 @@ class ContainerError(IntegrityError):
 
 def encode_matrix(m: HyperMatrix, meta: MatrixMeta) -> bytes:
     """The version 2 blob of m."""
-    raw = b"".join((m.rows_present, m.row_ptr, m.col_ids, m.vals))
-    nrows_present = len(m.rows_present)
-    # HyperMatrix's dtypes: 4 + 8 bytes a row, 4 + 8 an entry, 8 for row_ptr's end
-    if len(raw) != 12 * (nrows_present + m.nvals) + 8:
+    group = MatrixGroup(m.rows_present, m.row_ptr, m.col_ids, m.vals,
+                        np.array([0, len(m.rows_present)]), np.array([0, m.nvals]))
+    return encode_group(group, meta.seq, [meta.packet_total], meta.created_unix_s)[0]
+
+
+def encode_group(group: MatrixGroup, first_seq: int, packet_totals, created_unix_s: int
+                 ) -> list[bytes]:
+    """The version 2 blobs of a group's matrices, in order.
+
+    Matrix k is window first_seq + k of packet_totals[k] packets. Its four
+    sections are sliced out of the group's arrays without copies and joined
+    into the buffer its LZ4 block is compressed from.
+    """
+    arrays = (group.rows_present, group.row_ptr, group.col_ids, group.vals)
+    row_bounds, entry_bounds = group.row_bounds.tolist(), group.entry_bounds.tolist()
+    # HyperMatrix's dtypes: 4 + 8 bytes a row, 4 + 8 an entry, 8 for each row_ptr's end
+    if (tuple(a.itemsize for a in arrays) != _ITEM_SIZES or group.nbytes
+            != 12 * (row_bounds[-1] + entry_bounds[-1]) + 8 * (len(row_bounds) - 1)):
         raise ValueError("matrix arrays do not have HyperMatrix's dtypes")
-    block = lz4block.compress(raw)
-    head = _V2_HEAD.pack(
-        MAGIC,
-        2,  # version
-        DIMENSION,
-        DIMENSION,
-        m.nvals,
-        nrows_present,
-        meta.seq,
-        meta.packet_total,
-        meta.created_unix_s,
-        len(raw),
-        len(block),
-    )
-    return b"".join((head, _crc32(head, block).to_bytes(4, "little"), block))
+    rows_present, row_ptr, col_ids, vals = map(memoryview, arrays)
+    blobs = []
+    for k, (seq, packet_total, r0, r1, e0, e1) in enumerate(zip(
+        itertools.count(first_seq), packet_totals, row_bounds, row_bounds[1:],
+        entry_bounds, entry_bounds[1:],
+    )):
+        # row_ptr holds one more item a matrix: its end offset
+        raw = b"".join((rows_present[r0:r1], row_ptr[r0 + k:r1 + k + 1], col_ids[e0:e1],
+                        vals[e0:e1]))
+        block = lz4block.compress(raw)
+        head = _V2_HEAD.pack(MAGIC, 2, DIMENSION, DIMENSION, e1 - e0, r1 - r0, seq,
+                             packet_total, created_unix_s, len(raw), len(block))
+        blobs.append(b"".join((head, _crc32(head, block).to_bytes(4, "little"), block)))
+    return blobs
 
 
 def _crc32(head, block) -> int:
@@ -322,18 +341,26 @@ _MODE_IDS = _TEMPLATE[100:124]
 _AFTER_CHECKSUM = _TEMPLATE[156:]
 
 
-def _ustar_header(name: bytes, size: int, mtime: int) -> bytes:
-    if len(name) > 100:
-        raise ValueError(f"member name {name!r} longer than 100 bytes")
-    if not 0 <= size < _OCTAL_LIMIT or not 0 <= mtime < _OCTAL_LIMIT:
-        raise ValueError(f"member size {size} or mtime {mtime} overflows a ustar field")
-    size_field = b"%011o\x00" % size
+def _ustar_headers(first_seq: int, blobs, mtime: int) -> list[bytes]:
+    """The headers of blobs as members first_seq, first_seq + 1, ..., all of one mtime."""
+    if not 0 <= mtime < _OCTAL_LIMIT:
+        raise ValueError(f"member mtime {mtime} overflows a ustar field")
     mtime_field = b"%011o\x00" % mtime
-    checksum = _TEMPLATE_SUM + sum(name) + sum(size_field) + sum(mtime_field)
-    return b"".join((
-        name.ljust(100, b"\x00"), _MODE_IDS, size_field, mtime_field,
-        b"%06o\x00 " % checksum, _AFTER_CHECKSUM,
-    ))
+    fixed_sum = _TEMPLATE_SUM + sum(mtime_field)
+    headers = []
+    for seq, blob in zip(itertools.count(first_seq), blobs):
+        name, size = member_name(seq).encode("ascii"), len(blob)
+        if len(name) > 100:
+            raise ValueError(f"member name {name!r} longer than 100 bytes")
+        if not 0 <= size < _OCTAL_LIMIT:
+            raise ValueError(f"member size {size} overflows a ustar field")
+        size_field = b"%011o\x00" % size
+        checksum = fixed_sum + sum(name) + sum(size_field)
+        headers.append(b"".join((
+            name.ljust(100, b"\x00"), _MODE_IDS, size_field, mtime_field,
+            b"%06o\x00 " % checksum, _AFTER_CHECKSUM,
+        )))
+    return headers
 
 
 class ArchiveWriter:
@@ -352,25 +379,40 @@ class ArchiveWriter:
     def append(self, blob: bytes, meta: MatrixMeta) -> Path | None:
         """Add one blob; returns the TAR path when this append finalizes one.
 
-        Raises ValueError, with nothing written, when seq does not ascend or
-        the blob's size or the mtime does not fit its ustar field, and
-        FileExistsError, leaving that file as it was, when a new TAR's name is taken.
+        Raises as extend does.
         """
-        if self._last_seq is not None and meta.seq <= self._last_seq:
-            raise ValueError(f"seq {meta.seq} not ascending past {self._last_seq}")
-        header = _ustar_header(member_name(meta.seq).encode("ascii"), len(blob),
-                               meta.created_unix_s)
-        if self._fh is None:
-            self._fh = open(self.out_dir / f"{meta.created_unix_s}_{meta.seq}.tar", "xb")
-        self._last_seq = meta.seq
-        self._fh.write(header)
-        self._fh.write(blob)
-        self._fh.write(_ZERO_BLOCK[: -len(blob) % _BLOCK])
-        self._members_in_tar += 1
+        finalized = self.extend([blob], meta.seq, meta.created_unix_s)
+        return finalized[0] if finalized else None
 
-        if self._members_in_tar == self.per_tar:
-            return self._finalize()
-        return None
+    def extend(self, blobs: list[bytes], first_seq: int, created_unix_s: int) -> list[Path]:
+        """Add blobs as members first_seq, first_seq + 1, ...; returns the TARs this finalizes.
+
+        The members of each TAR go to it in one write. Raises ValueError, with
+        nothing written, when first_seq does not ascend or any blob's size or
+        the mtime does not fit its ustar field, and FileExistsError, leaving
+        that file as it was, when a new TAR's name is taken; the members
+        before that TAR are then written.
+        """
+        if self._last_seq is not None and first_seq <= self._last_seq:
+            raise ValueError(f"seq {first_seq} not ascending past {self._last_seq}")
+        headers = _ustar_headers(first_seq, blobs, created_unix_s)
+        finalized = []
+        done = 0
+        while done < len(blobs):
+            seq = first_seq + done
+            if self._fh is None:
+                self._fh = open(self.out_dir / f"{created_unix_s}_{seq}.tar", "xb")
+            run = min(self.per_tar - self._members_in_tar, len(blobs) - done)
+            self._fh.writelines(itertools.chain.from_iterable(
+                (header, blob, _ZERO_BLOCK[: -len(blob) % _BLOCK])
+                for header, blob in zip(headers[done:done + run], blobs[done:done + run])
+            ))
+            self._last_seq = seq + run - 1
+            self._members_in_tar += run
+            done += run
+            if self._members_in_tar == self.per_tar:
+                finalized.append(self._finalize())
+        return finalized
 
     def _finalize(self) -> Path:
         fh = self._fh

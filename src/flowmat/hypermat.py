@@ -4,6 +4,12 @@ Storage is proportional to the number of stored entries and present rows,
 never to the 4-billion-row logical dimension. Row = source address,
 column = destination address. Only the operations the pipeline needs exist:
 plus-duplicate build from tagged triples and the packet total.
+
+Ingest builds every window a batch completes with one segmented sort
+(build_segments), which returns them as one MatrixGroup: the windows' arrays
+end to end and each window's bounds in them, never an object per window.
+build_arrays is the one-matrix case and returns a HyperMatrix, the type
+the readers decode into.
 """
 
 from __future__ import annotations
@@ -59,23 +65,47 @@ def empty() -> HyperMatrix:
     )
 
 
+@dataclass(frozen=True)
+class MatrixGroup:
+    """Canonical matrices built together, their arrays laid end to end.
+
+    Matrix k owns rows_present[r0:r1], row_ptr[r0 + k:r1 + k + 1], col_ids[e0:e1]
+    and vals[e0:e1], where r0, r1 = row_bounds[k:k + 2] and e0, e1 =
+    entry_bounds[k:k + 2]. Its row_ptr slice is its own, from 0 to its end
+    offset e1 - e0, so each slice is exactly the array of a HyperMatrix.
+    """
+
+    rows_present: np.ndarray  # uint32
+    row_ptr: np.ndarray       # uint64, len(rows_present) + the number of matrices
+    col_ids: np.ndarray       # uint32
+    vals: np.ndarray          # uint64
+    row_bounds: np.ndarray    # int64, one more than the number of matrices
+    entry_bounds: np.ndarray  # int64, likewise
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the four arrays, as the matrices' blob sections hold them."""
+        return (self.rows_present.nbytes + self.row_ptr.nbytes
+                + self.col_ids.nbytes + self.vals.nbytes)
+
+
 def build_arrays(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> HyperMatrix:
     """Plus-duplicate build from parallel coordinate arrays: one segment."""
-    return build_segments(np.zeros(len(vals), dtype=np.int64), rows, cols, vals, 1)[0]
+    g = build_segments(np.zeros(len(vals), dtype=np.int64), rows, cols, vals, 1)
+    return HyperMatrix(g.rows_present, g.row_ptr, g.col_ids, g.vals)
 
 
 def build_segments(
     segs: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, nseg: int
-) -> list[HyperMatrix]:
+) -> MatrixGroup:
     """Plus-duplicate build of nseg matrices from one set of tagged triples.
 
     Triple i belongs to matrix segs[i] (0 <= segs[i] < nseg). One sort on
     (segment, packed 64-bit (row, col) key) orders every matrix at once, one
-    reduceat folds runs of equal keys, and each matrix is a slice of the result.
-    Each matrix's values must sum below 2^64, as every window does.
+    reduceat folds runs of equal keys, and one insert puts each matrix's end
+    offset after its row offsets. Each matrix's values must sum below 2^64,
+    as every window does.
     """
-    if len(vals) == 0:
-        return [empty() for _ in range(nseg)]
     if (vals == 0).any():
         raise ValueError("zero-valued triples must be dropped before build")
 
@@ -86,7 +116,7 @@ def build_segments(
     sorted_vals = vals.astype(np.uint64)[order]
 
     new_entry = np.empty(len(keys), dtype=bool)
-    new_entry[0] = True
+    new_entry[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=new_entry[1:])
     new_entry[1:] |= segs[1:] != segs[:-1]
     starts = np.flatnonzero(new_entry)
@@ -96,31 +126,20 @@ def build_segments(
     col_ids = (keys[starts] & np.uint64(0xFFFFFFFF)).astype(np.uint32)
 
     new_row = np.empty(len(starts), dtype=bool)
-    new_row[0] = True
+    new_row[:1] = True
     np.not_equal(entry_rows[1:], entry_rows[:-1], out=new_row[1:])
     new_row[1:] |= entry_segs[1:] != entry_segs[:-1]
     row_starts = np.flatnonzero(new_row)
-    rows_present = entry_rows[row_starts]
+    row_segs = entry_segs[row_starts]
 
     bounds = np.arange(nseg + 1)
-    entry_bounds = np.searchsorted(entry_segs, bounds).tolist()
-    row_bounds = np.searchsorted(entry_segs[row_starts], bounds).tolist()
-    matrices = []
-    for s in range(nseg):
-        e0, e1 = entry_bounds[s], entry_bounds[s + 1]
-        r0, r1 = row_bounds[s], row_bounds[s + 1]
-        row_ptr = np.empty(r1 - r0 + 1, dtype=np.uint64)
-        row_ptr[:-1] = row_starts[r0:r1] - e0
-        row_ptr[-1] = e1 - e0
-        matrices.append(
-            HyperMatrix(
-                rows_present=rows_present[r0:r1],
-                row_ptr=row_ptr,
-                col_ids=col_ids[e0:e1],
-                vals=summed[e0:e1],
-            )
-        )
-    return matrices
+    entry_bounds = np.searchsorted(entry_segs, bounds)
+    row_bounds = np.searchsorted(row_segs, bounds)
+    # each row's offset within its matrix, then each matrix's end offset after its rows
+    offsets = (row_starts - entry_bounds[row_segs]).astype(np.uint64)
+    row_ptr = np.insert(offsets, row_bounds[1:], np.diff(entry_bounds))
+    return MatrixGroup(entry_rows[row_starts], row_ptr, col_ids, summed,
+                       row_bounds, entry_bounds)
 
 
 def total_sum(m: HyperMatrix) -> int:

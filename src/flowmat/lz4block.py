@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ctypes
-import ctypes.util
 import threading
 
 # lz4.h's LZ4_MAX_INPUT_SIZE; LZ4_COMPRESSBOUND(n) holds below it
@@ -15,11 +14,19 @@ class Lz4Error(RuntimeError):
 
 
 def _load() -> ctypes.CDLL:
-    name = ctypes.util.find_library("lz4") or "liblz4.so.1"
+    # The soname first: ctypes.util imports subprocess, and find_library runs
+    # ldconfig, which together cost every start several milliseconds.
+    name = "liblz4.so.1"
     try:
         lib = ctypes.CDLL(name)
-    except OSError as exc:
-        raise Lz4Error(f"cannot load liblz4 ({name}): {exc}") from exc
+    except OSError:
+        from ctypes.util import find_library
+
+        name = find_library("lz4") or name
+        try:
+            lib = ctypes.CDLL(name)
+        except OSError as exc:
+            raise Lz4Error(f"cannot load liblz4 ({name}): {exc}") from exc
     lib.LZ4_compress_default.restype = ctypes.c_int
     lib.LZ4_compress_default.argtypes = [
         ctypes.c_char_p, ctypes.c_char_p, ctypes.c_int, ctypes.c_int,

@@ -4,10 +4,12 @@ Ingest is a generator chain over column batches of flow records, each held
 as four numpy columns (src, dst, toserver, toclient). Each batch is
 anonymized with one Crypto-PAn pass over its distinct addresses; the
 windower cuts the batch's directed entries at window boundaries and builds
-every window the batch completes with one segmented sort; each matrix is
-then encoded and appended to the current TAR. One batch in each process,
-a pipe's worth of results per parse worker and the open window are held at
-a time, so memory stays flat for any input size.
+the windows the batch completes with one segmented sort per group of up to
+MAX_WINDOWS_PER_BUILD; each group is encoded into its blobs at once and
+written to the TARs with one write per TAR it reaches. One batch in each
+process, a pipe's worth of results per parse worker, the open window and
+one group with its blobs are held at a time, so memory stays flat for any
+input size.
 
 Parsing and anonymizing are the stages that may leave this process. Every
 input comes in chunks, each parsed and anonymized into one batch
@@ -18,8 +20,9 @@ in input order and window, build, encode and archive run sequentially in
 this process, so the archives are the same byte for byte.
 
 Every ingest times its four stages with a few clock reads per batch and
-per window, never per line. The bench is one such ingest of a recorded file,
-read in chunks like any other, with its rates derived from those timers.
+per group, never per window or line. The bench is one such ingest of a
+recorded file, read in chunks like any other, with its rates derived from
+those timers.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from pathlib import Path
 from flowmat import shard
 from flowmat.archive import (
     DEFAULT_PER_TAR, ArchiveWriter, ContainerError, IntegrityError, decode_and_reencode,
-    encode_matrix, iter_member_groups,
+    encode_group, iter_member_groups,
 )
 from flowmat.cryptopan import CryptoPan
 from flowmat.eve import FileLineSource, IngestCounters, open_source
@@ -100,11 +103,12 @@ def run_ingest(
 
     The stage timers are laps of one clock, so they sum to at most
     result.seconds. parse includes reading the source; window_build includes
-    the matrix build, encode_archive includes the TAR writes. The wait for
-    each chunk is split between parse and anonymize: anonymize gets the
-    smaller of its share of the wait, in the ratio of the CPU seconds spent
-    on each, and its own CPU seconds, so a stream's read waits stay in
-    parse. Those CPU seconds are summed in result.worker_cpu_seconds.
+    the matrix build, encode_archive includes the TAR writes. The clock is
+    read once per chunk and once per group of windows. The wait for each
+    chunk is split between parse and anonymize: anonymize gets the smaller
+    of its share of the wait, in the ratio of the CPU seconds spent on each,
+    and its own CPU seconds, so a stream's read waits stay in parse. Those
+    CPU seconds are summed in result.worker_cpu_seconds.
     """
     start = time.perf_counter()
     counters = IngestCounters()
@@ -132,24 +136,20 @@ def run_ingest(
         result.worker_cpu_seconds["parse"] += parse_s
         result.worker_cpu_seconds["anonymize"] += anonymize_s
 
-    def write(matrix, meta) -> None:
+    def write(group, first_seq, packet_totals, created) -> None:
         lap("window_build")
-        blob = encode_matrix(matrix, meta)
-        result.windows_written += 1
-        result.packets_total += meta.packet_total
-        result.raw_bytes += (
-            matrix.rows_present.nbytes + matrix.row_ptr.nbytes
-            + matrix.col_ids.nbytes + matrix.vals.nbytes
-        )
-        result.blob_bytes += len(blob)
-        if writer.append(blob, meta) is not None:
-            result.tars_finalized += 1
+        blobs = encode_group(group, first_seq, packet_totals, created)
+        result.windows_written += len(blobs)
+        result.packets_total += sum(packet_totals)
+        result.raw_bytes += group.nbytes
+        result.blob_bytes += sum(map(len, blobs))
+        result.tars_finalized += len(writer.extend(blobs, first_seq, created))
         lap("encode_archive")
 
     def window(batch) -> None:
-        # a helper, so no matrix outlives its write while the next chunk is awaited
-        for matrix, meta in windower.push(batch):
-            write(matrix, meta)
+        # a helper, so no group outlives its write while the next chunk is awaited
+        for windows in windower.push(batch):
+            write(*windows)
         lap("window_build")
 
     if isinstance(lines, FileLineSource) and lines.size is not None:

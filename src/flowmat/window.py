@@ -5,9 +5,11 @@ to-server count, then (dst, src) with the to-client count; zero counts are
 dropped. A batch's entries are laid end to end after the open window's
 packets by a cumulative sum and cut at every multiple of the window size, so
 every non-final window sums to exactly the configured packet count and an
-entry crossing a boundary is split between windows. All windows a batch
-completes are built by one segmented sort (hypermat.build_segments); the
-entries of the window still open are carried to the next batch as arrays.
+entry crossing a boundary is split between windows. The windows a batch
+completes are built by one segmented sort (hypermat.build_segments) per
+MAX_WINDOWS_PER_BUILD of them, and each build is handed on whole, as one
+group of windows, never as an object per window; the entries of the window
+still open are carried to the next batch as arrays.
 A flow whose counts would span more than MAX_WINDOWS_PER_FLOW windows is
 refused whole and counted, so one line cannot cost unbounded work.
 """
@@ -21,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from flowmat.eve import FlowColumns
-from flowmat.hypermat import HyperMatrix, MatrixMeta, build_arrays, build_segments
+from flowmat.hypermat import MatrixGroup, build_segments
 
 DEFAULT_WINDOW_BITS = 17
 _U64_MAX = (1 << 64) - 1
@@ -36,6 +38,10 @@ MAX_WINDOWS_PER_BUILD = 1024
 # With this bound a line costs at most about 2^15 windows (seconds of work),
 # and a direction of up to 2^31 packets still fits at the default window size.
 MAX_WINDOWS_PER_FLOW = 1 << 14
+
+# Consecutive windows: their matrices, the first one's sequence number, each
+# one's packet total and their creation time, as archive.encode_group takes them
+Windows = tuple[MatrixGroup, int, list[int], int]
 
 
 @dataclass
@@ -96,8 +102,8 @@ class Windower:
         self.flows_refused = 0
         self._buffer = TripleBuffer(seq=0)
 
-    def push(self, batch: FlowColumns) -> Iterator[tuple[HyperMatrix, MatrixMeta]]:
-        """Add a batch; yield (matrix, meta) for every window it completes.
+    def push(self, batch: FlowColumns) -> Iterator[Windows]:
+        """Add a batch; yield the windows it completes, one segmented build at a time.
 
         A flow with either count above MAX_WINDOWS_PER_FLOW windows' worth of
         packets is refused whole, counted in flows_refused, and leaves no
@@ -150,21 +156,15 @@ class Windower:
                 seg_rows = np.concatenate((open_rows, seg_rows))
                 seg_cols = np.concatenate((open_cols, seg_cols))
                 pieces = np.concatenate((open_vals, pieces))
-            matrices = build_segments(segs, seg_rows, seg_cols, pieces, k1 - k0)
-            now = int(time.time())
-            for i, matrix in enumerate(matrices):
-                yield matrix, MatrixMeta(seq=opened.seq + k0 + i, packet_total=window,
-                                         created_unix_s=now)
+            group = build_segments(segs, seg_rows, seg_cols, pieces, k1 - k0)
+            yield group, opened.seq + k0, [window] * (k1 - k0), int(time.time())
 
-    def flush(self) -> tuple[HyperMatrix, MatrixMeta] | None:
-        """Build and hand back the partial trailing window, if any, and reset."""
+    def flush(self) -> Windows | None:
+        """Build and hand back the partial trailing window, if any, as a group of one; reset."""
         buf = self._buffer
         if buf.packets_accumulated == 0:
             return None
         self._buffer = TripleBuffer(seq=buf.seq + 1)
-        meta = MatrixMeta(
-            seq=buf.seq,
-            packet_total=buf.packets_accumulated,
-            created_unix_s=int(time.time()),
-        )
-        return build_arrays(*buf.arrays()), meta
+        rows, cols, vals = buf.arrays()
+        group = build_segments(np.zeros(len(vals), dtype=np.int64), rows, cols, vals, 1)
+        return group, buf.seq, [buf.packets_accumulated], int(time.time())

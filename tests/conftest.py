@@ -15,7 +15,9 @@ from flowmat.archive import (
 )
 from flowmat.eve import FlowColumns, FlowRecord
 from flowmat.flowgen import GenConfig, generate
-from flowmat.hypermat import DIMENSION, HyperMatrix, MatrixMeta, build_arrays, empty, total_sum
+from flowmat.hypermat import (
+    DIMENSION, HyperMatrix, MatrixGroup, MatrixMeta, build_arrays, empty, total_sum,
+)
 from flowmat.pipeline import run_ingest
 from flowmat.stats import aggregate_stats, matrix_stats
 
@@ -54,6 +56,21 @@ def encode_v1(m: HyperMatrix, meta: MatrixMeta) -> bytes:
         parts.append(_SECTION_PREFIX.pack(len(raw), len(packed)))
         parts.append(packed)
     return b"".join(parts)
+
+
+def encode_v2(m: HyperMatrix, meta: MatrixMeta) -> bytes:
+    """The version 2 blob of m, written from its layout alone, one matrix at a time.
+
+    A reference for the grouped encoder, which encode_matrix also calls.
+    """
+    raw = b"".join(getattr(m, name).astype(dtype, copy=False).tobytes()
+                   for name, dtype in _SECTIONS)
+    block = lz4block.compress(raw)
+    head = _HEADER.pack(MAGIC, 2, DIMENSION, DIMENSION, m.nvals, len(m.rows_present), meta.seq,
+                        meta.packet_total, meta.created_unix_s)
+    head += struct.pack("<QQ", len(raw), len(block))
+    crc = zlib.crc32(block, zlib.crc32(head))
+    return head + struct.pack("<I", crc) + block
 
 
 def blob_version(blob: bytes) -> int:
@@ -96,6 +113,25 @@ def build(triples) -> HyperMatrix:
     cols = np.fromiter((t[1] for t in triples), dtype=np.uint32, count=len(triples))
     vals = np.fromiter((t[2] for t in triples), dtype=np.uint64, count=len(triples))
     return build_arrays(rows, cols, vals)
+
+
+def matrices(group: MatrixGroup) -> list[HyperMatrix]:
+    """Each matrix of a group, sliced out of its arrays."""
+    rb, eb = group.row_bounds.tolist(), group.entry_bounds.tolist()
+    return [
+        HyperMatrix(group.rows_present[r0:r1], group.row_ptr[r0 + k:r1 + k + 1],
+                    group.col_ids[e0:e1], group.vals[e0:e1])
+        for k, (r0, r1, e0, e1) in enumerate(zip(rb, rb[1:], eb, eb[1:]))
+    ]
+
+
+def window_matrices(windows) -> list[tuple[HyperMatrix, MatrixMeta]]:
+    """(matrix, meta) of each window of what Windower.push yields or flush returns."""
+    group, first_seq, packet_totals, created = windows
+    return [
+        (m, MatrixMeta(first_seq + k, total, created))
+        for k, (m, total) in enumerate(zip(matrices(group), packet_totals, strict=True))
+    ]
 
 
 def to_triples(m: HyperMatrix) -> list[tuple[int, int, int]]:

@@ -3,27 +3,31 @@ import json
 import struct
 import subprocess
 import tarfile
+import tempfile
 import time
 import zlib
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from flowmat.archive import (
     ArchiveWriter,
     ContainerError,
     IntegrityError,
     decode_matrix,
+    encode_group,
     encode_matrix,
     iter_archive,
     member_name,
 )
 from flowmat.flowgen import generate
-from flowmat.hypermat import MatrixMeta, empty
+from flowmat.hypermat import MatrixMeta, build_segments, empty
 from flowmat.pipeline import run_ingest, verify_archive
 from flowmat.stats import archive_stats
-from tests.conftest import build, encode_v1, random_matrix, to_triples, with_crc
+from tests.conftest import build, encode_v1, encode_v2, random_matrix, to_triples, with_crc
 from tests.test_golden import FIXED_CLOCK, GOLDEN_INPUT
 from tests.test_pipeline_cli import run_cli
 
@@ -429,3 +433,87 @@ def test_container_truncation_is_reported(tmp_path, rng):
     for cut in sorted(cuts):
         bad.write_bytes(data[:cut])
         assert _check_reported(bad, original), cut
+
+
+# --- groups of windows: one encoder and one writer for many members ----------
+
+# small coordinates make windows share rows and fold duplicates; any window
+# may be empty or hold a single entry
+_coordinate = st.one_of(st.integers(0, 3), st.integers(0, 2**32 - 1))
+_window = st.lists(st.tuples(_coordinate, _coordinate, st.integers(1, 2**40)), max_size=6)
+
+
+def _tar_bytes(directory: Path) -> dict:
+    return {path.name: path.read_bytes() for path in sorted(directory.glob("*.tar"))}
+
+
+@given(
+    windows=st.lists(_window, min_size=1, max_size=12),
+    first_seq=st.integers(0, 2**40),
+    created=st.integers(0, 8**11 - 1),
+    shuffle=st.integers(0, 2**32 - 1),
+    cuts=st.lists(st.integers(0, 12), max_size=4),
+    per_tar=st.sampled_from([1, 3, 64]),
+)
+@settings(max_examples=150, deadline=None)
+def test_group_encodes_and_writes_as_its_windows_one_by_one(
+    windows, first_seq, created, shuffle, cuts, per_tar
+):
+    table = np.array([(k, *t) for k, window in enumerate(windows) for t in window],
+                     dtype=np.uint64).reshape(-1, 4)
+    # the triples' order must not matter
+    segs, rows, cols, vals = table[np.random.default_rng(shuffle).permutation(len(table))].T
+    group = build_segments(segs.astype(np.int64), rows.astype(np.uint32),
+                           cols.astype(np.uint32), vals, len(windows))
+    totals = [sum(v for *_, v in window) for window in windows]
+    blobs = encode_group(group, first_seq, totals, created)
+    metas = [MatrixMeta(first_seq + k, total, created) for k, total in enumerate(totals)]
+    matrices = [build(window) for window in windows]
+    assert blobs == [encode_matrix(m, meta) for m, meta in zip(matrices, metas)]
+    assert blobs == [encode_v2(m, meta) for m, meta in zip(matrices, metas)]
+
+    # the members in runs of consecutive windows, and one at a time
+    bounds = sorted({0, len(blobs), *(c for c in cuts if c <= len(blobs))})
+    with tempfile.TemporaryDirectory() as tmp:
+        runs, alone = Path(tmp) / "runs", Path(tmp) / "alone"
+        w = ArchiveWriter(runs, per_tar=per_tar)
+        finalized = []
+        for lo, hi in zip(bounds, bounds[1:]):
+            finalized += w.extend(blobs[lo:hi], first_seq + lo, created)
+        finalized.append(w.close())
+        w = ArchiveWriter(alone, per_tar=per_tar)
+        one_by_one = [w.append(blob, meta) for blob, meta in zip(blobs, metas)] + [w.close()]
+        assert [p.name for p in finalized if p] == [p.name for p in one_by_one if p]
+        assert _tar_bytes(runs) == _tar_bytes(alone)
+        assert len(_tar_bytes(runs)) == -(-len(blobs) // per_tar)
+
+
+@pytest.mark.parametrize("per_tar", [2, 3], ids=["tar_full", "tar_open"])
+def test_group_write_of_a_non_ascending_seq_writes_nothing(tmp_path, per_tar):
+    w = ArchiveWriter(tmp_path, per_tar=per_tar)
+    w.extend([b"a", b"b"], 0, 5)
+    # the group would start a new TAR, or finish the open one and start another
+    with pytest.raises(ValueError, match="ascending"):
+        w.extend([b"c", b"d", b"e"], 1, 5)
+    w.close()
+    assert list(tmp_path.iterdir()) == [tmp_path / "5_0.tar"]
+    assert _tarfile_members(tmp_path / "5_0.tar") == [(member_name(0), b"a"), (member_name(1), b"b")]
+
+
+@pytest.mark.parametrize("written", [0, 2], ids=["first", "after_two"])
+@pytest.mark.parametrize("blob, mtime", [(b"x", 8**11), (_Huge(), 5)], ids=["mtime", "size"])
+def test_group_write_with_an_unrepresentable_header_writes_nothing(tmp_path, written, blob, mtime):
+    w = ArchiveWriter(tmp_path, per_tar=3)
+    if written:
+        w.extend([b"a", b"b"], 0, 5)
+    # the last member's size or every member's mtime overflows; the group
+    # runs past the end of the open TAR
+    with pytest.raises(ValueError, match="overflows"):
+        w.extend([b"c", b"d", blob], written, mtime)
+    path = w.close()
+    if written:
+        assert list(tmp_path.iterdir()) == [path]
+        assert _tarfile_members(path) == [(member_name(0), b"a"), (member_name(1), b"b")]
+    else:
+        assert path is None
+        assert list(tmp_path.iterdir()) == []

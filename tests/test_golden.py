@@ -6,7 +6,9 @@ leave the output unchanged can be checked mechanically. A change that alters
 the archives on purpose must re-record them and say why. These are the
 digests of version 2 blobs, one LZ4 block and one CRC32 per matrix. Both
 kinds of input are pinned: a line iterable, parsed in blocks of lines, and
-the same lines in a file, parsed in byte chunks.
+the same lines in a file, parsed in byte chunks. The many-window case
+pins thousands of small windows in TARs of five members, so the windows one
+segmented build completes are written across many TAR boundaries.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ from flowmat.cryptopan import CryptoPan
 from flowmat.eve import open_source
 from flowmat.flowgen import GenConfig, generate
 from flowmat.pipeline import run_ingest
+from flowmat.window import MAX_WINDOWS_PER_BUILD
 
 KEY = bytes(range(32))
 FIXED_CLOCK = 1_724_000_000.75
@@ -41,6 +44,17 @@ GOLDEN_TARS = {
     },
 }
 
+# about one window of 2^12 packets per flow: 3,054 windows in 611 TARs
+MANY_WINDOWS_INPUT = GenConfig(n_flows=3_000, geometric_mean=4096.0, split=0.5, seed=2410)
+MANY_WINDOWS_BITS = 12
+MANY_WINDOWS_PER_TAR = 5
+MANY_WINDOWS_TARS = 611
+# sha256 over every TAR in name order: its name, a NUL, then its bytes
+MANY_WINDOWS_DIGEST = {
+    "anon": "353809dd0a0f4b985e71279cf7fce2fd168581e16d58244ee28f33cb45f619fb",
+    "raw": "2bddd7958799c940ffbd7fd36c58d862c88608c99572f3d2aaf9e77f31a7ad19",
+}
+
 
 @pytest.fixture(scope="module")
 def golden_lines():
@@ -54,22 +68,47 @@ def golden_file(golden_lines, tmp_path_factory):
     return path
 
 
+def _ingest(source, lines, path, anon, out_dir, **kwargs):
+    """Ingest lines as a line iterable (stream) or from the file at path (file)."""
+    if source == "stream":
+        return run_ingest(iter(lines), anon, out_dir, **kwargs)
+    opened = open_source(str(path))
+    try:
+        return run_ingest(opened, anon, out_dir, **kwargs)
+    finally:
+        opened.close()
+
+
 @pytest.mark.parametrize("source", ["stream", "file"])
 @pytest.mark.parametrize("mode", sorted(GOLDEN_TARS))
 def test_golden_archives(mode, source, golden_lines, golden_file, tmp_path, monkeypatch):
     monkeypatch.setattr(time, "time", lambda: FIXED_CLOCK)
     anon = CryptoPan(KEY) if mode == "anon" else None
-    if source == "file":
-        assert golden_file.stat().st_size > 10 * shard.CHUNK_BYTES
-        lines = open_source(str(golden_file))
-        try:
-            run_ingest(lines, anon, tmp_path)
-        finally:
-            lines.close()
-    else:
-        run_ingest(iter(golden_lines), anon, tmp_path)
+    assert golden_file.stat().st_size > 10 * shard.CHUNK_BYTES
+    _ingest(source, golden_lines, golden_file, anon, tmp_path)
     digests = {
         path.name: hashlib.sha256(path.read_bytes()).hexdigest()
         for path in sorted(tmp_path.glob("*.tar"))
     }
     assert digests == GOLDEN_TARS[mode]
+
+
+@pytest.mark.parametrize("source", ["stream", "file"])
+@pytest.mark.parametrize("mode", sorted(MANY_WINDOWS_DIGEST))
+def test_golden_many_windows(mode, source, tmp_path, monkeypatch):
+    monkeypatch.setattr(time, "time", lambda: FIXED_CLOCK)
+    lines = list(generate(MANY_WINDOWS_INPUT))
+    path = tmp_path / "many.ndjson"
+    path.write_bytes(b"".join(line + b"\n" for line in lines))
+    anon = CryptoPan(KEY) if mode == "anon" else None
+    out = tmp_path / "out"
+    result = _ingest(source, lines, path, anon, out, window_packets=1 << MANY_WINDOWS_BITS,
+                     per_tar=MANY_WINDOWS_PER_TAR)
+    tars = sorted(out.glob("*.tar"))
+    digest = hashlib.sha256()
+    for tar in tars:
+        digest.update(tar.name.encode() + b"\0" + tar.read_bytes())
+    # a 256 KiB file chunk completes more windows than one segmented build takes
+    assert result.windows_written > 2 * MAX_WINDOWS_PER_BUILD
+    assert len(tars) == MANY_WINDOWS_TARS == result.tars_finalized
+    assert digest.hexdigest() == MANY_WINDOWS_DIGEST[mode]

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from flowmat.archive import encode_matrix
 from flowmat.hypermat import MatrixMeta, build_arrays, build_segments, empty, total_sum
-from tests.conftest import build, col_degrees, row_degrees, to_triples
+from tests.conftest import build, col_degrees, matrices, row_degrees, to_triples
 
 triples_strategy = st.lists(
     st.tuples(
@@ -156,7 +156,7 @@ def test_segmented_build_equals_build_arrays(rng, nseg):
     cols = rng.integers(0, 40, size=n, dtype=np.uint64).astype(np.uint32)
     vals = rng.integers(1, 1 << 20, size=n, dtype=np.uint64)
     order = rng.permutation(n)  # input order must not matter
-    built = build_segments(segs[order], rows[order], cols[order], vals[order], nseg + 1)
+    built = matrices(build_segments(segs[order], rows[order], cols[order], vals[order], nseg + 1))
     assert len(built) == nseg + 1
     for s, matrix in enumerate(built):
         mask = segs == s

@@ -1,5 +1,11 @@
 """LZ4 block compression through liblz4: single blocks and slices of one buffer."""
 
+import ctypes
+import ctypes.util
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -102,3 +108,29 @@ def test_input_size_limit_applies_to_blocks_and_slices(monkeypatch):
         compress(b"x" * 11)
     with pytest.raises(Lz4Error, match="too large"):
         compress_slices(bytearray(21), [0, 10, 21])
+
+
+def test_cli_import_leaves_subprocess_out():
+    # ctypes.util imports subprocess; liblz4 is loaded by soname without it
+    code = "import sys, flowmat.cli; print('subprocess' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
+
+
+def test_load_falls_back_to_find_library(monkeypatch):
+    real_cdll = ctypes.CDLL
+    opened = []
+
+    def cdll(name):
+        opened.append(name)
+        if name == "liblz4.so.1":
+            raise OSError("no such soname")
+        return real_cdll("liblz4.so.1")
+
+    monkeypatch.setattr(ctypes, "CDLL", cdll)
+    monkeypatch.setattr(ctypes.util, "find_library", lambda name: f"found-{name}")
+    lib = lz4block._load()
+    assert opened == ["liblz4.so.1", "found-lz4"]
+    assert lib.LZ4_compress_default.restype is ctypes.c_int

@@ -411,16 +411,16 @@ def big_input(tmp_path, monkeypatch):
 
 
 def test_parent_error_kills_and_reaps_every_child(big_input, tmp_path, monkeypatch, sharded):
-    append = ArchiveWriter.append
-    calls = []
+    extend = ArchiveWriter.extend
+    members = []
 
-    def failing_append(self, blob, meta):
-        calls.append(meta.seq)
-        if len(calls) == 20:
+    def failing_extend(self, blobs, first_seq, created_unix_s):
+        members.extend(blobs)
+        if len(members) >= 20:
             raise OSError(errno.ENOSPC, "No space left on device")
-        return append(self, blob, meta)
+        return extend(self, blobs, first_seq, created_unix_s)
 
-    monkeypatch.setattr(ArchiveWriter, "append", failing_append)
+    monkeypatch.setattr(ArchiveWriter, "extend", failing_extend)
     with deadline(60), pytest.raises(OSError, match="No space left"):
         ingest_file(big_input, tmp_path / "out", sharded=True, window_packets=1 << 8)
     assert len(sharded) == 3

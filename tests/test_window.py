@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from flowmat.eve import FlowColumns, FlowRecord
 from flowmat.hypermat import total_sum
 from flowmat.window import MAX_WINDOWS_PER_BUILD, MAX_WINDOWS_PER_FLOW, Windower
-from tests.conftest import build, columns_from_records, to_triples
+from tests.conftest import build, columns_from_records, to_triples, window_matrices
 
 U64_MAX = 2**64 - 1
 
@@ -27,7 +27,13 @@ def columns(flows) -> FlowColumns:
 
 def drain(w: Windower, flows):
     """Push flows as one column batch; return the completed (matrix, meta) pairs."""
-    return list(w.push(columns(flows)))
+    return [pair for windows in w.push(columns(flows)) for pair in window_matrices(windows)]
+
+
+def flush(w: Windower):
+    """The (matrix, meta) of the partial trailing window, or None."""
+    tail = w.flush()
+    return None if tail is None else window_matrices(tail)[0]
 
 
 def open_window(w: Windower) -> list[tuple[int, int, int]]:
@@ -73,8 +79,8 @@ def assert_matches_reference(flows, window: int, cuts) -> None:
     got = []
     bounds = [0, *sorted(cuts), len(flows)]
     for lo, hi in zip(bounds, bounds[1:]):
-        got.extend(w.push(columns(flows[lo:hi])))
-    tail = w.flush()
+        got.extend(drain(w, flows[lo:hi]))
+    tail = flush(w)
     if tail is not None:
         got.append(tail)
 
@@ -120,7 +126,7 @@ def test_direction_order_and_reversal():
     w = Windower(100)
     drain(w, [(1, 2, 4, 3)])
     assert open_window(w) == [(1, 2, 4), (2, 1, 3)]
-    matrix, _ = w.flush()
+    matrix, _ = flush(w)
     assert to_triples(matrix) == [(1, 2, 4), (2, 1, 3)]
 
 
@@ -128,7 +134,7 @@ def test_zero_direction_elided():
     w = Windower(100)
     drain(w, [(1, 2, 5, 0), (3, 4, 0, 0)])
     assert open_window(w) == [(1, 2, 5)]
-    matrix, _ = w.flush()
+    matrix, _ = flush(w)
     assert 0 not in matrix.vals
     assert matrix.nvals == 1
 
@@ -160,7 +166,7 @@ def test_stream_exactness_and_conservation(rng):
     done = []
     for lo in range(0, n, 512):
         done.extend(drain(w, flows[lo : lo + 512]))
-    tail = w.flush()
+    tail = flush(w)
     assert len(done) == oracle_total // window
     assert all(meta.packet_total == window for _, meta in done)
     assert [meta.seq for _, meta in done] == list(range(len(done)))
@@ -176,7 +182,7 @@ def test_stream_exactness_and_conservation(rng):
 def test_conservation_property(flows, window):
     w = Windower(window)
     done = drain(w, flows)
-    tail = w.flush()
+    tail = flush(w)
     total = sum(meta.packet_total for _, meta in done)
     if tail is not None:
         total += tail[1].packet_total
