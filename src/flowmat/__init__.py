@@ -1,33 +1,42 @@
-"""Suricata EVE flow records -> anonymized, windowed hypersparse traffic matrices."""
+"""Suricata EVE flow records -> anonymized, windowed hypersparse traffic matrices.
 
-from flowmat.eve import FlowColumns, FlowRecord, IngestCounters, Skip, parse_flow_record, open_source
-from flowmat.cryptopan import CryptoPan, load_key
-from flowmat.hypermat import HyperMatrix, MatrixMeta, total_sum
-from flowmat.window import Windower
-from flowmat.archive import ArchiveWriter, encode_matrix, decode_matrix, IntegrityError
-from flowmat.stats import MatrixStats, matrix_stats, archive_stats
-from flowmat.flowgen import GenConfig, generate
+The names below are imported from their modules on first use (PEP 562), so
+importing one module, as the command line does, loads only what it needs.
+"""
 
-__all__ = [
-    "FlowColumns",
-    "FlowRecord",
-    "IngestCounters",
-    "Skip",
-    "parse_flow_record",
-    "open_source",
-    "CryptoPan",
-    "load_key",
-    "HyperMatrix",
-    "MatrixMeta",
-    "total_sum",
-    "Windower",
-    "ArchiveWriter",
-    "encode_matrix",
-    "decode_matrix",
-    "IntegrityError",
-    "MatrixStats",
-    "matrix_stats",
-    "archive_stats",
-    "GenConfig",
-    "generate",
-]
+import importlib
+
+_EXPORTS = {
+    "FlowColumns": "eve",
+    "FlowRecord": "eve",
+    "IngestCounters": "eve",
+    "Skip": "eve",
+    "parse_flow_record": "eve",
+    "open_source": "eve",
+    "CryptoPan": "cryptopan",
+    "load_key": "cryptopan",
+    "HyperMatrix": "hypermat",
+    "MatrixMeta": "hypermat",
+    "total_sum": "hypermat",
+    "Windower": "window",
+    "ArchiveWriter": "archive",
+    "encode_matrix": "archive",
+    "decode_matrix": "archive",
+    "IntegrityError": "archive",
+    "MatrixStats": "stats",
+    "matrix_stats": "stats",
+    "archive_stats": "stats",
+    "GenConfig": "flowgen",
+    "generate": "flowgen",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value

@@ -1,3 +1,3 @@
-from flowmat.cli import main
+from flowmat.cli import run
 
-main()
+run()

@@ -5,17 +5,17 @@ from __future__ import annotations
 import contextlib
 import errno
 import json
+import os
 import signal
 import sys
+from typing import NoReturn
 
 import click
 
-from flowmat import flowgen
 from flowmat.archive import DEFAULT_PER_TAR
 from flowmat.cryptopan import CryptoPan, KeyError_, load_key
 from flowmat.eve import open_source
 from flowmat.pipeline import MIN_RELIABLE_RECORDS, run_bench, run_ingest, verify_archive
-from flowmat.stats import archive_stats
 from flowmat.window import DEFAULT_WINDOW_BITS
 
 WINDOW_BITS = click.IntRange(0, 63)
@@ -81,6 +81,28 @@ def main() -> None:
     """Suricata EVE flows -> anonymized hypersparse traffic matrix archives."""
 
 
+def run() -> NoReturn:
+    """The flowmat program: main, then exit without the interpreter's teardown.
+
+    Finalizing the interpreter, with numpy, click and cryptography loaded,
+    takes tens of milliseconds after main has returned, and none of it is needed:
+    every file is closed and every worker reaped by then. So standard
+    output and error are flushed and the process exits with main's status.
+    If a flush fails, the interpreter exits as usual and reports it.
+    """
+    status = 0
+    try:
+        main()
+    except SystemExit as exc:  # click and the commands exit with an int status
+        status = exc.code or 0
+    try:
+        sys.stdout.flush()
+        sys.stderr.flush()
+    except OSError:
+        sys.exit(status)
+    os._exit(status)
+
+
 @main.command()
 @click.option("--input", "input_spec", default=None, help='EVE file path or "-" for stdin.')
 @click.option("--socket", "socket_path", default=None, help="Unix stream socket path to listen on.")
@@ -108,7 +130,8 @@ def ingest(input_spec, socket_path, key_path, no_anon, out_dir, window_bits, per
 
 @main.command()
 @click.option("--flows", required=True, type=int, help="Number of flow records.")
-@click.option("--pkts-per-flow", default=flowgen.DEFAULT_PKTS_PER_FLOW, show_default=True, type=int)
+@click.option("--pkts-per-flow", default=None, type=int,
+              help="Packets per flow when --geometric-mean is not given.  [default: 100]")
 @click.option("--geometric-mean", default=None, type=float,
               help="Use a geometric packet-count distribution with this mean.")
 @click.option("--addr-model", default="uniform", show_default=True,
@@ -120,6 +143,10 @@ def ingest(input_spec, socket_path, key_path, no_anon, out_dir, window_bits, per
 @click.option("--out", "out_path", default="-", show_default=True, help="Output file or '-'.")
 def gen(flows, pkts_per_flow, geometric_mean, addr_model, zipf_exponent, seed, split, out_path):
     """Generate synthetic EVE flow records."""
+    from flowmat import flowgen
+
+    if pkts_per_flow is None:
+        pkts_per_flow = flowgen.DEFAULT_PKTS_PER_FLOW
     cfg = flowgen.GenConfig(
         n_flows=flows,
         pkts_per_flow=pkts_per_flow,
@@ -151,6 +178,8 @@ def gen(flows, pkts_per_flow, geometric_mean, addr_model, zipf_exponent, seed, s
 @click.option("--pretty", is_flag=True)
 def stats(tar_path, pretty):
     """Report per-matrix and aggregate statistics for a TAR archive."""
+    from flowmat.stats import archive_stats
+
     with _one_line_errors():
         records = archive_stats(tar_path)
     for record in records:
@@ -195,4 +224,4 @@ def bench(input_path, key_path, no_anon, out_dir, window_bits, per_tar, pretty):
 
 
 if __name__ == "__main__":
-    main()
+    run()

@@ -6,15 +6,26 @@ mixed event streams, and IPv6 traffic it does not handle.
 
 One classifier, ``_classify``, decides every line: it gives the line's
 record as ten decimal fields (eight octets and two counts) or its ``Skip``.
-Its compact clause is one compiled bytes regex that accepts only compact,
-escape-free JSON whose shape makes the outcome certain: an IPv4 flow event
-with its keys in Suricata's order, strict dotted quads, plain integer counts
-below 2^64 and no duplicate of any key the parser reads. Such a line's
-fields are the regex's ten groups. Every other line goes through
-``json.loads`` (``_parse_json``), which decides it alone, so both clauses give
-every line the same outcome. ``parse_flow_record`` and ``parse_columns``
-both call the classifier; ``parse_columns`` turns lines into one column
-batch without a FlowRecord per line.
+Three compact clauses, each one compiled bytes regex, accept only compact
+ASCII JSON whose shape makes the outcome certain:
+
+* an IPv4 flow event with its keys in Suricata's order, strict dotted
+  quads, plain integer counts below 2^64, escape-free strings and no
+  duplicate of any key the parser reads. Its fields are the regex's ten
+  groups;
+* an event whose one top-level ``event_type`` is an escape-free string other
+  than "flow": ``Skip.NON_FLOW``;
+* a flow event whose one escape-free ``src_ip`` and one escape-free
+  ``dest_ip``, captured by the regex, are not both free of ":":
+  ``Skip.IPV6``.
+
+The last two prove the whole line is valid JSON: values may nest up to
+``_MAX_DEPTH`` containers, the top-level object included, and their strings
+may hold escapes. Every other line goes through ``json.loads``
+(``_parse_json``), which decides it alone, so every line gets the same
+outcome from either path. ``parse_flow_record`` and ``parse_columns`` both
+call the classifier; ``parse_columns`` turns lines into one column batch
+without a FlowRecord per line.
 
 Lines come from a stream (``_bounded_lines``) or, for a regular file cut into
 byte chunks, from the lines that start inside one chunk (``chunk_lines``);
@@ -42,6 +53,15 @@ MAX_LINE_BYTES = 1 << 20  # longer lines are malformed by contract
 _READ_ON_BYTES = 1 << 16  # read size for a line that crosses a chunk's end
 
 _U64_MAX = (1 << 64) - 1
+
+# containers a line may nest, its top-level object included, for the
+# non-flow and IPv6 clauses to take it; deeper lines go to json.loads
+_MAX_DEPTH = 3
+
+# an escape-free JSON string body, so its bytes are its decoded text
+_CHARS = rb'[^"\\\x00-\x1f]*+'
+# the integer part is capped at 20 digits, far below the 4300 digits int() accepts
+_NUMBER = rb"-?(?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
 
 
 class FlowRecord(NamedTuple):
@@ -136,12 +156,11 @@ def _count(value) -> int | None:
 
 @functools.cache
 def _compact_flow_pattern() -> re.Pattern:
-    """The compact clause's grammar, compiled on first use so imports stay cheap.
+    """The IPv4 clause's grammar, compiled on first use so imports stay cheap.
 
     A line it fully matches is compact JSON that ``_parse_json`` would turn
     into the record its groups spell. Strings hold no escapes or control
-    bytes, so a key's bytes are its decoded name; integer parts are capped at
-    20 digits, far below the 4300 digits ``int()`` accepts; members other than
+    bytes, so a key's bytes are its decoded name; members other than
     the four read keys (two inside ``flow``) may not reuse their names, so the
     last duplicate that ``json.loads`` keeps can never differ from the one
     captured. Its loops and string bodies are possessive: no member a loop
@@ -151,15 +170,11 @@ def _compact_flow_pattern() -> re.Pattern:
     that fails after it is not retried once per way of splitting its digits.
     Possessive quantifiers need Python 3.11.
     """
-    chars = rb'[^"\\\x00-\x1f]*+'
-    string = rb'"' + chars + rb'"'
-    scalar = (
-        string + rb"|-?(?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-        rb"|true|false|null"
-    )
+    string = rb'"' + _CHARS + rb'"'
+    scalar = string + rb"|" + _NUMBER + rb"|true|false|null"
     value = rb"(?:%s|\{(?:%s:(?:%s)(?:,%s:(?:%s))*+)?\})" % (scalar, string, scalar, string, scalar)
-    top = rb'"(?!(?:event_type|src_ip|dest_ip|flow)")' + chars + rb'":' + value
-    inner = rb'"(?!pkts_to(?:server|client)")' + chars + rb'":(?:%s)' % scalar
+    top = rb'"(?!(?:event_type|src_ip|dest_ip|flow)")' + _CHARS + rb'":' + value
+    inner = rb'"(?!pkts_to(?:server|client)")' + _CHARS + rb'":(?:%s)' % scalar
     octet = rb"(25[0-5]|2[0-4][0-9]|[01][0-9][0-9]|[0-9][0-9]?)"
     quad = rb"\.".join([octet] * 4)
     count = rb"(0|[1-9][0-9]{0,18})"  # at most 19 digits, so below 2^64
@@ -170,6 +185,56 @@ def _compact_flow_pattern() -> re.Pattern:
         rb'(?:%(inner)s,)*+"pkts_toclient":%(count)s(?:,%(inner)s)*+\}'
         rb"(?:,%(top)s)*+\}"
         % {b"top": top, b"inner": inner, b"quad": quad, b"count": count}
+    )
+
+
+def _json_value(depth: int) -> bytes:
+    """A JSON value whose containers nest at most depth deep; its strings may hold escapes.
+
+    A container holds one copy of the inner value: each member or item is
+    followed by a comma that does not close the container, or by the close
+    itself. So the pattern doubles per level, once for objects and once for
+    arrays. As in the IPv4 clause, loops and string bodies are possessive,
+    and no value can end early at a byte that may follow it.
+    """
+    string = rb'"%s(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})%s)*+"' % (_CHARS, _CHARS)
+    scalar = string + rb"|" + _NUMBER + rb"|true|false|null"
+    value = scalar
+    for _ in range(depth):
+        value = rb"%s|\{(?:%s:(?:%s)(?:,(?!\})|(?=\})))*+\}|\[(?:(?:%s)(?:,(?!\])|(?=\])))*+\]" % (
+            scalar, string, value, value)
+    return value
+
+
+@functools.cache
+def _non_flow_pattern() -> re.Pattern:
+    """The non-flow clause's grammar: valid JSON whose one event_type is a string but "flow".
+
+    Top-level keys are escape-free, so a key's bytes are its name, and only
+    the one event_type member may have that name. Its value is an
+    escape-free string other than flow, so ``_parse_json`` reads it as is.
+    Compiled on first use: a process that sees no line the IPv4 clause
+    rejects never pays for it.
+    """
+    member = rb'"(?!event_type")%s":(?:%s)' % (_CHARS, _json_value(_MAX_DEPTH - 1))
+    return re.compile(
+        rb'\{(?:%(m)s,)*+"event_type":"(?!flow")%(c)s"(?:,%(m)s)*+\}' % {b"m": member, b"c": _CHARS}
+    )
+
+
+@functools.cache
+def _ipv6_flow_pattern() -> re.Pattern:
+    """The IPv6 clause's grammar: a valid JSON flow event with its two addresses as groups.
+
+    event_type, src_ip and dest_ip come once each, in Suricata's order, with
+    escape-free keys and values, so the groups are the decoded addresses.
+    Other members are any values. ``_classify`` tests the groups for ":".
+    Compiled on first use, as ``_non_flow_pattern`` is.
+    """
+    member = rb'"(?!(?:event_type|src_ip|dest_ip)")%s":(?:%s)' % (_CHARS, _json_value(_MAX_DEPTH - 1))
+    return re.compile(
+        rb'\{(?:%(m)s,)*+"event_type":"flow",(?:%(m)s,)*+"src_ip":"(%(c)s)",'
+        rb'(?:%(m)s,)*+"dest_ip":"(%(c)s)"(?:,%(m)s)*+\}' % {b"m": member, b"c": _CHARS}
     )
 
 
@@ -187,14 +252,23 @@ def parse_flow_record(line: bytes) -> FlowRecord | Skip:
 def _classify(line: bytes) -> tuple[bytes, ...] | Skip:
     """A line's record as ten decimal fields, eight octets and two counts, or its Skip.
 
-    A line the compact clause matches gives its regex groups. Every other
-    line goes through _parse_json, and a record it returns gives the same
-    ten fields, formatted as b"%d".
+    A line the IPv4 clause matches gives its regex groups. A line it
+    rejects goes to the IPv6 clause if it holds '"event_type":"flow"', as
+    every line either flow clause takes does, else to the non-flow clause.
+    The clauses exclude each other, so this order only saves time. Every
+    line no clause decides goes through _parse_json, and a record it returns
+    gives the same ten fields, formatted as b"%d".
     """
     if len(line) <= MAX_LINE_BYTES and line.isascii():
         match = _compact_flow_pattern().fullmatch(line)
         if match is not None:
             return match.groups()
+        if b'"event_type":"flow"' in line:
+            match = _ipv6_flow_pattern().fullmatch(line)
+            if match is not None and (b":" in match[1] or b":" in match[2]):
+                return Skip.IPV6
+        elif _non_flow_pattern().fullmatch(line) is not None:
+            return Skip.NON_FLOW
     rec = _parse_json(line)
     if isinstance(rec, Skip):
         return rec

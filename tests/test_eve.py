@@ -12,11 +12,14 @@ from hypothesis import strategies as st
 
 from flowmat import eve, shard
 from flowmat.eve import (
+    _MAX_DEPTH,
     MAX_LINE_BYTES,
     FlowRecord,
     IngestCounters,
     Skip,
     _compact_flow_pattern,
+    _ipv6_flow_pattern,
+    _non_flow_pattern,
     _parse_json,
     open_source,
     parse_columns,
@@ -134,7 +137,7 @@ def test_parse_never_raises_on_random_bytes():
     assert counters.lines_consumed == n
 
 
-# --- the compact clause against the strict json.loads clause ---------------
+# --- the compact clauses against the strict json.loads clause ---------------
 
 def compact_record(line: bytes) -> FlowRecord | None:
     """The record the compact grammar's groups spell for a line it fully matches, else None."""
@@ -145,6 +148,32 @@ def compact_record(line: bytes) -> FlowRecord | None:
     return FlowRecord(
         s1 << 24 | s2 << 16 | s3 << 8 | s4, d1 << 24 | d2 << 16 | d3 << 8 | d4, toserver, toclient
     )
+
+
+def compact_outcome(line: bytes) -> FlowRecord | Skip | None:
+    """What each compact clause alone says of a line _classify may give it, else None.
+
+    Every clause is tried, whatever the line holds, so each one is checked
+    on its own and not only where _classify sends a line.
+    """
+    if len(line) > MAX_LINE_BYTES or not line.isascii():
+        return None
+    outcomes = [compact_record(line)]
+    if _non_flow_pattern().fullmatch(line):
+        outcomes.append(Skip.NON_FLOW)
+    match = _ipv6_flow_pattern().fullmatch(line)
+    if match and (b":" in match[1] or b":" in match[2]):
+        outcomes.append(Skip.IPV6)
+    decided = [outcome for outcome in outcomes if outcome is not None]
+    assert len(decided) <= 1, f"clauses overlap on {line!r}: {decided}"
+    return decided[0] if decided else None
+
+
+def assert_clauses_match_strict(line: bytes) -> None:
+    """_classify and each compact clause alone agree with _parse_json on line."""
+    want = _parse_json(line)
+    assert parse_flow_record(line) == want
+    assert compact_outcome(line) in (None, want)
 
 
 HEAD = b'{"event_type":"flow","src_ip":"10.0.0.1","dest_ip":"10.0.0.2",'
@@ -172,8 +201,41 @@ SURICATA_FLOW = (
     b'"reason":"timeout","alerted":false},"tcp":{"tcp_flags":"1b","syn":true,"fin":true,'
     b'"psh":true,"ack":true,"state":"closed"},"host":"sensor-01"}'
 )
+SURICATA_IPV6_FLOW = SURICATA_FLOW.replace(b"158.55.121.177", b"2001:db8:e4f1:3531::7db3")
+# other Suricata events, with escapes in their strings, up to three containers deep
+SURICATA_ALERT = (
+    b'{"timestamp":"2024-09-18T00:16:41.808582+0000","flow_id":4451797972772279,'
+    b'"in_iface":"ens1f0","event_type":"alert","src_ip":"248.85.94.12","src_port":37435,'
+    b'"dest_ip":"188.113.134.253","dest_port":3306,"proto":"TCP","alert":{"action":"allowed",'
+    b'"gid":1,"signature_id":2074100,"rev":3,'
+    b'"signature":"ET POLICY Suspicious inbound to mySQL port 3306 \\/ \\"probe\\"",'
+    b'"category":"Potentially Bad Traffic \\u00e9","severity":2}}'
+)
+# a rule's metadata puts alert lines four containers deep, past _MAX_DEPTH
+SURICATA_ALERT_WITH_METADATA = SURICATA_ALERT[:-2] + b',"metadata":{"tag":["sql"]}}}'
+SURICATA_TLS = (
+    b'{"timestamp":"2024-09-18T00:16:41.808582+0000","event_type":"tls","src_ip":"10.1.2.3",'
+    b'"tls":{"subject":"CN=api1.example.com","issuerdn":"C=US, O=Example CA",'
+    b'"version":"TLS 1.3","ja3":{"hash":"6734f37431670b3ab4292b8f60f29984"}}}'
+)
 
-# (name, line, whether the compact clause takes it)
+
+def event(*members: bytes) -> bytes:
+    return b"{" + b",".join(members) + b"}"
+
+
+def nested(depth: int) -> bytes:
+    """A member value that makes its line depth containers deep, the top-level object included."""
+    value = b"1"
+    for level in range(depth - 1):
+        value = b"[%s]" % value if level % 2 else b'{"k":%s}' % value
+    return value
+
+
+ALERT = b'"event_type":"alert"'
+V6_HEAD = b'"event_type":"flow","src_ip":"2001:db8::1","dest_ip":"10.0.0.2"'
+
+# (name, line, whether a compact clause decides it without json.loads)
 EDGE_CASES = [
     ("basic", FLOW_LINE, True),
     ("5000_digit_member", flow_line(tail=b',"x":' + b"9" * 5000), False),
@@ -208,10 +270,81 @@ EDGE_CASES = [
     ("octet_four_digits", flow_line(head=HEAD.replace(b"10.0.0.1", b"10.0.0.0001")), False),
     ("reordered_top_level_keys", b'{"src_ip":"10.0.0.1","event_type":"flow","dest_ip":"10.0.0.2",' + COUNTS + b"}", False),
     ("reordered_counts", flow_line(counts=b'"flow":{"pkts_toclient":3,"pkts_toserver":7}'), False),
-    ("ipv6", flow_line(head=HEAD.replace(b"10.0.0.1", b"2001:db8::1")), False),
-    ("non_flow", flow_line(head=HEAD.replace(b'"flow"', b'"alert"', 1)), False),
+    ("ipv6", flow_line(head=HEAD.replace(b"10.0.0.1", b"2001:db8::1")), True),
+    ("non_flow", flow_line(head=HEAD.replace(b'"flow"', b'"alert"', 1)), True),
     ("non_ascii_member", flow_line(tail=',"host":"s\u00e9nsor"'.encode()), False),
     ("suricata_flow", SURICATA_FLOW, True),
+    # the non-flow clause
+    ("event_bare", event(ALERT), True),
+    ("event_suricata_alert", SURICATA_ALERT, True),
+    ("event_suricata_alert_with_metadata", SURICATA_ALERT_WITH_METADATA, False),
+    ("event_suricata_tls", SURICATA_TLS, True),
+    ("event_type_flows", event(b'"event_type":"flows"'), True),
+    ("event_type_capital_flow", event(b'"event_type":"Flow"'), True),
+    ("event_type_empty", event(b'"event_type":""'), True),
+    ("event_empty_containers", event(ALERT, b'"x":{}', b'"y":[]', b'"z":[{},[]]'), True),
+    ("event_at_depth_cap", event(ALERT, b'"x":' + nested(_MAX_DEPTH)), True),
+    ("event_over_depth_cap", event(ALERT, b'"x":' + nested(_MAX_DEPTH + 1)), False),
+    ("event_over_depth_cap_before_type", event(b'"x":' + nested(_MAX_DEPTH + 1), ALERT), False),
+    ("event_escapes_in_values", event(ALERT, b'"x":"\\"\\\\\\/\\b\\f\\n\\r\\t\\u00e9\\uD83D\\uDE00"'), True),
+    ("event_lone_surrogate", event(ALERT, b'"x":"\\ud800"'), True),
+    ("event_escaped_key_in_nested_object", event(ALERT, b'"x":{"event\\u005ftype":"flow"}'), True),
+    ("event_flow_type_in_nested_object", event(ALERT, b'"x":{"event_type":"flow"}'), False),
+    ("event_bad_escape", event(ALERT, b'"x":"\\x41"'), False),
+    ("event_short_unicode_escape", event(ALERT, b'"x":"\\u12"'), False),
+    ("event_raw_tab_in_string", event(ALERT, b'"x":"a\tb"'), False),
+    ("event_del_in_string", event(ALERT, b'"x":"a\x7fb"'), True),
+    ("event_20_digit_integer", event(ALERT, b'"x":' + b"9" * 20), True),
+    ("event_21_digit_integer", event(ALERT, b'"x":' + b"9" * 21), False),
+    ("event_4301_digit_integer", event(ALERT, b'"x":' + b"9" * 4301), False),
+    ("event_5000_digit_fraction", event(ALERT, b'"x":1.' + b"5" * 5000), True),
+    ("event_huge_exponent", event(ALERT, b'"x":1e999999'), True),
+    ("event_nan", event(ALERT, b'"x":NaN'), False),
+    ("event_infinity", event(ALERT, b'"x":[-Infinity]'), False),
+    ("event_non_ascii", event(ALERT, '"host":"s\u00e9nsor"'.encode()), False),
+    ("event_invalid_utf8", event(ALERT, b'"host":"s\xff"'), False),
+    ("event_space_after_colon", event(b'"event_type": "alert"'), False),
+    ("event_space_between_members", event(ALERT, b' "x":1'), False),
+    ("event_space_in_nested_array", event(ALERT, b'"x":[1, 2]'), False),
+    ("event_trailing_comma", event(ALERT, b""), False),
+    ("event_trailing_comma_in_array", event(ALERT, b'"x":[1,]'), False),
+    ("event_trailing_comma_in_object", event(ALERT, b'"x":{"a":1,}'), False),
+    ("event_missing_close", event(ALERT)[:-1], False),
+    ("event_top_level_array", b"[" + event(ALERT) + b"]", False),
+    ("event_missing_event_type", event(b'"proto":"TCP"'), False),
+    ("event_type_number", event(b'"event_type":1'), False),
+    ("event_type_null", event(b'"event_type":null'), False),
+    ("event_type_array", event(b'"event_type":["flow"]'), False),
+    ("event_duplicate_event_type", event(ALERT, b'"event_type":"dns"'), False),
+    ("event_duplicate_event_type_flow_last", event(ALERT, HEAD[1:-1], COUNTS), False),
+    ("event_escaped_event_type_key", event(ALERT, b'"event\\u005ftype":"flow"',
+                                           HEAD[21:-1], COUNTS), False),
+    ("event_escaped_flow_value", flow_line(head=HEAD.replace(b'"flow"', b'"\\u0066low"', 1)), False),
+    ("event_escaped_other_value", event(b'"event_type":"\\u0061lert"'), False),
+    ("event_duplicate_src_ip", event(ALERT, b'"src_ip":"1.2.3.4"', b'"src_ip":5'), True),
+    # the IPv6 clause
+    ("ipv6_suricata", SURICATA_IPV6_FLOW, True),
+    ("ipv6_dest_only", flow_line(head=HEAD.replace(b"10.0.0.2", b"::ffff:1.2.3.4")), True),
+    ("ipv6_without_flow_member", event(V6_HEAD), True),
+    ("ipv6_flow_member_of_any_value", event(V6_HEAD, b'"flow":[1,{"pkts_toserver":-1}]'), True),
+    ("ipv6_escapes_in_other_values", event(V6_HEAD, b'"x":"\\u00e9\\/"', COUNTS), True),
+    ("ipv6_at_depth_cap", event(V6_HEAD, b'"x":' + nested(_MAX_DEPTH)), True),
+    ("ipv6_over_depth_cap", event(V6_HEAD, b'"x":' + nested(_MAX_DEPTH + 1)), False),
+    ("ipv6_duplicate_src_ip", event(V6_HEAD, b'"src_ip":"10.0.0.1"', COUNTS), False),
+    ("ipv6_duplicate_dest_ip", event(V6_HEAD, b'"dest_ip":"::2"', COUNTS), False),
+    ("ipv6_duplicate_event_type", event(V6_HEAD, b'"event_type":"alert"'), False),
+    ("ipv6_escaped_duplicate_key", event(V6_HEAD, b'"src\\u005fip":"10.0.0.1"', COUNTS), False),
+    ("ipv6_bad_escape_in_address", event(V6_HEAD.replace(b"::1", b"::1\\x"), COUNTS), False),
+    ("ipv6_escaped_colon", flow_line(head=HEAD.replace(b"10.0.0.1", b"fe80\\u003a\\u003a1")), False),
+    ("ipv6_address_not_a_string", event(b'"event_type":"flow","src_ip":"::1","dest_ip":7'), False),
+    ("ipv6_addresses_reordered", event(b'"event_type":"flow","dest_ip":"::2","src_ip":"::1"'), False),
+    ("ipv6_4301_digit_integer", event(V6_HEAD, b'"x":' + b"9" * 4301), False),
+    ("ipv6_nan", event(V6_HEAD, b'"x":NaN'), False),
+    ("ipv6_non_ascii", event(V6_HEAD, '"host":"s\u00e9nsor"'.encode()), False),
+    ("ipv6_invalid_utf8", event(V6_HEAD, b'"host":"\xff"'), False),
+    ("ipv6_space_between_members", event(V6_HEAD, b' "x":1'), False),
+    ("ipv6_missing_close", event(V6_HEAD)[:-1], False),
+    ("ipv6_both_quads", event(b'"event_type":"flow","src_ip":"1.2.3.4","dest_ip":"5.6.7.8"'), False),
 ]
 
 
@@ -226,8 +359,8 @@ def test_compact_clause_matches_strict_on_edge_cases(line, compact, monkeypatch)
         return _parse_json(strict_line)
 
     monkeypatch.setattr(eve, "_parse_json", counted)
-    assert parse_flow_record(line) == _parse_json(line)
-    assert (not strict_calls) == compact
+    assert_clauses_match_strict(line)
+    assert strict_calls.count(line) == 1 - compact
 
 
 @pytest.mark.parametrize("where", ["after_dest_ip", "before_dest_ip"])
@@ -253,11 +386,40 @@ def test_compact_clause_near_miss_costs_about_one_json_loads(where):
     assert fastest(compact_record) < 5 * fastest(json.loads)
 
 
+@pytest.mark.parametrize("miss", ["last_byte", "over_depth_cap"])
+@pytest.mark.parametrize("clause", ["non_flow", "ipv6"])
+def test_skip_clause_near_miss_costs_about_one_json_loads(clause, miss):
+    # 10,000 members at the depth cap, then a line end the clause rejects:
+    # giving back any of them could never match, so none may be retried
+    head, pattern = {"non_flow": (ALERT, _non_flow_pattern()),
+                     "ipv6": (V6_HEAD, _ipv6_flow_pattern())}[clause]
+    members = [head] + [b'"k%d":%s' % (i, nested(_MAX_DEPTH)) for i in range(10000)]
+    if miss == "last_byte":
+        taken = event(*members)
+        line = taken[:-1] + b"]"
+    else:
+        taken = event(*members, b'"x":' + nested(_MAX_DEPTH))
+        line = event(*members, b'"x":' + nested(_MAX_DEPTH + 1))
+    assert pattern.fullmatch(taken)
+    assert pattern.fullmatch(line) is None
+
+    def fastest(parse):
+        times = []
+        for _ in range(3):
+            start = time.perf_counter()
+            parse(line)
+            times.append(time.perf_counter() - start)
+        return min(times)
+
+    assert parse_flow_record(line) == _parse_json(line)
+    assert fastest(pattern.fullmatch) < 5 * fastest(_parse_json)
+
+
 def test_compact_clause_matches_strict_on_criterion_9_corpus():
     corpus, valid, _ = criterion_9_corpus()
     compact = 0
     for line in corpus:
-        assert parse_flow_record(line) == _parse_json(line)
+        assert_clauses_match_strict(line)
         compact += compact_record(line) is not None
     # every valid flow line of the corpus is compact
     assert compact == valid
@@ -410,7 +572,7 @@ def flow_lines(draw):
 @settings(max_examples=1000, deadline=None)
 @given(flow_lines())
 def test_compact_clause_matches_strict_on_generated_lines(line):
-    assert parse_flow_record(line) == _parse_json(line)
+    assert_clauses_match_strict(line)
 
 
 @st.composite
@@ -426,23 +588,103 @@ def compact_flow_lines(draw):
     return _obj(members).encode()
 
 
-@settings(max_examples=1000, deadline=None)
-@given(
-    compact_flow_lines(),
-    st.sampled_from(["flip", "insert", "delete"]),
-    st.integers(0, 1 << 16),
-    st.integers(1, 255),
-)
-def test_compact_clause_matches_strict_on_mutations(line, op, where, byte):
-    assert compact_record(line) == _parse_json(line)
+# a single-byte mutation: (op, where, byte)
+MUTATION = (st.sampled_from(["flip", "insert", "delete"]), st.integers(0, 1 << 16), st.integers(1, 255))
+
+
+def mutate(line: bytes, op: str, where: int, byte: int) -> bytes:
     i = where % (len(line) + (op == "insert"))
     if op == "flip":
-        mutated = line[:i] + bytes([line[i] ^ byte]) + line[i + 1 :]
-    elif op == "insert":
-        mutated = line[:i] + bytes([byte]) + line[i:]
+        return line[:i] + bytes([line[i] ^ byte]) + line[i + 1 :]
+    if op == "insert":
+        return line[:i] + bytes([byte]) + line[i:]
+    return line[:i] + line[i + 1 :]
+
+
+@settings(max_examples=1000, deadline=None)
+@given(compact_flow_lines(), *MUTATION)
+def test_compact_clause_matches_strict_on_mutations(line, op, where, byte):
+    assert compact_record(line) == _parse_json(line)
+    assert_clauses_match_strict(mutate(line, op, where, byte))
+
+
+# --- the non-flow and IPv6 clauses on generated lines -------------------------
+
+def _array(items) -> str:
+    return "[" + ",".join(items) + "]"
+
+
+def json_values(depth: int, scalar, key):
+    """Values with scalar leaves in at most depth nested arrays and objects, with key keys."""
+    value = scalar
+    for _ in range(depth):
+        value = st.one_of(scalar, st.lists(value, max_size=3).map(_array),
+                          st.lists(st.tuples(key, value), max_size=3).map(_obj))
+    return value
+
+
+ESCAPED_STRING = st.text(max_size=6).map(json.dumps)  # ASCII, with escapes
+# member values that keep a line within _MAX_DEPTH, and values one container deeper
+NESTED = json_values(_MAX_DEPTH - 1, st.one_of(COMPACT_SCALAR, ESCAPED_STRING),
+                     st.one_of(COMPACT_STRING, ESCAPED_STRING))
+ODD_NESTED = json_values(_MAX_DEPTH, st.one_of(SCALAR, COMPACT_SCALAR), st.one_of(KEY, STRING))
+EVENT_TYPE = COMPACT_STRING.filter(lambda t: t != '"flow"')
+ODD_EVENT_TYPE = st.sampled_from(
+    ['"flow"', '"\\u0066low"', '"\\u0061lert"', '"al\\"ert"', "null", "1", '["dns"]', '"dns" '])
+V6_ADDRESS = st.sampled_from(['"::1"', '"2001:db8::1"', '"fe80::1%eth0"', '"::ffff:1.2.3.4"', '":"'])
+ODD_ADDRESS = st.one_of(
+    IP, st.sampled_from(['"fe80\\u003a\\u003a1"', '"\\u003a"', '"::\\u0031"', '"::1\\x"', '":\\"', "[]"]))
+
+
+@st.composite
+def skip_lines(draw, kind: str, wild: bool = True):
+    """Non-flow events (kind "event") or flow events with an IPv6 address (kind "ipv6").
+
+    Tame, every line takes the kind's clause. Wild, each aspect is, one time
+    in six, one that may not: the event type, the addresses, the other
+    members (duplicate or escaped read keys, values past _MAX_DEPTH, NaN,
+    long integers, bad strings), key order, separators and surrounding
+    whitespace.
+    """
+
+    def pick(tame, odd):
+        return draw(odd if wild and draw(st.integers(0, 5)) == 0 else tame)
+
+    rnd = draw(st.randoms(use_true_random=False))
+    if kind == "event":
+        read = [('"event_type"', pick(EVENT_TYPE, ODD_EVENT_TYPE))]
     else:
-        mutated = line[:i] + line[i + 1 :]
-    assert parse_flow_record(mutated) == _parse_json(mutated)
+        addresses = [draw(V6_ADDRESS), draw(st.one_of(V6_ADDRESS, QUAD))]
+        rnd.shuffle(addresses)
+        read = [('"event_type"', pick(st.just('"flow"'), ODD_EVENT_TYPE)),
+                ('"src_ip"', pick(st.just(addresses[0]), ODD_ADDRESS)),
+                ('"dest_ip"', pick(st.just(addresses[1]), ODD_ADDRESS))]
+    names = {key for key, _ in read}
+    members = pick(st.lists(st.tuples(COMPACT_STRING.filter(lambda k: k not in names), NESTED),
+                            max_size=4),
+                   st.lists(st.tuples(st.one_of(KEY, STRING), ODD_NESTED), max_size=4))
+    # the read members keep their order, at random places among the others
+    places = sorted(rnd.randrange(len(members) + 1) for _ in read)
+    for place, member in reversed(list(zip(places, read))):
+        members.insert(place, member)
+    if pick(st.just(False), st.just(True)):
+        rnd.shuffle(members)
+    comma, colon = pick(st.just((",", ":")), st.sampled_from([(", ", ": "), (",", " :"), (",\n", ":")]))
+    lead, trail = pick(st.just(""), SPACE), pick(st.just(""), SPACE)
+    return (lead + _obj(members, comma, colon) + trail).encode()
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(skip_lines("event"), skip_lines("ipv6")))
+def test_skip_clauses_match_strict_on_generated_lines(line):
+    assert_clauses_match_strict(line)
+
+
+@settings(max_examples=1000, deadline=None)
+@given(st.one_of(skip_lines("event", wild=False), skip_lines("ipv6", wild=False)), *MUTATION)
+def test_skip_clauses_match_strict_on_mutations(line, op, where, byte):
+    assert compact_outcome(line) == _parse_json(line) in (Skip.NON_FLOW, Skip.IPV6)
+    assert_clauses_match_strict(mutate(line, op, where, byte))
 
 
 def test_open_source_file(tmp_path):

@@ -1,7 +1,14 @@
-import pytest
+import os
+import subprocess
+import sys
 
+import pytest
+from click.testing import CliRunner
+
+import flowmat
+from flowmat.cli import main
 from flowmat.eve import FlowRecord, IngestCounters, parse_columns, parse_flow_record
-from flowmat.flowgen import ConfigError, GenConfig, generate, packet_total
+from flowmat.flowgen import DEFAULT_PKTS_PER_FLOW, ConfigError, GenConfig, generate, packet_total
 
 
 def test_empty_stream():
@@ -76,3 +83,24 @@ def test_split_partitions_packets():
 def test_invalid_config_rejected(cfg):
     with pytest.raises(ConfigError):
         list(generate(cfg))
+
+
+def test_gen_defaults_to_the_generators_packets_per_flow():
+    runner = CliRunner()
+    assert f"[default: {DEFAULT_PKTS_PER_FLOW}]" in runner.invoke(main, ["gen", "--help"]).output
+    result = runner.invoke(main, ["gen", "--flows", "3", "--seed", "2"])
+    assert result.exit_code == 0
+    assert result.stdout_bytes == b"".join(line + b"\n" for line in generate(GenConfig(n_flows=3, seed=2)))
+
+
+def test_package_names_are_imported_on_first_use():
+    code = ("import sys, flowmat; print('flowmat.flowgen' in sys.modules); "
+            "from flowmat import GenConfig, archive_stats; "
+            "print(GenConfig.__module__, archive_stats.__module__)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["False", "flowmat.flowgen", "flowmat.stats"]
+    assert all(getattr(flowmat, name) is not None for name in flowmat.__all__)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        flowmat.no_such_name

@@ -119,6 +119,15 @@ def test_cli_import_leaves_subprocess_out():
     assert out.strip() == "False"
 
 
+def test_cli_import_leaves_stats_and_flowgen_out():
+    # the stats and gen commands import them when they run
+    code = "import sys, flowmat.cli; print(sorted({'flowmat.stats', 'flowmat.flowgen'} & set(sys.modules)))"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_load_falls_back_to_find_library(monkeypatch):
     real_cdll = ctypes.CDLL
     opened = []

@@ -10,6 +10,7 @@ import json
 import os
 import random
 import signal
+import subprocess
 import sys
 import time
 import types
@@ -208,6 +209,58 @@ def test_streams_are_read_line_by_line_in_process(kind, tmp_path, monkeypatch, s
         result = run_ingest(lines, None, tmp_path / "out")
     assert sharded == []
     assert result.counters.lines_consumed == n_lines
+
+
+@pytest.fixture
+def pattern_log(tmp_path, monkeypatch):
+    """A file that gets a line "<pid> <name>" each time a process asks for a lazy pattern.
+
+    A forked worker inherits the wrappers, so its requests are logged too.
+    """
+    log = tmp_path / "patterns.log"
+    for name in ("_non_flow_pattern", "_ipv6_flow_pattern"):
+        def logged(name=name, pattern=getattr(eve, name)):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()} {name}\n")
+            return pattern()
+
+        monkeypatch.setattr(eve, name, logged)
+    return log
+
+
+def test_importing_the_cli_compiles_neither_lazy_pattern():
+    code = ("import flowmat.cli; from flowmat import eve; print("
+            "eve._non_flow_pattern.cache_info().currsize, eve._ipv6_flow_pattern.cache_info().currsize)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["0", "0"]
+
+
+@pytest.mark.parametrize("chunks, children", [(0, 0), (5, 3)])
+def test_ipv4_flows_never_compile_the_lazy_patterns(chunks, children, tmp_path, pattern_log,
+                                                    sharded):
+    path = tmp_path / "in.ndjson"
+    lines = file_of_chunks(path, chunks)
+    result = ingest_file(path, tmp_path / "out", sharded=True)
+    assert len(sharded) == children
+    assert result.counters.records_ok == result.counters.lines_consumed == lines
+    assert not pattern_log.exists()
+
+
+def test_lazy_patterns_are_compiled_in_the_workers_that_need_them(tmp_path, pattern_log,
+                                                                   monkeypatch, sharded):
+    monkeypatch.setattr(shard, "CHUNK_BYTES", 4096)
+    lines = [b'{"event_type":"alert","alert":{"signature":"x"}}',
+             b'{"event_type":"flow","src_ip":"::1","dest_ip":"::2"}'] * 200
+    path = tmp_path / "events.ndjson"
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    result = ingest_file(path, tmp_path / "out", sharded=True)
+    assert len(sharded) == 3
+    assert result.counters.records_skipped_non_flow == result.counters.records_skipped_ipv6 == 200
+    requests = [entry.split() for entry in pattern_log.read_text().splitlines()]
+    assert {int(pid) for pid, _ in requests} == set(sharded)
+    assert {name for _, name in requests} == {"_non_flow_pattern", "_ipv6_flow_pattern"}
 
 
 def test_file_of_a_few_chunks_gives_the_same_archives_chunked(tmp_path, sharded):
