@@ -223,19 +223,25 @@ def _non_flow_pattern() -> re.Pattern:
 
 
 @functools.cache
-def _ipv6_flow_pattern() -> re.Pattern:
-    """The IPv6 clause's grammar: a valid JSON flow event with its two addresses as groups.
+def _ipv6_flow_patterns() -> tuple[re.Pattern, re.Pattern]:
+    """The IPv6 clause's grammar, a valid JSON flow event, as a head and a tail.
 
-    event_type, src_ip and dest_ip come once each, in Suricata's order, with
-    escape-free keys and values, so the groups are the decoded addresses.
-    Other members are any values. ``_classify`` tests the groups for ":".
-    Compiled on first use, as ``_non_flow_pattern`` is.
+    The head reads the line through dest_ip: event_type, src_ip and dest_ip
+    come once each, in Suricata's order, with escape-free keys and values,
+    so its two groups are the decoded addresses. The tail reads the rest of
+    the line from where the head ended. Its loops are possessive, so the
+    head has one end, and the two match a line exactly when one pattern of
+    both would. ``_classify`` tests the addresses for ":" between the two,
+    so a flow line of IPv4 addresses the IPv4 clause rejected goes to
+    ``_parse_json`` without the rest of it being read. Other members are
+    any values. Compiled on first use, as ``_non_flow_pattern`` is.
     """
     member = rb'"(?!(?:event_type|src_ip|dest_ip)")%s":(?:%s)' % (_CHARS, _json_value(_MAX_DEPTH - 1))
-    return re.compile(
+    head = re.compile(
         rb'\{(?:%(m)s,)*+"event_type":"flow",(?:%(m)s,)*+"src_ip":"(%(c)s)",'
-        rb'(?:%(m)s,)*+"dest_ip":"(%(c)s)"(?:,%(m)s)*+\}' % {b"m": member, b"c": _CHARS}
+        rb'(?:%(m)s,)*+"dest_ip":"(%(c)s)"' % {b"m": member, b"c": _CHARS}
     )
+    return head, re.compile(rb"(?:,%s)*+\}" % member)
 
 
 def parse_flow_record(line: bytes) -> FlowRecord | Skip:
@@ -264,8 +270,10 @@ def _classify(line: bytes) -> tuple[bytes, ...] | Skip:
         if match is not None:
             return match.groups()
         if b'"event_type":"flow"' in line:
-            match = _ipv6_flow_pattern().fullmatch(line)
-            if match is not None and (b":" in match[1] or b":" in match[2]):
+            head, tail = _ipv6_flow_patterns()
+            match = head.match(line)
+            if (match is not None and (b":" in match[1] or b":" in match[2])
+                    and tail.fullmatch(line, match.end()) is not None):
                 return Skip.IPV6
         elif _non_flow_pattern().fullmatch(line) is not None:
             return Skip.NON_FLOW

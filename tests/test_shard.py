@@ -218,7 +218,7 @@ def pattern_log(tmp_path, monkeypatch):
     A forked worker inherits the wrappers, so its requests are logged too.
     """
     log = tmp_path / "patterns.log"
-    for name in ("_non_flow_pattern", "_ipv6_flow_pattern"):
+    for name in ("_non_flow_pattern", "_ipv6_flow_patterns"):
         def logged(name=name, pattern=getattr(eve, name)):
             with open(log, "a") as fh:
                 fh.write(f"{os.getpid()} {name}\n")
@@ -230,7 +230,7 @@ def pattern_log(tmp_path, monkeypatch):
 
 def test_importing_the_cli_compiles_neither_lazy_pattern():
     code = ("import flowmat.cli; from flowmat import eve; print("
-            "eve._non_flow_pattern.cache_info().currsize, eve._ipv6_flow_pattern.cache_info().currsize)")
+            "eve._non_flow_pattern.cache_info().currsize, eve._ipv6_flow_patterns.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -260,7 +260,7 @@ def test_lazy_patterns_are_compiled_in_the_workers_that_need_them(tmp_path, patt
     assert result.counters.records_skipped_non_flow == result.counters.records_skipped_ipv6 == 200
     requests = [entry.split() for entry in pattern_log.read_text().splitlines()]
     assert {int(pid) for pid, _ in requests} == set(sharded)
-    assert {name for _, name in requests} == {"_non_flow_pattern", "_ipv6_flow_pattern"}
+    assert {name for _, name in requests} == {"_non_flow_pattern", "_ipv6_flow_patterns"}
 
 
 def test_file_of_a_few_chunks_gives_the_same_archives_chunked(tmp_path, sharded):
