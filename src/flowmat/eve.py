@@ -208,7 +208,7 @@ def _json_value(depth: int) -> bytes:
 
 @functools.cache
 def _non_flow_pattern() -> re.Pattern:
-    """The non-flow clause's grammar: valid JSON whose one event_type is a string but "flow".
+    """The non-flow clause's grammar: valid JSON whose one event_type is a string, not "flow".
 
     Top-level keys are escape-free, so a key's bytes are its name, and only
     the one event_type member may have that name. Its value is an
@@ -229,9 +229,9 @@ def _ipv6_flow_patterns() -> tuple[re.Pattern, re.Pattern]:
     The head reads the line through dest_ip: event_type, src_ip and dest_ip
     come once each, in Suricata's order, with escape-free keys and values,
     so its two groups are the decoded addresses. The tail reads the rest of
-    the line from where the head ended. Its loops are possessive, so the
-    head has one end, and the two match a line exactly when one pattern of
-    both would. ``_classify`` tests the addresses for ":" between the two,
+    the line from where the head ended. The head's loops and groups are
+    possessive, so it has one end, and the two match a line exactly when
+    one pattern of both would. ``_classify`` tests the addresses for ":" between the two,
     so a flow line of IPv4 addresses the IPv4 clause rejected goes to
     ``_parse_json`` without the rest of it being read. Other members are
     any values. Compiled on first use, as ``_non_flow_pattern`` is.
