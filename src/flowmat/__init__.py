@@ -20,7 +20,6 @@ _EXPORTS = {
     "total_sum": "hypermat",
     "Windower": "window",
     "ArchiveWriter": "archive",
-    "encode_matrix": "archive",
     "decode_matrix": "archive",
     "IntegrityError": "archive",
     "MatrixStats": "stats",

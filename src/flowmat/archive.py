@@ -16,8 +16,7 @@ Ingest encodes and writes windows a group at a time, never one by one:
 encode_group turns the matrices of one segmented build (a
 hypermat.MatrixGroup) into their blobs, and ArchiveWriter.extend writes
 them as consecutive members, rotating TARs inside the run, with one write
-per TAR it reaches, after checking every member's header. encode_matrix and
-ArchiveWriter.append are the one-member calls of the two.
+per TAR it reaches, after checking every member's header.
 
 Blobs are grouped DEFAULT_PER_TAR (64) per POSIX ustar TAR; member names are
 the 20-digit zero-padded window sequence number plus ".grb", so lexicographic
@@ -110,13 +109,6 @@ class ContainerError(IntegrityError):
         where = f"after member {after}" if after else "before any member"
         super().__init__(f"byte {offset}, {where}: {problem}")
         self.offset = offset
-
-
-def encode_matrix(m: HyperMatrix, meta: MatrixMeta) -> bytes:
-    """The version 2 blob of m."""
-    group = MatrixGroup(m.rows_present, m.row_ptr, m.col_ids, m.vals,
-                        np.array([0, len(m.rows_present)]), np.array([0, m.nvals]))
-    return encode_group(group, meta.seq, [meta.packet_total], meta.created_unix_s)[0]
 
 
 def encode_group(group: MatrixGroup, first_seq: int, packet_totals, created_unix_s: int
@@ -375,14 +367,6 @@ class ArchiveWriter:
         self._fh = None
         self._members_in_tar = 0
         self._last_seq: int | None = None
-
-    def append(self, blob: bytes, meta: MatrixMeta) -> Path | None:
-        """Add one blob; returns the TAR path when this append finalizes one.
-
-        Raises as extend does.
-        """
-        finalized = self.extend([blob], meta.seq, meta.created_unix_s)
-        return finalized[0] if finalized else None
 
     def extend(self, blobs: list[bytes], first_seq: int, created_unix_s: int) -> list[Path]:
         """Add blobs as members first_seq, first_seq + 1, ...; returns the TARs this finalizes.

@@ -104,10 +104,6 @@ class CryptoPan:
             self._table = table
         return self._table
 
-    def anonymize(self, addr: int) -> int:
-        """Map one address."""
-        return int(self.anonymize_many(np.array([addr], dtype=np.uint32))[0])
-
     def anonymize_many(self, addrs: np.ndarray) -> np.ndarray:
         """Map a batch of uint32 addresses: a table lookup and 16 AES blocks each."""
         a = addrs.astype(np.uint32)

@@ -8,8 +8,7 @@ plus-duplicate build from tagged triples and the packet total.
 Ingest builds every window a batch completes with one segmented sort
 (build_segments), which returns them as one MatrixGroup: the windows' arrays
 end to end and each window's bounds in them, never an object per window.
-build_arrays is the one-matrix case and returns a HyperMatrix, the type
-the readers decode into.
+A member the readers decode alone (archive.decode_matrix) is a HyperMatrix.
 """
 
 from __future__ import annotations
@@ -56,15 +55,6 @@ class HyperMatrix:
         )
 
 
-def empty() -> HyperMatrix:
-    return HyperMatrix(
-        rows_present=np.empty(0, dtype=np.uint32),
-        row_ptr=np.zeros(1, dtype=np.uint64),
-        col_ids=np.empty(0, dtype=np.uint32),
-        vals=np.empty(0, dtype=np.uint64),
-    )
-
-
 @dataclass(frozen=True)
 class MatrixGroup:
     """Canonical matrices built together, their arrays laid end to end.
@@ -87,12 +77,6 @@ class MatrixGroup:
         """Bytes of the four arrays, as the matrices' blob sections hold them."""
         return (self.rows_present.nbytes + self.row_ptr.nbytes
                 + self.col_ids.nbytes + self.vals.nbytes)
-
-
-def build_arrays(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray) -> HyperMatrix:
-    """Plus-duplicate build from parallel coordinate arrays: one segment."""
-    g = build_segments(np.zeros(len(vals), dtype=np.int64), rows, cols, vals, 1)
-    return HyperMatrix(g.rows_present, g.row_ptr, g.col_ids, g.vals)
 
 
 def build_segments(

@@ -85,27 +85,12 @@ def _compress(src, n: int) -> bytes:
     return ctypes.string_at(dst, written)
 
 
-def decompress(data: bytes, raw_len: int) -> bytearray:
-    """Inverse of compress; raw_len must be the exact original size."""
-    if raw_len == 0:
-        if data:
-            raise Lz4Error("expected empty compressed payload for raw_len=0")
-        return bytearray()
-    dst = bytearray(raw_len)
-    produced = _lib.LZ4_decompress_safe(
-        data, ctypes.byref(ctypes.c_char.from_buffer(dst)), len(data), raw_len
-    )
-    if produced != raw_len:
-        raise Lz4Error(f"LZ4 decompression produced {produced}, expected {raw_len}")
-    return dst
-
-
 def decompress_slices(blocks: list[bytes], dst: bytearray, bounds: list[int]) -> list[int]:
     """Decompress blocks[k] into dst[bounds[k]:bounds[k + 1]], for every k.
 
-    Each slice's length must be its block's exact original size, as for
-    decompress. Returns the k whose block fails; the bytes of their slices
-    are undefined, and no other byte of dst is written.
+    Each slice's length must be its block's exact original size. Returns
+    the k whose block fails; the bytes of their slices are undefined, and
+    no other byte of dst is written.
     """
     _check_bounds(dst, bounds)
     if len(blocks) != len(bounds) - 1:

@@ -76,6 +76,8 @@ class IngestResult:
             "tars_finalized": self.tars_finalized,
             "packets_total": self.packets_total,
             "peak_rss_bytes": self.peak_rss_bytes,
+            "raw_bytes": self.raw_bytes,
+            "blob_bytes": self.blob_bytes,
             "seconds": round(self.seconds, 3),
             "stage_seconds": {k: round(v, 6) for k, v in self.stage_seconds.items()},
             "worker_cpu_seconds": {k: round(v, 6) for k, v in self.worker_cpu_seconds.items()},

@@ -11,12 +11,12 @@ import pytest
 from flowmat import lz4block
 from flowmat.archive import (
     _HEADER, _SECTIONS, MAGIC, ArchiveWriter, ContainerError, IntegrityError, decode_matrix,
-    encode_matrix, iter_archive,
+    encode_group, iter_archive,
 )
 from flowmat.eve import FlowColumns, FlowRecord
 from flowmat.flowgen import GenConfig, generate
 from flowmat.hypermat import (
-    DIMENSION, HyperMatrix, MatrixGroup, MatrixMeta, build_arrays, empty, total_sum,
+    DIMENSION, HyperMatrix, MatrixGroup, MatrixMeta, build_segments, total_sum,
 )
 from flowmat.pipeline import run_ingest
 from flowmat.stats import aggregate_stats, matrix_stats
@@ -61,7 +61,7 @@ def encode_v1(m: HyperMatrix, meta: MatrixMeta) -> bytes:
 def encode_v2(m: HyperMatrix, meta: MatrixMeta) -> bytes:
     """The version 2 blob of m, written from its layout alone, one matrix at a time.
 
-    A reference for the grouped encoder, which encode_matrix also calls.
+    A reference for the grouped encoder, encode_group.
     """
     raw = b"".join(getattr(m, name).astype(dtype, copy=False).tobytes()
                    for name, dtype in _SECTIONS)
@@ -71,6 +71,13 @@ def encode_v2(m: HyperMatrix, meta: MatrixMeta) -> bytes:
     head += struct.pack("<QQ", len(raw), len(block))
     crc = zlib.crc32(block, zlib.crc32(head))
     return head + struct.pack("<I", crc) + block
+
+
+def encode_one(m: HyperMatrix, meta: MatrixMeta) -> bytes:
+    """The blob encode_group writes for m as a group of one."""
+    group = MatrixGroup(m.rows_present, m.row_ptr, m.col_ids, m.vals,
+                        np.array([0, len(m.rows_present)]), np.array([0, m.nvals]))
+    return encode_group(group, meta.seq, [meta.packet_total], meta.created_unix_s)[0]
 
 
 def blob_version(blob: bytes) -> int:
@@ -88,8 +95,8 @@ def rewrite_as_v1(path, out_dir):
     writer = ArchiveWriter(out_dir, per_tar=len(list(iter_archive(path))))
     for _, blob in iter_archive(path):
         matrix, meta = decode_matrix(blob)
-        written = writer.append(encode_v1(matrix, meta), meta)
-    return written
+        written = writer.extend([encode_v1(matrix, meta)], meta.seq, meta.created_unix_s)
+    return written[0]
 
 
 def columns_from_records(records: list[FlowRecord]) -> FlowColumns:
@@ -107,12 +114,11 @@ def columns_from_records(records: list[FlowRecord]) -> FlowColumns:
 def build(triples) -> HyperMatrix:
     """Plus-duplicate build from an iterable of (row, col, val) triples."""
     triples = list(triples)
-    if not triples:
-        return empty()
     rows = np.fromiter((t[0] for t in triples), dtype=np.uint32, count=len(triples))
     cols = np.fromiter((t[1] for t in triples), dtype=np.uint32, count=len(triples))
     vals = np.fromiter((t[2] for t in triples), dtype=np.uint64, count=len(triples))
-    return build_arrays(rows, cols, vals)
+    (m,) = matrices(build_segments(np.zeros(len(triples), np.int64), rows, cols, vals, 1))
+    return m
 
 
 def matrices(group: MatrixGroup) -> list[HyperMatrix]:
@@ -159,7 +165,8 @@ def random_matrix(rng: np.random.Generator, max_entries: int = 200) -> HyperMatr
     rows = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     cols = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     vals = rng.integers(1, 1 << 20, size=n, dtype=np.uint64)
-    return build_arrays(rows, cols, vals)
+    (m,) = matrices(build_segments(np.zeros(n, np.int64), rows, cols, vals, 1))
+    return m
 
 
 @pytest.fixture(autouse=True)
@@ -276,7 +283,7 @@ def per_member_verify(path) -> list[str]:
             except IntegrityError as exc:
                 failures.append(f"{name}: {exc}")
                 continue
-            encode = encode_v1 if blob_version(blob) == 1 else encode_matrix
+            encode = encode_v1 if blob_version(blob) == 1 else encode_v2
             if encode(matrix, meta) != blob:
                 failures.append(f"{name}: re-encode is not bit-identical")
                 continue

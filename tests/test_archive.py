@@ -19,25 +19,27 @@ from flowmat.archive import (
     IntegrityError,
     decode_matrix,
     encode_group,
-    encode_matrix,
     iter_archive,
     member_name,
 )
 from flowmat.flowgen import generate
-from flowmat.hypermat import MatrixMeta, build_segments, empty
+from flowmat.hypermat import MatrixMeta, build_segments
 from flowmat.pipeline import run_ingest, verify_archive
 from flowmat.stats import archive_stats
-from tests.conftest import build, encode_v1, encode_v2, random_matrix, to_triples, with_crc
+from tests.conftest import (
+    build, encode_one, encode_v1, encode_v2, random_matrix, to_triples, with_crc,
+)
 from tests.test_golden import FIXED_CLOCK, GOLDEN_INPUT
 from tests.test_pipeline_cli import run_cli
 
-META = MatrixMeta(seq=0, packet_total=9, created_unix_s=1_724_000_000)
+CREATED = 1_724_000_000
+META = MatrixMeta(seq=0, packet_total=9, created_unix_s=CREATED)
 DATA = Path(__file__).parent / "data"
 
 
 def test_v2_layout():
     m = build([(i, i + 1, 2) for i in range(50)])
-    blob = encode_matrix(m, META)
+    blob = encode_one(m, META)
     assert struct.unpack_from("<4sI", blob) == (b"HSTM", 2)
     raw_len, comp_len, crc = struct.unpack_from("<QQI", blob, 64)
     assert raw_len == 50 * 4 + 51 * 8 + 50 * 4 + 50 * 8
@@ -48,23 +50,23 @@ def test_v2_layout():
 
 
 def test_empty_matrix_blob_small():
-    blob = encode_matrix(empty(), MatrixMeta(0, 0, 0))
+    blob = encode_one(build([]), MatrixMeta(0, 0, 0))
     assert len(blob) < 200
     m, meta = decode_matrix(blob)
-    assert m == empty()
+    assert m == build([])
     assert meta == MatrixMeta(0, 0, 0)
 
 
 def test_two_entry_round_trip():
     m = build([(1, 2, 5), (1, 2, 3), (0, 9, 1)])
-    m2, meta2 = decode_matrix(encode_matrix(m, META))
+    m2, meta2 = decode_matrix(encode_one(m, META))
     assert m2 == m
     assert meta2 == META
 
 
 def test_encode_deterministic():
     m = build([(3, 4, 5)])
-    assert encode_matrix(m, META) == encode_matrix(m, META)
+    assert encode_one(m, META) == encode_one(m, META)
 
 
 def test_random_round_trip_and_reencode(rng):
@@ -75,29 +77,29 @@ def test_random_round_trip_and_reencode(rng):
             packet_total=int(m.vals.sum(dtype=np.uint64)),
             created_unix_s=int(rng.integers(0, 1 << 32)),
         )
-        blob = encode_matrix(m, meta)
+        blob = encode_one(m, meta)
         m2, meta2 = decode_matrix(blob)
         assert to_triples(m2) == to_triples(m)
         assert meta2 == meta
-        assert encode_matrix(m2, meta2) == blob
+        assert encode_one(m2, meta2) == blob
 
 
 def test_bad_magic():
-    blob = bytearray(encode_matrix(empty(), META))
+    blob = bytearray(encode_v2(build([]), META))
     blob[0] ^= 0xFF
     with pytest.raises(IntegrityError, match="magic"):
         decode_matrix(bytes(blob))
 
 
 def test_bad_version():
-    blob = bytearray(encode_matrix(empty(), META))
+    blob = bytearray(encode_v2(build([]), META))
     blob[4] = 99
     with pytest.raises(IntegrityError, match="version"):
         decode_matrix(bytes(blob))
 
 
 def test_truncated_blob():
-    blob = encode_matrix(build([(1, 2, 3)]), META)
+    blob = encode_v2(build([(1, 2, 3)]), META)
     with pytest.raises(IntegrityError, match="truncated|shorter"):
         decode_matrix(blob[: len(blob) - 5])
 
@@ -112,7 +114,7 @@ def test_corrupt_section_names_section():
 
 def test_corrupt_block_is_named():
     m = build([(i, i + 1, 2) for i in range(50)])
-    blob = bytearray(encode_matrix(m, META))
+    blob = bytearray(encode_v2(m, META))
     blob[-8:] = b"\x00" * 8
     with pytest.raises(IntegrityError, match="crc32"):
         decode_matrix(bytes(blob))
@@ -123,11 +125,11 @@ def test_corrupt_block_is_named():
     zero_val = build([(i, i + 1, 2) for i in range(50)])
     zero_val.vals[7] = 0
     with pytest.raises(IntegrityError, match="section vals contains zero entries"):
-        decode_matrix(encode_matrix(zero_val, META))
+        decode_matrix(encode_v2(zero_val, META))
 
 
 def test_trailing_bytes_rejected():
-    blob = encode_matrix(empty(), META)
+    blob = encode_v2(build([]), META)
     with pytest.raises(IntegrityError, match="trailing"):
         decode_matrix(blob + b"\x00")
 
@@ -156,7 +158,7 @@ def test_raw_len_bit_flips_raise_integrity_error(section):
 
 
 def test_v2_raw_len_bit_flips_raise_integrity_error():
-    blob = encode_matrix(build([(i, i + 1, 2) for i in range(50)]), META)
+    blob = encode_v2(build([(i, i + 1, 2) for i in range(50)]), META)
     raw_len = struct.unpack_from("<Q", blob, 64)[0]
     for bit in range(64):
         bad = bytearray(blob)
@@ -172,7 +174,7 @@ def test_v2_raw_len_bit_flips_raise_integrity_error():
 def test_every_single_bit_flip_of_a_v2_blob_is_an_integrity_error(entries):
     m = build([(i * 7919 % 1009, i * 104_729, i + 1) for i in range(entries)])
     assert m.nvals == entries
-    blob = encode_matrix(m, MatrixMeta(seq=3, packet_total=int(m.vals.sum()), created_unix_s=7))
+    blob = encode_v2(m, MatrixMeta(seq=3, packet_total=int(m.vals.sum()), created_unix_s=7))
     assert decode_matrix(blob)[0] == m
     for byte in range(len(blob)):
         for bit in range(8):
@@ -202,8 +204,7 @@ def test_raw_length_past_lz4_expansion_is_refused_before_allocation(version, ent
 
 def test_cli_reports_oversized_raw_length_without_traceback(tmp_path):
     w = ArchiveWriter(tmp_path, per_tar=2)
-    w.append(_oversized(1, 1 << 40), MatrixMeta(seq=0, packet_total=0, created_unix_s=5))
-    path = w.append(_oversized(2, 1 << 40), MatrixMeta(seq=1, packet_total=0, created_unix_s=5))
+    (path,) = w.extend([_oversized(1, 1 << 40), _oversized(2, 1 << 40)], 0, 5)
     for command in ["verify", "stats"]:
         proc = run_cli(command, str(path))
         assert b"Traceback" not in proc.stderr, proc.stderr
@@ -229,30 +230,31 @@ def test_member_naming():
     assert member_name(7) == "00000000000000000007.grb"
 
 
-def _blobs(n, rng):
+def _blobs(n, rng) -> list[bytes]:
+    """Blobs of windows 0, 1, ..., n - 1, all created at CREATED."""
+    blobs = []
     for seq in range(n):
         m = random_matrix(rng, max_entries=20)
-        meta = MatrixMeta(seq=seq, packet_total=int(m.vals.sum(dtype=np.uint64)),
-                          created_unix_s=1_724_000_000 + seq)
-        yield encode_matrix(m, meta), meta
+        blobs.append(encode_v2(m, MatrixMeta(seq, int(m.vals.sum(dtype=np.uint64)), CREATED)))
+    return blobs
 
 
 def test_rotation_64(tmp_path, rng):
     w = ArchiveWriter(tmp_path, per_tar=64)
-    finalized = [w.append(blob, meta) for blob, meta in _blobs(64, rng)]
-    assert finalized[:-1] == [None] * 63
-    assert finalized[-1] is not None
+    finalized = [w.extend([blob], seq, CREATED) for seq, blob in enumerate(_blobs(64, rng))]
+    assert finalized[:-1] == [[]] * 63
+    (path,) = finalized[-1]
     assert w.close() is None
-    with tarfile.open(finalized[-1]) as tar:
+    with tarfile.open(path) as tar:
         names = tar.getnames()
     assert names == [member_name(i) for i in range(64)]
 
 
 def test_rotation_130_gives_64_64_2(tmp_path, rng):
     w = ArchiveWriter(tmp_path, per_tar=64)
-    finalized = [w.append(blob, meta) for blob, meta in _blobs(130, rng)] + [w.close()]
+    finalized = w.extend(_blobs(130, rng), 0, CREATED) + [w.close()]
     sizes = []
-    for path in filter(None, finalized):
+    for path in finalized:
         with tarfile.open(path) as tar:
             sizes.append(len(tar.getnames()))
     assert sizes == [64, 64, 2]
@@ -260,16 +262,16 @@ def test_rotation_130_gives_64_64_2(tmp_path, rng):
 
 def test_non_ascending_seq_rejected(tmp_path, rng):
     w = ArchiveWriter(tmp_path, per_tar=64)
-    blobs = list(_blobs(2, rng))
-    w.append(*blobs[1])
+    blobs = _blobs(2, rng)
+    w.extend([blobs[1]], 1, CREATED)
     with pytest.raises(ValueError, match="ascending"):
-        w.append(*blobs[0])
+        w.extend([blobs[0]], 0, CREATED)
     w.close()
 
 
 def test_tar_readable_by_system_extractor(tmp_path, rng):
     w = ArchiveWriter(tmp_path / "out", per_tar=4)
-    path = [w.append(blob, meta) for blob, meta in _blobs(4, rng)][-1]
+    (path,) = w.extend(_blobs(4, rng), 0, CREATED)
     extract_dir = tmp_path / "extracted"
     extract_dir.mkdir()
     subprocess.run(["tar", "-xf", str(path), "-C", str(extract_dir)], check=True)
@@ -283,16 +285,16 @@ def test_tar_readable_by_system_extractor(tmp_path, rng):
 
 def test_iter_archive_round_trip(tmp_path, rng):
     w = ArchiveWriter(tmp_path, per_tar=8)
-    originals = list(_blobs(8, rng))
-    path = [w.append(blob, meta) for blob, meta in originals][-1]
+    originals = _blobs(8, rng)
+    (path,) = w.extend(originals, 0, CREATED)
     members = list(iter_archive(path))
     assert [name for name, _ in members] == [member_name(i) for i in range(8)]
-    assert [blob for _, blob in members] == [blob for blob, _ in originals]
+    assert [blob for _, blob in members] == originals
 
 
 def test_tar_file_naming(tmp_path, rng):
     w = ArchiveWriter(tmp_path, per_tar=2)
-    path = [w.append(blob, meta) for blob, meta in _blobs(2, rng)][-1]
+    (path,) = w.extend(_blobs(2, rng), 0, CREATED)
     assert path.name == "1724000000_0.tar"
 
 
@@ -308,8 +310,8 @@ def test_writer_bytes_equal_tarfile(tmp_path, rng, per_tar, mtime):
     blobs = [rng.bytes(size) for size in sizes]
     metas = [MatrixMeta(seq=3 * i, packet_total=0, created_unix_s=mtime) for i in range(len(blobs))]
     w = ArchiveWriter(tmp_path / "ours", per_tar=per_tar)
-    ours = [w.append(blob, meta) for blob, meta in zip(blobs, metas)] + [w.close()]
-    ours = [path for path in ours if path is not None]
+    ours = [path for blob, meta in zip(blobs, metas) for path in w.extend([blob], meta.seq, mtime)]
+    ours = [path for path in [*ours, w.close()] if path is not None]
     assert len(ours) == -(-len(blobs) // per_tar)
     for k, path in enumerate(ours):
         members = range(k * per_tar, min((k + 1) * per_tar, len(blobs)))
@@ -336,10 +338,10 @@ class _Huge:
 def test_writer_rejects_unrepresentable_header_before_writing(tmp_path, blob, mtime):
     w = ArchiveWriter(tmp_path, per_tar=2)
     with pytest.raises(ValueError, match="overflows"):
-        w.append(blob, MatrixMeta(seq=0, packet_total=0, created_unix_s=mtime))
+        w.extend([blob], 0, mtime)
     assert list(tmp_path.iterdir()) == []
     # the rejected member left no trace: the next one starts the TAR
-    w.append(b"ok", MatrixMeta(seq=0, packet_total=0, created_unix_s=5))
+    w.extend([b"ok"], 0, 5)
     path = w.close()
     assert _tarfile_members(path) == [(member_name(0), b"ok")]
 
@@ -355,7 +357,7 @@ def test_iter_archive_equals_tarfile_on_golden_tars(tmp_path, monkeypatch):
 
 def test_iter_archive_reads_system_tar_rewrite(tmp_path, rng):
     w = ArchiveWriter(tmp_path / "out", per_tar=5)
-    path = [w.append(blob, meta) for blob, meta in _blobs(5, rng)][-1]
+    (path,) = w.extend(_blobs(5, rng), 0, CREATED)
     extract_dir = tmp_path / "extracted"
     extract_dir.mkdir()
     subprocess.run(["tar", "-xf", str(path), "-C", str(extract_dir)], check=True)
@@ -369,7 +371,7 @@ def test_iter_archive_reads_system_tar_rewrite(tmp_path, rng):
 def _three_member_tar(tmp_path, rng):
     """Path, bytes, members and block offsets (3 headers, first end block)."""
     w = ArchiveWriter(tmp_path / "out", per_tar=3)
-    path = [w.append(blob, meta) for blob, meta in _blobs(3, rng)][-1]
+    (path,) = w.extend(_blobs(3, rng), 0, CREATED)
     members = list(iter_archive(path))
     offsets, offset = [], 0
     for _, blob in members:
@@ -469,7 +471,7 @@ def test_group_encodes_and_writes_as_its_windows_one_by_one(
     blobs = encode_group(group, first_seq, totals, created)
     metas = [MatrixMeta(first_seq + k, total, created) for k, total in enumerate(totals)]
     matrices = [build(window) for window in windows]
-    assert blobs == [encode_matrix(m, meta) for m, meta in zip(matrices, metas)]
+    assert blobs == [encode_one(m, meta) for m, meta in zip(matrices, metas)]
     assert blobs == [encode_v2(m, meta) for m, meta in zip(matrices, metas)]
 
     # the members in runs of consecutive windows, and one at a time
@@ -482,7 +484,8 @@ def test_group_encodes_and_writes_as_its_windows_one_by_one(
             finalized += w.extend(blobs[lo:hi], first_seq + lo, created)
         finalized.append(w.close())
         w = ArchiveWriter(alone, per_tar=per_tar)
-        one_by_one = [w.append(blob, meta) for blob, meta in zip(blobs, metas)] + [w.close()]
+        one_by_one = [path for seq, blob in enumerate(blobs, first_seq)
+                      for path in w.extend([blob], seq, created)] + [w.close()]
         assert [p.name for p in finalized if p] == [p.name for p in one_by_one if p]
         assert _tar_bytes(runs) == _tar_bytes(alone)
         assert len(_tar_bytes(runs)) == -(-len(blobs) // per_tar)

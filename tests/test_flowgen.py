@@ -1,3 +1,4 @@
+import importlib
 import os
 import subprocess
 import sys
@@ -104,3 +105,27 @@ def test_package_names_are_imported_on_first_use():
     assert all(getattr(flowmat, name) is not None for name in flowmat.__all__)
     with pytest.raises(AttributeError, match="no_such_name"):
         flowmat.no_such_name
+
+
+# Every flowmat name that the benchmark harness (perfbench/) imports, by
+# module, listed by hand. Removing one of them breaks the benchmark run.
+BENCHMARK_IMPORTS = {
+    "archive": ["ArchiveWriter", "decode_matrix", "iter_archive"],
+    "cryptopan": ["CryptoPan", "load_key"],
+    "eve": ["FlowRecord", "Skip", "open_source", "parse_flow_record"],
+    "flowgen": ["GenConfig", "generate", "packet_total"],
+    "lz4block": [],
+    "pipeline": ["run_ingest", "verify_archive"],
+    "stats": ["archive_stats"],
+    "window": ["TripleBuffer", "Windower"],
+}
+
+
+def test_names_the_benchmark_imports_exist():
+    missing = [
+        f"flowmat.{module}.{name}"
+        for module, names in BENCHMARK_IMPORTS.items()
+        for name in names
+        if not hasattr(importlib.import_module(f"flowmat.{module}"), name)
+    ]
+    assert missing == []

@@ -12,13 +12,13 @@ import pytest
 
 from flowmat.archive import (
     GROUP_ENTRIES, GROUP_MEMBER_ENTRIES, ArchiveWriter, IntegrityError, decode_matrix,
-    encode_matrix, iter_archive, iter_member_groups,
+    iter_archive, iter_member_groups,
 )
-from flowmat.hypermat import HyperMatrix, MatrixMeta, build_arrays, empty
+from flowmat.hypermat import HyperMatrix, MatrixMeta
 from flowmat.pipeline import verify_archive
 from flowmat.stats import archive_stats
 from tests.conftest import (
-    blob_version, encode_v1, per_member_stats, per_member_verify, with_crc,
+    blob_version, build, encode_v1, encode_v2, per_member_stats, per_member_verify, with_crc,
 )
 
 CREATED = 1_724_000_000
@@ -163,17 +163,18 @@ def _matrix(rng, entries: int) -> HyperMatrix:
     cells = rng.choice(side * side, size=entries, replace=False)
     rows = (cells // side).astype(np.uint32) * np.uint32(7919)
     cols = (cells % side).astype(np.uint32) * np.uint32(104_729)
-    return build_arrays(rows, cols, rng.integers(1, 1 << 20, size=entries, dtype=np.uint64))
+    vals = rng.integers(1, 1 << 20, size=entries, dtype=np.uint64)
+    return build(zip(rows.tolist(), cols.tolist(), vals.tolist()))
 
 
-def _write_tar(directory, matrices, encoders=(encode_matrix,)):
+def _write_tar(directory, matrices, encoders=(encode_v2,)):
     """Path of one TAR holding the matrices, in order, member i encoded by
     encoders[i % len(encoders)]."""
-    w = ArchiveWriter(directory, per_tar=len(matrices))
-    for seq, m in enumerate(matrices):
-        meta = MatrixMeta(seq=seq, packet_total=int(m.vals.sum(dtype=np.uint64)),
-                          created_unix_s=CREATED)
-        path = w.append(encoders[seq % len(encoders)](m, meta), meta)
+    blobs = [
+        encoders[seq % len(encoders)](m, MatrixMeta(seq, int(m.vals.sum(dtype=np.uint64)), CREATED))
+        for seq, m in enumerate(matrices)
+    ]
+    (path,) = ArchiveWriter(directory, per_tar=len(matrices)).extend(blobs, 0, CREATED)
     return path
 
 
@@ -182,7 +183,7 @@ def test_grouping_boundaries(tmp_path, rng):
     sizes = [0, 1, 1, bound, bound + 1, 1, 0]
     # more small members than one group holds, then a few past the flush
     sizes += [bound] * (GROUP_ENTRIES // (bound + 1) + 3) + [1]
-    path = _write_tar(tmp_path, [_matrix(rng, n) if n else empty() for n in sizes])
+    path = _write_tar(tmp_path, [_matrix(rng, n) for n in sizes])
 
     records, failures = _assert_same_as_oracle(path)
     assert failures == []
@@ -201,8 +202,8 @@ def test_grouping_boundaries(tmp_path, rng):
 def test_mixed_versions_read_the_same_grouped_as_per_member(tmp_path, rng):
     bound = GROUP_MEMBER_ENTRIES
     sizes = [0, 3, 1, bound + 1, 7, 1, 200, 5, bound + 20, 2, 0]
-    matrices = [_matrix(rng, n) if n else empty() for n in sizes]
-    path = _write_tar(tmp_path / "mixed", matrices, encoders=(encode_v1, encode_matrix))
+    matrices = [_matrix(rng, n) for n in sizes]
+    path = _write_tar(tmp_path / "mixed", matrices, encoders=(encode_v1, encode_v2))
     records, failures = _assert_same_as_oracle(path)
     assert failures == []
     assert records == archive_stats(_write_tar(tmp_path / "v2", matrices))
@@ -211,7 +212,7 @@ def test_mixed_versions_read_the_same_grouped_as_per_member(tmp_path, rng):
 
 
 def test_group_of_empty_matrices(tmp_path):
-    path = _write_tar(tmp_path, [empty()] * 3)
+    path = _write_tar(tmp_path, [build([])] * 3)
     records, failures = _assert_same_as_oracle(path)
     assert failures == [] and records[-1]["members"] == 3
     assert [(len(g.names), g.metas.count(None)) for g in iter_member_groups(path)] == [(3, 0)]
@@ -272,28 +273,25 @@ def test_noncanonical_member_is_reported_alone(tmp_path, rng, case):
 def test_wrapping_row_offsets_are_an_integrity_error():
     m = _crafted([0, 1, 2], WRAPPING_ROW_PTR, [0, 1, 2, 3], [1, 1, 1, 1])
     with pytest.raises(IntegrityError, match="section row_ptr not strictly increasing"):
-        decode_matrix(encode_matrix(m, MatrixMeta(0, 4, CREATED)))
+        decode_matrix(encode_v2(m, MatrixMeta(0, 4, CREATED)))
 
 
-def _member(rng, seq: int, entries: int, encode=encode_matrix) -> tuple[bytes, MatrixMeta]:
+def _member(rng, seq: int, entries: int, encode=encode_v2) -> bytes:
     m = _matrix(rng, entries)
-    meta = MatrixMeta(seq, int(m.vals.sum(dtype=np.uint64)), CREATED)
-    return encode(m, meta), meta
+    return encode(m, MatrixMeta(seq, int(m.vals.sum(dtype=np.uint64)), CREATED))
 
 
-def _reported_alone(tmp_path, rng, member, message, encode):
-    """A TAR of member between two sound ones reports message for it alone."""
-    w = ArchiveWriter(tmp_path, per_tar=3)
-    for m in [_member(rng, 0, 5, encode), member, _member(rng, 2, 3, encode)]:
-        path = w.append(*m)
+def _reported_alone(tmp_path, rng, blob, message, encode):
+    """A TAR of blob between two sound members reports message for it alone."""
+    blobs = [_member(rng, 0, 5, encode), blob, _member(rng, 2, 3, encode)]
+    (path,) = ArchiveWriter(tmp_path, per_tar=3).extend(blobs, 0, CREATED)
     records, failures = _assert_same_as_oracle(path)
     assert [r.get("error") for r in records[:-1]] == [None, message, None]
     assert failures == [f"{1:020d}.grb: {message}"]
 
 
 def test_layout_fault_is_named_before_a_decompression_fault(tmp_path, rng):
-    blob, meta = _member(rng, 1, 5, encode_v1)
-    blob = bytearray(blob)
+    blob = bytearray(_member(rng, 1, 5, encode_v1))
     prefixes, offset = [], 64  # fixed header size
     for _ in range(4):
         prefixes.append(offset)
@@ -307,11 +305,11 @@ def test_layout_fault_is_named_before_a_decompression_fault(tmp_path, rng):
     message = f"section col_ids raw length {raw_len + 4} disagrees with header"
     with pytest.raises(IntegrityError, match=message):
         decode_matrix(bytes(blob))
-    _reported_alone(tmp_path, rng, (bytes(blob), meta), message, encode_v1)
+    _reported_alone(tmp_path, rng, bytes(blob), message, encode_v1)
 
 
 def test_v2_layout_fault_is_named_before_a_checksum_or_decompression_fault(tmp_path, rng):
-    blob, meta = _member(rng, 1, 5)
+    blob = _member(rng, 1, 5)
     # a literal run past the end of the block, behind a matching CRC
     blob = with_crc(blob[:84] + b"\xff" * (len(blob) - 84))
     with pytest.raises(IntegrityError, match="^block fails decompression$"):
@@ -325,4 +323,4 @@ def test_v2_layout_fault_is_named_before_a_checksum_or_decompression_fault(tmp_p
     message = f"block raw length {raw_len + 4} disagrees with header"
     with pytest.raises(IntegrityError, match=message):
         decode_matrix(bytes(blob))
-    _reported_alone(tmp_path, rng, (bytes(blob), meta), message, encode_matrix)
+    _reported_alone(tmp_path, rng, bytes(blob), message, encode_v2)

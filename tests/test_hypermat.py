@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmat.archive import encode_matrix
-from flowmat.hypermat import MatrixMeta, build_arrays, build_segments, empty, total_sum
-from tests.conftest import build, col_degrees, matrices, row_degrees, to_triples
+from flowmat.hypermat import MatrixMeta, build_segments, total_sum
+from tests.conftest import build, col_degrees, encode_one, matrices, row_degrees, to_triples
 
 triples_strategy = st.lists(
     st.tuples(
@@ -31,7 +30,8 @@ def test_empty_build():
     assert len(m.rows_present) == 0
     assert list(m.row_ptr) == [0]
     assert total_sum(m) == 0
-    assert m == empty()
+    arrays = (m.rows_present, m.row_ptr, m.col_ids, m.vals)
+    assert [a.dtype for a in arrays] == [np.uint32, np.uint64, np.uint32, np.uint64]
 
 
 def test_duplicate_summation_by_hand():
@@ -43,7 +43,7 @@ def test_duplicate_summation_by_hand():
 
 
 def test_dimensions_fixed():
-    blob = encode_matrix(build([(0, 0, 1)]), MatrixMeta(seq=0, packet_total=1, created_unix_s=0))
+    blob = encode_one(build([(0, 0, 1)]), MatrixMeta(seq=0, packet_total=1, created_unix_s=0))
     nrows, ncols = struct.unpack_from("<QQ", blob, 8)  # after magic and version
     assert nrows == ncols == 2**32
 
@@ -59,7 +59,7 @@ def test_conservation_large_random(rng):
     cols = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     vals = rng.integers(1, 1000, size=n, dtype=np.uint64)
     oracle = sum(int(v) for v in vals)  # plain 64-bit accumulation over raw list
-    m = build_arrays(rows, cols, vals)
+    (m,) = matrices(build_segments(np.zeros(n, np.int64), rows, cols, vals, 1))
     assert total_sum(m) == oracle
 
 
@@ -68,7 +68,7 @@ def test_canonical_invariants(rng):
     rows = rng.integers(0, 50, size=n, dtype=np.uint64).astype(np.uint32)
     cols = rng.integers(0, 50, size=n, dtype=np.uint64).astype(np.uint32)
     vals = rng.integers(1, 10, size=n, dtype=np.uint64)
-    m = build_arrays(rows, cols, vals)
+    (m,) = matrices(build_segments(np.zeros(n, np.int64), rows, cols, vals, 1))
     assert (np.diff(m.rows_present.astype(np.int64)) > 0).all()
     assert m.row_ptr[0] == 0 and m.row_ptr[-1] == m.nvals
     assert (np.diff(m.row_ptr.astype(np.int64)) >= 0).all()
@@ -111,8 +111,8 @@ def test_degrees_by_hand():
     m = build([(1, 2, 5), (1, 3, 5), (7, 2, 1)])
     assert row_degrees(m) == [(1, 2), (7, 1)]
     assert col_degrees(m) == [(2, 2), (3, 1)]
-    assert row_degrees(empty()) == []
-    assert col_degrees(empty()) == []
+    assert row_degrees(build([])) == []
+    assert col_degrees(build([])) == []
 
 
 def test_degrees_against_dict_oracle(rng):
@@ -140,7 +140,7 @@ def test_hypersparse_footprint(rng):
     rows = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     cols = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     vals = np.ones(n, dtype=np.uint64)
-    m = build_arrays(rows, cols, vals)
+    (m,) = matrices(build_segments(np.zeros(n, np.int64), rows, cols, vals, 1))
     footprint = sum(
         arr.nbytes for arr in (m.rows_present, m.row_ptr, m.col_ids, m.vals)
     ) + sys.getsizeof(m)
@@ -149,7 +149,7 @@ def test_hypersparse_footprint(rng):
 
 
 @pytest.mark.parametrize("nseg", [1, 3, 17])
-def test_segmented_build_equals_build_arrays(rng, nseg):
+def test_segmented_build_equals_each_segment_built_alone(rng, nseg):
     n = 2000
     segs = np.sort(rng.integers(0, nseg, size=n))
     rows = rng.integers(0, 40, size=n, dtype=np.uint64).astype(np.uint32)
@@ -160,5 +160,6 @@ def test_segmented_build_equals_build_arrays(rng, nseg):
     assert len(built) == nseg + 1
     for s, matrix in enumerate(built):
         mask = segs == s
-        assert matrix == build_arrays(rows[mask], cols[mask], vals[mask])
+        alone = np.zeros(int(mask.sum()), np.int64)
+        assert [matrix] == matrices(build_segments(alone, rows[mask], cols[mask], vals[mask], 1))
     assert built[nseg].nvals == 0  # a segment with no triples is the empty matrix

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from flowmat import lz4block
-from flowmat.lz4block import Lz4Error, compress, compress_slices, decompress, decompress_slices
+from flowmat.lz4block import Lz4Error, compress, compress_slices, decompress_slices
 
 
 def _payloads() -> list[bytes]:
@@ -37,7 +37,9 @@ def _buffer_and_bounds() -> tuple[bytearray, list[int]]:
 def test_compress_round_trips(data):
     packed = compress(data)
     assert (packed == b"") == (data == b"")
-    assert decompress(packed, len(data)) == data
+    dst = bytearray(len(data))
+    assert decompress_slices([packed], dst, [0, len(data)]) == []
+    assert dst == data
 
 
 def test_compress_slices_equals_compress_per_slice():
@@ -68,11 +70,13 @@ def test_decompress_slices_returns_exactly_the_failing_blocks():
     bad[0] = b"\x00"  # data for an empty slice
     bad[3] = bad[3][:-1]  # cut short
     bad[4] = blocks[3]  # a good block of another length
+    a, b = slices[5]
+    bad[5] = compress(bytes(buf[a : b - 1]))  # a slice one byte longer than its output
     bad[6] = b""  # no data for a non-empty slice
     dst = bytearray(b"\xaa" * len(buf))
-    assert decompress_slices(bad, dst, bounds) == [0, 3, 4, 6]
+    assert decompress_slices(bad, dst, bounds) == [0, 3, 4, 5, 6]
     for k, (a, b) in enumerate(slices):
-        if k not in (3, 4, 6):
+        if k not in (3, 4, 5, 6):
             assert dst[a:b] == buf[a:b]
 
 
@@ -91,19 +95,17 @@ def test_block_count_must_match_slices(blocks):
         decompress_slices(blocks, bytearray(4), [0, 2, 4])
 
 
-def test_wrong_raw_len_raises_lz4_error():
+def test_wrong_raw_len_fails_the_block():
     data = b"abcd" * 1000
     packed = compress(data)
-    for raw_len in (len(data) - 1, len(data) + 1, 1):
-        with pytest.raises(Lz4Error):
-            decompress(packed, raw_len)
-    with pytest.raises(Lz4Error, match="empty"):
-        decompress(packed, 0)
+    for raw_len in (len(data) - 1, len(data) + 1, 1, 0):
+        assert decompress_slices([packed], bytearray(raw_len), [0, raw_len]) == [0]
 
 
 def test_input_size_limit_applies_to_blocks_and_slices(monkeypatch):
     monkeypatch.setattr(lz4block, "_MAX_INPUT_SIZE", 10)
-    assert decompress(compress(b"x" * 10), 10) == b"x" * 10
+    dst = bytearray(10)
+    assert decompress_slices([compress(b"x" * 10)], dst, [0, 10]) == [] and dst == b"x" * 10
     with pytest.raises(Lz4Error, match="too large"):
         compress(b"x" * 11)
     with pytest.raises(Lz4Error, match="too large"):

@@ -70,6 +70,17 @@ def test_sharded_file_stage_seconds_split_the_wait_by_worker_cpu(eve_file, tmp_p
     assert result.as_dict()["worker_cpu_seconds"] == {k: round(v, 6) for k, v in cpu.items()}
 
 
+def test_summary_counts_raw_and_blob_bytes(tmp_path):
+    summary = run_ingest(generate(ELEPHANT_INPUT), None, tmp_path, window_packets=1 << 17,
+                         per_tar=16).as_dict()
+    blobs = [blob for tar in tmp_path.glob("*.tar") for _, blob in iter_archive(tar)]
+    assert len(blobs) == summary["windows_written"] > 16
+    assert summary["blob_bytes"] == sum(map(len, blobs))
+    arrays = [(m.rows_present, m.row_ptr, m.col_ids, m.vals)
+              for m, _ in map(decode_matrix, blobs)]
+    assert summary["raw_bytes"] == sum(a.nbytes for four in arrays for a in four)
+
+
 def test_stream_read_waits_stay_in_parse(tmp_path):
     block, pause = shard.STREAM_BLOCK_LINES, 0.2
 

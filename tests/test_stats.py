@@ -1,14 +1,14 @@
 import numpy as np
 
-from flowmat.archive import ArchiveWriter, encode_matrix
+from flowmat.archive import ArchiveWriter
 from flowmat.cryptopan import CryptoPan
-from flowmat.hypermat import MatrixMeta, build_arrays, empty
+from flowmat.hypermat import MatrixMeta
 from flowmat.stats import MatrixStats, archive_stats, matrix_stats
-from tests.conftest import build
+from tests.conftest import build, encode_v2
 
 
 def test_empty_matrix_stats():
-    assert matrix_stats(empty()) == MatrixStats()
+    assert matrix_stats(build([])) == MatrixStats()
 
 
 def test_stats_by_hand():
@@ -35,17 +35,18 @@ def test_anonymization_invariance(rng):
     cols = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     vals = rng.integers(1, 50, size=n, dtype=np.uint64)
     cp = CryptoPan(bytes(range(32)))
-    raw = matrix_stats(build_arrays(rows, cols, vals))
-    anon = matrix_stats(build_arrays(cp.anonymize_many(rows), cp.anonymize_many(cols), vals))
+    raw = matrix_stats(build(zip(rows.tolist(), cols.tolist(), vals.tolist())))
+    anon_rows, anon_cols = cp.anonymize_many(rows).tolist(), cp.anonymize_many(cols).tolist()
+    anon = matrix_stats(build(zip(anon_rows, anon_cols, vals.tolist())))
     assert raw == anon
 
 
 def _write_archive(tmp_path, matrices):
+    created = 1_724_000_000
+    blobs = [encode_v2(m, MatrixMeta(seq, int(m.vals.sum(dtype=np.uint64)), created))
+             for seq, m in enumerate(matrices)]
     w = ArchiveWriter(tmp_path, per_tar=64)
-    for seq, m in enumerate(matrices):
-        meta = MatrixMeta(seq=seq, packet_total=int(m.vals.sum(dtype=np.uint64)),
-                          created_unix_s=1_724_000_000)
-        w.append(encode_matrix(m, meta), meta)
+    w.extend(blobs, 0, created)
     return w.close()
 
 
