@@ -2,9 +2,9 @@ import numpy as np
 
 from flowmat.archive import ArchiveWriter
 from flowmat.cryptopan import CryptoPan
-from flowmat.hypermat import MatrixMeta
+from flowmat.hypermat import MatrixMeta, build_segments
 from flowmat.stats import MatrixStats, archive_stats, matrix_stats
-from tests.conftest import build, encode_v2
+from tests.conftest import build, encode_v2, matrices
 
 
 def test_empty_matrix_stats():
@@ -35,10 +35,11 @@ def test_anonymization_invariance(rng):
     cols = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     vals = rng.integers(1, 50, size=n, dtype=np.uint64)
     cp = CryptoPan(bytes(range(32)))
-    raw = matrix_stats(build(zip(rows.tolist(), cols.tolist(), vals.tolist())))
-    anon_rows, anon_cols = cp.anonymize_many(rows).tolist(), cp.anonymize_many(cols).tolist()
-    anon = matrix_stats(build(zip(anon_rows, anon_cols, vals.tolist())))
-    assert raw == anon
+    one = np.zeros(n, np.int64)
+    (raw,) = matrices(build_segments(one, rows, cols, vals, 1))
+    (anon,) = matrices(build_segments(one, cp.anonymize_many(rows), cp.anonymize_many(cols),
+                                      vals, 1))
+    assert matrix_stats(raw) == matrix_stats(anon)
 
 
 def _write_archive(tmp_path, matrices):
