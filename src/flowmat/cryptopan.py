@@ -38,9 +38,10 @@ def load_key(path: str | None = None) -> bytes:
     """Load 32 raw key bytes from a file, or 64 hex chars from the environment."""
     if path is not None:
         with open(path, "rb") as fh:
-            key = fh.read()
+            key = fh.read(KEY_BYTES + 1)  # enough to tell a longer file, even /dev/zero
         if len(key) != KEY_BYTES:
-            raise KeyError_(f"key file {path!r} must hold exactly {KEY_BYTES} bytes, got {len(key)}")
+            got = "more" if len(key) > KEY_BYTES else len(key)
+            raise KeyError_(f"key file {path!r} must hold exactly {KEY_BYTES} bytes, got {got}")
         return key
     hexkey = os.environ.get(KEY_ENV_VAR)
     if hexkey is None:

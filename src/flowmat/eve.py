@@ -6,20 +6,17 @@ mixed event streams, and IPv6 traffic it does not handle.
 
 One classifier, ``_classify``, decides every line: it gives the line's
 record as ten decimal fields (eight octets and two counts) or its ``Skip``.
-Three compact clauses, each one compiled bytes regex, accept only compact
+Two compact clauses, each one compiled bytes regex, accept only compact
 ASCII JSON whose shape makes the outcome certain:
 
-* an IPv4 flow event with its keys in Suricata's order, strict dotted
-  quads, plain integer counts below 2^64, escape-free strings and no
-  duplicate of any key the parser reads. Its fields are the regex's ten
-  groups;
+* a flow event with its keys in Suricata's order, each address a strict
+  dotted quad or an escape-free string holding ":", plain integer counts
+  below 2^64 and no duplicate of any key the parser reads. With two quads
+  its fields are the regex's ten groups; otherwise it is ``Skip.IPV6``;
 * an event whose one top-level ``event_type`` is an escape-free string other
-  than "flow": ``Skip.NON_FLOW``;
-* a flow event whose one escape-free ``src_ip`` and one escape-free
-  ``dest_ip``, captured by the regex, are not both free of ":":
-  ``Skip.IPV6``.
+  than "flow": ``Skip.NON_FLOW``.
 
-The last two prove the whole line is valid JSON: values may nest up to
+Both prove the whole line is valid JSON: values may nest up to
 ``_MAX_DEPTH`` containers, the top-level object included, and their strings
 may hold escapes. Every other line goes through ``json.loads``
 (``_parse_json``), which decides it alone, so every line gets the same
@@ -54,8 +51,8 @@ _READ_ON_BYTES = 1 << 16  # read size for a line that crosses a chunk's end
 
 _U64_MAX = (1 << 64) - 1
 
-# containers a line may nest, its top-level object included, for the
-# non-flow and IPv6 clauses to take it; deeper lines go to json.loads
+# containers a line may nest, its top-level object included, for a compact
+# clause to take it; deeper lines go to json.loads
 _MAX_DEPTH = 3
 
 # an escape-free JSON string body, so its bytes are its decoded text
@@ -154,48 +151,16 @@ def _count(value) -> int | None:
     return value
 
 
-@functools.cache
-def _compact_flow_pattern() -> re.Pattern:
-    """The IPv4 clause's grammar, compiled on first use so imports stay cheap.
-
-    A line it fully matches is compact JSON that ``_parse_json`` would turn
-    into the record its groups spell. Strings hold no escapes or control
-    bytes, so a key's bytes are its decoded name; members other than
-    the four read keys (two inside ``flow``) may not reuse their names, so the
-    last duplicate that ``json.loads`` keeps can never differ from the one
-    captured. Its loops and string bodies are possessive: no member a loop
-    repeats can begin the literal that follows it, and no string body can
-    hold the quote that ends it, so giving anything back could never match.
-    The octet alternatives are disjoint, so a quad has one parse and a line
-    that fails after it is not retried once per way of splitting its digits.
-    Possessive quantifiers need Python 3.11.
-    """
-    string = rb'"' + _CHARS + rb'"'
-    scalar = string + rb"|" + _NUMBER + rb"|true|false|null"
-    value = rb"(?:%s|\{(?:%s:(?:%s)(?:,%s:(?:%s))*+)?\})" % (scalar, string, scalar, string, scalar)
-    top = rb'"(?!(?:event_type|src_ip|dest_ip|flow)")' + _CHARS + rb'":' + value
-    inner = rb'"(?!pkts_to(?:server|client)")' + _CHARS + rb'":(?:%s)' % scalar
-    octet = rb"(25[0-5]|2[0-4][0-9]|[01][0-9][0-9]|[0-9][0-9]?)"
-    quad = rb"\.".join([octet] * 4)
-    count = rb"(0|[1-9][0-9]{0,18})"  # at most 19 digits, so below 2^64
-    return re.compile(
-        rb'\{(?:%(top)s,)*+"event_type":"flow",(?:%(top)s,)*+"src_ip":"%(quad)s",'
-        rb'(?:%(top)s,)*+"dest_ip":"%(quad)s",(?:%(top)s,)*+'
-        rb'"flow":\{(?:%(inner)s,)*+"pkts_toserver":%(count)s,'
-        rb'(?:%(inner)s,)*+"pkts_toclient":%(count)s(?:,%(inner)s)*+\}'
-        rb"(?:,%(top)s)*+\}"
-        % {b"top": top, b"inner": inner, b"quad": quad, b"count": count}
-    )
-
-
 def _json_value(depth: int) -> bytes:
     """A JSON value whose containers nest at most depth deep; its strings may hold escapes.
 
     A container holds one copy of the inner value: each member or item is
     followed by a comma that does not close the container, or by the close
     itself. So the pattern doubles per level, once for objects and once for
-    arrays. As in the IPv4 clause, loops and string bodies are possessive,
-    and no value can end early at a byte that may follow it.
+    arrays. Loops and string bodies are possessive, and no value can end
+    early at a byte that may follow it, so a value has one parse and
+    giving anything back could never match. Possessive quantifiers need
+    Python 3.11.
     """
     string = rb'"%s(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})%s)*+"' % (_CHARS, _CHARS)
     scalar = string + rb"|" + _NUMBER + rb"|true|false|null"
@@ -207,41 +172,53 @@ def _json_value(depth: int) -> bytes:
 
 
 @functools.cache
+def _flow_pattern() -> re.Pattern:
+    """The flow clause's grammar, compiled on first use so imports stay cheap.
+
+    event_type "flow", src_ip, dest_ip and flow come in that order, and flow
+    is an object holding pkts_toserver before pkts_toclient as plain
+    integers of at most 19 digits. Keys are escape-free, so a key's bytes
+    are its decoded name, and other members may not reuse the read keys'
+    names, so the last duplicate that ``json.loads`` keeps can never differ
+    from the one captured. Other values are any JSON within ``_MAX_DEPTH``.
+    An address is a strict dotted quad, whose four octets are groups, or an
+    escape-free string holding ":". So a match with all eight octet groups
+    set spells the record ``_parse_json`` gives, and one with an unset
+    group is an IPv6 flow. Its loops are possessive, as no member a loop
+    repeats can begin the literal that follows it. The octet alternatives
+    are disjoint, so a quad has one parse and a line that fails after it
+    is not retried once per way of splitting its digits.
+    """
+    member = rb'"(?!(?:event_type|src_ip|dest_ip|flow)")%s":(?:%s)' % (
+        _CHARS, _json_value(_MAX_DEPTH - 1))
+    inner = rb'"(?!pkts_to(?:server|client)")%s":(?:%s)' % (_CHARS, _json_value(_MAX_DEPTH - 2))
+    octet = rb"(25[0-5]|2[0-4][0-9]|[01][0-9][0-9]|[0-9][0-9]?)"
+    address = rb'"(?:%s|[^":\\\x00-\x1f]*+:%s)"' % (rb"\.".join([octet] * 4), _CHARS)
+    count = rb"(0|[1-9][0-9]{0,18})"  # at most 19 digits, so below 2^64
+    return re.compile(
+        rb'\{(?:%(m)s,)*+"event_type":"flow",(?:%(m)s,)*+"src_ip":%(a)s,'
+        rb'(?:%(m)s,)*+"dest_ip":%(a)s,(?:%(m)s,)*+'
+        rb'"flow":\{(?:%(i)s,)*+"pkts_toserver":%(c)s,'
+        rb'(?:%(i)s,)*+"pkts_toclient":%(c)s(?:,%(i)s)*+\}'
+        rb"(?:,%(m)s)*+\}"
+        % {b"m": member, b"i": inner, b"a": address, b"c": count}
+    )
+
+
+@functools.cache
 def _non_flow_pattern() -> re.Pattern:
     """The non-flow clause's grammar: valid JSON whose one event_type is a string, not "flow".
 
     Top-level keys are escape-free, so a key's bytes are its name, and only
     the one event_type member may have that name. Its value is an
     escape-free string other than flow, so ``_parse_json`` reads it as is.
-    Compiled on first use: a process that sees no line the IPv4 clause
+    Compiled on first use: a process that sees no line the flow clause
     rejects never pays for it.
     """
     member = rb'"(?!event_type")%s":(?:%s)' % (_CHARS, _json_value(_MAX_DEPTH - 1))
     return re.compile(
         rb'\{(?:%(m)s,)*+"event_type":"(?!flow")%(c)s"(?:,%(m)s)*+\}' % {b"m": member, b"c": _CHARS}
     )
-
-
-@functools.cache
-def _ipv6_flow_patterns() -> tuple[re.Pattern, re.Pattern]:
-    """The IPv6 clause's grammar, a valid JSON flow event, as a head and a tail.
-
-    The head reads the line through dest_ip: event_type, src_ip and dest_ip
-    come once each, in Suricata's order, with escape-free keys and values,
-    so its two groups are the decoded addresses. The tail reads the rest of
-    the line from where the head ended. The head's loops and groups are
-    possessive, so it has one end, and the two match a line exactly when
-    one pattern of both would. ``_classify`` tests the addresses for ":" between the two,
-    so a flow line of IPv4 addresses the IPv4 clause rejected goes to
-    ``_parse_json`` without the rest of it being read. Other members are
-    any values. Compiled on first use, as ``_non_flow_pattern`` is.
-    """
-    member = rb'"(?!(?:event_type|src_ip|dest_ip)")%s":(?:%s)' % (_CHARS, _json_value(_MAX_DEPTH - 1))
-    head = re.compile(
-        rb'\{(?:%(m)s,)*+"event_type":"flow",(?:%(m)s,)*+"src_ip":"(%(c)s)",'
-        rb'(?:%(m)s,)*+"dest_ip":"(%(c)s)"' % {b"m": member, b"c": _CHARS}
-    )
-    return head, re.compile(rb"(?:,%s)*+\}" % member)
 
 
 def parse_flow_record(line: bytes) -> FlowRecord | Skip:
@@ -258,24 +235,19 @@ def parse_flow_record(line: bytes) -> FlowRecord | Skip:
 def _classify(line: bytes) -> tuple[bytes, ...] | Skip:
     """A line's record as ten decimal fields, eight octets and two counts, or its Skip.
 
-    A line the IPv4 clause matches gives its regex groups. A line it
-    rejects goes to the IPv6 clause if it holds '"event_type":"flow"', as
-    every line either flow clause takes does, else to the non-flow clause.
-    The clauses exclude each other, so this order only saves time. Every
-    line no clause decides goes through _parse_json, and a record it returns
-    gives the same ten fields, formatted as b"%d".
+    A line the flow clause matches gives its regex groups, or Skip.IPV6
+    when an address is not a quad. A line it rejects goes to the non-flow
+    clause. The clauses exclude each other, so this order only saves time.
+    Every line neither decides goes through _parse_json, and a record it
+    returns gives the same ten fields, formatted as b"%d".
     """
     if len(line) <= MAX_LINE_BYTES and line.isascii():
-        match = _compact_flow_pattern().fullmatch(line)
+        match = _flow_pattern().fullmatch(line)
         if match is not None:
-            return match.groups()
-        if b'"event_type":"flow"' in line:
-            head, tail = _ipv6_flow_patterns()
-            match = head.match(line)
-            if (match is not None and (b":" in match[1] or b":" in match[2])
-                    and tail.fullmatch(line, match.end()) is not None):
-                return Skip.IPV6
-        elif _non_flow_pattern().fullmatch(line) is not None:
+            fields = match.groups()
+            # an address that is not a quad leaves its four octet groups unset
+            return Skip.IPV6 if fields[0] is None or fields[4] is None else fields
+        if _non_flow_pattern().fullmatch(line) is not None:
             return Skip.NON_FLOW
     rec = _parse_json(line)
     if isinstance(rec, Skip):
@@ -345,7 +317,7 @@ def _columns(fields: list) -> FlowColumns:
     """Columns of records given as ten decimal fields each: eight octets and two counts."""
     # np.fromstring silently saturates a number above 2^64 - 1 at 2^64 - 1.
     # It is exact here only because every field was validated before: the
-    # compact regex takes at most 19 digits, and _count bounds every count
+    # flow clause takes at most 19 digits, and _count bounds every count
     # the JSON clause reads.
     table = np.fromstring(b",".join(fields), dtype=np.uint64, sep=",").reshape(-1, 10)
     src = table[:, 0] << 24 | table[:, 1] << 16 | table[:, 2] << 8 | table[:, 3]
@@ -424,7 +396,8 @@ class SocketLineSource:
     """Listening unix stream socket yielding lines from successive peers.
 
     Accepts one connection at a time and re-listens after the peer
-    disconnects, until close() is called.
+    disconnects, until close() is called. close() also removes the socket
+    file, whether or not the source was ever iterated.
     """
 
     def __init__(self, path: str):
@@ -450,24 +423,22 @@ class SocketLineSource:
             self._listener.close()
         except OSError:
             pass
+        try:
+            os.unlink(self.path)
+        except OSError:
+            pass
 
     def __iter__(self) -> Iterator[bytes]:
-        try:
-            while not self._closed.is_set():
-                try:
-                    conn, _ = self._listener.accept()
-                except socket.timeout:
-                    continue
-                except OSError:
-                    return  # listener closed
-                conn.settimeout(None)
-                with conn, conn.makefile("rb") as stream:
-                    yield from _bounded_lines(stream)
-        finally:
+        while not self._closed.is_set():
             try:
-                os.unlink(self.path)
+                conn, _ = self._listener.accept()
+            except socket.timeout:
+                continue
             except OSError:
-                pass
+                return  # listener closed
+            conn.settimeout(None)
+            with conn, conn.makefile("rb") as stream:
+                yield from _bounded_lines(stream)
 
 
 class FileLineSource:

@@ -7,6 +7,7 @@ The zipf model skews source popularity for a realistic-traffic contrast.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -35,8 +36,13 @@ class GenConfig:
     def validate(self) -> None:
         if self.n_flows < 0:
             raise ConfigError("n_flows must be >= 0")
-        if self.geometric_mean is None and self.pkts_per_flow < 1:
-            raise ConfigError("pkts_per_flow must be >= 1")
+        # the to-server share is rounded in float64, which holds every integer up to 2^53
+        if self.geometric_mean is None and not 1 <= self.pkts_per_flow <= 1 << 53:
+            raise ConfigError("pkts_per_flow must be in [1, 2^53]")
+        for name in ("geometric_mean", "zipf_exponent", "split"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{name.replace('_', ' ')} must be finite")
         if self.geometric_mean is not None and self.geometric_mean < 1.0:
             raise ConfigError("geometric mean must be >= 1")
         if self.addr_model not in ("uniform", "zipf"):

@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
@@ -158,8 +162,24 @@ def test_load_key_file(tmp_path):
     path.write_bytes(KEY)
     assert load_key(str(path)) == KEY
     path.write_bytes(KEY[:-1])
-    with pytest.raises(KeyError_):
+    with pytest.raises(KeyError_, match="got 31$"):
         load_key(str(path))
+    path.write_bytes(KEY + b"\n")
+    with pytest.raises(KeyError_, match="got more$"):
+        load_key(str(path))
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_load_key_reads_no_more_than_a_key():
+    # under a 1 GiB address-space limit, reading /dev/zero whole dies with MemoryError
+    code = ("import resource; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+            "from flowmat.cryptopan import KeyError_, load_key\n"
+            "try:\n    load_key('/dev/zero')\nexcept KeyError_ as exc:\n    print(exc)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout == "key file '/dev/zero' must hold exactly 32 bytes, got more\n"
 
 
 def test_load_key_env(monkeypatch):

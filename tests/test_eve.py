@@ -17,8 +17,7 @@ from flowmat.eve import (
     FlowRecord,
     IngestCounters,
     Skip,
-    _compact_flow_pattern,
-    _ipv6_flow_patterns,
+    _flow_pattern,
     _non_flow_pattern,
     _parse_json,
     open_source,
@@ -140,9 +139,9 @@ def test_parse_never_raises_on_random_bytes():
 # --- the compact clauses against the strict json.loads clause ---------------
 
 def compact_record(line: bytes) -> FlowRecord | None:
-    """The record the compact grammar's groups spell for a line it fully matches, else None."""
-    match = _compact_flow_pattern().fullmatch(line)
-    if match is None:
+    """The record the flow clause's groups spell for a line it fully matches with two quads, else None."""
+    match = _flow_pattern().fullmatch(line)
+    if match is None or None in match.groups():
         return None
     s1, s2, s3, s4, d1, d2, d3, d4, toserver, toclient = map(int, match.groups())
     return FlowRecord(
@@ -150,13 +149,17 @@ def compact_record(line: bytes) -> FlowRecord | None:
     )
 
 
-def ipv6_addresses(line: bytes) -> tuple[bytes, bytes] | None:
-    """The addresses the IPv6 clause's head captures on a line head and tail read whole, else None."""
-    head, tail = _ipv6_flow_patterns()
-    match = head.match(line)
-    if match is None or tail.fullmatch(line, match.end()) is None:
+def ipv6_addresses(line: bytes) -> tuple[str, str] | None:
+    """The addresses of a line the flow clause fully matches with one not a quad, else None."""
+    match = _flow_pattern().fullmatch(line)
+    if match is None or None not in match.groups():
         return None
-    return match.groups()
+    doc = json.loads(line)
+    addresses = doc["src_ip"], doc["dest_ip"]
+    # the four octet groups of an address holding ":" are unset, and only those
+    for octets, address in zip((match.groups()[:4], match.groups()[4:8]), addresses):
+        assert octets == (None,) * 4 if ":" in address else None not in octets
+    return addresses
 
 
 def compact_outcome(line: bytes) -> FlowRecord | Skip | None:
@@ -170,8 +173,7 @@ def compact_outcome(line: bytes) -> FlowRecord | Skip | None:
     outcomes = [compact_record(line)]
     if _non_flow_pattern().fullmatch(line):
         outcomes.append(Skip.NON_FLOW)
-    addresses = ipv6_addresses(line)
-    if addresses and (b":" in addresses[0] or b":" in addresses[1]):
+    if ipv6_addresses(line) is not None:
         outcomes.append(Skip.IPV6)
     decided = [outcome for outcome in outcomes if outcome is not None]
     assert len(decided) <= 1, f"clauses overlap on {line!r}: {decided}"
@@ -266,11 +268,11 @@ EDGE_CASES = [
     ("duplicate_pkts_toserver_in_flow", flow_line(counts=b'"flow":{"pkts_toserver":7,"pkts_toserver":5,"pkts_toclient":3}'), False),
     ("duplicate_src_ip_in_other_object", flow_line(tail=b',"tcp":{"src_ip":"9.9.9.9","src_ip":"8.8.8.8"}'), True),
     ("escaped_duplicate_key", flow_line(tail=b',"src\\u005fip":"10.9.9.9"'), False),
-    ("escape_in_other_value", flow_line(tail=b',"url":"\\/index.html"'), False),
+    ("escape_in_other_value", flow_line(tail=b',"url":"\\/index.html"'), True),
     ("nan_member", flow_line(tail=b',"x":NaN'), False),
     ("infinity_member", flow_line(tail=b',"x":-Infinity'), False),
-    ("array_member", flow_line(tail=b',"x":[1,2]'), False),
-    ("nested_object_two_deep", flow_line(tail=b',"x":{"y":{"z":1}}'), False),
+    ("array_member", flow_line(tail=b',"x":[1,2]'), True),
+    ("nested_object_two_deep", flow_line(tail=b',"x":{"y":{"z":1}}'), True),
     ("space_after_colon", b'{"event_type": "flow","src_ip":"10.0.0.1","dest_ip":"10.0.0.2",' + COUNTS + b"}", False),
     ("trailing_cr", flow_line() + b"\r", False),
     ("octet_010", flow_line(head=HEAD.replace(b"10.0.0.1", b"010.0.0.1")), True),
@@ -298,7 +300,7 @@ EDGE_CASES = [
     ("event_escapes_in_values", event(ALERT, b'"x":"\\"\\\\\\/\\b\\f\\n\\r\\t\\u00e9\\uD83D\\uDE00"'), True),
     ("event_lone_surrogate", event(ALERT, b'"x":"\\ud800"'), True),
     ("event_escaped_key_in_nested_object", event(ALERT, b'"x":{"event\\u005ftype":"flow"}'), True),
-    ("event_flow_type_in_nested_object", event(ALERT, b'"x":{"event_type":"flow"}'), False),
+    ("event_flow_type_in_nested_object", event(ALERT, b'"x":{"event_type":"flow"}'), True),
     ("event_bad_escape", event(ALERT, b'"x":"\\x41"'), False),
     ("event_short_unicode_escape", event(ALERT, b'"x":"\\u12"'), False),
     ("event_raw_tab_in_string", event(ALERT, b'"x":"a\tb"'), False),
@@ -331,13 +333,17 @@ EDGE_CASES = [
     ("event_escaped_flow_value", flow_line(head=HEAD.replace(b'"flow"', b'"\\u0066low"', 1)), False),
     ("event_escaped_other_value", event(b'"event_type":"\\u0061lert"'), False),
     ("event_duplicate_src_ip", event(ALERT, b'"src_ip":"1.2.3.4"', b'"src_ip":5'), True),
-    # the IPv6 clause
+    # the flow clause on IPv6 addresses
     ("ipv6_suricata", SURICATA_IPV6_FLOW, True),
     ("ipv6_dest_only", flow_line(head=HEAD.replace(b"10.0.0.2", b"::ffff:1.2.3.4")), True),
-    ("ipv6_without_flow_member", event(V6_HEAD), True),
-    ("ipv6_flow_member_of_any_value", event(V6_HEAD, b'"flow":[1,{"pkts_toserver":-1}]'), True),
+    # a quad before the ":" must not leave its octets set when the address is taken as IPv6
+    ("ipv6_src_quad_with_port", flow_line(head=HEAD.replace(b"10.0.0.1", b"1.2.3.4:80")), True),
+    ("ipv6_both_addresses", flow_line(head=HEAD.replace(b"10.0.0.1", b"::1").replace(b"10.0.0.2", b"fe80::2")), True),
+    ("ipv6_without_flow_member", event(V6_HEAD), False),
+    ("ipv6_flow_member_of_any_value", event(V6_HEAD, b'"flow":[1,{"pkts_toserver":-1}]'), False),
     ("ipv6_escapes_in_other_values", event(V6_HEAD, b'"x":"\\u00e9\\/"', COUNTS), True),
-    ("ipv6_at_depth_cap", event(V6_HEAD, b'"x":' + nested(_MAX_DEPTH)), True),
+    ("ipv6_at_depth_cap", event(V6_HEAD, b'"x":' + nested(_MAX_DEPTH)), False),
+    ("ipv6_at_depth_cap_with_counts", event(V6_HEAD, b'"x":' + nested(_MAX_DEPTH), COUNTS), True),
     ("ipv6_over_depth_cap", event(V6_HEAD, b'"x":' + nested(_MAX_DEPTH + 1)), False),
     ("ipv6_duplicate_src_ip", event(V6_HEAD, b'"src_ip":"10.0.0.1"', COUNTS), False),
     ("ipv6_duplicate_dest_ip", event(V6_HEAD, b'"dest_ip":"::2"', COUNTS), False),
@@ -353,7 +359,7 @@ EDGE_CASES = [
     ("ipv6_invalid_utf8", event(V6_HEAD, b'"host":"\xff"'), False),
     ("ipv6_space_between_members", event(V6_HEAD, b' "x":1'), False),
     ("ipv6_missing_close", event(V6_HEAD)[:-1], False),
-    ("ipv4_with_vlan_array", SURICATA_FLOW.replace(b'"in_iface":"ens1f0",', b'"in_iface":"ens1f0","vlan":[100],'), False),
+    ("ipv4_with_vlan_array", SURICATA_FLOW.replace(b'"in_iface":"ens1f0",', b'"in_iface":"ens1f0","vlan":[100],'), True),
     ("ipv6_both_quads", event(b'"event_type":"flow","src_ip":"1.2.3.4","dest_ip":"5.6.7.8"'), False),
 ]
 
@@ -382,9 +388,10 @@ def test_compact_clause_near_miss_costs_about_one_json_loads(where):
     src = b'{"event_type":"flow","src_ip":"%s",' % quad
     dst = b'"dest_ip":"%s",' % quad
     body = src + dst + others if where == "after_dest_ip" else src + others + dst
-    line = body + COUNTS + b',"x":[]}'
+    taken = body + COUNTS + b',"x":' + nested(_MAX_DEPTH) + b"}"
+    assert compact_record(taken) is not None
 
-    def fastest(parse):
+    def fastest(parse, line):
         times = []
         for _ in range(3):
             start = time.perf_counter()
@@ -392,8 +399,10 @@ def test_compact_clause_near_miss_costs_about_one_json_loads(where):
             times.append(time.perf_counter() - start)
         return min(times)
 
-    assert compact_record(line) is None
-    assert fastest(compact_record) < 5 * fastest(json.loads)
+    # a value past the depth cap, and a cut last byte
+    for line in (body + COUNTS + b',"x":' + nested(_MAX_DEPTH + 1) + b"}", taken[:-1]):
+        assert _flow_pattern().fullmatch(line) is None
+        assert fastest(_flow_pattern().fullmatch, line) < 5 * fastest(_parse_json, line)
 
 
 @pytest.mark.parametrize("miss", ["last_byte", "over_depth_cap"])
@@ -401,15 +410,15 @@ def test_compact_clause_near_miss_costs_about_one_json_loads(where):
 def test_skip_clause_near_miss_costs_about_one_json_loads(clause, miss):
     # 10,000 members at the depth cap, then a line end the clause rejects:
     # giving back any of them could never match, so none may be retried
-    head, clause_match = {"non_flow": (ALERT, _non_flow_pattern().fullmatch),
-                          "ipv6": (V6_HEAD, ipv6_addresses)}[clause]
+    head, tail, clause_match = {"non_flow": (ALERT, [], _non_flow_pattern().fullmatch),
+                                "ipv6": (V6_HEAD, [COUNTS], ipv6_addresses)}[clause]
     members = [head] + [b'"k%d":%s' % (i, nested(_MAX_DEPTH)) for i in range(10000)]
     if miss == "last_byte":
-        taken = event(*members)
+        taken = event(*members, *tail)
         line = taken[:-1] + b"]"
     else:
-        taken = event(*members, b'"x":' + nested(_MAX_DEPTH))
-        line = event(*members, b'"x":' + nested(_MAX_DEPTH + 1))
+        taken = event(*members, b'"x":' + nested(_MAX_DEPTH), *tail)
+        line = event(*members, b'"x":' + nested(_MAX_DEPTH + 1), *tail)
     assert clause_match(taken)
     assert clause_match(line) is None
 
@@ -585,16 +594,44 @@ def test_compact_clause_matches_strict_on_generated_lines(line):
     assert_clauses_match_strict(line)
 
 
+def _array(items) -> str:
+    return "[" + ",".join(items) + "]"
+
+
+def json_values(depth: int, scalar, key):
+    """Values with scalar leaves in at most depth nested arrays and objects, with key keys."""
+    value = scalar
+    for _ in range(depth):
+        value = st.one_of(scalar, st.lists(value, max_size=3).map(_array),
+                          st.lists(st.tuples(key, value), max_size=3).map(_obj))
+    return value
+
+
+ESCAPED_STRING = st.text(max_size=6).map(json.dumps)  # ASCII, with escapes
+NESTED_LEAF = st.one_of(COMPACT_SCALAR, ESCAPED_STRING)
+NESTED_KEY = st.one_of(COMPACT_STRING, ESCAPED_STRING)
+# member values that keep a line within _MAX_DEPTH, at the top level and in its flow object
+NESTED = json_values(_MAX_DEPTH - 1, NESTED_LEAF, NESTED_KEY)
+NESTED_OTHERS = st.lists(st.tuples(COMPACT_KEY, NESTED), max_size=2)
+NESTED_FLOW_OTHERS = st.lists(
+    st.tuples(COMPACT_KEY, json_values(_MAX_DEPTH - 2, NESTED_LEAF, NESTED_KEY)), max_size=2)
+
+
+@st.composite
+def counts_objects(draw):
+    """Valid flow objects: the two counts in Suricata's order among other members."""
+    flow = draw(NESTED_FLOW_OTHERS) + [('"pkts_toserver"', draw(VALID_COUNT))]
+    flow += draw(NESTED_FLOW_OTHERS) + [('"pkts_toclient"', draw(VALID_COUNT))]
+    return _obj(flow + draw(NESTED_FLOW_OTHERS))
+
+
 @st.composite
 def compact_flow_lines(draw):
-    """Valid compact flow lines in Suricata's key order: all take the compact clause."""
-    flow = draw(COMPACT_FLOW_OTHERS) + [('"pkts_toserver"', draw(VALID_COUNT))]
-    flow += draw(COMPACT_FLOW_OTHERS) + [('"pkts_toclient"', draw(VALID_COUNT))]
-    flow += draw(COMPACT_FLOW_OTHERS)
-    members = draw(COMPACT_OTHERS) + [('"event_type"', '"flow"')]
-    members += draw(COMPACT_OTHERS) + [('"src_ip"', draw(QUAD))]
-    members += draw(COMPACT_OTHERS) + [('"dest_ip"', draw(QUAD))]
-    members += draw(COMPACT_OTHERS) + [('"flow"', _obj(flow))] + draw(COMPACT_OTHERS)
+    """Valid compact flow lines in Suricata's key order: all take the flow clause."""
+    members = draw(NESTED_OTHERS) + [('"event_type"', '"flow"')]
+    members += draw(NESTED_OTHERS) + [('"src_ip"', draw(QUAD))]
+    members += draw(NESTED_OTHERS) + [('"dest_ip"', draw(QUAD))]
+    members += draw(NESTED_OTHERS) + [('"flow"', draw(counts_objects()))] + draw(NESTED_OTHERS)
     return _obj(members).encode()
 
 
@@ -618,25 +655,9 @@ def test_compact_clause_matches_strict_on_mutations(line, op, where, byte):
     assert_clauses_match_strict(mutate(line, op, where, byte))
 
 
-# --- the non-flow and IPv6 clauses on generated lines -------------------------
+# --- the non-flow clause and IPv6 flows on generated lines -------------------
 
-def _array(items) -> str:
-    return "[" + ",".join(items) + "]"
-
-
-def json_values(depth: int, scalar, key):
-    """Values with scalar leaves in at most depth nested arrays and objects, with key keys."""
-    value = scalar
-    for _ in range(depth):
-        value = st.one_of(scalar, st.lists(value, max_size=3).map(_array),
-                          st.lists(st.tuples(key, value), max_size=3).map(_obj))
-    return value
-
-
-ESCAPED_STRING = st.text(max_size=6).map(json.dumps)  # ASCII, with escapes
-# member values that keep a line within _MAX_DEPTH, and values one container deeper
-NESTED = json_values(_MAX_DEPTH - 1, st.one_of(COMPACT_SCALAR, ESCAPED_STRING),
-                     st.one_of(COMPACT_STRING, ESCAPED_STRING))
+# member values one container deeper
 ODD_NESTED = json_values(_MAX_DEPTH, st.one_of(SCALAR, COMPACT_SCALAR), st.one_of(KEY, STRING))
 EVENT_TYPE = COMPACT_STRING.filter(lambda t: t != '"flow"')
 ODD_EVENT_TYPE = st.sampled_from(
@@ -668,7 +689,8 @@ def skip_lines(draw, kind: str, wild: bool = True):
         rnd.shuffle(addresses)
         read = [('"event_type"', pick(st.just('"flow"'), ODD_EVENT_TYPE)),
                 ('"src_ip"', pick(st.just(addresses[0]), ODD_ADDRESS)),
-                ('"dest_ip"', pick(st.just(addresses[1]), ODD_ADDRESS))]
+                ('"dest_ip"', pick(st.just(addresses[1]), ODD_ADDRESS)),
+                ('"flow"', pick(counts_objects(), ODD_NESTED))]
     names = {key for key, _ in read}
     members = pick(st.lists(st.tuples(COMPACT_STRING.filter(lambda k: k not in names), NESTED),
                             max_size=4),
@@ -737,6 +759,15 @@ def test_open_source_overlong_line(tmp_path):
 def test_open_source_missing_file(tmp_path):
     with pytest.raises(OSError, match="no_such_file"):
         open_source(str(tmp_path / "no_such_file"))
+
+
+def test_socket_source_closed_without_iterating_leaves_no_path(tmp_path):
+    path = tmp_path / "eve.sock"
+    src = open_source(str(path), socket_mode=True)
+    assert path.is_socket()
+    src.close()
+    assert not path.exists()
+    src.close()  # a second close is harmless
 
 
 def test_socket_source_two_connections(tmp_path):

@@ -79,11 +79,37 @@ def test_split_partitions_packets():
         GenConfig(n_flows=1, addr_model="bogus"),
         GenConfig(n_flows=1, addr_model="zipf", zipf_exponent=1.0),
         GenConfig(n_flows=1, split=1.5),
+        GenConfig(n_flows=1, geometric_mean=float("nan")),
+        GenConfig(n_flows=1, geometric_mean=float("inf")),
+        GenConfig(n_flows=1, addr_model="zipf", zipf_exponent=float("nan")),
+        GenConfig(n_flows=1, pkts_per_flow=(1 << 53) + 1),
     ],
 )
 def test_invalid_config_rejected(cfg):
     with pytest.raises(ConfigError):
         list(generate(cfg))
+
+
+def test_split_is_exact_up_to_2_53_packets():
+    for split, toserver in ((1.0, 1 << 53), (0.5, 1 << 52), (0.0, 0)):
+        (line,) = generate(GenConfig(n_flows=1, pkts_per_flow=1 << 53, split=split))
+        rec = parse_flow_record(line)
+        assert (rec.pkts_toserver, rec.pkts_toclient) == (toserver, (1 << 53) - toserver)
+
+
+@pytest.mark.parametrize("args", [
+    ["--geometric-mean", "nan"], ["--geometric-mean", "inf"],
+    ["--addr-model", "zipf", "--zipf-exponent", "nan"],
+    ["--pkts-per-flow", "100000000000000000000000"],
+    ["--pkts-per-flow", "9007199254740993", "--split", "1"],
+    ["--pkts-per-flow", "18446744073709551615", "--split", "1"],
+])
+def test_gen_rejects_what_it_cannot_generate_exactly(args):
+    result = CliRunner().invoke(main, ["gen", "--flows", "1", *args])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)  # a click error, not a traceback
+    assert result.output.startswith("Error: ") and len(result.output.splitlines()) == 1
+    assert result.stdout_bytes == b""
 
 
 def test_gen_defaults_to_the_generators_packets_per_flow():

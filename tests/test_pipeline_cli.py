@@ -236,6 +236,14 @@ def test_cli_ingest_out_is_a_file(eve_file, tmp_path):
     assert out.read_bytes() == b"not a directory"
 
 
+def test_cli_ingest_from_a_socket_into_a_bad_out_removes_the_socket(tmp_path):
+    taken, sock = tmp_path / "taken", tmp_path / "s.sock"
+    taken.write_bytes(b"not a directory")
+    proc = run_cli("ingest", "--socket", str(sock), "--no-anon", "--out", str(taken / "sub"))
+    assert_one_line_error(proc, "taken")
+    assert not sock.exists()
+
+
 def test_cli_gen_out_in_missing_directory(tmp_path):
     proc = run_cli("gen", "--flows", "10", "--out", str(tmp_path / "missing" / "x.ndjson"))
     assert_one_line_error(proc, "x.ndjson")

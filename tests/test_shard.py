@@ -213,24 +213,24 @@ def test_streams_are_read_line_by_line_in_process(kind, tmp_path, monkeypatch, s
 
 @pytest.fixture
 def pattern_log(tmp_path, monkeypatch):
-    """A file that gets a line "<pid> <name>" each time a process asks for a lazy pattern.
+    """A file that gets a line "<pid>" each time a process asks for the lazy non-flow pattern.
 
-    A forked worker inherits the wrappers, so its requests are logged too.
+    A forked worker inherits the wrapper, so its requests are logged too.
     """
     log = tmp_path / "patterns.log"
-    for name in ("_non_flow_pattern", "_ipv6_flow_patterns"):
-        def logged(name=name, pattern=getattr(eve, name)):
-            with open(log, "a") as fh:
-                fh.write(f"{os.getpid()} {name}\n")
-            return pattern()
 
-        monkeypatch.setattr(eve, name, logged)
+    def logged(pattern=eve._non_flow_pattern):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return pattern()
+
+    monkeypatch.setattr(eve, "_non_flow_pattern", logged)
     return log
 
 
 def test_importing_the_cli_compiles_neither_lazy_pattern():
     code = ("import flowmat.cli; from flowmat import eve; print("
-            "eve._non_flow_pattern.cache_info().currsize, eve._ipv6_flow_patterns.cache_info().currsize)")
+            "eve._flow_pattern.cache_info().currsize, eve._non_flow_pattern.cache_info().currsize)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
@@ -252,15 +252,14 @@ def test_lazy_patterns_are_compiled_in_the_workers_that_need_them(tmp_path, patt
                                                                    monkeypatch, sharded):
     monkeypatch.setattr(shard, "CHUNK_BYTES", 4096)
     lines = [b'{"event_type":"alert","alert":{"signature":"x"}}',
-             b'{"event_type":"flow","src_ip":"::1","dest_ip":"::2"}'] * 200
+             b'{"event_type":"flow","src_ip":"::1","dest_ip":"::2",'
+             b'"flow":{"pkts_toserver":1,"pkts_toclient":1}}'] * 200
     path = tmp_path / "events.ndjson"
     path.write_bytes(b"\n".join(lines) + b"\n")
     result = ingest_file(path, tmp_path / "out", sharded=True)
     assert len(sharded) == 3
     assert result.counters.records_skipped_non_flow == result.counters.records_skipped_ipv6 == 200
-    requests = [entry.split() for entry in pattern_log.read_text().splitlines()]
-    assert {int(pid) for pid, _ in requests} == set(sharded)
-    assert {name for _, name in requests} == {"_non_flow_pattern", "_ipv6_flow_patterns"}
+    assert {int(pid) for pid in pattern_log.read_text().split()} == set(sharded)
 
 
 def test_file_of_a_few_chunks_gives_the_same_archives_chunked(tmp_path, sharded):
@@ -423,7 +422,7 @@ def batch_columns(batches) -> list[list[int]]:
 
 
 def test_column_kernel_is_exact_at_its_boundaries(tmp_path, monkeypatch, sharded):
-    compact = eve._compact_flow_pattern().fullmatch
+    compact = eve._flow_pattern().fullmatch
     assert [bool(compact(line)) for line in BOUNDARY_LINES] == [True] * 3 + [False] * 3
     lines = BOUNDARY_LINES * 400  # many 4 KiB chunks, so every worker parses each kind
     want, malformed = oracle_columns(lines)
