@@ -166,6 +166,8 @@ def gen(flows, pkts_per_flow, geometric_mean, addr_model, zipf_exponent, seed, s
             for line in flowgen.generate(cfg):
                 out.write(line)
                 out.write(b"\n")
+        except flowgen.ConfigError as exc:  # a draw past 2^53, refused before its line
+            raise click.ClickException(str(exc))
         finally:
             if out_path != "-":
                 out.close()

@@ -4,10 +4,25 @@ Only ``event_type == "flow"`` events with IPv4 endpoints are kept; everything
 else is counted and skipped so a long-running sensor survives log corruption,
 mixed event streams, and IPv6 traffic it does not handle.
 
-One classifier, ``_classify``, decides every line: it gives the line's
-record as ten decimal fields (eight octets and two counts) or its ``Skip``.
-Two compact clauses, each one compiled bytes regex, accept only compact
-ASCII JSON whose shape makes the outcome certain:
+Every line gets the outcome ``json.loads`` and a walk of the fields it read
+(``_parse_json``) give it: a record of eight octets and two counts, or a
+``Skip``. Three faster paths reach the same outcome where it is certain.
+
+``parse_columns`` first looks each line up by its shape, its bytes with
+each run of digits as one marker byte, in a per-process cache
+(``_ShapeCache``). Whole-block numpy passes give every line's shape and
+digit runs, and a shape seen twice is learned from one ``_parse_json`` of
+a line of that shape: its skip, or which runs are the record's octets and
+counts. A line of a learned shape whose digit runs keep their rules (no
+leading zero in a number's integer part, octets up to 255, counts of at
+most 19 digits) gets the shape's outcome with no regex and no
+``json.loads``; a file of ``flowmat gen`` lines, which share one shape,
+never compiles either regex.
+
+Every other line, and every line ``parse_flow_record`` parses, goes to the
+classifier ``_classify``. It tries two compact clauses, each one compiled
+bytes regex, compiled in a process only once a line needs it. They accept
+only compact ASCII JSON whose shape makes the outcome certain:
 
 * a flow event with its keys in Suricata's order, each address a strict
   dotted quad or an escape-free string holding ":", plain integer counts
@@ -18,11 +33,8 @@ ASCII JSON whose shape makes the outcome certain:
 
 Both prove the whole line is valid JSON: values may nest up to
 ``_MAX_DEPTH`` containers, the top-level object included, and their strings
-may hold escapes. Every other line goes through ``json.loads``
-(``_parse_json``), which decides it alone, so every line gets the same
-outcome from either path. ``parse_flow_record`` and ``parse_columns`` both
-call the classifier; ``parse_columns`` turns lines into one column batch
-without a FlowRecord per line.
+may hold escapes. Every line neither takes goes through ``_parse_json``,
+which decides it alone.
 
 Lines come from a stream (``_bounded_lines``) or, for a regular file cut into
 byte chunks, from the lines that start inside one chunk (``chunk_lines``);
@@ -31,9 +43,11 @@ both apply the same rules to blank, over-long and unterminated lines.
 
 from __future__ import annotations
 
+import collections
 import dataclasses
 import enum
 import functools
+import itertools
 import json
 import os
 import re
@@ -50,6 +64,21 @@ MAX_LINE_BYTES = 1 << 20  # longer lines are malformed by contract
 _READ_ON_BYTES = 1 << 16  # read size for a line that crosses a chunk's end
 
 _U64_MAX = (1 << 64) - 1
+
+# The shape cache (_ShapeCache). A shape's digit runs become this byte, which
+# is not ASCII, so a line holding it is never decided by its shape.
+_MARKER = 0x80
+_MARKED = bytes.maketrans(b"0123456789", bytes([_MARKER]) * 10)  # digits to _MARKER
+_SHAPES_MAX = 1 << 10     # shapes learned per process
+_SHAPE_BYTES_MAX = 1 << 12  # longer shapes are not learned, so the learned ones hold at most 4 MiB
+_SEEN_ONCE_MAX = 1 << 13  # hashes of shapes seen once, kept until seen again
+_BLOCK_BYTES = 1 << 18    # line bytes per block of parse_columns, as a file chunk holds
+_UNSEEN = -2              # the entry number of a shape the cache has not met
+# json.loads reads an integer part this long whatever the process's int digit
+# limit: sys.set_int_max_str_digits takes no lower limit but 0, none at all
+_INT_DIGITS = sys.int_info.str_digits_check_threshold
+_COUNT_DIGITS = 19  # so a count is below 2^64
+_SLOT_DIGITS = np.array([3] * 8 + [_COUNT_DIGITS] * 2)  # most digits of each octet and count
 
 # containers a line may nest, its top-level object included, for a compact
 # clause to take it; deeper lines go to json.loads
@@ -101,14 +130,14 @@ class IngestCounters:
     # parsed flows the windower refused: more packets than MAX_WINDOWS_PER_FLOW windows hold
     records_skipped_window_span: int = 0
 
-    def count_skip(self, reason: Skip) -> None:
-        """Count one skipped line; records are added a batch at a time."""
+    def count_skip(self, reason: Skip, lines: int = 1) -> None:
+        """Count skipped lines of one reason; records are added a batch at a time."""
         if reason is Skip.NON_FLOW:
-            self.records_skipped_non_flow += 1
+            self.records_skipped_non_flow += lines
         elif reason is Skip.IPV6:
-            self.records_skipped_ipv6 += 1
+            self.records_skipped_ipv6 += lines
         elif reason is Skip.MALFORMED:
-            self.records_skipped_malformed += 1
+            self.records_skipped_malformed += lines
 
     def refuse(self, records: int) -> None:
         """Move records the windower refused from records_ok to their own counter."""
@@ -235,11 +264,13 @@ def parse_flow_record(line: bytes) -> FlowRecord | Skip:
 def _classify(line: bytes) -> tuple[bytes, ...] | Skip:
     """A line's record as ten decimal fields, eight octets and two counts, or its Skip.
 
-    A line the flow clause matches gives its regex groups, or Skip.IPV6
-    when an address is not a quad. A line it rejects goes to the non-flow
-    clause. The clauses exclude each other, so this order only saves time.
-    Every line neither decides goes through _parse_json, and a record it
-    returns gives the same ten fields, formatted as b"%d".
+    It decides the lines parse_columns' shape cache does not, and every line
+    of parse_flow_record. A line the flow clause matches gives its regex
+    groups, or Skip.IPV6 when an address is not a quad. A line it rejects
+    goes to the non-flow clause. The clauses exclude each other, so this
+    order only saves time. Every line neither decides goes through
+    _parse_json, and a record it returns gives the same ten fields,
+    formatted as b"%d".
     """
     if len(line) <= MAX_LINE_BYTES and line.isascii():
         match = _flow_pattern().fullmatch(line)
@@ -252,10 +283,14 @@ def _classify(line: bytes) -> tuple[bytes, ...] | Skip:
     rec = _parse_json(line)
     if isinstance(rec, Skip):
         return rec
+    return tuple(b"%d" % field for field in _fields(rec))
+
+
+def _fields(rec: FlowRecord) -> tuple[int, ...]:
+    """A record's ten fields: the octets of its two addresses, then its two counts."""
     src, dst, toserver, toclient = rec
-    return tuple(b"%d" % field for field in (
-        src >> 24, src >> 16 & 255, src >> 8 & 255, src & 255,
-        dst >> 24, dst >> 16 & 255, dst >> 8 & 255, dst & 255, toserver, toclient))
+    return (src >> 24, src >> 16 & 255, src >> 8 & 255, src & 255,
+            dst >> 24, dst >> 16 & 255, dst >> 8 & 255, dst & 255, toserver, toclient)
 
 
 def _parse_json(line: bytes) -> FlowRecord | Skip:
@@ -296,21 +331,35 @@ def _parse_json(line: bytes) -> FlowRecord | Skip:
 def parse_columns(lines: Iterable[bytes], counters: IngestCounters) -> FlowColumns:
     """Parse lines into one column batch; counters track every line.
 
-    The ten fields of each record (_classify) join one flat list, and the
-    batch's columns come from one C parse of that list (_columns) and numpy
-    shifts. Skips are counted line by line and records once the lines are
-    drained, so the counters are exact when this returns.
+    Lines are drawn as they are parsed, in blocks that end at the first line
+    taking them to _BLOCK_BYTES, so a block holds at most that many bytes of
+    lines plus one. The process's shape cache (_SHAPES) decides the lines of
+    each block whose shapes it has learned, and _classify the others. Either
+    gives a line the outcome _parse_json gives it, and records keep the order
+    of their lines, so the batch and the counters are the same whichever
+    lines the cache decides. The counters are exact when this returns.
     """
-    fields: list = []
+    batches = []
+    block: list[bytes] = []
+    held = 0
     for line in lines:
-        result = _classify(line)
-        if isinstance(result, Skip):
-            counters.count_skip(result)
-        else:
-            fields += result
-    batch = _columns(fields)
+        block.append(line)
+        held += len(line)
+        if held >= _BLOCK_BYTES:
+            batches.append(_SHAPES.parse(block, counters))
+            block, held = [], 0
+    if block or not batches:
+        batches.append(_SHAPES.parse(block, counters))
+    batch = batches[0] if len(batches) == 1 else _joined(batches)
     counters.records_ok += len(batch)
     return batch
+
+
+def _joined(batches: list[FlowColumns], order: np.ndarray | None = None) -> FlowColumns:
+    """The records of batches, one after another, or taken in order if given."""
+    columns = [np.concatenate([getattr(batch, field.name) for batch in batches])
+               for field in dataclasses.fields(FlowColumns)]
+    return FlowColumns(*(columns if order is None else [column[order] for column in columns]))
 
 
 def _columns(fields: list) -> FlowColumns:
@@ -319,10 +368,228 @@ def _columns(fields: list) -> FlowColumns:
     # It is exact here only because every field was validated before: the
     # flow clause takes at most 19 digits, and _count bounds every count
     # the JSON clause reads.
-    table = np.fromstring(b",".join(fields), dtype=np.uint64, sep=",").reshape(-1, 10)
-    src = table[:, 0] << 24 | table[:, 1] << 16 | table[:, 2] << 8 | table[:, 3]
-    dst = table[:, 4] << 24 | table[:, 5] << 16 | table[:, 6] << 8 | table[:, 7]
-    return FlowColumns(src.astype(np.uint32), dst.astype(np.uint32), table[:, 8], table[:, 9])
+    table = np.fromstring(b",".join(fields), dtype=np.uint64, sep=",")
+    return _record_columns(table.reshape(-1, 10))
+
+
+def _record_columns(table: np.ndarray) -> FlowColumns:
+    """Columns of records given as rows of ten uint64: eight octets and two counts.
+
+    Each address is its four octets read as one big-endian uint32.
+    """
+    quads = np.asarray(table[:, :8].reshape(-1, 2, 4).transpose(1, 0, 2), np.uint8, order="C")
+    src, dst = quads.view(">u4").reshape(2, -1).astype(np.uint32)
+    return FlowColumns(src, dst, table[:, 8], table[:, 9])
+
+
+# What a learned shape gives: a record (index 0) or one of these skips
+_KINDS = (None, Skip.NON_FLOW, Skip.IPV6)
+
+
+class _ShapeCache:
+    """The line shapes one process has learned, and what every line of each gives.
+
+    A line's shape is its bytes with each maximal run of ASCII digits
+    replaced by the one byte _MARKER. Two ASCII lines of one shape differ only
+    in their digits, and _parse_json gives both the same outcome when each
+    digit run keeps the rule of its role: a number's integer part has no
+    leading zero unless it is "0" and at most _INT_DIGITS digits; a record's
+    octet has at most 3 digits and is at most 255; its count has at most
+    _COUNT_DIGITS digits, so it is below 2^64. Other digits, in strings,
+    fractions and exponents, do not matter, except the hex digits of a \\u
+    escape, so a shape holding one is never learned.
+
+    A shape is learned on its second sighting, counting earlier lines of the
+    same block, from a line of the shape whose k-th digit run is the number
+    k + 1 (_learned): _parse_json of it gives the shape's skip, or which runs
+    are a record's octets and counts. A shape whose such line is malformed
+    is kept as one that _classify decides line by line, since other digits
+    may make its lines valid (a "-0" count is 0; "-11" is malformed). At
+    most _SHAPES_MAX shapes of at most _SHAPE_BYTES_MAX bytes are kept, and
+    the hashes of at most _SEEN_ONCE_MAX shapes seen once; once either is
+    full, the lines of new shapes go to _classify, as do longer shapes.
+    """
+
+    def __init__(self) -> None:
+        self._ids: dict[bytes, int] = {}  # a shape's entry number, or -1: decided line by line
+        self._seen_once: set[int] = set()
+        # per learned shape, by entry number: its kind (an index into _KINDS),
+        # where its flags start in integer_parts, and a record's eight octet
+        # runs and two count runs; per digit run of each shape, in order,
+        # whether it is a number's integer part
+        self.kinds = np.zeros(0, np.intp)
+        self.offsets = np.zeros(0, np.intp)
+        self.slots = np.zeros((0, 10), np.intp)
+        self.integer_parts = np.zeros(0, bool)
+
+    def parse(self, lines: list[bytes], counters: IngestCounters) -> FlowColumns:
+        """Parse a block of lines into one column batch, in line order, counting every line.
+
+        The block is one buffer, each line between two newlines. Its shapes
+        and digit runs come from whole-buffer numpy passes, whose per-byte
+        arrays are uint8 or bool, and a line's entry from one dict lookup.
+        A line goes to _classify if it is not ASCII, is over MAX_LINE_BYTES
+        or holds a newline, if its shape is not learned, or if one of its
+        digit runs breaks the rule of its role.
+        """
+        n = len(lines)
+        data = b"\n".join([b"", *lines, b""])
+        raw = np.frombuffer(data, np.uint8)
+        value = raw - 48  # a digit's value
+        digit = value < 10
+        edge = digit[1:] != digit[:-1]  # a run starts or stops at the next byte
+        edges = np.flatnonzero(edge) + 1
+        run_start, run_stop = edges[0::2], edges[1::2]
+        keep = np.empty_like(digit)  # all but the second and later digits of each run
+        keep[0] = True
+        np.less_equal(digit[1:], edge, out=keep[1:])
+        del digit, edge
+        shapes = raw[keep].tobytes().translate(_MARKED).split(b"\n")
+        del keep
+        lengths = np.fromiter(map(len, lines), np.int64, n)
+        line_start = np.ones(n + 1, np.int64)
+        np.cumsum(lengths + 1, out=line_start[1:])
+        line_start[1:] += 1
+        line_run = np.searchsorted(run_start, line_start)  # each line's first run, then all runs
+
+        if len(shapes) == n + 2:
+            ids = np.fromiter(map(self._ids.get, itertools.islice(shapes, 1, None),
+                                  itertools.repeat(_UNSEEN)), np.int64, n)
+        else:  # a line holds a newline, which no line source yields
+            ids = np.full(n, -1)
+        ids[lengths > MAX_LINE_BYTES] = -1
+        if not data.isascii():
+            ids[np.searchsorted(line_start, np.flatnonzero(raw >= 0x80), "right") - 1] = -1
+        unseen = np.flatnonzero(ids == _UNSEEN)
+        if len(unseen):
+            ids[unseen] = self._learn([shapes[i + 1] for i in unseen.tolist()])
+
+        decided = None  # the lines the cache gives records, and their batch
+        if (ids >= 0).any():
+            self._check_integer_parts(ids, value, run_start, run_stop, line_run)
+            decided = self._records(ids, value, run_start, run_stop, line_run)
+            kinds = np.bincount(self.kinds[ids[ids >= 0]], minlength=len(_KINDS))
+            for reason, count in zip(_KINDS[1:], kinds[1:].tolist()):
+                counters.count_skip(reason, count)
+
+        fields: list = []
+        fallen = []  # the lines of the records _classify gives
+        for i in np.flatnonzero(ids < 0).tolist():
+            result = _classify(lines[i])
+            if isinstance(result, Skip):
+                counters.count_skip(result)
+            else:
+                fields += result
+                fallen.append(i)
+        batch = _columns(fields)
+        if decided is None or not fallen:
+            return batch if decided is None else decided[1]
+        order = np.argsort(np.concatenate([decided[0], fallen]), kind="stable")
+        return _joined([decided[1], batch], order)
+
+    def _learn(self, shapes: list[bytes]) -> list[int]:
+        """The entry number of each of shapes, none of them known, or -1.
+
+        Learns each shape seen for the second time, here or in an earlier block.
+        """
+        entries = {}
+        for shape, times in collections.Counter(shapes).items():
+            key = hash(shape)
+            if times == 1 and key not in self._seen_once:
+                if len(self._seen_once) < _SEEN_ONCE_MAX:
+                    self._seen_once.add(key)
+                entries[shape] = -1
+            elif len(self._ids) < _SHAPES_MAX and len(shape) <= _SHAPE_BYTES_MAX:
+                self._seen_once.discard(key)
+                entries[shape] = self._ids[shape] = self._add(shape)
+            else:
+                entries[shape] = -1
+        return [entries[shape] for shape in shapes]
+
+    def _add(self, shape: bytes) -> int:
+        """Learn shape; its entry number, or -1 if _classify decides its lines."""
+        learned = _learned(shape)
+        if learned is None:
+            return -1
+        kind, slots, integer_parts = learned
+        self.kinds = np.append(self.kinds, kind)
+        self.offsets = np.append(self.offsets, len(self.integer_parts))
+        self.slots = np.concatenate([self.slots, [slots]])
+        self.integer_parts = np.append(self.integer_parts, integer_parts)
+        return len(self.kinds) - 1
+
+    def _check_integer_parts(self, ids, value, run_start, run_stop, line_run) -> None:
+        """Send to _classify each decided line with an integer part that breaks its rule.
+
+        A run with a leading zero or too many digits is rare, and only such a
+        run is looked up; ids of the lines where it is an integer part become -1.
+        """
+        length = run_stop - run_start
+        suspect = np.flatnonzero((length > 1) & (value[run_start] == 0) | (length > _INT_DIGITS))
+        line = np.searchsorted(line_run, suspect, "right") - 1
+        decided = ids[line] >= 0
+        suspect, line = suspect[decided], line[decided]
+        broken = self.integer_parts[self.offsets[ids[line]] + suspect - line_run[line]]
+        ids[line[broken]] = -1
+
+    def _records(self, ids, value, run_start, run_stop, line_run) -> tuple[np.ndarray, FlowColumns]:
+        """The indices and columns of the decided lines that are records, in line order.
+
+        A line with an octet over 3 digits or 255, or a count over
+        _COUNT_DIGITS digits, is sent to _classify instead: ids of it becomes -1.
+        """
+        lines = np.flatnonzero(ids >= 0)
+        lines = lines[self.kinds[ids[lines]] == 0]
+        runs = line_run[lines, None] + self.slots[ids[lines]]
+        start, stop = run_start[runs], run_stop[runs]
+        table = _numbers(value, start, stop, _COUNT_DIGITS)
+        kept = (stop - start <= _SLOT_DIGITS).all(1) & (table[:, :8] <= 255).all(1)
+        ids[lines[~kept]] = -1
+        return lines[kept], _record_columns(table[kept])
+
+
+_SHAPES = _ShapeCache()
+
+
+def _learned(shape: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
+    """What every line of shape gives if its digit runs keep their rules, or None.
+
+    That is its kind, a record's octet and count runs, and which runs are a
+    number's integer part, all read from the line of the shape whose k-th
+    digit run is the number k + 1: _parse_json's record of it spells the
+    numbers of the runs it read, and json.loads hands each integer part to
+    parse_int or parse_float. None if that line is malformed or the shape
+    holds a \\u escape, found escape-aware: a backslash not after another,
+    an even number of backslashes after it, then "\\u".
+    """
+    parts = shape.split(bytes([_MARKER]))
+    pieces = [b""] * (2 * len(parts) - 1)
+    pieces[0::2] = parts
+    pieces[1::2] = [b"%d" % k for k in range(1, len(parts))]
+    line = b"".join(pieces)
+    outcome = _parse_json(line)
+    if outcome is Skip.MALFORMED or re.search(rb"(?<!\\)(?:\\\\)*\\u", shape):
+        return None
+    integers, floats = [], []
+    json.loads(line, parse_int=integers.append, parse_float=floats.append)
+    integer_parts = np.zeros(len(parts) - 1, bool)
+    integer_parts[[abs(int(text)) - 1 for text in integers]] = True
+    integer_parts[[int(re.match(r"-?([0-9]+)", text)[1]) - 1 for text in floats]] = True
+    if isinstance(outcome, Skip):
+        return _KINDS.index(outcome), np.zeros(10, np.intp), integer_parts
+    return 0, np.array(_fields(outcome), np.intp) - 1, integer_parts
+
+
+def _numbers(value: np.ndarray, start: np.ndarray, stop: np.ndarray, width: int) -> np.ndarray:
+    """The numbers the digit runs [start, stop) spell, for those of at most width digits."""
+    width = min(width, int((stop - start).max(initial=0)))
+    number = np.zeros(stop.shape, np.uint64)
+    at = stop - width
+    for _ in range(width):
+        number *= 10
+        number += value[at] * (at >= start)  # an index below 0 reads from the end, and adds 0
+        at += 1
+    return number
 
 
 def _bounded_lines(stream: IO[bytes]) -> Iterator[bytes]:

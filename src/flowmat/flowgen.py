@@ -43,8 +43,8 @@ class GenConfig:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"{name.replace('_', ' ')} must be finite")
-        if self.geometric_mean is not None and self.geometric_mean < 1.0:
-            raise ConfigError("geometric mean must be >= 1")
+        if self.geometric_mean is not None and not 1.0 <= self.geometric_mean <= 1 << 53:
+            raise ConfigError("geometric mean must be in [1, 2^53]")
         if self.addr_model not in ("uniform", "zipf"):
             raise ConfigError(f"unknown addr_model {self.addr_model!r}")
         if self.addr_model == "zipf" and self.zipf_exponent <= 1.0:
@@ -71,7 +71,11 @@ def _source_addrs(cfg: GenConfig, rng: np.random.Generator, n: int) -> np.ndarra
 def _packet_counts(cfg: GenConfig, rng: np.random.Generator, n: int) -> np.ndarray:
     if cfg.geometric_mean is None:
         return np.full(n, cfg.pkts_per_flow, dtype=np.uint64)
-    return rng.geometric(1.0 / cfg.geometric_mean, size=n).astype(np.uint64)
+    counts = rng.geometric(1.0 / cfg.geometric_mean, size=n)
+    # a draw past 2^63 saturates, and the to-server split is exact only up to 2^53
+    if n and counts.max() > 1 << 53:
+        raise ConfigError("geometric mean too large: a flow drew more than 2^53 packets")
+    return counts.astype(np.uint64)
 
 
 def generate(cfg: GenConfig) -> Iterator[bytes]:

@@ -3,7 +3,10 @@
 Every chunk goes through one function, _anonymized: its lines become one
 column batch (eve.parse_columns), which the same process anonymizes.
 Crypto-PAn is a pure function of the batch, and a forked child already holds
-the key. The chunks' results come in input order.
+the key. The chunks' results come in input order. Each process keeps its
+own cache of the line shapes it has learned (eve._ShapeCache), so a child
+learns the shapes of the chunks it takes, and compiles a regex only if one
+of its lines falls back to it.
 
 A stream (stdin, a socket, any other line iterable) is taken in blocks of
 STREAM_BLOCK_LINES lines in this process (parse_stream). A regular file is
@@ -88,8 +91,9 @@ def parse_file(fd: int, size: int, anon: CryptoPan | None) -> Iterator[Chunk]:
 def parse_stream(lines: Iterable[bytes], anon: CryptoPan | None) -> Iterator[Chunk]:
     """The result of each block of STREAM_BLOCK_LINES lines, in order; the last may be shorter.
 
-    A block's lines are drawn from lines as they are parsed, never held as a
-    list, so one over-long line at a time is the most raw input held.
+    A block's lines are drawn from lines as they are parsed; parse_columns
+    holds at most eve._BLOCK_BYTES of them plus one more line, which may be
+    over-long.
     """
     lines = iter(lines)
     for first in lines:

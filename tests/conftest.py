@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from flowmat import lz4block
+from flowmat import eve, lz4block
 from flowmat.archive import (
     _HEADER, _SECTIONS, MAGIC, ArchiveWriter, ContainerError, IntegrityError, decode_matrix,
     encode_group, iter_archive,
@@ -180,6 +180,12 @@ def no_child_process_left():
     if pid:
         pytest.fail(f"test left child process {pid} unreaped (wait status {status})")
     pytest.fail("test left a child process running")
+
+
+@pytest.fixture(autouse=True)
+def empty_shape_cache(monkeypatch):
+    """Each test starts with an empty shape cache, so what one test learns never reaches another."""
+    monkeypatch.setattr(eve, "_SHAPES", eve._ShapeCache())
 
 
 @pytest.fixture

@@ -1,6 +1,7 @@
 import json
 import os
 import random
+import re
 import socket
 import threading
 import time
@@ -185,6 +186,78 @@ def assert_clauses_match_strict(line: bytes) -> None:
     want = _parse_json(line)
     assert parse_flow_record(line) == want
     assert compact_outcome(line) in (None, want)
+
+
+# --- the shape cache of parse_columns against the strict clause -------------
+
+def digit_variants(line: bytes) -> list[bytes]:
+    """Copies of line with its shape: every digit run replaced in one of six ways.
+
+    The runs become "0", "1", the run after a "0", the run reversed, a number
+    below 256, or a number of 1 to 20 digits, so some copies keep each run's
+    rule and some break it.
+    """
+    rnd = random.Random(line)
+    pieces = re.split(rb"([0-9]+)", line)  # the digit runs are the odd pieces
+    replacements = [
+        lambda run: b"0", lambda run: b"1", lambda run: b"0" + run, lambda run: run[::-1],
+        lambda run: b"%d" % rnd.randrange(256),
+        lambda run: b"%d" % rnd.randrange(10 ** rnd.randrange(1, 21)),
+    ]
+    return [b"".join(replace(piece) if i % 2 else piece for i, piece in enumerate(pieces))
+            for replace in replacements]
+
+
+def batch_records(batch) -> list[FlowRecord]:
+    columns = (batch.src, batch.dst, batch.toserver, batch.toclient)
+    return [FlowRecord(*record) for record in zip(*(column.tolist() for column in columns))]
+
+
+def shape_parsed(lines: list[bytes]) -> tuple[list[FlowRecord], IngestCounters]:
+    """The records and counters parse_columns gives lines."""
+    counters = IngestCounters()
+    return batch_records(parse_columns(lines, counters)), counters
+
+
+def strict_parsed(lines: list[bytes]) -> tuple[list[FlowRecord], IngestCounters]:
+    """The records and counters _parse_json gives lines, one by one."""
+    records, counters = [], IngestCounters()
+    for line in lines:
+        outcome = _parse_json(line)
+        if isinstance(outcome, Skip):
+            counters.count_skip(outcome)
+        else:
+            records.append(outcome)
+            counters.records_ok += 1
+    return records, counters
+
+
+def assert_shape_path_matches_strict(lines: list[bytes], *, line_by_line: bool = True) -> int:
+    """parse_columns agrees with _parse_json on lines, each repeated and in digit-varied copies.
+
+    A line's copies share its shape, so parsing them all as one block
+    teaches a fresh shape cache every shape they hold. Then the cache decides
+    those lines again, one by one unless line_by_line is False, and each
+    must get the strict outcome. Returns how many lines the cache decided,
+    not sending them to _classify, that second time.
+    """
+    eve._SHAPES = eve._ShapeCache()  # the empty_shape_cache fixture restores it
+    block = [copy for line in lines for copy in (line, line, *digit_variants(line))]
+    assert shape_parsed(block) == strict_parsed(block)
+    fallen = []
+    classify = eve._classify
+
+    def counted(line):
+        fallen.append(line)
+        return classify(line)
+
+    eve._classify = counted
+    try:
+        for part in [[line] for line in block] if line_by_line else [block]:
+            assert shape_parsed(part) == strict_parsed(part), part
+    finally:
+        eve._classify = classify
+    return len(block) - len(fallen)
 
 
 HEAD = b'{"event_type":"flow","src_ip":"10.0.0.1","dest_ip":"10.0.0.2",'
@@ -377,6 +450,13 @@ def test_compact_clause_matches_strict_on_edge_cases(line, compact, monkeypatch)
     monkeypatch.setattr(eve, "_parse_json", counted)
     assert_clauses_match_strict(line)
     assert strict_calls.count(line) == 1 - compact
+    assert_shape_path_matches_strict([line])
+
+
+def test_shape_cache_decides_most_lines_of_the_edge_cases():
+    lines = [case[1] for case in EDGE_CASES]
+    # half of the eight copies of each line; many rows are malformed or hold a \\u escape
+    assert assert_shape_path_matches_strict(lines, line_by_line=False) > 4 * len(lines)
 
 
 @pytest.mark.parametrize("where", ["after_dest_ip", "before_dest_ip"])
@@ -442,6 +522,7 @@ def test_compact_clause_matches_strict_on_criterion_9_corpus():
         compact += compact_record(line) is not None
     # every valid flow line of the corpus is compact
     assert compact == valid
+    assert_shape_path_matches_strict(corpus, line_by_line=False)
 
 
 def test_parse_columns_equal_parse_flow_record_line_by_line(monkeypatch):
@@ -479,6 +560,150 @@ def test_parse_columns_equal_parse_flow_record_line_by_line(monkeypatch):
         if isinstance(r, Skip):
             want.count_skip(r)
     assert counters == block_counters == want
+
+
+def spy(monkeypatch, name: str) -> list:
+    """The argument of each call of eve.<name> from now on."""
+    calls = []
+    function = getattr(eve, name)
+
+    def spied(arg):
+        calls.append(arg)
+        return function(arg)
+
+    monkeypatch.setattr(eve, name, spied)
+    return calls
+
+
+def test_shape_is_learned_on_its_second_sighting(monkeypatch):
+    fallen = spy(monkeypatch, "_classify")
+    other = FLOW_LINE.replace(b"7", b"12")
+    assert shape_parsed([FLOW_LINE]) == strict_parsed([FLOW_LINE])
+    assert fallen == [FLOW_LINE]  # seen once
+    assert shape_parsed([other]) == strict_parsed([other])
+    assert fallen == [FLOW_LINE]  # seen again, in a later block: learned
+    alert = event(ALERT)
+    assert shape_parsed([alert, alert]) == strict_parsed([alert, alert])
+    assert fallen == [FLOW_LINE]  # seen twice in one block: learned from the first
+
+
+# a rule's metadata puts this alert four containers deep; with no \u escape its shape is learned
+ALERT_WITH_METADATA = SURICATA_ALERT_WITH_METADATA.replace(b" \\u00e9", b"")
+
+
+@pytest.mark.parametrize("line", [
+    b'{"event_type":"flow","src_ip":"1.2.3.4","dest_ip":"5.6.7.8","flow":{"pkts_toserver":100,"pkts_toclient":0}}',
+    SURICATA_FLOW, SURICATA_IPV6_FLOW, SURICATA_TLS, ALERT_WITH_METADATA,
+], ids=["flowmat_gen", "suricata_flow", "suricata_ipv6", "suricata_tls", "alert_with_metadata"])
+def test_repeated_shape_takes_one_json_loads_and_no_regex(line, monkeypatch):
+    # each copy lowers one digit, which keeps every number's rule
+    lines = [line] + [line.replace(b"%d" % k, b"%d" % (k - 1)) for k in range(2, 10)] * 20
+    strict = strict_parsed(lines)
+    fallen = spy(monkeypatch, "_classify")
+    loaded = spy(monkeypatch, "_parse_json")
+    assert shape_parsed(lines) == strict
+    assert fallen == [] and len(loaded) == 1  # the line that teaches the shape
+
+
+def teach(*lines: bytes) -> None:
+    """Show the shape cache each line twice."""
+    for line in lines:
+        parse_columns([line, line], IngestCounters())
+
+
+V4_COUNTS = b'"flow":{"pkts_toserver":%s,"pkts_toclient":3}'
+
+
+# (name, a line whose shape the cache learns, a probe of that shape or near it, whether the cache
+# decides the probe without _classify)
+SHAPE_RULE_CASES = [
+    # an integer part may not have a leading zero, but an octet or a fraction may
+    ("count_leading_zero", FLOW_LINE, flow_line(counts=V4_COUNTS % b"07"), False),
+    ("count_zero", FLOW_LINE, flow_line(counts=V4_COUNTS % b"0"), True),
+    ("octets_leading_zeros", FLOW_LINE, flow_line(head=HEAD.replace(b"10.0.0.1", b"010.0.0.001")), True),
+    ("member_leading_zero", flow_line(tail=b',"x":5'), flow_line(tail=b',"x":05'), False),
+    ("negative_member_leading_zero", flow_line(tail=b',"x":-5'), flow_line(tail=b',"x":-05'), False),
+    ("fraction_and_exponent_leading_zeros", flow_line(tail=b',"x":1.5e5'), flow_line(tail=b',"x":1.05e05'), True),
+    ("exponent_sign_leading_zeros", flow_line(tail=b',"x":1.5e-5'), flow_line(tail=b',"x":0.0e-05'), True),
+    # octets of at most 3 digits and at most 255; counts of at most 19 digits
+    ("octet_255", FLOW_LINE, flow_line(head=HEAD.replace(b"10.0.0.1", b"10.0.0.255")), True),
+    ("octet_256", FLOW_LINE, flow_line(head=HEAD.replace(b"10.0.0.1", b"10.0.0.256")), False),
+    ("octet_four_digits", FLOW_LINE, flow_line(head=HEAD.replace(b"10.0.0.1", b"10.0.0.0001")), False),
+    ("count_19_digits", FLOW_LINE, flow_line(counts=V4_COUNTS % b"9999999999999999999"), True),
+    ("count_2_64_minus_1", FLOW_LINE, flow_line(counts=V4_COUNTS % b"18446744073709551615"), False),
+    ("count_2_64", FLOW_LINE, flow_line(counts=V4_COUNTS % b"18446744073709551616"), False),
+    # integer parts past int()'s 4,300 digits; strings hold digit runs of any length
+    ("integer_4300_digits", event(ALERT, b'"x":5'), event(ALERT, b'"x":' + b"9" * 4300), False),
+    ("integer_4301_digits", event(ALERT, b'"x":5'), event(ALERT, b'"x":' + b"9" * 4301), False),
+    ("string_4301_digits", event(ALERT, b'"x":"5"'), event(ALERT, b'"x":"' + b"9" * 4301 + b'"'), True),
+    ("fraction_4301_digits", event(ALERT, b'"x":5.5'), event(ALERT, b'"x":5.' + b"9" * 4301), True),
+    # a \u escape's hex digits break the shape: \u00e9 is valid, the cut \u1e5 is not
+    ("u00e9_teaches_cut_u1e5", event(ALERT, b'"x":"\\u00e9"'), event(ALERT, b'"x":"\\u1e5"'), False),
+    ("cut_u1e5_teaches_u00e9", event(ALERT, b'"x":"\\u1e5"'), event(ALERT, b'"x":"\\u00e9"'), False),
+    # the hundredth run makes the synthetic line's escape \u100a, valid where \u1a is not
+    ("u_escape_of_a_valid_synthetic_line", event(ALERT, b'"n":[%s]' % b",".join([b"1"] * 99), b'"x":"\\u100a"'),
+     event(ALERT, b'"n":[%s]' % b",".join([b"1"] * 99), b'"x":"\\u1a"'), False),
+    # an escaped backslash before "u" is no \u escape
+    ("escaped_backslash_before_u", event(ALERT, b'"x":"C:\\\\u1"'), event(ALERT, b'"x":"C:\\\\u22"'), True),
+    ("other_escapes", event(ALERT, b'"x":"\\/1\\""'), event(ALERT, b'"x":"\\/22\\""'), True),
+    # a "-0" count is 0 and a "-11" count malformed, so the shape is never learned
+    ("count_minus_zero", flow_line(counts=V4_COUNTS % b"-0"), flow_line(counts=V4_COUNTS % b"-0"), False),
+    ("count_minus_11_after_minus_zero", flow_line(counts=V4_COUNTS % b"-0"), flow_line(counts=V4_COUNTS % b"-11"), False),
+    # a shape first seen in malformed lines is learned from its own synthetic line
+    ("first_seen_malformed", flow_line(counts=V4_COUNTS % b"07"), FLOW_LINE, True),
+    # the marker byte in place of a digit, and a cached shape stretched past MAX_LINE_BYTES
+    ("marker_byte", FLOW_LINE, FLOW_LINE.replace(b"10.0.0.1", b"10.0.0.\x80"), False),
+    ("max_line_bytes", flow_line(tail=b',"pad":"1"'), padded_to(MAX_LINE_BYTES).replace(b"x", b"1"), True),
+    ("max_line_bytes_plus_one", flow_line(tail=b',"pad":"1"'), padded_to(MAX_LINE_BYTES + 1).replace(b"x", b"1"), False),
+    ("newline_in_line", event(ALERT, b'"x":1'), event(ALERT, b'"x":\n1'), False),
+]
+
+
+@pytest.mark.parametrize("taught, probe, decided", [case[1:] for case in SHAPE_RULE_CASES],
+                         ids=[case[0] for case in SHAPE_RULE_CASES])
+def test_shape_cache_decides_a_line_only_when_its_digits_keep_their_rules(taught, probe, decided,
+                                                                           monkeypatch):
+    teach(taught)
+    fallen = spy(monkeypatch, "_classify")
+    assert shape_parsed([probe]) == strict_parsed([probe])
+    assert fallen == ([] if decided else [probe])
+
+
+def test_a_line_holding_a_newline_is_decided_alone(monkeypatch):
+    # split at its newline, the first line would take the next line's place among the shapes
+    alert, other = event(ALERT), event(ALERT, b'"y":2')
+    teach(alert, FLOW_LINE)
+    lines = [alert + b"\n" + FLOW_LINE, other]
+    assert shape_parsed(lines) == strict_parsed(lines)
+
+
+def test_shape_cache_learns_up_to_its_limit(monkeypatch):
+    monkeypatch.setattr(eve, "_SHAPES_MAX", 3)
+    shapes = [event(ALERT, b'"%s":1' % key) for key in (b"a", b"b", b"c", b"d")]
+    teach(*shapes)  # the third shape fills the cache; the fourth is not learned
+    fallen = spy(monkeypatch, "_classify")
+    assert shape_parsed(shapes) == strict_parsed(shapes)
+    assert fallen == shapes[3:]
+
+
+def test_shape_cache_does_not_learn_long_shapes(monkeypatch):
+    short = event(ALERT, b'"x":"%s"' % (b"y" * (eve._SHAPE_BYTES_MAX - 29)))
+    long = event(ALERT, b'"x":"%s"' % (b"y" * (eve._SHAPE_BYTES_MAX - 28)))
+    assert (len(short), len(long)) == (eve._SHAPE_BYTES_MAX, eve._SHAPE_BYTES_MAX + 1)
+    teach(short, long)
+    fallen = spy(monkeypatch, "_classify")
+    assert shape_parsed([short, long]) == strict_parsed([short, long])
+    assert fallen == [long]
+
+
+def test_shape_cache_remembers_shapes_seen_once_up_to_its_limit(monkeypatch):
+    monkeypatch.setattr(eve, "_SEEN_ONCE_MAX", 1)
+    fallen = spy(monkeypatch, "_classify")
+    # the first shape seen once is remembered; the second is not, so seeing it again does not teach it
+    first, second = event(ALERT, b'"e":1'), event(ALERT, b'"f":1')
+    for line in (first, second, first, second):
+        assert shape_parsed([line]) == strict_parsed([line])
+    assert fallen == [first, second, second]
 
 
 READ_KEYS = ["event_type", "src_ip", "dest_ip", "flow", "pkts_toserver", "pkts_toclient"]
@@ -592,6 +817,7 @@ def flow_lines(draw):
 @given(flow_lines())
 def test_compact_clause_matches_strict_on_generated_lines(line):
     assert_clauses_match_strict(line)
+    assert_shape_path_matches_strict([line])
 
 
 def _array(items) -> str:
@@ -653,6 +879,7 @@ def mutate(line: bytes, op: str, where: int, byte: int) -> bytes:
 def test_compact_clause_matches_strict_on_mutations(line, op, where, byte):
     assert compact_record(line) == _parse_json(line)
     assert_clauses_match_strict(mutate(line, op, where, byte))
+    assert_shape_path_matches_strict([line, mutate(line, op, where, byte)])
 
 
 # --- the non-flow clause and IPv6 flows on generated lines -------------------
@@ -710,6 +937,7 @@ def skip_lines(draw, kind: str, wild: bool = True):
 @given(st.one_of(skip_lines("event"), skip_lines("ipv6")))
 def test_skip_clauses_match_strict_on_generated_lines(line):
     assert_clauses_match_strict(line)
+    assert_shape_path_matches_strict([line])
 
 
 @settings(max_examples=1000, deadline=None)
@@ -717,6 +945,7 @@ def test_skip_clauses_match_strict_on_generated_lines(line):
 def test_skip_clauses_match_strict_on_mutations(line, op, where, byte):
     assert compact_outcome(line) == _parse_json(line) in (Skip.NON_FLOW, Skip.IPV6)
     assert_clauses_match_strict(mutate(line, op, where, byte))
+    assert_shape_path_matches_strict([line, mutate(line, op, where, byte)])
 
 
 def test_open_source_file(tmp_path):

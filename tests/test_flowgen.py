@@ -83,6 +83,9 @@ def test_split_partitions_packets():
         GenConfig(n_flows=1, geometric_mean=float("inf")),
         GenConfig(n_flows=1, addr_model="zipf", zipf_exponent=float("nan")),
         GenConfig(n_flows=1, pkts_per_flow=(1 << 53) + 1),
+        GenConfig(n_flows=2, geometric_mean=1e300),
+        # a valid mean whose draws pass 2^53 more than a third of the time
+        GenConfig(n_flows=20, geometric_mean=float(1 << 53)),
     ],
 )
 def test_invalid_config_rejected(cfg):
@@ -103,6 +106,9 @@ def test_split_is_exact_up_to_2_53_packets():
     ["--pkts-per-flow", "100000000000000000000000"],
     ["--pkts-per-flow", "9007199254740993", "--split", "1"],
     ["--pkts-per-flow", "18446744073709551615", "--split", "1"],
+    ["--geometric-mean", "1e300", "--split", "1"],
+    # seed 0 draws more than 2^53 packets for the one flow
+    ["--geometric-mean", "9007199254740992", "--split", "1", "--seed", "0"],
 ])
 def test_gen_rejects_what_it_cannot_generate_exactly(args):
     result = CliRunner().invoke(main, ["gen", "--flows", "1", *args])

@@ -213,19 +213,35 @@ def test_streams_are_read_line_by_line_in_process(kind, tmp_path, monkeypatch, s
 
 @pytest.fixture
 def pattern_log(tmp_path, monkeypatch):
-    """A file that gets a line "<pid>" each time a process asks for the lazy non-flow pattern.
+    """A file that gets a line "<name> <pid>" each time a process asks for a lazy pattern.
 
-    A forked worker inherits the wrapper, so its requests are logged too.
+    Both patterns are logged, by the name of the function that compiles
+    them. A forked worker inherits the wrappers, so its requests are logged too.
     """
     log = tmp_path / "patterns.log"
 
-    def logged(pattern=eve._non_flow_pattern):
-        with open(log, "a") as fh:
-            fh.write(f"{os.getpid()}\n")
-        return pattern()
+    def logging(name):
+        pattern = getattr(eve, name)
 
-    monkeypatch.setattr(eve, "_non_flow_pattern", logged)
+        def logged():
+            with open(log, "a") as fh:
+                fh.write(f"{name} {os.getpid()}\n")
+            return pattern()
+
+        return logged
+
+    for name in ("_flow_pattern", "_non_flow_pattern"):
+        monkeypatch.setattr(eve, name, logging(name))
     return log
+
+
+def pattern_requests(log) -> dict[str, set[int]]:
+    """The pids that asked for each lazy pattern, by pattern."""
+    requests = {"_flow_pattern": set(), "_non_flow_pattern": set()}
+    for line in log.read_text().splitlines():
+        name, pid = line.split()
+        requests[name].add(int(pid))
+    return requests
 
 
 def test_importing_the_cli_compiles_neither_lazy_pattern():
@@ -237,7 +253,8 @@ def test_importing_the_cli_compiles_neither_lazy_pattern():
     assert out.split() == ["0", "0"]
 
 
-@pytest.mark.parametrize("chunks, children", [(0, 0), (5, 3)])
+# flowmat gen lines share one shape, so the shape cache decides them all, in process or sharded
+@pytest.mark.parametrize("chunks, children", [(0, 0), (1, 0), (5, 3)])
 def test_ipv4_flows_never_compile_the_lazy_patterns(chunks, children, tmp_path, pattern_log,
                                                     sharded):
     path = tmp_path / "in.ndjson"
@@ -251,15 +268,22 @@ def test_ipv4_flows_never_compile_the_lazy_patterns(chunks, children, tmp_path, 
 def test_lazy_patterns_are_compiled_in_the_workers_that_need_them(tmp_path, pattern_log,
                                                                    monkeypatch, sharded):
     monkeypatch.setattr(shard, "CHUNK_BYTES", 4096)
-    lines = [b'{"event_type":"alert","alert":{"signature":"x"}}',
-             b'{"event_type":"flow","src_ip":"::1","dest_ip":"::2",'
-             b'"flow":{"pkts_toserver":1,"pkts_toclient":1}}'] * 200
+
+    def letters(i: int) -> str:  # no digits, so each line has a shape of its own
+        return "".join("ghijklmnopqrstuvwxyz"[int(d)] for d in str(i))
+
+    lines = []
+    for i in range(200):
+        lines.append(f'{{"event_type":"alert","alert":{{"signature":"{letters(i)}"}}}}'.encode())
+        lines.append(f'{{"event_type":"flow","src_ip":"::{letters(i)}","dest_ip":"::2",'
+                     f'"flow":{{"pkts_toserver":1,"pkts_toclient":1}}}}'.encode())
     path = tmp_path / "events.ndjson"
     path.write_bytes(b"\n".join(lines) + b"\n")
     result = ingest_file(path, tmp_path / "out", sharded=True)
     assert len(sharded) == 3
     assert result.counters.records_skipped_non_flow == result.counters.records_skipped_ipv6 == 200
-    assert {int(pid) for pid in pattern_log.read_text().split()} == set(sharded)
+    assert pattern_requests(pattern_log) == {"_flow_pattern": set(sharded),
+                                             "_non_flow_pattern": set(sharded)}
 
 
 def test_file_of_a_few_chunks_gives_the_same_archives_chunked(tmp_path, sharded):
