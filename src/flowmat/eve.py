@@ -4,37 +4,20 @@ Only ``event_type == "flow"`` events with IPv4 endpoints are kept; everything
 else is counted and skipped so a long-running sensor survives log corruption,
 mixed event streams, and IPv6 traffic it does not handle.
 
-Every line gets the outcome ``json.loads`` and a walk of the fields it read
-(``_parse_json``) give it: a record of eight octets and two counts, or a
-``Skip``. Three faster paths reach the same outcome where it is certain.
+Every line gets the outcome ``parse_flow_record`` gives it: ``json.loads``
+and a walk of the fields it read, giving a record of eight octets and two
+counts, or a ``Skip``.
 
-``parse_columns`` first looks each line up by its shape, its bytes with
-each run of digits as one marker byte, in a per-process cache
-(``_ShapeCache``). Whole-block numpy passes give every line's shape and
-digit runs, and a shape seen twice is learned from one ``_parse_json`` of
-a line of that shape: its skip, or which runs are the record's octets and
+``parse_columns`` reaches the same outcome faster for lines of a shape it
+has seen before. A line's shape is its bytes with each run of digits as one
+marker byte, and a per-process cache (``_ShapeCache``) holds the shapes it
+has learned. Whole-block numpy passes give every line's shape and digit
+runs, and a shape seen twice is learned from one ``parse_flow_record`` of a
+line of that shape: its skip, or which runs are the record's octets and
 counts. A line of a learned shape whose digit runs keep their rules (no
 leading zero in a number's integer part, octets up to 255, counts of at
-most 19 digits) gets the shape's outcome with no regex and no
-``json.loads``; a file of ``flowmat gen`` lines, which share one shape,
-never compiles either regex.
-
-Every other line, and every line ``parse_flow_record`` parses, goes to the
-classifier ``_classify``. It tries two compact clauses, each one compiled
-bytes regex, compiled in a process only once a line needs it. They accept
-only compact ASCII JSON whose shape makes the outcome certain:
-
-* a flow event with its keys in Suricata's order, each address a strict
-  dotted quad or an escape-free string holding ":", plain integer counts
-  below 2^64 and no duplicate of any key the parser reads. With two quads
-  its fields are the regex's ten groups; otherwise it is ``Skip.IPV6``;
-* an event whose one top-level ``event_type`` is an escape-free string other
-  than "flow": ``Skip.NON_FLOW``.
-
-Both prove the whole line is valid JSON: values may nest up to
-``_MAX_DEPTH`` containers, the top-level object included, and their strings
-may hold escapes. Every line neither takes goes through ``_parse_json``,
-which decides it alone.
+most 19 digits) gets the shape's outcome with no ``json.loads``. Every
+other line goes to ``parse_flow_record``.
 
 Lines come from a stream (``_bounded_lines``) or, for a regular file cut into
 byte chunks, from the lines that start inside one chunk (``chunk_lines``);
@@ -46,7 +29,6 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
-import functools
 import itertools
 import json
 import os
@@ -79,16 +61,6 @@ _UNSEEN = -2              # the entry number of a shape the cache has not met
 _INT_DIGITS = sys.int_info.str_digits_check_threshold
 _COUNT_DIGITS = 19  # so a count is below 2^64
 _SLOT_DIGITS = np.array([3] * 8 + [_COUNT_DIGITS] * 2)  # most digits of each octet and count
-
-# containers a line may nest, its top-level object included, for a compact
-# clause to take it; deeper lines go to json.loads
-_MAX_DEPTH = 3
-
-# an escape-free JSON string body, so its bytes are its decoded text
-_CHARS = rb'[^"\\\x00-\x1f]*+'
-# the integer part is capped at 20 digits, far below the 4300 digits int() accepts
-_NUMBER = rb"-?(?:0|[1-9][0-9]{0,19})(?:\.[0-9]+)?(?:[eE][-+]?[0-9]+)?"
-
 
 class FlowRecord(NamedTuple):
     """One parsed EVE flow event. Addresses are 32-bit unsigned ints."""
@@ -180,112 +152,6 @@ def _count(value) -> int | None:
     return value
 
 
-def _json_value(depth: int) -> bytes:
-    """A JSON value whose containers nest at most depth deep; its strings may hold escapes.
-
-    A container holds one copy of the inner value: each member or item is
-    followed by a comma that does not close the container, or by the close
-    itself. So the pattern doubles per level, once for objects and once for
-    arrays. Loops and string bodies are possessive, and no value can end
-    early at a byte that may follow it, so a value has one parse and
-    giving anything back could never match. Possessive quantifiers need
-    Python 3.11.
-    """
-    string = rb'"%s(?:\\(?:["\\/bfnrt]|u[0-9a-fA-F]{4})%s)*+"' % (_CHARS, _CHARS)
-    scalar = string + rb"|" + _NUMBER + rb"|true|false|null"
-    value = scalar
-    for _ in range(depth):
-        value = rb"%s|\{(?:%s:(?:%s)(?:,(?!\})|(?=\})))*+\}|\[(?:(?:%s)(?:,(?!\])|(?=\])))*+\]" % (
-            scalar, string, value, value)
-    return value
-
-
-@functools.cache
-def _flow_pattern() -> re.Pattern:
-    """The flow clause's grammar, compiled on first use so imports stay cheap.
-
-    event_type "flow", src_ip, dest_ip and flow come in that order, and flow
-    is an object holding pkts_toserver before pkts_toclient as plain
-    integers of at most 19 digits. Keys are escape-free, so a key's bytes
-    are its decoded name, and other members may not reuse the read keys'
-    names, so the last duplicate that ``json.loads`` keeps can never differ
-    from the one captured. Other values are any JSON within ``_MAX_DEPTH``.
-    An address is a strict dotted quad, whose four octets are groups, or an
-    escape-free string holding ":". So a match with all eight octet groups
-    set spells the record ``_parse_json`` gives, and one with an unset
-    group is an IPv6 flow. Its loops are possessive, as no member a loop
-    repeats can begin the literal that follows it. The octet alternatives
-    are disjoint, so a quad has one parse and a line that fails after it
-    is not retried once per way of splitting its digits.
-    """
-    member = rb'"(?!(?:event_type|src_ip|dest_ip|flow)")%s":(?:%s)' % (
-        _CHARS, _json_value(_MAX_DEPTH - 1))
-    inner = rb'"(?!pkts_to(?:server|client)")%s":(?:%s)' % (_CHARS, _json_value(_MAX_DEPTH - 2))
-    octet = rb"(25[0-5]|2[0-4][0-9]|[01][0-9][0-9]|[0-9][0-9]?)"
-    address = rb'"(?:%s|[^":\\\x00-\x1f]*+:%s)"' % (rb"\.".join([octet] * 4), _CHARS)
-    count = rb"(0|[1-9][0-9]{0,18})"  # at most 19 digits, so below 2^64
-    return re.compile(
-        rb'\{(?:%(m)s,)*+"event_type":"flow",(?:%(m)s,)*+"src_ip":%(a)s,'
-        rb'(?:%(m)s,)*+"dest_ip":%(a)s,(?:%(m)s,)*+'
-        rb'"flow":\{(?:%(i)s,)*+"pkts_toserver":%(c)s,'
-        rb'(?:%(i)s,)*+"pkts_toclient":%(c)s(?:,%(i)s)*+\}'
-        rb"(?:,%(m)s)*+\}"
-        % {b"m": member, b"i": inner, b"a": address, b"c": count}
-    )
-
-
-@functools.cache
-def _non_flow_pattern() -> re.Pattern:
-    """The non-flow clause's grammar: valid JSON whose one event_type is a string, not "flow".
-
-    Top-level keys are escape-free, so a key's bytes are its name, and only
-    the one event_type member may have that name. Its value is an
-    escape-free string other than flow, so ``_parse_json`` reads it as is.
-    Compiled on first use: a process that sees no line the flow clause
-    rejects never pays for it.
-    """
-    member = rb'"(?!event_type")%s":(?:%s)' % (_CHARS, _json_value(_MAX_DEPTH - 1))
-    return re.compile(
-        rb'\{(?:%(m)s,)*+"event_type":"(?!flow")%(c)s"(?:,%(m)s)*+\}' % {b"m": member, b"c": _CHARS}
-    )
-
-
-def parse_flow_record(line: bytes) -> FlowRecord | Skip:
-    """Parse one EVE JSON line. Never raises: bad input becomes a Skip."""
-    fields = _classify(line)
-    if isinstance(fields, Skip):
-        return fields
-    s1, s2, s3, s4, d1, d2, d3, d4, toserver, toclient = map(int, fields)
-    return FlowRecord(
-        s1 << 24 | s2 << 16 | s3 << 8 | s4, d1 << 24 | d2 << 16 | d3 << 8 | d4, toserver, toclient
-    )
-
-
-def _classify(line: bytes) -> tuple[bytes, ...] | Skip:
-    """A line's record as ten decimal fields, eight octets and two counts, or its Skip.
-
-    It decides the lines parse_columns' shape cache does not, and every line
-    of parse_flow_record. A line the flow clause matches gives its regex
-    groups, or Skip.IPV6 when an address is not a quad. A line it rejects
-    goes to the non-flow clause. The clauses exclude each other, so this
-    order only saves time. Every line neither decides goes through
-    _parse_json, and a record it returns gives the same ten fields,
-    formatted as b"%d".
-    """
-    if len(line) <= MAX_LINE_BYTES and line.isascii():
-        match = _flow_pattern().fullmatch(line)
-        if match is not None:
-            fields = match.groups()
-            # an address that is not a quad leaves its four octet groups unset
-            return Skip.IPV6 if fields[0] is None or fields[4] is None else fields
-        if _non_flow_pattern().fullmatch(line) is not None:
-            return Skip.NON_FLOW
-    rec = _parse_json(line)
-    if isinstance(rec, Skip):
-        return rec
-    return tuple(b"%d" % field for field in _fields(rec))
-
-
 def _fields(rec: FlowRecord) -> tuple[int, ...]:
     """A record's ten fields: the octets of its two addresses, then its two counts."""
     src, dst, toserver, toclient = rec
@@ -293,8 +159,11 @@ def _fields(rec: FlowRecord) -> tuple[int, ...]:
             dst >> 24, dst >> 16 & 255, dst >> 8 & 255, dst & 255, toserver, toclient)
 
 
-def _parse_json(line: bytes) -> FlowRecord | Skip:
-    """The strict clause: ``json.loads`` and a walk of the fields it read."""
+def parse_flow_record(line: bytes) -> FlowRecord | Skip:
+    """Parse one EVE JSON line. Never raises: bad input becomes a Skip.
+
+    It is ``json.loads`` and a walk of the fields it read.
+    """
     if len(line) > MAX_LINE_BYTES:
         return Skip.MALFORMED
     try:
@@ -334,10 +203,10 @@ def parse_columns(lines: Iterable[bytes], counters: IngestCounters) -> FlowColum
     Lines are drawn as they are parsed, in blocks that end at the first line
     taking them to _BLOCK_BYTES, so a block holds at most that many bytes of
     lines plus one. The process's shape cache (_SHAPES) decides the lines of
-    each block whose shapes it has learned, and _classify the others. Either
-    gives a line the outcome _parse_json gives it, and records keep the order
-    of their lines, so the batch and the counters are the same whichever
-    lines the cache decides. The counters are exact when this returns.
+    each block whose shapes it has learned, and parse_flow_record the
+    others. The cache gives a line the outcome parse_flow_record gives it,
+    and records keep the order of their lines, so the batch and the counters
+    are the same whichever lines the cache decides. The counters are exact when this returns.
     """
     batches = []
     block: list[bytes] = []
@@ -362,16 +231,6 @@ def _joined(batches: list[FlowColumns], order: np.ndarray | None = None) -> Flow
     return FlowColumns(*(columns if order is None else [column[order] for column in columns]))
 
 
-def _columns(fields: list) -> FlowColumns:
-    """Columns of records given as ten decimal fields each: eight octets and two counts."""
-    # np.fromstring silently saturates a number above 2^64 - 1 at 2^64 - 1.
-    # It is exact here only because every field was validated before: the
-    # flow clause takes at most 19 digits, and _count bounds every count
-    # the JSON clause reads.
-    table = np.fromstring(b",".join(fields), dtype=np.uint64, sep=",")
-    return _record_columns(table.reshape(-1, 10))
-
-
 def _record_columns(table: np.ndarray) -> FlowColumns:
     """Columns of records given as rows of ten uint64: eight octets and two counts.
 
@@ -391,7 +250,7 @@ class _ShapeCache:
 
     A line's shape is its bytes with each maximal run of ASCII digits
     replaced by the one byte _MARKER. Two ASCII lines of one shape differ only
-    in their digits, and _parse_json gives both the same outcome when each
+    in their digits, and parse_flow_record gives both the same outcome when each
     digit run keeps the rule of its role: a number's integer part has no
     leading zero unless it is "0" and at most _INT_DIGITS digits; a record's
     octet has at most 3 digits and is at most 255; its count has at most
@@ -401,13 +260,14 @@ class _ShapeCache:
 
     A shape is learned on its second sighting, counting earlier lines of the
     same block, from a line of the shape whose k-th digit run is the number
-    k + 1 (_learned): _parse_json of it gives the shape's skip, or which runs
-    are a record's octets and counts. A shape whose such line is malformed
-    is kept as one that _classify decides line by line, since other digits
-    may make its lines valid (a "-0" count is 0; "-11" is malformed). At
-    most _SHAPES_MAX shapes of at most _SHAPE_BYTES_MAX bytes are kept, and
-    the hashes of at most _SEEN_ONCE_MAX shapes seen once; once either is
-    full, the lines of new shapes go to _classify, as do longer shapes.
+    k + 1 (_learned): parse_flow_record of it gives the shape's skip, or
+    which runs are a record's octets and counts. A shape whose such line is
+    malformed is kept as one whose lines parse_flow_record decides one by
+    one, since other digits may make them valid (a "-0" count is 0; "-11"
+    is malformed). At most _SHAPES_MAX shapes of at most _SHAPE_BYTES_MAX
+    bytes are kept, and the hashes of at most _SEEN_ONCE_MAX shapes seen
+    once; once either is full, the lines of new shapes go to
+    parse_flow_record, as do longer shapes.
     """
 
     def __init__(self) -> None:
@@ -428,9 +288,9 @@ class _ShapeCache:
         The block is one buffer, each line between two newlines. Its shapes
         and digit runs come from whole-buffer numpy passes, whose per-byte
         arrays are uint8 or bool, and a line's entry from one dict lookup.
-        A line goes to _classify if it is not ASCII, is over MAX_LINE_BYTES
-        or holds a newline, if its shape is not learned, or if one of its
-        digit runs breaks the rule of its role.
+        A line goes to parse_flow_record if it is not ASCII, is over
+        MAX_LINE_BYTES or holds a newline, if its shape is not learned, or if
+        one of its digit runs breaks the rule of its role.
         """
         n = len(lines)
         data = b"\n".join([b"", *lines, b""])
@@ -473,15 +333,16 @@ class _ShapeCache:
                 counters.count_skip(reason, count)
 
         fields: list = []
-        fallen = []  # the lines of the records _classify gives
+        fallen = []  # the lines of the records parse_flow_record gives
         for i in np.flatnonzero(ids < 0).tolist():
-            result = _classify(lines[i])
+            result = parse_flow_record(lines[i])
             if isinstance(result, Skip):
                 counters.count_skip(result)
             else:
-                fields += result
+                fields += _fields(result)
                 fallen.append(i)
-        batch = _columns(fields)
+        # numpy raises, and never saturates, on a field over 2^64 - 1
+        batch = _record_columns(np.array(fields, np.uint64).reshape(-1, 10))
         if decided is None or not fallen:
             return batch if decided is None else decided[1]
         order = np.argsort(np.concatenate([decided[0], fallen]), kind="stable")
@@ -507,7 +368,7 @@ class _ShapeCache:
         return [entries[shape] for shape in shapes]
 
     def _add(self, shape: bytes) -> int:
-        """Learn shape; its entry number, or -1 if _classify decides its lines."""
+        """Learn shape; its entry number, or -1 if parse_flow_record decides its lines."""
         learned = _learned(shape)
         if learned is None:
             return -1
@@ -519,7 +380,7 @@ class _ShapeCache:
         return len(self.kinds) - 1
 
     def _check_integer_parts(self, ids, value, run_start, run_stop, line_run) -> None:
-        """Send to _classify each decided line with an integer part that breaks its rule.
+        """Send to parse_flow_record each decided line with an integer part that breaks its rule.
 
         A run with a leading zero or too many digits is rare, and only such a
         run is looked up; ids of the lines where it is an integer part become -1.
@@ -536,7 +397,8 @@ class _ShapeCache:
         """The indices and columns of the decided lines that are records, in line order.
 
         A line with an octet over 3 digits or 255, or a count over
-        _COUNT_DIGITS digits, is sent to _classify instead: ids of it becomes -1.
+        _COUNT_DIGITS digits, is sent to parse_flow_record instead: ids of it
+        becomes -1.
         """
         lines = np.flatnonzero(ids >= 0)
         lines = lines[self.kinds[ids[lines]] == 0]
@@ -556,7 +418,7 @@ def _learned(shape: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
 
     That is its kind, a record's octet and count runs, and which runs are a
     number's integer part, all read from the line of the shape whose k-th
-    digit run is the number k + 1: _parse_json's record of it spells the
+    digit run is the number k + 1: parse_flow_record's record of it spells the
     numbers of the runs it read, and json.loads hands each integer part to
     parse_int or parse_float. None if that line is malformed or the shape
     holds a \\u escape, found escape-aware: a backslash not after another,
@@ -567,7 +429,7 @@ def _learned(shape: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     pieces[0::2] = parts
     pieces[1::2] = [b"%d" % k for k in range(1, len(parts))]
     line = b"".join(pieces)
-    outcome = _parse_json(line)
+    outcome = parse_flow_record(line)
     if outcome is Skip.MALFORMED or re.search(rb"(?<!\\)(?:\\\\)*\\u", shape):
         return None
     integers, floats = [], []

@@ -5,8 +5,7 @@ column batch (eve.parse_columns), which the same process anonymizes.
 Crypto-PAn is a pure function of the batch, and a forked child already holds
 the key. The chunks' results come in input order. Each process keeps its
 own cache of the line shapes it has learned (eve._ShapeCache), so a child
-learns the shapes of the chunks it takes, and compiles a regex only if one
-of its lines falls back to it.
+learns the shapes of the chunks it takes.
 
 A stream (stdin, a socket, any other line iterable) is taken in blocks of
 STREAM_BLOCK_LINES lines in this process (parse_stream). A regular file is

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import random
@@ -13,14 +14,10 @@ from hypothesis import strategies as st
 
 from flowmat import eve, shard
 from flowmat.eve import (
-    _MAX_DEPTH,
     MAX_LINE_BYTES,
     FlowRecord,
     IngestCounters,
     Skip,
-    _flow_pattern,
-    _non_flow_pattern,
-    _parse_json,
     open_source,
     parse_columns,
     parse_flow_record,
@@ -38,8 +35,8 @@ def test_parse_basic_flow():
     assert rec == FlowRecord(0x0A000001, 0x0A000002, 7, 3)
 
 
-# json.dumps's default separators put a space after "," and ":", which the
-# compact clause never takes; the compact form reaches it
+# json.dumps's default separators put a space after "," and ":"; the compact
+# form has none, as Suricata writes it
 SEPARATORS = pytest.mark.parametrize(
     "separators", [(", ", ": "), (",", ":")], ids=["default", "compact"]
 )
@@ -137,58 +134,7 @@ def test_parse_never_raises_on_random_bytes():
     assert counters.lines_consumed == n
 
 
-# --- the compact clauses against the strict json.loads clause ---------------
-
-def compact_record(line: bytes) -> FlowRecord | None:
-    """The record the flow clause's groups spell for a line it fully matches with two quads, else None."""
-    match = _flow_pattern().fullmatch(line)
-    if match is None or None in match.groups():
-        return None
-    s1, s2, s3, s4, d1, d2, d3, d4, toserver, toclient = map(int, match.groups())
-    return FlowRecord(
-        s1 << 24 | s2 << 16 | s3 << 8 | s4, d1 << 24 | d2 << 16 | d3 << 8 | d4, toserver, toclient
-    )
-
-
-def ipv6_addresses(line: bytes) -> tuple[str, str] | None:
-    """The addresses of a line the flow clause fully matches with one not a quad, else None."""
-    match = _flow_pattern().fullmatch(line)
-    if match is None or None not in match.groups():
-        return None
-    doc = json.loads(line)
-    addresses = doc["src_ip"], doc["dest_ip"]
-    # the four octet groups of an address holding ":" are unset, and only those
-    for octets, address in zip((match.groups()[:4], match.groups()[4:8]), addresses):
-        assert octets == (None,) * 4 if ":" in address else None not in octets
-    return addresses
-
-
-def compact_outcome(line: bytes) -> FlowRecord | Skip | None:
-    """What each compact clause alone says of a line _classify may give it, else None.
-
-    Every clause is tried, whatever the line holds, so each one is checked
-    on its own and not only where _classify sends a line.
-    """
-    if len(line) > MAX_LINE_BYTES or not line.isascii():
-        return None
-    outcomes = [compact_record(line)]
-    if _non_flow_pattern().fullmatch(line):
-        outcomes.append(Skip.NON_FLOW)
-    if ipv6_addresses(line) is not None:
-        outcomes.append(Skip.IPV6)
-    decided = [outcome for outcome in outcomes if outcome is not None]
-    assert len(decided) <= 1, f"clauses overlap on {line!r}: {decided}"
-    return decided[0] if decided else None
-
-
-def assert_clauses_match_strict(line: bytes) -> None:
-    """_classify and each compact clause alone agree with _parse_json on line."""
-    want = _parse_json(line)
-    assert parse_flow_record(line) == want
-    assert compact_outcome(line) in (None, want)
-
-
-# --- the shape cache of parse_columns against the strict clause -------------
+# --- the shape cache of parse_columns against parse_flow_record ------------
 
 def digit_variants(line: bytes) -> list[bytes]:
     """Copies of line with its shape: every digit run replaced in one of six ways.
@@ -220,10 +166,10 @@ def shape_parsed(lines: list[bytes]) -> tuple[list[FlowRecord], IngestCounters]:
 
 
 def strict_parsed(lines: list[bytes]) -> tuple[list[FlowRecord], IngestCounters]:
-    """The records and counters _parse_json gives lines, one by one."""
+    """The records and counters parse_flow_record gives lines, one by one."""
     records, counters = [], IngestCounters()
     for line in lines:
-        outcome = _parse_json(line)
+        outcome = parse_flow_record(line)
         if isinstance(outcome, Skip):
             counters.count_skip(outcome)
         else:
@@ -233,30 +179,29 @@ def strict_parsed(lines: list[bytes]) -> tuple[list[FlowRecord], IngestCounters]
 
 
 def assert_shape_path_matches_strict(lines: list[bytes], *, line_by_line: bool = True) -> int:
-    """parse_columns agrees with _parse_json on lines, each repeated and in digit-varied copies.
+    """parse_columns agrees with parse_flow_record on lines, each repeated and in digit-varied copies.
 
     A line's copies share its shape, so parsing them all as one block
     teaches a fresh shape cache every shape they hold. Then the cache decides
     those lines again, one by one unless line_by_line is False, and each
-    must get the strict outcome. Returns how many lines the cache decided,
-    not sending them to _classify, that second time.
+    must get the outcome parse_flow_record gives it. Returns how many lines
+    the cache decided, not sending them to parse_flow_record, that second time.
     """
     eve._SHAPES = eve._ShapeCache()  # the empty_shape_cache fixture restores it
     block = [copy for line in lines for copy in (line, line, *digit_variants(line))]
     assert shape_parsed(block) == strict_parsed(block)
     fallen = []
-    classify = eve._classify
 
     def counted(line):
         fallen.append(line)
-        return classify(line)
+        return parse_flow_record(line)
 
-    eve._classify = counted
+    eve.parse_flow_record = counted
     try:
         for part in [[line] for line in block] if line_by_line else [block]:
             assert shape_parsed(part) == strict_parsed(part), part
     finally:
-        eve._classify = classify
+        eve.parse_flow_record = parse_flow_record
     return len(block) - len(fallen)
 
 
@@ -295,7 +240,7 @@ SURICATA_ALERT = (
     b'"signature":"ET POLICY Suspicious inbound to mySQL port 3306 \\/ \\"probe\\"",'
     b'"category":"Potentially Bad Traffic \\u00e9","severity":2}}'
 )
-# a rule's metadata puts alert lines four containers deep, past _MAX_DEPTH
+# a rule's metadata puts alert lines four containers deep, past DEPTH
 SURICATA_ALERT_WITH_METADATA = SURICATA_ALERT[:-2] + b',"metadata":{"tag":["sql"]}}}'
 SURICATA_TLS = (
     b'{"timestamp":"2024-09-18T00:16:41.808582+0000","event_type":"tls","src_ip":"10.1.2.3",'
@@ -316,140 +261,132 @@ def nested(depth: int) -> bytes:
     return value
 
 
+# the containers most Suricata events nest, the top-level object included;
+# the edge cases and generated lines reach it and go one past it
+DEPTH = 3
 ALERT = b'"event_type":"alert"'
 V6_HEAD = b'"event_type":"flow","src_ip":"2001:db8::1","dest_ip":"10.0.0.2"'
 
-# (name, line, whether a compact clause decides it without json.loads)
+# (name, line): lines at the edges of what is valid and what is a record
 EDGE_CASES = [
-    ("basic", FLOW_LINE, True),
-    ("5000_digit_member", flow_line(tail=b',"x":' + b"9" * 5000), False),
-    ("20_digit_member", flow_line(tail=b',"x":' + b"9" * 20), True),
-    ("exactly_max_line_bytes", padded_to(MAX_LINE_BYTES), True),
-    ("max_line_bytes_plus_one", padded_to(MAX_LINE_BYTES + 1), False),
-    ("count_minus_zero", flow_line(counts=b'"flow":{"pkts_toserver":-0,"pkts_toclient":3}'), False),
-    ("count_leading_zero", flow_line(counts=b'"flow":{"pkts_toserver":07,"pkts_toclient":3}'), False),
-    ("count_float", flow_line(counts=b'"flow":{"pkts_toserver":1.0,"pkts_toclient":3}'), False),
-    ("count_true", flow_line(counts=b'"flow":{"pkts_toserver":true,"pkts_toclient":3}'), False),
-    ("count_19_digits", flow_line(counts=b'"flow":{"pkts_toserver":9999999999999999999,"pkts_toclient":3}'), True),
-    ("count_2_64_minus_1", flow_line(counts=b'"flow":{"pkts_toserver":18446744073709551615,"pkts_toclient":3}'), False),
-    ("count_2_64", flow_line(counts=b'"flow":{"pkts_toserver":18446744073709551616,"pkts_toclient":3}'), False),
-    ("duplicate_src_ip_after", flow_line(tail=b',"src_ip":"10.9.9.9"'), False),
-    ("duplicate_src_ip_before", b'{"src_ip":"10.9.9.9",' + flow_line()[1:], False),
-    ("duplicate_event_type", flow_line(tail=b',"event_type":"alert"'), False),
-    ("duplicate_flow", flow_line(tail=b',"flow":{"pkts_toserver":1,"pkts_toclient":1}'), False),
-    ("duplicate_pkts_toclient_in_flow", flow_line(counts=b'"flow":{"pkts_toserver":7,"pkts_toclient":3,"pkts_toclient":9}'), False),
-    ("duplicate_pkts_toserver_in_flow", flow_line(counts=b'"flow":{"pkts_toserver":7,"pkts_toserver":5,"pkts_toclient":3}'), False),
-    ("duplicate_src_ip_in_other_object", flow_line(tail=b',"tcp":{"src_ip":"9.9.9.9","src_ip":"8.8.8.8"}'), True),
-    ("escaped_duplicate_key", flow_line(tail=b',"src\\u005fip":"10.9.9.9"'), False),
-    ("escape_in_other_value", flow_line(tail=b',"url":"\\/index.html"'), True),
-    ("nan_member", flow_line(tail=b',"x":NaN'), False),
-    ("infinity_member", flow_line(tail=b',"x":-Infinity'), False),
-    ("array_member", flow_line(tail=b',"x":[1,2]'), True),
-    ("nested_object_two_deep", flow_line(tail=b',"x":{"y":{"z":1}}'), True),
-    ("space_after_colon", b'{"event_type": "flow","src_ip":"10.0.0.1","dest_ip":"10.0.0.2",' + COUNTS + b"}", False),
-    ("trailing_cr", flow_line() + b"\r", False),
-    ("octet_010", flow_line(head=HEAD.replace(b"10.0.0.1", b"010.0.0.1")), True),
-    ("octet_255", flow_line(head=HEAD.replace(b"10.0.0.1", b"10.0.0.255")), True),
-    ("octet_256", flow_line(head=HEAD.replace(b"10.0.0.1", b"10.0.0.256")), False),
-    ("octet_four_digits", flow_line(head=HEAD.replace(b"10.0.0.1", b"10.0.0.0001")), False),
-    ("reordered_top_level_keys", b'{"src_ip":"10.0.0.1","event_type":"flow","dest_ip":"10.0.0.2",' + COUNTS + b"}", False),
-    ("reordered_counts", flow_line(counts=b'"flow":{"pkts_toclient":3,"pkts_toserver":7}'), False),
-    ("ipv6", flow_line(head=HEAD.replace(b"10.0.0.1", b"2001:db8::1")), True),
-    ("non_flow", flow_line(head=HEAD.replace(b'"flow"', b'"alert"', 1)), True),
-    ("non_ascii_member", flow_line(tail=',"host":"s\u00e9nsor"'.encode()), False),
-    ("suricata_flow", SURICATA_FLOW, True),
-    # the non-flow clause
-    ("event_bare", event(ALERT), True),
-    ("event_suricata_alert", SURICATA_ALERT, True),
-    ("event_suricata_alert_with_metadata", SURICATA_ALERT_WITH_METADATA, False),
-    ("event_suricata_tls", SURICATA_TLS, True),
-    ("event_type_flows", event(b'"event_type":"flows"'), True),
-    ("event_type_capital_flow", event(b'"event_type":"Flow"'), True),
-    ("event_type_empty", event(b'"event_type":""'), True),
-    ("event_empty_containers", event(ALERT, b'"x":{}', b'"y":[]', b'"z":[{},[]]'), True),
-    ("event_at_depth_cap", event(ALERT, b'"x":' + nested(_MAX_DEPTH)), True),
-    ("event_over_depth_cap", event(ALERT, b'"x":' + nested(_MAX_DEPTH + 1)), False),
-    ("event_over_depth_cap_before_type", event(b'"x":' + nested(_MAX_DEPTH + 1), ALERT), False),
-    ("event_escapes_in_values", event(ALERT, b'"x":"\\"\\\\\\/\\b\\f\\n\\r\\t\\u00e9\\uD83D\\uDE00"'), True),
-    ("event_lone_surrogate", event(ALERT, b'"x":"\\ud800"'), True),
-    ("event_escaped_key_in_nested_object", event(ALERT, b'"x":{"event\\u005ftype":"flow"}'), True),
-    ("event_flow_type_in_nested_object", event(ALERT, b'"x":{"event_type":"flow"}'), True),
-    ("event_bad_escape", event(ALERT, b'"x":"\\x41"'), False),
-    ("event_short_unicode_escape", event(ALERT, b'"x":"\\u12"'), False),
-    ("event_raw_tab_in_string", event(ALERT, b'"x":"a\tb"'), False),
-    ("event_del_in_string", event(ALERT, b'"x":"a\x7fb"'), True),
-    ("event_20_digit_integer", event(ALERT, b'"x":' + b"9" * 20), True),
-    ("event_21_digit_integer", event(ALERT, b'"x":' + b"9" * 21), False),
-    ("event_4301_digit_integer", event(ALERT, b'"x":' + b"9" * 4301), False),
-    ("event_5000_digit_fraction", event(ALERT, b'"x":1.' + b"5" * 5000), True),
-    ("event_huge_exponent", event(ALERT, b'"x":1e999999'), True),
-    ("event_nan", event(ALERT, b'"x":NaN'), False),
-    ("event_infinity", event(ALERT, b'"x":[-Infinity]'), False),
-    ("event_non_ascii", event(ALERT, '"host":"s\u00e9nsor"'.encode()), False),
-    ("event_invalid_utf8", event(ALERT, b'"host":"s\xff"'), False),
-    ("event_space_after_colon", event(b'"event_type": "alert"'), False),
-    ("event_space_between_members", event(ALERT, b' "x":1'), False),
-    ("event_space_in_nested_array", event(ALERT, b'"x":[1, 2]'), False),
-    ("event_trailing_comma", event(ALERT, b""), False),
-    ("event_trailing_comma_in_array", event(ALERT, b'"x":[1,]'), False),
-    ("event_trailing_comma_in_object", event(ALERT, b'"x":{"a":1,}'), False),
-    ("event_missing_close", event(ALERT)[:-1], False),
-    ("event_top_level_array", b"[" + event(ALERT) + b"]", False),
-    ("event_missing_event_type", event(b'"proto":"TCP"'), False),
-    ("event_type_number", event(b'"event_type":1'), False),
-    ("event_type_null", event(b'"event_type":null'), False),
-    ("event_type_array", event(b'"event_type":["flow"]'), False),
-    ("event_duplicate_event_type", event(ALERT, b'"event_type":"dns"'), False),
-    ("event_duplicate_event_type_flow_last", event(ALERT, HEAD[1:-1], COUNTS), False),
+    ("basic", FLOW_LINE),
+    ("5000_digit_member", flow_line(tail=b',"x":' + b"9" * 5000)),
+    ("20_digit_member", flow_line(tail=b',"x":' + b"9" * 20)),
+    ("exactly_max_line_bytes", padded_to(MAX_LINE_BYTES)),
+    ("max_line_bytes_plus_one", padded_to(MAX_LINE_BYTES + 1)),
+    ("count_minus_zero", flow_line(counts=b'"flow":{"pkts_toserver":-0,"pkts_toclient":3}')),
+    ("count_leading_zero", flow_line(counts=b'"flow":{"pkts_toserver":07,"pkts_toclient":3}')),
+    ("count_float", flow_line(counts=b'"flow":{"pkts_toserver":1.0,"pkts_toclient":3}')),
+    ("count_true", flow_line(counts=b'"flow":{"pkts_toserver":true,"pkts_toclient":3}')),
+    ("count_19_digits", flow_line(counts=b'"flow":{"pkts_toserver":9999999999999999999,"pkts_toclient":3}')),
+    ("count_2_64_minus_1", flow_line(counts=b'"flow":{"pkts_toserver":18446744073709551615,"pkts_toclient":3}')),
+    ("count_2_64", flow_line(counts=b'"flow":{"pkts_toserver":18446744073709551616,"pkts_toclient":3}')),
+    ("duplicate_src_ip_after", flow_line(tail=b',"src_ip":"10.9.9.9"')),
+    ("duplicate_src_ip_before", b'{"src_ip":"10.9.9.9",' + flow_line()[1:]),
+    ("duplicate_event_type", flow_line(tail=b',"event_type":"alert"')),
+    ("duplicate_flow", flow_line(tail=b',"flow":{"pkts_toserver":1,"pkts_toclient":1}')),
+    ("duplicate_pkts_toclient_in_flow", flow_line(counts=b'"flow":{"pkts_toserver":7,"pkts_toclient":3,"pkts_toclient":9}')),
+    ("duplicate_pkts_toserver_in_flow", flow_line(counts=b'"flow":{"pkts_toserver":7,"pkts_toserver":5,"pkts_toclient":3}')),
+    ("duplicate_src_ip_in_other_object", flow_line(tail=b',"tcp":{"src_ip":"9.9.9.9","src_ip":"8.8.8.8"}')),
+    ("escaped_duplicate_key", flow_line(tail=b',"src\\u005fip":"10.9.9.9"')),
+    ("escape_in_other_value", flow_line(tail=b',"url":"\\/index.html"')),
+    ("nan_member", flow_line(tail=b',"x":NaN')),
+    ("infinity_member", flow_line(tail=b',"x":-Infinity')),
+    ("array_member", flow_line(tail=b',"x":[1,2]')),
+    ("nested_object_two_deep", flow_line(tail=b',"x":{"y":{"z":1}}')),
+    ("space_after_colon", b'{"event_type": "flow","src_ip":"10.0.0.1","dest_ip":"10.0.0.2",' + COUNTS + b"}"),
+    ("trailing_cr", flow_line() + b"\r"),
+    ("octet_010", flow_line(head=HEAD.replace(b"10.0.0.1", b"010.0.0.1"))),
+    ("octet_255", flow_line(head=HEAD.replace(b"10.0.0.1", b"10.0.0.255"))),
+    ("octet_256", flow_line(head=HEAD.replace(b"10.0.0.1", b"10.0.0.256"))),
+    ("octet_four_digits", flow_line(head=HEAD.replace(b"10.0.0.1", b"10.0.0.0001"))),
+    ("reordered_top_level_keys", b'{"src_ip":"10.0.0.1","event_type":"flow","dest_ip":"10.0.0.2",' + COUNTS + b"}"),
+    ("reordered_counts", flow_line(counts=b'"flow":{"pkts_toclient":3,"pkts_toserver":7}')),
+    ("ipv6", flow_line(head=HEAD.replace(b"10.0.0.1", b"2001:db8::1"))),
+    ("non_flow", flow_line(head=HEAD.replace(b'"flow"', b'"alert"', 1))),
+    ("non_ascii_member", flow_line(tail=',"host":"s\u00e9nsor"'.encode())),
+    ("suricata_flow", SURICATA_FLOW),
+    # other events
+    ("event_bare", event(ALERT)),
+    ("event_suricata_alert", SURICATA_ALERT),
+    ("event_suricata_alert_with_metadata", SURICATA_ALERT_WITH_METADATA),
+    ("event_suricata_tls", SURICATA_TLS),
+    ("event_type_flows", event(b'"event_type":"flows"')),
+    ("event_type_capital_flow", event(b'"event_type":"Flow"')),
+    ("event_type_empty", event(b'"event_type":""')),
+    ("event_empty_containers", event(ALERT, b'"x":{}', b'"y":[]', b'"z":[{},[]]')),
+    ("event_at_depth_cap", event(ALERT, b'"x":' + nested(DEPTH))),
+    ("event_over_depth_cap", event(ALERT, b'"x":' + nested(DEPTH + 1))),
+    ("event_over_depth_cap_before_type", event(b'"x":' + nested(DEPTH + 1), ALERT)),
+    ("event_escapes_in_values", event(ALERT, b'"x":"\\"\\\\\\/\\b\\f\\n\\r\\t\\u00e9\\uD83D\\uDE00"')),
+    ("event_lone_surrogate", event(ALERT, b'"x":"\\ud800"')),
+    ("event_escaped_key_in_nested_object", event(ALERT, b'"x":{"event\\u005ftype":"flow"}')),
+    ("event_flow_type_in_nested_object", event(ALERT, b'"x":{"event_type":"flow"}')),
+    ("event_bad_escape", event(ALERT, b'"x":"\\x41"')),
+    ("event_short_unicode_escape", event(ALERT, b'"x":"\\u12"')),
+    ("event_raw_tab_in_string", event(ALERT, b'"x":"a\tb"')),
+    ("event_del_in_string", event(ALERT, b'"x":"a\x7fb"')),
+    ("event_20_digit_integer", event(ALERT, b'"x":' + b"9" * 20)),
+    ("event_21_digit_integer", event(ALERT, b'"x":' + b"9" * 21)),
+    ("event_4301_digit_integer", event(ALERT, b'"x":' + b"9" * 4301)),
+    ("event_5000_digit_fraction", event(ALERT, b'"x":1.' + b"5" * 5000)),
+    ("event_huge_exponent", event(ALERT, b'"x":1e999999')),
+    ("event_nan", event(ALERT, b'"x":NaN')),
+    ("event_infinity", event(ALERT, b'"x":[-Infinity]')),
+    ("event_non_ascii", event(ALERT, '"host":"s\u00e9nsor"'.encode())),
+    ("event_invalid_utf8", event(ALERT, b'"host":"s\xff"')),
+    ("event_space_after_colon", event(b'"event_type": "alert"')),
+    ("event_space_between_members", event(ALERT, b' "x":1')),
+    ("event_space_in_nested_array", event(ALERT, b'"x":[1, 2]')),
+    ("event_trailing_comma", event(ALERT, b"")),
+    ("event_trailing_comma_in_array", event(ALERT, b'"x":[1,]')),
+    ("event_trailing_comma_in_object", event(ALERT, b'"x":{"a":1,}')),
+    ("event_missing_close", event(ALERT)[:-1]),
+    ("event_top_level_array", b"[" + event(ALERT) + b"]"),
+    ("event_missing_event_type", event(b'"proto":"TCP"')),
+    ("event_type_number", event(b'"event_type":1')),
+    ("event_type_null", event(b'"event_type":null')),
+    ("event_type_array", event(b'"event_type":["flow"]')),
+    ("event_duplicate_event_type", event(ALERT, b'"event_type":"dns"')),
+    ("event_duplicate_event_type_flow_last", event(ALERT, HEAD[1:-1], COUNTS)),
     ("event_escaped_event_type_key", event(ALERT, b'"event\\u005ftype":"flow"',
-                                           HEAD[21:-1], COUNTS), False),
-    ("event_escaped_flow_value", flow_line(head=HEAD.replace(b'"flow"', b'"\\u0066low"', 1)), False),
-    ("event_escaped_other_value", event(b'"event_type":"\\u0061lert"'), False),
-    ("event_duplicate_src_ip", event(ALERT, b'"src_ip":"1.2.3.4"', b'"src_ip":5'), True),
-    # the flow clause on IPv6 addresses
-    ("ipv6_suricata", SURICATA_IPV6_FLOW, True),
-    ("ipv6_dest_only", flow_line(head=HEAD.replace(b"10.0.0.2", b"::ffff:1.2.3.4")), True),
+                                           HEAD[21:-1], COUNTS)),
+    ("event_escaped_flow_value", flow_line(head=HEAD.replace(b'"flow"', b'"\\u0066low"', 1))),
+    ("event_escaped_other_value", event(b'"event_type":"\\u0061lert"')),
+    ("event_duplicate_src_ip", event(ALERT, b'"src_ip":"1.2.3.4"', b'"src_ip":5')),
+    # flows with an IPv6 address
+    ("ipv6_suricata", SURICATA_IPV6_FLOW),
+    ("ipv6_dest_only", flow_line(head=HEAD.replace(b"10.0.0.2", b"::ffff:1.2.3.4"))),
     # a quad before the ":" must not leave its octets set when the address is taken as IPv6
-    ("ipv6_src_quad_with_port", flow_line(head=HEAD.replace(b"10.0.0.1", b"1.2.3.4:80")), True),
-    ("ipv6_both_addresses", flow_line(head=HEAD.replace(b"10.0.0.1", b"::1").replace(b"10.0.0.2", b"fe80::2")), True),
-    ("ipv6_without_flow_member", event(V6_HEAD), False),
-    ("ipv6_flow_member_of_any_value", event(V6_HEAD, b'"flow":[1,{"pkts_toserver":-1}]'), False),
-    ("ipv6_escapes_in_other_values", event(V6_HEAD, b'"x":"\\u00e9\\/"', COUNTS), True),
-    ("ipv6_at_depth_cap", event(V6_HEAD, b'"x":' + nested(_MAX_DEPTH)), False),
-    ("ipv6_at_depth_cap_with_counts", event(V6_HEAD, b'"x":' + nested(_MAX_DEPTH), COUNTS), True),
-    ("ipv6_over_depth_cap", event(V6_HEAD, b'"x":' + nested(_MAX_DEPTH + 1)), False),
-    ("ipv6_duplicate_src_ip", event(V6_HEAD, b'"src_ip":"10.0.0.1"', COUNTS), False),
-    ("ipv6_duplicate_dest_ip", event(V6_HEAD, b'"dest_ip":"::2"', COUNTS), False),
-    ("ipv6_duplicate_event_type", event(V6_HEAD, b'"event_type":"alert"'), False),
-    ("ipv6_escaped_duplicate_key", event(V6_HEAD, b'"src\\u005fip":"10.0.0.1"', COUNTS), False),
-    ("ipv6_bad_escape_in_address", event(V6_HEAD.replace(b"::1", b"::1\\x"), COUNTS), False),
-    ("ipv6_escaped_colon", flow_line(head=HEAD.replace(b"10.0.0.1", b"fe80\\u003a\\u003a1")), False),
-    ("ipv6_address_not_a_string", event(b'"event_type":"flow","src_ip":"::1","dest_ip":7'), False),
-    ("ipv6_addresses_reordered", event(b'"event_type":"flow","dest_ip":"::2","src_ip":"::1"'), False),
-    ("ipv6_4301_digit_integer", event(V6_HEAD, b'"x":' + b"9" * 4301), False),
-    ("ipv6_nan", event(V6_HEAD, b'"x":NaN'), False),
-    ("ipv6_non_ascii", event(V6_HEAD, '"host":"s\u00e9nsor"'.encode()), False),
-    ("ipv6_invalid_utf8", event(V6_HEAD, b'"host":"\xff"'), False),
-    ("ipv6_space_between_members", event(V6_HEAD, b' "x":1'), False),
-    ("ipv6_missing_close", event(V6_HEAD)[:-1], False),
-    ("ipv4_with_vlan_array", SURICATA_FLOW.replace(b'"in_iface":"ens1f0",', b'"in_iface":"ens1f0","vlan":[100],'), True),
-    ("ipv6_both_quads", event(b'"event_type":"flow","src_ip":"1.2.3.4","dest_ip":"5.6.7.8"'), False),
+    ("ipv6_src_quad_with_port", flow_line(head=HEAD.replace(b"10.0.0.1", b"1.2.3.4:80"))),
+    ("ipv6_both_addresses", flow_line(head=HEAD.replace(b"10.0.0.1", b"::1").replace(b"10.0.0.2", b"fe80::2"))),
+    ("ipv6_without_flow_member", event(V6_HEAD)),
+    ("ipv6_flow_member_of_any_value", event(V6_HEAD, b'"flow":[1,{"pkts_toserver":-1}]')),
+    ("ipv6_escapes_in_other_values", event(V6_HEAD, b'"x":"\\u00e9\\/"', COUNTS)),
+    ("ipv6_at_depth_cap", event(V6_HEAD, b'"x":' + nested(DEPTH))),
+    ("ipv6_at_depth_cap_with_counts", event(V6_HEAD, b'"x":' + nested(DEPTH), COUNTS)),
+    ("ipv6_over_depth_cap", event(V6_HEAD, b'"x":' + nested(DEPTH + 1))),
+    ("ipv6_duplicate_src_ip", event(V6_HEAD, b'"src_ip":"10.0.0.1"', COUNTS)),
+    ("ipv6_duplicate_dest_ip", event(V6_HEAD, b'"dest_ip":"::2"', COUNTS)),
+    ("ipv6_duplicate_event_type", event(V6_HEAD, b'"event_type":"alert"')),
+    ("ipv6_escaped_duplicate_key", event(V6_HEAD, b'"src\\u005fip":"10.0.0.1"', COUNTS)),
+    ("ipv6_bad_escape_in_address", event(V6_HEAD.replace(b"::1", b"::1\\x"), COUNTS)),
+    ("ipv6_escaped_colon", flow_line(head=HEAD.replace(b"10.0.0.1", b"fe80\\u003a\\u003a1"))),
+    ("ipv6_address_not_a_string", event(b'"event_type":"flow","src_ip":"::1","dest_ip":7')),
+    ("ipv6_addresses_reordered", event(b'"event_type":"flow","dest_ip":"::2","src_ip":"::1"')),
+    ("ipv6_4301_digit_integer", event(V6_HEAD, b'"x":' + b"9" * 4301)),
+    ("ipv6_nan", event(V6_HEAD, b'"x":NaN')),
+    ("ipv6_non_ascii", event(V6_HEAD, '"host":"s\u00e9nsor"'.encode())),
+    ("ipv6_invalid_utf8", event(V6_HEAD, b'"host":"\xff"')),
+    ("ipv6_space_between_members", event(V6_HEAD, b' "x":1')),
+    ("ipv6_missing_close", event(V6_HEAD)[:-1]),
+    ("ipv4_with_vlan_array", SURICATA_FLOW.replace(b'"in_iface":"ens1f0",', b'"in_iface":"ens1f0","vlan":[100],')),
+    ("ipv6_both_quads", event(b'"event_type":"flow","src_ip":"1.2.3.4","dest_ip":"5.6.7.8"')),
 ]
 
 
-@pytest.mark.parametrize(
-    "line,compact", [case[1:] for case in EDGE_CASES], ids=[case[0] for case in EDGE_CASES]
-)
-def test_compact_clause_matches_strict_on_edge_cases(line, compact, monkeypatch):
-    strict_calls = []
-
-    def counted(strict_line):
-        strict_calls.append(strict_line)
-        return _parse_json(strict_line)
-
-    monkeypatch.setattr(eve, "_parse_json", counted)
-    assert_clauses_match_strict(line)
-    assert strict_calls.count(line) == 1 - compact
+@pytest.mark.parametrize("line", [case[1] for case in EDGE_CASES], ids=[case[0] for case in EDGE_CASES])
+def test_compact_clause_matches_strict_on_edge_cases(line):
     assert_shape_path_matches_strict([line])
 
 
@@ -459,69 +396,33 @@ def test_shape_cache_decides_most_lines_of_the_edge_cases():
     assert assert_shape_path_matches_strict(lines, line_by_line=False) > 4 * len(lines)
 
 
-@pytest.mark.parametrize("where", ["after_dest_ip", "before_dest_ip"])
-def test_compact_clause_near_miss_costs_about_one_json_loads(where):
-    # "10" is one octet: if the grammar could also read it as "1" then "0",
-    # a line failing after its quads would be retried once per reading
-    quad = b"10.10.10.10"
-    others = b"".join(b'"k%d":1,' % i for i in range(10000))
-    src = b'{"event_type":"flow","src_ip":"%s",' % quad
-    dst = b'"dest_ip":"%s",' % quad
-    body = src + dst + others if where == "after_dest_ip" else src + others + dst
-    taken = body + COUNTS + b',"x":' + nested(_MAX_DEPTH) + b"}"
-    assert compact_record(taken) is not None
+def test_parse_columns_work_on_one_line_is_bounded():
+    # about 500,000 digit runs in one string, and a 300,000-item array of numbers: the
+    # whole-block passes cost a small factor of one json.loads per line, however many runs
+    runs = b"".join([b"1a"] * ((MAX_LINE_BYTES - 100) // 2))
+    numbers = b",".join([b"%d" % (i % 100) for i in range(300_000)])
+    for line in (event(ALERT, b'"x":"%s"' % runs), flow_line(tail=b',"x":[%s]' % numbers)):
+        assert len(line) <= MAX_LINE_BYTES
+        copies = [line] * 3
 
-    def fastest(parse, line):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            parse(line)
-            times.append(time.perf_counter() - start)
-        return min(times)
+        def fastest(parse):
+            times = []
+            for _ in range(3):
+                eve._SHAPES = eve._ShapeCache()  # the empty_shape_cache fixture restores it
+                start = time.perf_counter()
+                parse()
+                times.append(time.perf_counter() - start)
+            return min(times)
 
-    # a value past the depth cap, and a cut last byte
-    for line in (body + COUNTS + b',"x":' + nested(_MAX_DEPTH + 1) + b"}", taken[:-1]):
-        assert _flow_pattern().fullmatch(line) is None
-        assert fastest(_flow_pattern().fullmatch, line) < 5 * fastest(_parse_json, line)
-
-
-@pytest.mark.parametrize("miss", ["last_byte", "over_depth_cap"])
-@pytest.mark.parametrize("clause", ["non_flow", "ipv6"])
-def test_skip_clause_near_miss_costs_about_one_json_loads(clause, miss):
-    # 10,000 members at the depth cap, then a line end the clause rejects:
-    # giving back any of them could never match, so none may be retried
-    head, tail, clause_match = {"non_flow": (ALERT, [], _non_flow_pattern().fullmatch),
-                                "ipv6": (V6_HEAD, [COUNTS], ipv6_addresses)}[clause]
-    members = [head] + [b'"k%d":%s' % (i, nested(_MAX_DEPTH)) for i in range(10000)]
-    if miss == "last_byte":
-        taken = event(*members, *tail)
-        line = taken[:-1] + b"]"
-    else:
-        taken = event(*members, b'"x":' + nested(_MAX_DEPTH), *tail)
-        line = event(*members, b'"x":' + nested(_MAX_DEPTH + 1), *tail)
-    assert clause_match(taken)
-    assert clause_match(line) is None
-
-    def fastest(parse):
-        times = []
-        for _ in range(3):
-            start = time.perf_counter()
-            parse(line)
-            times.append(time.perf_counter() - start)
-        return min(times)
-
-    assert parse_flow_record(line) == _parse_json(line)
-    assert fastest(clause_match) < 5 * fastest(_parse_json)
+        assert shape_parsed(copies) == strict_parsed(copies)
+        assert fastest(lambda: parse_columns(copies, IngestCounters())) < 20 * fastest(
+            lambda: [json.loads(copy) for copy in copies])
 
 
 def test_compact_clause_matches_strict_on_criterion_9_corpus():
     corpus, valid, _ = criterion_9_corpus()
-    compact = 0
-    for line in corpus:
-        assert_clauses_match_strict(line)
-        compact += compact_record(line) is not None
-    # every valid flow line of the corpus is compact
-    assert compact == valid
+    # the corpus holds as many records as it was made with
+    assert strict_parsed(corpus)[1].records_ok == valid
     assert_shape_path_matches_strict(corpus, line_by_line=False)
 
 
@@ -575,16 +476,23 @@ def spy(monkeypatch, name: str) -> list:
     return calls
 
 
+def learning_line(line: bytes) -> bytes:
+    """The line the shape cache learns line's shape from: its digit runs made 1, 2, 3 and so on."""
+    runs = itertools.count(1)
+    return re.sub(rb"[0-9]+", lambda run: b"%d" % next(runs), line)
+
+
 def test_shape_is_learned_on_its_second_sighting(monkeypatch):
-    fallen = spy(monkeypatch, "_classify")
+    fallen = spy(monkeypatch, "parse_flow_record")
     other = FLOW_LINE.replace(b"7", b"12")
     assert shape_parsed([FLOW_LINE]) == strict_parsed([FLOW_LINE])
     assert fallen == [FLOW_LINE]  # seen once
     assert shape_parsed([other]) == strict_parsed([other])
-    assert fallen == [FLOW_LINE]  # seen again, in a later block: learned
+    assert fallen == [FLOW_LINE, learning_line(other)]  # seen again, in a later block: learned
     alert = event(ALERT)
     assert shape_parsed([alert, alert]) == strict_parsed([alert, alert])
-    assert fallen == [FLOW_LINE]  # seen twice in one block: learned from the first
+    # seen twice in one block: learned, and both copies decided
+    assert fallen == [FLOW_LINE, learning_line(other), learning_line(alert)]
 
 
 # a rule's metadata puts this alert four containers deep; with no \u escape its shape is learned
@@ -599,10 +507,9 @@ def test_repeated_shape_takes_one_json_loads_and_no_regex(line, monkeypatch):
     # each copy lowers one digit, which keeps every number's rule
     lines = [line] + [line.replace(b"%d" % k, b"%d" % (k - 1)) for k in range(2, 10)] * 20
     strict = strict_parsed(lines)
-    fallen = spy(monkeypatch, "_classify")
-    loaded = spy(monkeypatch, "_parse_json")
+    loaded = spy(monkeypatch, "parse_flow_record")
     assert shape_parsed(lines) == strict
-    assert fallen == [] and len(loaded) == 1  # the line that teaches the shape
+    assert loaded == [learning_line(line)]  # the line that teaches the shape
 
 
 def teach(*lines: bytes) -> None:
@@ -615,7 +522,7 @@ V4_COUNTS = b'"flow":{"pkts_toserver":%s,"pkts_toclient":3}'
 
 
 # (name, a line whose shape the cache learns, a probe of that shape or near it, whether the cache
-# decides the probe without _classify)
+# decides the probe without parse_flow_record)
 SHAPE_RULE_CASES = [
     # an integer part may not have a leading zero, but an octet or a fraction may
     ("count_leading_zero", FLOW_LINE, flow_line(counts=V4_COUNTS % b"07"), False),
@@ -664,7 +571,7 @@ SHAPE_RULE_CASES = [
 def test_shape_cache_decides_a_line_only_when_its_digits_keep_their_rules(taught, probe, decided,
                                                                            monkeypatch):
     teach(taught)
-    fallen = spy(monkeypatch, "_classify")
+    fallen = spy(monkeypatch, "parse_flow_record")
     assert shape_parsed([probe]) == strict_parsed([probe])
     assert fallen == ([] if decided else [probe])
 
@@ -681,7 +588,7 @@ def test_shape_cache_learns_up_to_its_limit(monkeypatch):
     monkeypatch.setattr(eve, "_SHAPES_MAX", 3)
     shapes = [event(ALERT, b'"%s":1' % key) for key in (b"a", b"b", b"c", b"d")]
     teach(*shapes)  # the third shape fills the cache; the fourth is not learned
-    fallen = spy(monkeypatch, "_classify")
+    fallen = spy(monkeypatch, "parse_flow_record")
     assert shape_parsed(shapes) == strict_parsed(shapes)
     assert fallen == shapes[3:]
 
@@ -691,19 +598,19 @@ def test_shape_cache_does_not_learn_long_shapes(monkeypatch):
     long = event(ALERT, b'"x":"%s"' % (b"y" * (eve._SHAPE_BYTES_MAX - 28)))
     assert (len(short), len(long)) == (eve._SHAPE_BYTES_MAX, eve._SHAPE_BYTES_MAX + 1)
     teach(short, long)
-    fallen = spy(monkeypatch, "_classify")
+    fallen = spy(monkeypatch, "parse_flow_record")
     assert shape_parsed([short, long]) == strict_parsed([short, long])
     assert fallen == [long]
 
 
 def test_shape_cache_remembers_shapes_seen_once_up_to_its_limit(monkeypatch):
     monkeypatch.setattr(eve, "_SEEN_ONCE_MAX", 1)
-    fallen = spy(monkeypatch, "_classify")
+    fallen = spy(monkeypatch, "parse_flow_record")
     # the first shape seen once is remembered; the second is not, so seeing it again does not teach it
     first, second = event(ALERT, b'"e":1'), event(ALERT, b'"f":1')
     for line in (first, second, first, second):
         assert shape_parsed([line]) == strict_parsed([line])
-    assert fallen == [first, second, second]
+    assert fallen == [first, second, learning_line(first), second]
 
 
 READ_KEYS = ["event_type", "src_ip", "dest_ip", "flow", "pkts_toserver", "pkts_toclient"]
@@ -717,7 +624,7 @@ def _obj(members, comma=",", colon=":") -> str:
     return "{" + comma.join(k + colon + v for k, v in members) + "}"
 
 
-# Valid compact pieces: a line built only from these takes the compact clause.
+# Valid compact pieces: a line built only from these is valid JSON as Suricata writes it.
 COMPACT_STRING = st.text(
     st.characters(codec="ascii", exclude_characters='"\\', min_codepoint=0x20), max_size=8
 ).map(_quoted)
@@ -739,7 +646,7 @@ QUAD = st.lists(
 ).map(".".join).map(_quoted)
 VALID_COUNT = st.integers(0, 10**19 - 1).map(str)
 
-# Pieces that may break the compact grammar, the JSON, or both.
+# Pieces that may break the compact form, the JSON, or both.
 KEY = st.one_of(
     st.sampled_from(READ_KEYS).map(_quoted),
     st.sampled_from(READ_KEYS).map(json.dumps).map(lambda k: k.replace("_", "\\u005f")),
@@ -816,7 +723,6 @@ def flow_lines(draw):
 @settings(max_examples=1000, deadline=None)
 @given(flow_lines())
 def test_compact_clause_matches_strict_on_generated_lines(line):
-    assert_clauses_match_strict(line)
     assert_shape_path_matches_strict([line])
 
 
@@ -836,11 +742,11 @@ def json_values(depth: int, scalar, key):
 ESCAPED_STRING = st.text(max_size=6).map(json.dumps)  # ASCII, with escapes
 NESTED_LEAF = st.one_of(COMPACT_SCALAR, ESCAPED_STRING)
 NESTED_KEY = st.one_of(COMPACT_STRING, ESCAPED_STRING)
-# member values that keep a line within _MAX_DEPTH, at the top level and in its flow object
-NESTED = json_values(_MAX_DEPTH - 1, NESTED_LEAF, NESTED_KEY)
+# member values that keep a line within DEPTH, at the top level and in its flow object
+NESTED = json_values(DEPTH - 1, NESTED_LEAF, NESTED_KEY)
 NESTED_OTHERS = st.lists(st.tuples(COMPACT_KEY, NESTED), max_size=2)
 NESTED_FLOW_OTHERS = st.lists(
-    st.tuples(COMPACT_KEY, json_values(_MAX_DEPTH - 2, NESTED_LEAF, NESTED_KEY)), max_size=2)
+    st.tuples(COMPACT_KEY, json_values(DEPTH - 2, NESTED_LEAF, NESTED_KEY)), max_size=2)
 
 
 @st.composite
@@ -853,7 +759,7 @@ def counts_objects(draw):
 
 @st.composite
 def compact_flow_lines(draw):
-    """Valid compact flow lines in Suricata's key order: all take the flow clause."""
+    """Valid compact flow lines in Suricata's key order: all are records."""
     members = draw(NESTED_OTHERS) + [('"event_type"', '"flow"')]
     members += draw(NESTED_OTHERS) + [('"src_ip"', draw(QUAD))]
     members += draw(NESTED_OTHERS) + [('"dest_ip"', draw(QUAD))]
@@ -877,15 +783,14 @@ def mutate(line: bytes, op: str, where: int, byte: int) -> bytes:
 @settings(max_examples=1000, deadline=None)
 @given(compact_flow_lines(), *MUTATION)
 def test_compact_clause_matches_strict_on_mutations(line, op, where, byte):
-    assert compact_record(line) == _parse_json(line)
-    assert_clauses_match_strict(mutate(line, op, where, byte))
+    assert isinstance(parse_flow_record(line), FlowRecord)
     assert_shape_path_matches_strict([line, mutate(line, op, where, byte)])
 
 
-# --- the non-flow clause and IPv6 flows on generated lines -------------------
+# --- non-flow events and IPv6 flows on generated lines ----------------------
 
 # member values one container deeper
-ODD_NESTED = json_values(_MAX_DEPTH, st.one_of(SCALAR, COMPACT_SCALAR), st.one_of(KEY, STRING))
+ODD_NESTED = json_values(DEPTH, st.one_of(SCALAR, COMPACT_SCALAR), st.one_of(KEY, STRING))
 EVENT_TYPE = COMPACT_STRING.filter(lambda t: t != '"flow"')
 ODD_EVENT_TYPE = st.sampled_from(
     ['"flow"', '"\\u0066low"', '"\\u0061lert"', '"al\\"ert"', "null", "1", '["dns"]', '"dns" '])
@@ -898,9 +803,9 @@ ODD_ADDRESS = st.one_of(
 def skip_lines(draw, kind: str, wild: bool = True):
     """Non-flow events (kind "event") or flow events with an IPv6 address (kind "ipv6").
 
-    Tame, every line takes the kind's clause. Wild, each aspect is, one time
-    in six, one that may not: the event type, the addresses, the other
-    members (duplicate or escaped read keys, values past _MAX_DEPTH, NaN,
+    Tame, every line is a skip of its kind. Wild, each aspect is, one time
+    in six, one that may not keep it so: the event type, the addresses, the other
+    members (duplicate or escaped read keys, values past DEPTH, NaN,
     long integers, bad strings), key order, separators and surrounding
     whitespace.
     """
@@ -936,15 +841,13 @@ def skip_lines(draw, kind: str, wild: bool = True):
 @settings(max_examples=1000, deadline=None)
 @given(st.one_of(skip_lines("event"), skip_lines("ipv6")))
 def test_skip_clauses_match_strict_on_generated_lines(line):
-    assert_clauses_match_strict(line)
     assert_shape_path_matches_strict([line])
 
 
 @settings(max_examples=1000, deadline=None)
 @given(st.one_of(skip_lines("event", wild=False), skip_lines("ipv6", wild=False)), *MUTATION)
 def test_skip_clauses_match_strict_on_mutations(line, op, where, byte):
-    assert compact_outcome(line) == _parse_json(line) in (Skip.NON_FLOW, Skip.IPV6)
-    assert_clauses_match_strict(mutate(line, op, where, byte))
+    assert parse_flow_record(line) in (Skip.NON_FLOW, Skip.IPV6)
     assert_shape_path_matches_strict([line, mutate(line, op, where, byte)])
 
 

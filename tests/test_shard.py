@@ -1,6 +1,7 @@
 """The sharded file parse: chunk ownership, equality with the in-process parse,
 and the lifecycle of the forked workers."""
 
+import collections
 import contextlib
 import errno
 import functools
@@ -10,7 +11,6 @@ import json
 import os
 import random
 import signal
-import subprocess
 import sys
 import time
 import types
@@ -212,78 +212,36 @@ def test_streams_are_read_line_by_line_in_process(kind, tmp_path, monkeypatch, s
 
 
 @pytest.fixture
-def pattern_log(tmp_path, monkeypatch):
-    """A file that gets a line "<name> <pid>" each time a process asks for a lazy pattern.
+def strict_log(tmp_path, monkeypatch):
+    """A file that gets the pid of a process each time it calls eve.parse_flow_record.
 
-    Both patterns are logged, by the name of the function that compiles
-    them. A forked worker inherits the wrappers, so its requests are logged too.
+    A forked worker inherits the wrapper, so its calls are logged too.
     """
-    log = tmp_path / "patterns.log"
+    log = tmp_path / "strict.log"
+    parse = eve.parse_flow_record
 
-    def logging(name):
-        pattern = getattr(eve, name)
+    def logged(line):
+        with open(log, "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return parse(line)
 
-        def logged():
-            with open(log, "a") as fh:
-                fh.write(f"{name} {os.getpid()}\n")
-            return pattern()
-
-        return logged
-
-    for name in ("_flow_pattern", "_non_flow_pattern"):
-        monkeypatch.setattr(eve, name, logging(name))
+    monkeypatch.setattr(eve, "parse_flow_record", logged)
     return log
 
 
-def pattern_requests(log) -> dict[str, set[int]]:
-    """The pids that asked for each lazy pattern, by pattern."""
-    requests = {"_flow_pattern": set(), "_non_flow_pattern": set()}
-    for line in log.read_text().splitlines():
-        name, pid = line.split()
-        requests[name].add(int(pid))
-    return requests
-
-
-def test_importing_the_cli_compiles_neither_lazy_pattern():
-    code = ("import flowmat.cli; from flowmat import eve; print("
-            "eve._flow_pattern.cache_info().currsize, eve._non_flow_pattern.cache_info().currsize)")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
-                         capture_output=True, text=True).stdout
-    assert out.split() == ["0", "0"]
-
-
-# flowmat gen lines share one shape, so the shape cache decides them all, in process or sharded
+# flowmat gen lines share one shape, so the shape cache decides them all, in process or sharded:
+# each process that parses lines calls parse_flow_record once, to learn that shape
 @pytest.mark.parametrize("chunks, children", [(0, 0), (1, 0), (5, 3)])
-def test_ipv4_flows_never_compile_the_lazy_patterns(chunks, children, tmp_path, pattern_log,
-                                                    sharded):
+def test_ipv4_flows_are_decided_by_the_shape_cache(chunks, children, tmp_path, strict_log,
+                                                   sharded):
     path = tmp_path / "in.ndjson"
     lines = file_of_chunks(path, chunks)
     result = ingest_file(path, tmp_path / "out", sharded=True)
     assert len(sharded) == children
     assert result.counters.records_ok == result.counters.lines_consumed == lines
-    assert not pattern_log.exists()
-
-
-def test_lazy_patterns_are_compiled_in_the_workers_that_need_them(tmp_path, pattern_log,
-                                                                   monkeypatch, sharded):
-    monkeypatch.setattr(shard, "CHUNK_BYTES", 4096)
-
-    def letters(i: int) -> str:  # no digits, so each line has a shape of its own
-        return "".join("ghijklmnopqrstuvwxyz"[int(d)] for d in str(i))
-
-    lines = []
-    for i in range(200):
-        lines.append(f'{{"event_type":"alert","alert":{{"signature":"{letters(i)}"}}}}'.encode())
-        lines.append(f'{{"event_type":"flow","src_ip":"::{letters(i)}","dest_ip":"::2",'
-                     f'"flow":{{"pkts_toserver":1,"pkts_toclient":1}}}}'.encode())
-    path = tmp_path / "events.ndjson"
-    path.write_bytes(b"\n".join(lines) + b"\n")
-    result = ingest_file(path, tmp_path / "out", sharded=True)
-    assert len(sharded) == 3
-    assert result.counters.records_skipped_non_flow == result.counters.records_skipped_ipv6 == 200
-    assert pattern_requests(pattern_log) == {"_flow_pattern": set(sharded),
-                                             "_non_flow_pattern": set(sharded)}
+    calls = collections.Counter(map(int, strict_log.read_text().split())) if strict_log.exists() else {}
+    parsers = sharded if children else [os.getpid()] if lines else []
+    assert calls == dict.fromkeys(parsers, 1)
 
 
 def test_file_of_a_few_chunks_gives_the_same_archives_chunked(tmp_path, sharded):
@@ -404,7 +362,7 @@ def test_parse_batches_count_every_line_like_the_stream(tmp_path, sharded, monke
 # --- the column kernel at its boundaries ------------------------------------
 
 def boundary_line(src: str, dst: str, toserver: int, toclient: int, *, spaced: bool) -> bytes:
-    sep = b", " if spaced else b","  # a space takes the line past the compact clause
+    sep = b", " if spaced else b","
     return sep.join([
         b'{"event_type":"flow"', b'"src_ip":"%s"' % src.encode(), b'"dest_ip":"%s"' % dst.encode(),
         b'"flow":{"pkts_toserver":%d,"pkts_toclient":%d}}' % (toserver, toclient),
@@ -446,8 +404,13 @@ def batch_columns(batches) -> list[list[int]]:
 
 
 def test_column_kernel_is_exact_at_its_boundaries(tmp_path, monkeypatch, sharded):
-    compact = eve._flow_pattern().fullmatch
-    assert [bool(compact(line)) for line in BOUNDARY_LINES] == [True] * 3 + [False] * 3
+    # the compact lines share a shape the cache learns and decides; the spaced ones share
+    # another, but a count of 20 digits sends each of them to parse_flow_record
+    parse_columns(BOUNDARY_LINES, IngestCounters())
+    fallen, parse = [], eve.parse_flow_record
+    monkeypatch.setattr(eve, "parse_flow_record", lambda line: fallen.append(line) or parse(line))
+    parse_columns(BOUNDARY_LINES, IngestCounters())
+    assert fallen == BOUNDARY_LINES[3:]
     lines = BOUNDARY_LINES * 400  # many 4 KiB chunks, so every worker parses each kind
     want, malformed = oracle_columns(lines)
     assert malformed == 400
