@@ -206,7 +206,8 @@ def parse_columns(lines: Iterable[bytes], counters: IngestCounters) -> FlowColum
     each block whose shapes it has learned, and parse_flow_record the
     others. The cache gives a line the outcome parse_flow_record gives it,
     and records keep the order of their lines, so the batch and the counters
-    are the same whichever lines the cache decides. The counters are exact when this returns.
+    are the same whichever lines the cache decides. The counters are exact
+    when this returns.
     """
     batches = []
     block: list[bytes] = []
@@ -250,8 +251,8 @@ class _ShapeCache:
 
     A line's shape is its bytes with each maximal run of ASCII digits
     replaced by the one byte _MARKER. Two ASCII lines of one shape differ only
-    in their digits, and parse_flow_record gives both the same outcome when each
-    digit run keeps the rule of its role: a number's integer part has no
+    in their digits, and parse_flow_record gives both the same outcome when
+    each digit run keeps the rule of its role: a number's integer part has no
     leading zero unless it is "0" and at most _INT_DIGITS digits; a record's
     octet has at most 3 digits and is at most 255; its count has at most
     _COUNT_DIGITS digits, so it is below 2^64. Other digits, in strings,
@@ -380,7 +381,7 @@ class _ShapeCache:
         return len(self.kinds) - 1
 
     def _check_integer_parts(self, ids, value, run_start, run_stop, line_run) -> None:
-        """Send to parse_flow_record each decided line with an integer part that breaks its rule.
+        """Send to parse_flow_record each decided line with an integer part breaking its rule.
 
         A run with a leading zero or too many digits is rare, and only such a
         run is looked up; ids of the lines where it is an integer part become -1.
@@ -418,8 +419,8 @@ def _learned(shape: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
 
     That is its kind, a record's octet and count runs, and which runs are a
     number's integer part, all read from the line of the shape whose k-th
-    digit run is the number k + 1: parse_flow_record's record of it spells the
-    numbers of the runs it read, and json.loads hands each integer part to
+    digit run is the number k + 1: parse_flow_record's record of it spells
+    the numbers of the runs it read, and json.loads hands each integer part to
     parse_int or parse_float. None if that line is malformed or the shape
     holds a \\u escape, found escape-aware: a backslash not after another,
     an even number of backslashes after it, then "\\u".
