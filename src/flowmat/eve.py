@@ -11,17 +11,20 @@ counts, or a ``Skip``.
 ``parse_columns`` reaches the same outcome faster for lines of a shape it
 has seen before. A line's shape is its bytes with each run of digits as one
 marker byte, and a per-process cache (``_ShapeCache``) holds the shapes it
-has learned. Whole-block numpy passes give every line's shape and digit
-runs, and a shape seen twice is learned from one ``parse_flow_record`` of a
-line of that shape: its skip, or which runs are the record's octets and
-counts. A line of a learned shape whose digit runs keep their rules (no
-leading zero in a number's integer part, octets up to 255, counts of at
-most 19 digits) gets the shape's outcome with no ``json.loads``. Every
-other line goes to ``parse_flow_record``.
+has learned. Numpy passes over one block of lines give every line's shape
+and digit runs, and a shape that occurs twice in the block is learned from
+one ``parse_flow_record`` of a line of that shape: its skip, or which runs
+are the record's octets and counts. A line of at most 4 KiB of a learned
+shape whose digit runs keep their rules (no leading zero in a number's
+integer part, octets up to 255, counts of at most 19 digits) gets the
+shape's outcome with no ``json.loads``. Every other line goes to
+``parse_flow_record``.
 
 Lines come from a stream (``_bounded_lines``) or, for a regular file cut into
 byte chunks, from the lines that start inside one chunk (``chunk_lines``);
-both apply the same rules to blank, over-long and unterminated lines.
+both apply the same rules to blank, over-long and unterminated lines. The
+caller cuts them into blocks (``flowmat.shard``), and ``parse_columns``
+parses one block.
 """
 
 from __future__ import annotations
@@ -38,7 +41,7 @@ import stat
 import sys
 import threading
 from dataclasses import dataclass
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
@@ -52,9 +55,9 @@ _U64_MAX = (1 << 64) - 1
 _MARKER = 0x80
 _MARKED = bytes.maketrans(b"0123456789", bytes([_MARKER]) * 10)  # digits to _MARKER
 _SHAPES_MAX = 1 << 10     # shapes learned per process
-_SHAPE_BYTES_MAX = 1 << 12  # longer shapes are not learned, so the learned ones hold at most 4 MiB
-_SEEN_ONCE_MAX = 1 << 13  # hashes of shapes seen once, kept until seen again
-_BLOCK_BYTES = 1 << 18    # line bytes per block of parse_columns, as a file chunk holds
+# longer lines go to parse_flow_record, so a block's shape pass grows with its
+# other lines' bytes, and the learned shapes hold at most 4 MiB
+_SHAPE_BYTES_MAX = 1 << 12
 _UNSEEN = -2              # the entry number of a shape the cache has not met
 # json.loads reads an integer part this long whatever the process's int digit
 # limit: sys.set_int_max_str_digits takes no lower limit but 0, none at all
@@ -197,39 +200,20 @@ def parse_flow_record(line: bytes) -> FlowRecord | Skip:
     return FlowRecord(src_addr, dst_addr, toserver, toclient)
 
 
-def parse_columns(lines: Iterable[bytes], counters: IngestCounters) -> FlowColumns:
-    """Parse lines into one column batch; counters track every line.
+def parse_columns(lines: list[bytes], counters: IngestCounters) -> FlowColumns:
+    """Parse one block of lines into one column batch; counters track every line.
 
-    Lines are drawn as they are parsed, in blocks that end at the first line
-    taking them to _BLOCK_BYTES, so a block holds at most that many bytes of
-    lines plus one. The process's shape cache (_SHAPES) decides the lines of
-    each block whose shapes it has learned, and parse_flow_record the
-    others. The cache gives a line the outcome parse_flow_record gives it,
-    and records keep the order of their lines, so the batch and the counters
-    are the same whichever lines the cache decides. The counters are exact
-    when this returns.
+    The process's shape cache (_SHAPES) decides the lines whose shapes it
+    has learned, and parse_flow_record the others. The cache gives a line
+    the outcome parse_flow_record gives it, and records keep the order of
+    their lines, so the batch and the counters are the same whichever lines
+    the cache decides. The block is parsed as one buffer, so its callers
+    bound it: shard.CHUNK_BYTES of lines plus one line, which may be
+    over-long.
     """
-    batches = []
-    block: list[bytes] = []
-    held = 0
-    for line in lines:
-        block.append(line)
-        held += len(line)
-        if held >= _BLOCK_BYTES:
-            batches.append(_SHAPES.parse(block, counters))
-            block, held = [], 0
-    if block or not batches:
-        batches.append(_SHAPES.parse(block, counters))
-    batch = batches[0] if len(batches) == 1 else _joined(batches)
+    batch = _SHAPES.parse(lines, counters)
     counters.records_ok += len(batch)
     return batch
-
-
-def _joined(batches: list[FlowColumns], order: np.ndarray | None = None) -> FlowColumns:
-    """The records of batches, one after another, or taken in order if given."""
-    columns = [np.concatenate([getattr(batch, field.name) for batch in batches])
-               for field in dataclasses.fields(FlowColumns)]
-    return FlowColumns(*(columns if order is None else [column[order] for column in columns]))
 
 
 def _record_columns(table: np.ndarray) -> FlowColumns:
@@ -259,21 +243,19 @@ class _ShapeCache:
     fractions and exponents, do not matter, except the hex digits of a \\u
     escape, so a shape holding one is never learned.
 
-    A shape is learned on its second sighting, counting earlier lines of the
-    same block, from a line of the shape whose k-th digit run is the number
-    k + 1 (_learned): parse_flow_record of it gives the shape's skip, or
-    which runs are a record's octets and counts. A shape whose such line is
+    A shape that occurs at least twice in the block being parsed is learned
+    from a line of the shape whose k-th digit run is the number k + 1
+    (_learned): parse_flow_record of it gives the shape's skip, or which
+    runs are a record's octets and counts. A shape whose such line is
     malformed is kept as one whose lines parse_flow_record decides one by
     one, since other digits may make them valid (a "-0" count is 0; "-11"
-    is malformed). At most _SHAPES_MAX shapes of at most _SHAPE_BYTES_MAX
-    bytes are kept, and the hashes of at most _SEEN_ONCE_MAX shapes seen
-    once; once either is full, the lines of new shapes go to
-    parse_flow_record, as do longer shapes.
+    is malformed). Learned shapes are kept for later blocks, at most
+    _SHAPES_MAX of them; once the cache is full, the lines of new shapes go
+    to parse_flow_record, as do lines over _SHAPE_BYTES_MAX bytes.
     """
 
     def __init__(self) -> None:
         self._ids: dict[bytes, int] = {}  # a shape's entry number, or -1: decided line by line
-        self._seen_once: set[int] = set()
         # per learned shape, by entry number: its kind (an index into _KINDS),
         # where its flags start in integer_parts, and a record's eight octet
         # runs and two count runs; per digit run of each shape, in order,
@@ -286,15 +268,19 @@ class _ShapeCache:
     def parse(self, lines: list[bytes], counters: IngestCounters) -> FlowColumns:
         """Parse a block of lines into one column batch, in line order, counting every line.
 
-        The block is one buffer, each line between two newlines. Its shapes
-        and digit runs come from whole-buffer numpy passes, whose per-byte
-        arrays are uint8 or bool, and a line's entry from one dict lookup.
-        A line goes to parse_flow_record if it is not ASCII, is over
-        MAX_LINE_BYTES or holds a newline, if its shape is not learned, or if
-        one of its digit runs breaks the rule of its role.
+        The block is one buffer, each line between two newlines, and a line
+        over _SHAPE_BYTES_MAX bytes an empty one. Its shapes and digit runs
+        come from whole-buffer numpy passes, and a line's entry from one dict
+        lookup. A line goes to parse_flow_record if it is over
+        _SHAPE_BYTES_MAX bytes, is not ASCII or holds a newline, if its shape
+        is not learned, or if one of its digit runs breaks the rule of its role.
         """
         n = len(lines)
-        data = b"\n".join([b"", *lines, b""])
+        lengths = np.fromiter(map(len, lines), np.int64, n)
+        long = lengths > _SHAPE_BYTES_MAX
+        lengths[long] = 0
+        shaped = [b"" if len(line) > _SHAPE_BYTES_MAX else line for line in lines]
+        data = b"\n".join([b"", *shaped, b""])
         raw = np.frombuffer(data, np.uint8)
         value = raw - 48  # a digit's value
         digit = value < 10
@@ -307,7 +293,6 @@ class _ShapeCache:
         del digit, edge
         shapes = raw[keep].tobytes().translate(_MARKED).split(b"\n")
         del keep
-        lengths = np.fromiter(map(len, lines), np.int64, n)
         line_start = np.ones(n + 1, np.int64)
         np.cumsum(lengths + 1, out=line_start[1:])
         line_start[1:] += 1
@@ -318,7 +303,7 @@ class _ShapeCache:
                                   itertools.repeat(_UNSEEN)), np.int64, n)
         else:  # a line holds a newline, which no line source yields
             ids = np.full(n, -1)
-        ids[lengths > MAX_LINE_BYTES] = -1
+        ids[long] = -1
         if not data.isascii():
             ids[np.searchsorted(line_start, np.flatnonzero(raw >= 0x80), "right") - 1] = -1
         unseen = np.flatnonzero(ids == _UNSEEN)
@@ -347,22 +332,18 @@ class _ShapeCache:
         if decided is None or not fallen:
             return batch if decided is None else decided[1]
         order = np.argsort(np.concatenate([decided[0], fallen]), kind="stable")
-        return _joined([decided[1], batch], order)
+        columns = [np.concatenate([getattr(decided[1], field.name), getattr(batch, field.name)])
+                   for field in dataclasses.fields(FlowColumns)]
+        return FlowColumns(*[column[order] for column in columns])
 
     def _learn(self, shapes: list[bytes]) -> list[int]:
-        """The entry number of each of shapes, none of them known, or -1.
+        """The entry number of each of shapes, the unknown shapes of one block, or -1.
 
-        Learns each shape seen for the second time, here or in an earlier block.
+        Learns each shape that occurs at least twice among them.
         """
         entries = {}
         for shape, times in collections.Counter(shapes).items():
-            key = hash(shape)
-            if times == 1 and key not in self._seen_once:
-                if len(self._seen_once) < _SEEN_ONCE_MAX:
-                    self._seen_once.add(key)
-                entries[shape] = -1
-            elif len(self._ids) < _SHAPES_MAX and len(shape) <= _SHAPE_BYTES_MAX:
-                self._seen_once.discard(key)
+            if times > 1 and len(self._ids) < _SHAPES_MAX:
                 entries[shape] = self._ids[shape] = self._add(shape)
             else:
                 entries[shape] = -1

@@ -7,10 +7,11 @@ the key. The chunks' results come in input order. Each process keeps its
 own cache of the line shapes it has learned (eve._ShapeCache), so a child
 learns the shapes of the chunks it takes.
 
-A stream (stdin, a socket, any other line iterable) is taken in blocks of
-STREAM_BLOCK_LINES lines in this process (parse_stream). A regular file is
-cut into byte chunks of CHUNK_BYTES, read up to the size it had when it was
-opened (parse_file). A chunk owns the lines that start inside it
+A stream (stdin, a socket, any other line iterable) is read into blocks in
+this process, each ending at STREAM_BLOCK_LINES lines or at the first line
+that takes it to CHUNK_BYTES (parse_stream). A regular file is cut into byte
+chunks of CHUNK_BYTES, read up to the size it had when it was opened
+(parse_file). A chunk owns the lines that start inside it
 (eve.chunk_lines), so every line is parsed once, by the rules a streamed
 read applies. A file of two or more chunks is handed to n children made with
 os.fork, n being the number of CPUs this process may run on or the number of
@@ -30,7 +31,6 @@ chunk is a WorkerError naming its exit status.
 
 from __future__ import annotations
 
-import itertools
 import os
 import pickle
 import signal
@@ -43,7 +43,7 @@ from flowmat.cryptopan import CryptoPan, anonymize_flows
 from flowmat.eve import FlowColumns, IngestCounters, chunk_lines, parse_columns
 
 CHUNK_BYTES = 1 << 18
-# lines per block of a stream, and so per anonymize_flows call, which
+# most lines per block of a stream, and so per anonymize_flows call, which
 # deduplicates addresses per batch
 STREAM_BLOCK_LINES = 512
 
@@ -88,19 +88,26 @@ def parse_file(fd: int, size: int, anon: CryptoPan | None) -> Iterator[Chunk]:
 
 
 def parse_stream(lines: Iterable[bytes], anon: CryptoPan | None) -> Iterator[Chunk]:
-    """The result of each block of STREAM_BLOCK_LINES lines, in order; the last may be shorter.
+    """The result of each block of lines, in order.
 
-    A block's lines are drawn from lines as they are parsed; parse_columns
-    holds at most eve._BLOCK_BYTES of them plus one more line, which may be
-    over-long.
+    A block is read whole before it is parsed. It ends at STREAM_BLOCK_LINES
+    lines or at the first line that takes it to CHUNK_BYTES, whichever comes
+    first, so like a file chunk it holds less than CHUNK_BYTES of lines plus
+    one line, which may be over-long. The last block ends with the lines.
     """
-    lines = iter(lines)
-    for first in lines:
-        block = itertools.chain((first,), itertools.islice(lines, STREAM_BLOCK_LINES - 1))
+    block: list[bytes] = []
+    held = 0
+    for line in lines:
+        block.append(line)
+        held += len(line)
+        if len(block) == STREAM_BLOCK_LINES or held >= CHUNK_BYTES:
+            yield _anonymized(block, anon)
+            block, held = [], 0
+    if block:
         yield _anonymized(block, anon)
 
 
-def _anonymized(lines: Iterable[bytes], anon: CryptoPan | None) -> Chunk:
+def _anonymized(lines: list[bytes], anon: CryptoPan | None) -> Chunk:
     """The anonymized batch of lines, its counters, and its parse and anonymize CPU seconds."""
     start = time.process_time()
     counters = IngestCounters()

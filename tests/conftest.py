@@ -8,7 +8,7 @@ import zlib
 import numpy as np
 import pytest
 
-from flowmat import eve, lz4block
+from flowmat import eve, lz4block, shard
 from flowmat.archive import (
     _HEADER, _SECTIONS, MAGIC, ArchiveWriter, ContainerError, IntegrityError, decode_matrix,
     encode_group, iter_archive,
@@ -229,6 +229,24 @@ def criterion_9_corpus() -> tuple[list[bytes], int, int]:
             corpus.append(b'{"event_type":"flow","src_ip":"10.0.0.999","dest_ip":"1.2.3.4",'
                           b'"flow":{"pkts_toserver":1,"pkts_toclient":0}}')
     return corpus, valid, valid_packets
+
+
+def assert_stream_blocks(lines: list[bytes], chunks) -> None:
+    """The chunks shard.parse_stream gave for lines came from blocks cut by its rule.
+
+    A chunk's block is as many lines as its counters consumed. Each block
+    ends at shard.STREAM_BLOCK_LINES lines or at the first line that takes
+    it to shard.CHUNK_BYTES, whichever comes first; the last may end sooner.
+    """
+    sizes = [chunk_counters.lines_consumed for _, chunk_counters, _ in chunks]
+    assert all(sizes) and sum(sizes) == len(lines)
+    ends = list(itertools.accumulate(sizes))
+    for k, (size, end) in enumerate(zip(sizes, ends)):
+        block = lines[end - size:end]
+        held = sum(map(len, block))
+        assert size <= shard.STREAM_BLOCK_LINES
+        assert held - len(block[-1]) < shard.CHUNK_BYTES
+        assert k == len(sizes) - 1 or size == shard.STREAM_BLOCK_LINES or held >= shard.CHUNK_BYTES
 
 
 @pytest.fixture(scope="session")

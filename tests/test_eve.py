@@ -6,6 +6,7 @@ import re
 import socket
 import threading
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from flowmat.eve import (
     parse_columns,
     parse_flow_record,
 )
-from tests.conftest import criterion_9_corpus
+from tests.conftest import assert_stream_blocks, criterion_9_corpus
 
 FLOW_LINE = (
     b'{"event_type":"flow","src_ip":"10.0.0.1","dest_ip":"10.0.0.2",'
@@ -419,6 +420,25 @@ def test_parse_columns_work_on_one_line_is_bounded():
             lambda: [json.loads(copy) for copy in copies])
 
 
+def test_parse_columns_memory_grows_with_the_block_not_with_its_digit_runs():
+    # a line of about 500,000 digit runs would cost the shape pass int64 arrays of 20 MB;
+    # over _SHAPE_BYTES_MAX, it is left to parse_flow_record
+    runs = event(ALERT, b'"x":"%s"' % b"".join([b"1a"] * ((MAX_LINE_BYTES - 100) // 2)))
+    assert len(runs) <= MAX_LINE_BYTES
+    rnd = random.Random(3)
+    flows = [SURICATA_FLOW.replace(b"158.55.121.177", b"10.0.%d.%d" % (rnd.randrange(256), rnd.randrange(256)))
+             for _ in range((1 << 18) // len(SURICATA_FLOW))]
+    lines = flows + [runs]
+    tracemalloc.start()
+    try:
+        batch = parse_columns(lines, IngestCounters())
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(batch) == len(flows)
+    assert peak < 8 << 20
+
+
 def test_compact_clause_matches_strict_on_criterion_9_corpus():
     corpus, valid, _ = criterion_9_corpus()
     # the corpus holds as many records as it was made with
@@ -442,8 +462,7 @@ def test_parse_columns_equal_parse_flow_record_line_by_line(monkeypatch):
     # the same lines in stream blocks of 7 lines, one batch and one set of counters each
     monkeypatch.setattr(shard, "STREAM_BLOCK_LINES", 7)
     blocks = list(shard.parse_stream(lines, None))
-    assert len(blocks) == -(-len(lines) // 7)
-    assert all(len(batch) <= 7 for batch, _, _ in blocks)
+    assert_stream_blocks(lines, blocks)  # the MAX_LINE_BYTES edge cases end their blocks early
     block_counters = IngestCounters()
     for _, chunk_counters, _ in blocks:
         block_counters.add(chunk_counters)
@@ -483,16 +502,17 @@ def learning_line(line: bytes) -> bytes:
 
 
 def test_shape_is_learned_on_its_second_sighting(monkeypatch):
+    # a shape is learned on its second sighting in one block, never across blocks
     fallen = spy(monkeypatch, "parse_flow_record")
-    other = FLOW_LINE.replace(b"7", b"12")
-    assert shape_parsed([FLOW_LINE]) == strict_parsed([FLOW_LINE])
-    assert fallen == [FLOW_LINE]  # seen once
-    assert shape_parsed([other]) == strict_parsed([other])
-    assert fallen == [FLOW_LINE, learning_line(other)]  # seen again, in a later block: learned
-    alert = event(ALERT)
-    assert shape_parsed([alert, alert]) == strict_parsed([alert, alert])
-    # seen twice in one block: learned, and both copies decided
-    assert fallen == [FLOW_LINE, learning_line(other), learning_line(alert)]
+    other, later = FLOW_LINE.replace(b"7", b"12"), FLOW_LINE.replace(b"3", b"4")
+    for line in (FLOW_LINE, other):  # once in each of two blocks: not learned
+        assert shape_parsed([line]) == strict_parsed([line])
+    assert fallen == [FLOW_LINE, other]
+    assert shape_parsed([FLOW_LINE, other]) == strict_parsed([FLOW_LINE, other])
+    # twice in one block: learned once, and both lines decided
+    assert fallen == [FLOW_LINE, other, learning_line(FLOW_LINE)]
+    assert shape_parsed([later]) == strict_parsed([later])
+    assert fallen == [FLOW_LINE, other, learning_line(FLOW_LINE)]  # a later block: decided
 
 
 # a rule's metadata puts this alert four containers deep; with no \u escape its shape is learned
@@ -539,11 +559,17 @@ SHAPE_RULE_CASES = [
     ("count_19_digits", FLOW_LINE, flow_line(counts=V4_COUNTS % b"9999999999999999999"), True),
     ("count_2_64_minus_1", FLOW_LINE, flow_line(counts=V4_COUNTS % b"18446744073709551615"), False),
     ("count_2_64", FLOW_LINE, flow_line(counts=V4_COUNTS % b"18446744073709551616"), False),
-    # integer parts past int()'s 4,300 digits; strings hold digit runs of any length
-    ("integer_4300_digits", event(ALERT, b'"x":5'), event(ALERT, b'"x":' + b"9" * 4300), False),
-    ("integer_4301_digits", event(ALERT, b'"x":5'), event(ALERT, b'"x":' + b"9" * 4301), False),
-    ("string_4301_digits", event(ALERT, b'"x":"5"'), event(ALERT, b'"x":"' + b"9" * 4301 + b'"'), True),
-    ("fraction_4301_digits", event(ALERT, b'"x":5.5'), event(ALERT, b'"x":5.' + b"9" * 4301), True),
+    # json.loads reads an integer part of _INT_DIGITS digits whatever the process's int digit
+    # limit, and a longer one only within it; strings and fractions hold digit runs of any length
+    ("integer_int_digits", event(ALERT, b'"x":5'), event(ALERT, b'"x":' + b"9" * eve._INT_DIGITS), True),
+    ("integer_int_digits_plus_one", event(ALERT, b'"x":5'), event(ALERT, b'"x":' + b"9" * (eve._INT_DIGITS + 1)),
+     False),
+    ("string_int_digits", event(ALERT, b'"x":"5"'), event(ALERT, b'"x":"%s"' % (b"9" * eve._INT_DIGITS)), True),
+    ("string_int_digits_plus_one", event(ALERT, b'"x":"5"'),
+     event(ALERT, b'"x":"%s"' % (b"9" * (eve._INT_DIGITS + 1))), True),
+    ("fraction_int_digits", event(ALERT, b'"x":5.5'), event(ALERT, b'"x":5.' + b"9" * eve._INT_DIGITS), True),
+    ("fraction_int_digits_plus_one", event(ALERT, b'"x":5.5'),
+     event(ALERT, b'"x":5.' + b"9" * (eve._INT_DIGITS + 1)), True),
     # a \u escape's hex digits break the shape: \u00e9 is valid, the cut \u1e5 is not
     ("u00e9_teaches_cut_u1e5", event(ALERT, b'"x":"\\u00e9"'), event(ALERT, b'"x":"\\u1e5"'), False),
     ("cut_u1e5_teaches_u00e9", event(ALERT, b'"x":"\\u1e5"'), event(ALERT, b'"x":"\\u00e9"'), False),
@@ -558,9 +584,17 @@ SHAPE_RULE_CASES = [
     ("count_minus_11_after_minus_zero", flow_line(counts=V4_COUNTS % b"-0"), flow_line(counts=V4_COUNTS % b"-11"), False),
     # a shape first seen in malformed lines is learned from its own synthetic line
     ("first_seen_malformed", flow_line(counts=V4_COUNTS % b"07"), FLOW_LINE, True),
-    # the marker byte in place of a digit, and a cached shape stretched past MAX_LINE_BYTES
+    # the marker byte in place of a digit
     ("marker_byte", FLOW_LINE, FLOW_LINE.replace(b"10.0.0.1", b"10.0.0.\x80"), False),
-    ("max_line_bytes", flow_line(tail=b',"pad":"1"'), padded_to(MAX_LINE_BYTES).replace(b"x", b"1"), True),
+    # a line over _SHAPE_BYTES_MAX goes to parse_flow_record, however its digits keep their rules
+    ("shape_bytes_max", flow_line(tail=b',"pad":"1"'), padded_to(eve._SHAPE_BYTES_MAX).replace(b"x", b"1"), True),
+    ("shape_bytes_max_plus_one", flow_line(tail=b',"pad":"1"'),
+     padded_to(eve._SHAPE_BYTES_MAX + 1).replace(b"x", b"1"), False),
+    ("integer_4300_digits", event(ALERT, b'"x":5'), event(ALERT, b'"x":' + b"9" * 4300), False),
+    ("integer_4301_digits", event(ALERT, b'"x":5'), event(ALERT, b'"x":' + b"9" * 4301), False),
+    ("string_4301_digits", event(ALERT, b'"x":"5"'), event(ALERT, b'"x":"' + b"9" * 4301 + b'"'), False),
+    ("fraction_4301_digits", event(ALERT, b'"x":5.5'), event(ALERT, b'"x":5.' + b"9" * 4301), False),
+    ("max_line_bytes", flow_line(tail=b',"pad":"1"'), padded_to(MAX_LINE_BYTES).replace(b"x", b"1"), False),
     ("max_line_bytes_plus_one", flow_line(tail=b',"pad":"1"'), padded_to(MAX_LINE_BYTES + 1).replace(b"x", b"1"), False),
     ("newline_in_line", event(ALERT, b'"x":1'), event(ALERT, b'"x":\n1'), False),
 ]
@@ -601,16 +635,6 @@ def test_shape_cache_does_not_learn_long_shapes(monkeypatch):
     fallen = spy(monkeypatch, "parse_flow_record")
     assert shape_parsed([short, long]) == strict_parsed([short, long])
     assert fallen == [long]
-
-
-def test_shape_cache_remembers_shapes_seen_once_up_to_its_limit(monkeypatch):
-    monkeypatch.setattr(eve, "_SEEN_ONCE_MAX", 1)
-    fallen = spy(monkeypatch, "parse_flow_record")
-    # the first shape seen once is remembered; the second is not, so seeing it again does not teach it
-    first, second = event(ALERT, b'"e":1'), event(ALERT, b'"f":1')
-    for line in (first, second, first, second):
-        assert shape_parsed([line]) == strict_parsed([line])
-    assert fallen == [first, second, learning_line(first), second]
 
 
 READ_KEYS = ["event_type", "src_ip", "dest_ip", "flow", "pkts_toserver", "pkts_toclient"]

@@ -44,7 +44,7 @@ def test_parse_closure_all_models():
         GenConfig(n_flows=300, seed=5, geometric_mean=20.0, split=0.7),
     ):
         counters = IngestCounters()
-        parse_columns(generate(cfg), counters)
+        parse_columns(list(generate(cfg)), counters)
         assert counters.records_ok == 300
         assert counters.lines_consumed == 300
 

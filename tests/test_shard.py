@@ -21,11 +21,12 @@ from flowmat import eve, shard
 from flowmat.archive import ArchiveWriter, iter_archive
 from flowmat.cryptopan import CryptoPan
 from flowmat.eve import (
-    MAX_LINE_BYTES, IngestCounters, _bounded_lines, chunk_lines, open_source, parse_columns,
+    MAX_LINE_BYTES, FlowRecord, IngestCounters, Skip, _bounded_lines, chunk_lines, open_source,
+    parse_columns,
 )
 from flowmat.flowgen import GenConfig, generate
 from flowmat.pipeline import run_ingest, verify_archive
-from tests.conftest import criterion_9_corpus
+from tests.conftest import assert_stream_blocks, criterion_9_corpus
 from tests.test_golden import FIXED_CLOCK, GOLDEN_INPUT, GOLDEN_TARS, KEY
 
 
@@ -357,6 +358,35 @@ def test_parse_batches_count_every_line_like_the_stream(tmp_path, sharded, monke
     assert sum(len(batch) for batch, _, _ in chunks) == counters.records_ok
     with open(path, "rb") as fh:
         assert counters.lines_consumed == len(list(_bounded_lines(fh)))
+
+
+def test_stream_blocks_end_at_their_line_or_byte_bound():
+    # short lines fill blocks of STREAM_BLOCK_LINES; 512 of the padded ones pass CHUNK_BYTES,
+    # and an over-long line takes its block past it at once
+    rnd = random.Random(20)
+    corpus, _, _ = cached_criterion_9_corpus()
+    padded = [b'{"event_type":"flow","src_ip":"10.0.%d.%d","dest_ip":"10.1.0.1",'
+              b'"flow":{"pkts_toserver":%d,"pkts_toclient":0},"pad":"%s"}'
+              % (rnd.randrange(256), rnd.randrange(256), rnd.randrange(1, 50), b"x" * rnd.randrange(1500))
+              for _ in range(1500)]
+    assert sum(map(len, padded[:shard.STREAM_BLOCK_LINES])) > shard.CHUNK_BYTES
+    lines = corpus[:1200] + padded[:700] + [b"{" * (MAX_LINE_BYTES + 1)] + padded[700:] + corpus[1200:2000]
+    chunks = list(shard.parse_stream(iter(lines), None))
+    assert_stream_blocks(lines, chunks)
+    sizes = [chunk_counters.lines_consumed for _, chunk_counters, _ in chunks[:-1]]
+    assert shard.STREAM_BLOCK_LINES in sizes and min(sizes) < shard.STREAM_BLOCK_LINES
+    # one batch and one set of counters per block, as parse_flow_record gives each line
+    results = [eve.parse_flow_record(line) for line in lines]
+    records = [result for result in results if isinstance(result, FlowRecord)]
+    assert batch_columns(batch for batch, _, _ in chunks) == [list(column) for column in zip(*records)]
+    want, counters = IngestCounters(records_ok=len(records)), IngestCounters()
+    for result in results:
+        if isinstance(result, Skip):
+            want.count_skip(result)
+    for batch, chunk_counters, _ in chunks:
+        assert len(batch) == chunk_counters.records_ok
+        counters.add(chunk_counters)
+    assert counters == want
 
 
 # --- the column kernel at its boundaries ------------------------------------
