@@ -17,8 +17,12 @@ one ``parse_flow_record`` of a line of that shape: its skip, or which runs
 are the record's octets and counts. A line of at most 4 KiB of a learned
 shape whose digit runs keep their rules (no leading zero in a number's
 integer part, octets up to 255, counts of at most 19 digits) gets the
-shape's outcome with no ``json.loads``. Every other line goes to
-``parse_flow_record``.
+shape's outcome with no ``json.loads``.
+
+Hex letters give an IPv6 address or a TLS hash a shape of its own, so a
+line its shape leaves undecided is looked up once more by a collapsed
+shape, in which most string values are one marker byte (``_collapse``).
+Every other line goes to ``parse_flow_record``.
 
 Lines come from a stream (``_bounded_lines``) or, for a regular file cut into
 byte chunks, from the lines that start inside one chunk (``chunk_lines``);
@@ -53,7 +57,12 @@ _U64_MAX = (1 << 64) - 1
 # The shape cache (_ShapeCache). A shape's digit runs become this byte, which
 # is not ASCII, so a line holding it is never decided by its shape.
 _MARKER = 0x80
-_MARKED = bytes.maketrans(b"0123456789", bytes([_MARKER]) * 10)  # digits to _MARKER
+# A collapsed string value (_collapse) is one byte, _MARKER plus the class of
+# its greatest byte, 1 or 2: each byte's class in _CLASSES is 0 for a digit,
+# _MARKER or ".", 1 for any other byte, 2 for ":" and 3 for a control byte.
+# A learning line spells the two collapsed values "x" and ":" (_EXPANDED).
+_CLASSES = b"\3" * 32 + b"\1" * 14 + b"\0\1" + b"\0" * 10 + b"\2" + b"\1" * 69 + b"\0" + b"\1" * 127
+_EXPANDED = bytes.maketrans(bytes([_MARKER + 1, _MARKER + 2]), b"x:")
 _SHAPES_MAX = 1 << 10     # shapes learned per process
 # longer lines go to parse_flow_record, so a block's shape pass grows with its
 # other lines' bytes, and the learned shapes hold at most 4 MiB
@@ -252,6 +261,15 @@ class _ShapeCache:
     is malformed). Learned shapes are kept for later blocks, at most
     _SHAPES_MAX of them; once the cache is full, the lines of new shapes go
     to parse_flow_record, as do lines over _SHAPE_BYTES_MAX bytes.
+
+    The lines their shapes leave undecided are looked up again, in the
+    same dict and by the same rules, by their collapsed shapes (_collapse),
+    in which each string value that parse_flow_record reads only for its
+    validity and for whether it holds a ":" is one marker byte that says
+    which. Such bytes cannot make a line invalid, and as a src_ip or
+    dest_ip they make a flow IPv6 if they hold a ":" and malformed if not.
+    A learning line spells the markers "x" and ":", and the digit runs of
+    collapsed values leave the runs an entry reads.
     """
 
     def __init__(self) -> None:
@@ -271,52 +289,59 @@ class _ShapeCache:
         The block is one buffer, each line between two newlines, and a line
         over _SHAPE_BYTES_MAX bytes an empty one. Its shapes and digit runs
         come from whole-buffer numpy passes, and a line's entry from one dict
-        lookup. A line goes to parse_flow_record if it is over
-        _SHAPE_BYTES_MAX bytes, is not ASCII or holds a newline, if its shape
-        is not learned, or if one of its digit runs breaks the rule of its role.
+        lookup. The lines that lookup leaves undecided have a second one, by
+        their collapsed shapes. A line goes to parse_flow_record if it is
+        over _SHAPE_BYTES_MAX bytes, is not ASCII or holds a newline, if
+        neither of its shapes is learned, or if one of its digit runs breaks
+        the rule of its role.
         """
         n = len(lines)
         lengths = np.fromiter(map(len, lines), np.int64, n)
         long = lengths > _SHAPE_BYTES_MAX
         lengths[long] = 0
         shaped = [b"" if len(line) > _SHAPE_BYTES_MAX else line for line in lines]
-        data = b"\n".join([b"", *shaped, b""])
+        data, line_start = _buffer(shaped, lengths)
         raw = np.frombuffer(data, np.uint8)
         value = raw - 48  # a digit's value
         digit = value < 10
         edge = digit[1:] != digit[:-1]  # a run starts or stops at the next byte
-        edges = np.flatnonzero(edge) + 1
+        edges = np.flatnonzero(edge)
+        edges += 1
         run_start, run_stop = edges[0::2], edges[1::2]
         keep = np.empty_like(digit)  # all but the second and later digits of each run
         keep[0] = True
         np.less_equal(digit[1:], edge, out=keep[1:])
         del digit, edge
-        shapes = raw[keep].tobytes().translate(_MARKED).split(b"\n")
-        del keep
-        line_start = np.ones(n + 1, np.int64)
-        np.cumsum(lengths + 1, out=line_start[1:])
-        line_start[1:] += 1
+        marked = raw.copy()
+        marked[run_start] = _MARKER
+        shapes = marked[keep].tobytes().split(b"\n")
+        del keep, marked
         line_run = np.searchsorted(run_start, line_start)  # each line's first run, then all runs
 
+        decidable = ~long  # the lines a shape may decide
         if len(shapes) == n + 2:
             ids = np.fromiter(map(self._ids.get, itertools.islice(shapes, 1, None),
                                   itertools.repeat(_UNSEEN)), np.int64, n)
         else:  # a line holds a newline, which no line source yields
             ids = np.full(n, -1)
-        ids[long] = -1
+            decidable[:] = False
         if not data.isascii():
-            ids[np.searchsorted(line_start, np.flatnonzero(raw >= 0x80), "right") - 1] = -1
+            decidable[np.searchsorted(line_start, np.flatnonzero(raw >= 0x80), "right") - 1] = False
+        ids[~decidable] = -1
         unseen = np.flatnonzero(ids == _UNSEEN)
         if len(unseen):
             ids[unseen] = self._learn([shapes[i + 1] for i in unseen.tolist()])
-
-        decided = None  # the lines the cache gives records, and their batch
+        missed = np.flatnonzero((ids < 0) & decidable)
+        parts = []  # (the indices of records' lines, their batch), each in line order
         if (ids >= 0).any():
-            self._check_integer_parts(ids, value, run_start, run_stop, line_run)
-            decided = self._records(ids, value, run_start, run_stop, line_run)
-            kinds = np.bincount(self.kinds[ids[ids >= 0]], minlength=len(_KINDS))
-            for reason, count in zip(_KINDS[1:], kinds[1:].tolist()):
-                counters.count_skip(reason, count)
+            parts.append(self._decide(ids, value, run_start, run_stop, line_run, counters))
+        if len(missed):
+            found, runs = self._look_up_collapsed(missed, shapes, run_start, run_stop, line_run)
+            if runs is not None:
+                decided = self._decide(found, value, *runs, counters)
+                if decided is not None:
+                    parts.append((missed[decided[0]], decided[1]))
+            ids[missed] = found
 
         fields: list = []
         fallen = []  # the lines of the records parse_flow_record gives
@@ -328,13 +353,30 @@ class _ShapeCache:
                 fields += _fields(result)
                 fallen.append(i)
         # numpy raises, and never saturates, on a field over 2^64 - 1
-        batch = _record_columns(np.array(fields, np.uint64).reshape(-1, 10))
-        if decided is None or not fallen:
-            return batch if decided is None else decided[1]
-        order = np.argsort(np.concatenate([decided[0], fallen]), kind="stable")
-        columns = [np.concatenate([getattr(decided[1], field.name), getattr(batch, field.name)])
-                   for field in dataclasses.fields(FlowColumns)]
-        return FlowColumns(*[column[order] for column in columns])
+        parts.append((fallen, _record_columns(np.array(fields, np.uint64).reshape(-1, 10))))
+        parts = [part for part in parts if part is not None and len(part[1])] or parts[-1:]
+        if len(parts) == 1:
+            return parts[0][1]
+        order = np.argsort(np.concatenate([records for records, _ in parts]), kind="stable")
+        return FlowColumns(*[
+            np.concatenate([getattr(batch, field.name) for _, batch in parts])[order]
+            for field in dataclasses.fields(FlowColumns)])
+
+    def _decide(self, ids, value, run_start, run_stop, line_run, counters):
+        """Count the skips of the lines ids gives entries; the indices and batch of their records.
+
+        None if they hold no record. ids of a line whose digit runs break the
+        rules of their roles becomes -1, for parse_flow_record.
+        """
+        self._check_integer_parts(ids, value, run_start, run_stop, line_run)
+        lines = np.flatnonzero(ids >= 0)
+        kinds = self.kinds[ids[lines]]
+        counts = np.bincount(kinds, minlength=len(_KINDS)).tolist()
+        for reason, count in zip(_KINDS[1:], counts[1:]):
+            counters.count_skip(reason, count)
+        if not counts[0]:
+            return None
+        return self._records(lines[kinds == 0], ids, value, run_start, run_stop, line_run)
 
     def _learn(self, shapes: list[bytes]) -> list[int]:
         """The entry number of each of shapes, the unknown shapes of one block, or -1.
@@ -348,6 +390,29 @@ class _ShapeCache:
             else:
                 entries[shape] = -1
         return [entries[shape] for shape in shapes]
+
+    def _look_up_collapsed(self, missed, shapes, run_start, run_stop, line_run):
+        """The entries of the missed lines' collapsed shapes, and the runs those shapes keep.
+
+        The missed lines are those the block's plain shapes leave undecided.
+        A collapsed shape that is not learned is learned if it occurs twice
+        among them. The runs are those of the missed lines but the digit runs
+        of collapsed values, as run_start, run_stop and line_run for the
+        missed lines alone, so that a line's k-th run is the k-th one its
+        entry reads; None when no line has an entry.
+        """
+        collapsed, dropped = _collapse([shapes[i + 1] for i in missed.tolist()])
+        found = np.fromiter(map(self._ids.get, collapsed, itertools.repeat(_UNSEEN)), np.int64,
+                            len(collapsed))
+        unseen = np.flatnonzero(found == _UNSEEN)
+        if len(unseen):
+            found[unseen] = self._learn([collapsed[i] for i in unseen.tolist()])
+        if not (found >= 0).any():
+            return found, None
+        first, counts = line_run[missed], line_run[missed + 1] - line_run[missed]
+        runs = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(dropped))
+        runs = runs[~dropped]
+        return found, (run_start[runs], run_stop[runs], np.searchsorted(runs, first))
 
     def _add(self, shape: bytes) -> int:
         """Learn shape; its entry number, or -1 if parse_flow_record decides its lines."""
@@ -375,15 +440,14 @@ class _ShapeCache:
         broken = self.integer_parts[self.offsets[ids[line]] + suspect - line_run[line]]
         ids[line[broken]] = -1
 
-    def _records(self, ids, value, run_start, run_stop, line_run) -> tuple[np.ndarray, FlowColumns]:
-        """The indices and columns of the decided lines that are records, in line order.
+    def _records(self, lines, ids, value, run_start, run_stop,
+                 line_run) -> tuple[np.ndarray, FlowColumns]:
+        """The indices and columns of the records on lines, decided record lines in order.
 
         A line with an octet over 3 digits or 255, or a count over
         _COUNT_DIGITS digits, is sent to parse_flow_record instead: ids of it
         becomes -1.
         """
-        lines = np.flatnonzero(ids >= 0)
-        lines = lines[self.kinds[ids[lines]] == 0]
         runs = line_run[lines, None] + self.slots[ids[lines]]
         start, stop = run_start[runs], run_stop[runs]
         table = _numbers(value, start, stop, _COUNT_DIGITS)
@@ -410,7 +474,7 @@ def _learned(shape: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     pieces = [b""] * (2 * len(parts) - 1)
     pieces[0::2] = parts
     pieces[1::2] = [b"%d" % k for k in range(1, len(parts))]
-    line = b"".join(pieces)
+    line = b"".join(pieces).translate(_EXPANDED)
     outcome = parse_flow_record(line)
     if outcome is Skip.MALFORMED or re.search(rb"(?<!\\)(?:\\\\)*\\u", shape):
         return None
@@ -422,6 +486,63 @@ def _learned(shape: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     if isinstance(outcome, Skip):
         return _KINDS.index(outcome), np.zeros(10, np.intp), integer_parts
     return 0, np.array(_fields(outcome), np.intp) - 1, integer_parts
+
+
+def _buffer(lines: list[bytes], lengths: np.ndarray) -> tuple[bytes, np.ndarray]:
+    """lines in one buffer, each between two newlines; where each starts, then the buffer's end."""
+    line_start = np.ones(len(lines) + 1, np.int64)
+    np.cumsum(lengths + 1, out=line_start[1:])
+    line_start[1:] += 1
+    return b"\n".join([b"", *lines, b""]), line_start
+
+
+def _collapse(shapes: list[bytes]) -> tuple[list[bytes], np.ndarray]:
+    """Each of shapes with its collapsible string values collapsed, and which of its runs they held.
+
+    shapes are the shapes of ASCII lines. A string value collapses when it
+    opens right after '":', its key is not event_type, it is not empty, it
+    holds no control byte, and it holds a byte other than a digit or ".":
+    its bytes become the one byte _MARKER + 2 if one of them is ":", else
+    _MARKER + 1. A shape holding a backslash or an odd number of quotes
+    collapses nothing; in any other the quotes pair in order. Returns the
+    collapsed shapes and, for each _MARKER byte of shapes in order, whether
+    it lay in a collapsed value.
+    """
+    data, line_start = _buffer(shapes, np.fromiter(map(len, shapes), np.int64, len(shapes)))
+    text = np.frombuffer(data, np.uint8)
+    quotes = np.flatnonzero(text == ord('"'))
+    counts = np.diff(np.searchsorted(quotes, line_start))
+    bad = counts % 2 == 1
+    if b"\\" in data:
+        bad[np.searchsorted(line_start, np.flatnonzero(text == ord("\\")), "right") - 1] = True
+    if bad.any():
+        quotes = quotes[np.repeat(~bad, counts)]
+    opens, closes = quotes[0::2], quotes[1::2]
+    # the quote before a value's '":' closes its key
+    values = np.flatnonzero((text[opens - 1] == ord(":")) & (text[opens - 2] == ord('"')))
+    start, stop = opens[values] + 1, closes[values]
+    key_start, key_stop = opens[values - 1] + 1, closes[values - 1]
+    named = np.flatnonzero(key_stop - key_start == len(b"event_type"))
+    key = text[key_start[named, None] + np.arange(len(b"event_type"))]
+    named = named[(key == np.frombuffer(b"event_type", np.uint8)).all(1)]
+    classes = np.frombuffer(data.translate(_CLASSES), np.uint8)
+    spans = np.empty(2 * len(start), np.int64)
+    spans[0::2], spans[1::2] = start, stop
+    kind = np.maximum.reduceat(classes, spans)[0::2]
+    collapses = (stop > start) & ((kind == 1) | (kind == 2))
+    collapses[named] = False
+    start, stop = start[collapses], stop[collapses]
+    # the collapsed values' bytes and the bytes between them, as a run of
+    # alternate kept and dropped stretches
+    bounds = np.empty(2 * len(start) + 2, np.int64)
+    bounds[0], bounds[1:-1:2], bounds[2:-1:2], bounds[-1] = 0, start, stop, len(text)
+    keep = np.repeat(np.arange(len(bounds) - 1) % 2 == 0, np.diff(bounds))
+    dropped = ~keep[np.flatnonzero(text == _MARKER)]
+    # each value's first byte becomes its marker
+    keep[start] = True
+    out = text.copy()
+    out[start] = _MARKER + kind[collapses]
+    return out[keep].tobytes().split(b"\n")[1:-1], dropped
 
 
 def _numbers(value: np.ndarray, start: np.ndarray, stop: np.ndarray, width: int) -> np.ndarray:

@@ -46,8 +46,9 @@ from flowmat.window import DEFAULT_WINDOW_BITS, Windower
 STAGES = ("parse", "anonymize", "window_build", "encode_archive")
 
 
-def peak_rss_bytes() -> int:
-    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+def peak_rss_bytes(who: int = resource.RUSAGE_SELF) -> int:
+    """The peak RSS of this process, or with RUSAGE_CHILDREN of the largest child it reaped."""
+    return resource.getrusage(who).ru_maxrss * 1024
 
 
 @dataclass
@@ -58,6 +59,9 @@ class IngestResult:
     tars_finalized: int = 0
     packets_total: int = 0
     peak_rss_bytes: int = 0
+    # the largest peak RSS of a child this process reaped, once parse workers
+    # were forked; 0 when none were
+    worker_peak_rss_bytes: int = 0
     seconds: float = 0.0
     raw_bytes: int = 0   # the matrices' four arrays, as the blob sections hold them
     blob_bytes: int = 0
@@ -76,6 +80,7 @@ class IngestResult:
             "tars_finalized": self.tars_finalized,
             "packets_total": self.packets_total,
             "peak_rss_bytes": self.peak_rss_bytes,
+            "worker_peak_rss_bytes": self.worker_peak_rss_bytes,
             "raw_bytes": self.raw_bytes,
             "blob_bytes": self.blob_bytes,
             "seconds": round(self.seconds, 3),
@@ -154,7 +159,8 @@ def run_ingest(
             write(*windows)
         lap("window_build")
 
-    if isinstance(lines, FileLineSource) and lines.size is not None:
+    sharded = isinstance(lines, FileLineSource) and lines.size is not None
+    if sharded:
         chunks = shard.parse_file(lines.fileno(), lines.size, anon)
     else:
         chunks = shard.parse_stream(lines, anon)
@@ -181,6 +187,8 @@ def run_ingest(
     lap("encode_archive")
 
     result.peak_rss_bytes = peak_rss_bytes()
+    if sharded and shard.forks(lines.size):  # closing chunks reaped the workers
+        result.worker_peak_rss_bytes = peak_rss_bytes(resource.RUSAGE_CHILDREN)
     result.seconds = time.perf_counter() - start
     return result
 

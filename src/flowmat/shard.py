@@ -22,7 +22,8 @@ and forks nothing. A child blocks once its pipe is full, which bounds the
 results waiting for the parent to a pipe's worth per child.
 
 multiprocessing is not used: it starts helper threads and adds import time,
-and a forked child already holds everything it needs. A child ignores
+and a forked child already holds everything it needs. A child keeps the
+memory it frees for its next chunk (_keep_freed_memory). A child ignores
 SIGINT and SIGTERM, which the parent handles, and exits quietly on a broken
 pipe once the parent is gone. The parent kills and reaps every child that is
 still running when it stops early, and a child that dies before sending a
@@ -31,6 +32,7 @@ chunk is a WorkerError naming its exit status.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import pickle
 import signal
@@ -55,6 +57,12 @@ _LENGTH = struct.Struct("<Q")  # the size of one pickled chunk result
 # a child ignores these; the parent stops on them and stops its children
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
 
+# glibc mallopt parameters: a child takes allocations below _MMAP_BYTES from
+# its heap and keeps up to _TRIM_BYTES of freed heap (_keep_freed_memory)
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_BYTES = 1 << 20
+_TRIM_BYTES = 4 << 20
+
 
 class WorkerError(RuntimeError):
     """A parse worker died before it sent all of its chunks."""
@@ -64,11 +72,16 @@ def worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def forks(size: int) -> bool:
+    """Whether parse_file forks children for size bytes: two chunks or more."""
+    return size > CHUNK_BYTES
+
+
 def parse_file(fd: int, size: int, anon: CryptoPan | None) -> Iterator[Chunk]:
     """The result of each chunk of the first size bytes of fd, in file order."""
     chunk = CHUNK_BYTES
     n_chunks = -(-size // chunk)
-    n = min(worker_count(), n_chunks) if n_chunks > 1 else 0
+    n = min(worker_count(), n_chunks) if forks(size) else 0
 
     def work(index: int) -> Chunk:
         start = index * chunk
@@ -188,6 +201,7 @@ def _serve(parse, indices: range, write_fd: int) -> NoReturn:
         for signum in _STOP_SIGNALS:
             signal.signal(signum, signal.SIG_IGN)
         signal.pthread_sigmask(signal.SIG_UNBLOCK, _STOP_SIGNALS)
+        _keep_freed_memory()
         with open(write_fd, "wb") as pipe:
             for i in indices:
                 payload = pickle.dumps(parse(i), protocol=pickle.HIGHEST_PROTOCOL)
@@ -203,3 +217,21 @@ def _serve(parse, indices: range, write_fd: int) -> NoReturn:
     finally:
         # skip the parent's atexit handlers and buffered output
         os._exit(code)
+
+
+def _keep_freed_memory() -> None:
+    """Have the C allocator keep the memory this process frees, for its next chunk.
+
+    Parsing a chunk allocates and frees a few MB of numpy arrays and bytes.
+    By default glibc maps each allocation over a threshold that it raises as
+    it goes, and trims the top of its heap once the free space there passes
+    twice that threshold. Whether a child's chunks then reuse their
+    predecessors' pages or fault all of theirs in afresh depended on the
+    sizes it happened to free first. With both thresholds fixed, the heap
+    keeps what one chunk freed for the next. Does nothing where the C
+    library has no mallopt.
+    """
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(_M_MMAP_THRESHOLD, _MMAP_BYTES)
+        mallopt(_M_TRIM_THRESHOLD, _TRIM_BYTES)

@@ -231,6 +231,74 @@ def criterion_9_corpus() -> tuple[list[bytes], int, int]:
     return corpus, valid, valid_packets
 
 
+def suricata_lines(n: int, seed: int) -> list[bytes]:
+    """n seeded lines shaped as a Suricata sensor writes them.
+
+    Half are IPv4 flow events and a tenth IPv6 ones; the rest are TLS events
+    with a random ja3 hash, HTTP events whose URLs escape "/" as "\\/", DNS
+    queries and alerts, and one line in a hundred is a flow event cut short.
+    """
+    rnd = random.Random(seed)
+
+    def ts() -> str:
+        return (f"2024-09-18T{rnd.randrange(24):02d}:{rnd.randrange(60):02d}:"
+                f"{rnd.randrange(60):02d}.{rnd.randrange(10**6):06d}+0000")
+
+    def ipv4() -> str:
+        return ".".join(str(rnd.randrange(256)) for _ in range(4))
+
+    def ipv6() -> str:
+        return "2001:db8:%x:%x::%x" % (rnd.randrange(1 << 16), rnd.randrange(1 << 16),
+                                       rnd.randrange(1 << 16))
+
+    def head(event: str, src: str, dest: str, port: int) -> str:
+        return (f'{{"timestamp":"{ts()}","flow_id":{rnd.randrange(1 << 50)},"in_iface":"ens1f0",'
+                f'"event_type":"{event}","src_ip":"{src}","src_port":{rnd.randrange(1024, 65536)},'
+                f'"dest_ip":"{dest}","dest_port":{port},"proto":"TCP"')
+
+    def flow(src: str, dest: str) -> str:
+        toserver, toclient = rnd.randrange(1, 100), rnd.randrange(100)
+        return (head("flow", src, dest, rnd.choice([22, 80, 443])) +
+                f',"app_proto":"{rnd.choice(["tls", "http", "ssh", "failed"])}",'
+                f'"flow":{{"pkts_toserver":{toserver},"pkts_toclient":{toclient},'
+                f'"bytes_toserver":{toserver * 90},"bytes_toclient":{toclient * 700},'
+                f'"start":"{ts()}","end":"{ts()}","age":{rnd.randrange(600)},"state":"closed",'
+                f'"reason":"timeout","alerted":false}},"tcp":{{"tcp_flags":"1b","syn":true,'
+                f'"fin":true,"state":"closed"}},"host":"sensor-01"}}')
+
+    others = [
+        lambda: (head("tls", ipv4(), ipv4(), 443) +
+                 f',"tls":{{"subject":"CN=api{rnd.randrange(1000)}.example.com",'
+                 f'"issuerdn":"C=US, O=Example CA","sni":"api.example.com","version":"TLS 1.3",'
+                 f'"ja3":{{"hash":"{rnd.randrange(1 << 128):032x}"}}}}}}'),
+        lambda: (head("http", ipv4(), ipv4(), 80) +
+                 f',"http":{{"hostname":"www.example.org",'
+                 f'"url":"\\/static\\/app.{rnd.randrange(1000)}.js","http_method":"GET",'
+                 f'"protocol":"HTTP\\/1.1","status":200,"length":{rnd.randrange(10**5)}}}}}'),
+        lambda: (head("dns", ipv4(), ipv4(), 53) +
+                 f',"dns":{{"type":"query","id":{rnd.randrange(1 << 16)},'
+                 f'"rrname":"cdn{rnd.randrange(1000)}.example.com","rrtype":"A"}}}}'),
+        lambda: (head("alert", ipv4(), ipv4(), 3306) +
+                 f',"alert":{{"action":"allowed","signature_id":{rnd.randrange(2 * 10**6, 3 * 10**6)},'
+                 f'"signature":"ET POLICY inbound to mySQL port 3306 \\/ \\"probe\\"",'
+                 f'"severity":2}}}}'),
+    ]
+    lines = []
+    for _ in range(n):
+        kind = rnd.random()
+        if kind < 0.50:
+            line = flow(ipv4(), ipv4())
+        elif kind < 0.60:
+            line = flow(ipv6(), ipv6())
+        elif kind < 0.99:
+            line = rnd.choice(others)()
+        else:  # a strict prefix of a JSON object never parses
+            full = flow(ipv4(), ipv4())
+            line = full[:rnd.randrange(1, len(full))]
+        lines.append(line.encode())
+    return lines
+
+
 def assert_stream_blocks(lines: list[bytes], chunks) -> None:
     """The chunks shard.parse_stream gave for lines came from blocks cut by its rule.
 

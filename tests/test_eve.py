@@ -23,7 +23,8 @@ from flowmat.eve import (
     parse_columns,
     parse_flow_record,
 )
-from tests.conftest import assert_stream_blocks, criterion_9_corpus
+from flowmat.flowgen import GenConfig, generate
+from tests.conftest import assert_stream_blocks, criterion_9_corpus, suricata_lines
 
 FLOW_LINE = (
     b'{"event_type":"flow","src_ip":"10.0.0.1","dest_ip":"10.0.0.2",'
@@ -155,6 +156,15 @@ def digit_variants(line: bytes) -> list[bytes]:
             for replace in replacements]
 
 
+def value_variants(line: bytes) -> list[bytes]:
+    """Copies of line with every string value that follows '":' made "q", "a:b", "7.5" or "".
+
+    A line whose values all lack ':', or all hold one, shares its collapsed
+    shape with the first copy or the second; the others collapse less.
+    """
+    return [re.sub(rb'(?<=":")[^"\\]*(?=")', value, line) for value in (b"q", b"a:b", b"7.5", b"")]
+
+
 def batch_records(batch) -> list[FlowRecord]:
     columns = (batch.src, batch.dst, batch.toserver, batch.toclient)
     return [FlowRecord(*record) for record in zip(*(column.tolist() for column in columns))]
@@ -180,16 +190,18 @@ def strict_parsed(lines: list[bytes]) -> tuple[list[FlowRecord], IngestCounters]
 
 
 def assert_shape_path_matches_strict(lines: list[bytes], *, line_by_line: bool = True) -> int:
-    """parse_columns agrees with parse_flow_record on lines, each repeated and in digit-varied copies.
+    """parse_columns agrees with parse_flow_record on lines, each repeated and in varied copies.
 
-    A line's copies share its shape, so parsing them all as one block
-    teaches a fresh shape cache every shape they hold. Then the cache decides
+    A line's copies with other digits share its shape, and some of those
+    with other string values its collapsed shape, so parsing them all as one
+    block teaches a fresh shape cache the shapes they hold. Then the cache decides
     those lines again, one by one unless line_by_line is False, and each
     must get the outcome parse_flow_record gives it. Returns how many lines
     the cache decided, not sending them to parse_flow_record, that second time.
     """
     eve._SHAPES = eve._ShapeCache()  # the empty_shape_cache fixture restores it
-    block = [copy for line in lines for copy in (line, line, *digit_variants(line))]
+    block = [copy for line in lines
+             for copy in (line, line, *digit_variants(line), *value_variants(line))]
     assert shape_parsed(block) == strict_parsed(block)
     fallen = []
 
@@ -608,6 +620,106 @@ def test_shape_cache_decides_a_line_only_when_its_digits_keep_their_rules(taught
     fallen = spy(monkeypatch, "parse_flow_record")
     assert shape_parsed([probe]) == strict_parsed([probe])
     assert fallen == ([] if decided else [probe])
+
+
+def alert_value(value: bytes) -> bytes:
+    return event(ALERT, b'"x":"%s"' % value)
+
+
+def with_src(address: bytes) -> bytes:
+    return flow_line(head=HEAD.replace(b"10.0.0.1", address))
+
+
+def with_dest(address: bytes) -> bytes:
+    return flow_line(head=HEAD.replace(b"10.0.0.2", address))
+
+
+TLS_HASH = b"6734f37431670b3ab4292b8f60f29984"
+# a TLS event cut inside its hash
+TLS_CUT = SURICATA_TLS[:SURICATA_TLS.index(TLS_HASH) + 20]
+V6_SRC = b"2001:db8:e4f1:3531::7db3"
+
+# (name, two lines that teach one collapsed shape, a probe, whether the cache
+# decides the probe without parse_flow_record): hostile string values
+COLLAPSE_CASES = [
+    ("letters", alert_value(b"ab"), alert_value(b"cd"), alert_value(b"efg"), True),
+    ("digits_in_value", alert_value(b"a1"), alert_value(b"b22"), alert_value(b"c333"), True),
+    ("timestamps", alert_value(b"2024-09-18T00:27:39.721839+0000"),
+     alert_value(b"2024-09-18T20:43:15.467517+0000"), alert_value(b"2025-01-01T00:00:00.000001+0000"),
+     True),
+    ("control_byte", alert_value(b"ab"), alert_value(b"cd"), alert_value(b"a\x01b"), False),
+    ("escaped_quote", alert_value(b"ab"), alert_value(b"cd"), alert_value(b'a\\"b'), False),
+    ("u_escape", alert_value(b"ab"), alert_value(b"cd"), alert_value(b"\\u0061b"), False),
+    ("space_after_colon", event(ALERT, b'"x": "ab"'), event(ALERT, b'"x": "cd"'),
+     event(ALERT, b'"x": "ef"'), False),
+    ("nested_event_type", event(ALERT, b'"x":{"event_type":"ab"}'),
+     event(ALERT, b'"x":{"event_type":"cd"}'), event(ALERT, b'"x":{"event_type":"ef"}'), False),
+    ("event_type", event(b'"event_type":"ab"'), event(b'"event_type":"cd"'),
+     event(b'"event_type":"ef"'), False),
+    ("string_in_array", event(ALERT, b'"x":["ab"]'), event(ALERT, b'"x":["cd"]'),
+     event(ALERT, b'"x":["ef"]'), False),
+    ("ja3_hash", SURICATA_TLS, SURICATA_TLS.replace(TLS_HASH, b"e7d705a3286e19ea42f587b344ee6865"),
+     SURICATA_TLS.replace(TLS_HASH, b"a0e9f5d64349fb13191bc781f81f42e1"), True),
+    ("cut_inside_hash", TLS_CUT, TLS_CUT.replace(TLS_HASH[:12], b"e7d705a3286e"),
+     TLS_CUT.replace(TLS_HASH[:12], b"a0e9f5d64349"), False),
+    ("record_beside_hash", flow_line(tail=b',"hash":"%s"' % TLS_HASH),
+     flow_line(tail=b',"hash":"e7d705a3286e19ea42f587b344ee6865"'),
+     flow_line(head=HEAD.replace(b"10.0.0.1", b"192.168.7.1"), tail=b',"hash":"a0e9f5d64349fb"'), True),
+    ("ipv6_flow", SURICATA_IPV6_FLOW, SURICATA_IPV6_FLOW.replace(V6_SRC, b"fe80::1"),
+     SURICATA_IPV6_FLOW.replace(V6_SRC, b"2001:db8::ab:7"), True),
+    ("ipv6_dest_beside_ipv4_src", with_dest(b"2001:db8::2"), with_dest(b"fe80::2"),
+     with_dest(b"::ffff:a00:2"), True),
+    ("src_ip_colon", with_src(b":"), with_src(b"::1"), with_src(b"fe80::1"), True),
+    ("src_ip_trailing_space", with_src(b"1.2.3.4 "), with_src(b"5.6.7.8 "), with_src(b"9.9.9.9 "),
+     False),
+    ("src_ip_empty", with_src(b""), with_src(b""), with_src(b""), False),
+    ("duplicate_src_ip_collapses", flow_line(tail=b',"src_ip":"ab"'), flow_line(tail=b',"src_ip":"cd"'),
+     flow_line(tail=b',"src_ip":"ef"'), False),
+    ("duplicate_src_ip_with_colon", flow_line(tail=b',"src_ip":"::1"'),
+     flow_line(tail=b',"src_ip":"fe80::2"'), flow_line(tail=b',"src_ip":"ab::3"'), True),
+]
+
+
+@pytest.mark.parametrize("first, second, probe, decided", [case[1:] for case in COLLAPSE_CASES],
+                         ids=[case[0] for case in COLLAPSE_CASES])
+def test_collapsed_shape_decides_a_line_only_when_its_values_collapse(first, second, probe, decided,
+                                                                      monkeypatch):
+    assert_shape_path_matches_strict([first, second, probe])
+    eve._SHAPES = eve._ShapeCache()  # the empty_shape_cache fixture restores it
+    assert shape_parsed([first, second]) == strict_parsed([first, second])
+    fallen = spy(monkeypatch, "parse_flow_record")
+    assert shape_parsed([probe]) == strict_parsed([probe])
+    assert fallen == ([] if decided else [probe])
+
+
+def test_two_workers_give_every_suricata_line_its_outcome(monkeypatch):
+    # alternate blocks go to two fresh caches, as the chunks of a file go to two workers
+    lines = suricata_lines(12_000, seed=5)
+    blocks = [lines[i:i + shard.STREAM_BLOCK_LINES] for i in range(0, len(lines), shard.STREAM_BLOCK_LINES)]
+    caches = [eve._ShapeCache(), eve._ShapeCache()]
+    fallen = spy(monkeypatch, "parse_flow_record")
+    late_lines = late_fallen = 0
+    for k, block in enumerate(blocks):
+        monkeypatch.setattr(eve, "_SHAPES", caches[k % 2])
+        before = len(fallen)
+        assert shape_parsed(block) == strict_parsed(block)
+        if k >= 4:  # each cache has learned from two blocks
+            late_lines += len(block)
+            late_fallen += len(fallen) - before
+    assert late_fallen < 0.05 * late_lines
+
+
+@pytest.mark.parametrize("config", [GenConfig(n_flows=4_000, seed=3),
+                                    GenConfig(n_flows=4_000, geometric_mean=65536, split=0.5, seed=3)],
+                         ids=["uniform", "elephant"])
+def test_collapse_pass_never_runs_on_flowmat_gen_lines_after_the_first_block(config, monkeypatch):
+    lines = list(generate(config))
+    blocks = [lines[i:i + shard.STREAM_BLOCK_LINES] for i in range(0, len(lines), shard.STREAM_BLOCK_LINES)]
+    assert shape_parsed(blocks[0]) == strict_parsed(blocks[0])
+    collapses = spy(monkeypatch, "_collapse")
+    for block in blocks[1:]:
+        assert shape_parsed(block) == strict_parsed(block)
+    assert collapses == []
 
 
 def test_a_line_holding_a_newline_is_decided_alone(monkeypatch):

@@ -163,6 +163,8 @@ def test_cli_ingest_from_file(eve_file, tmp_path, key_file):
     assert summary["packets_total"] == 500_000
     assert summary["windows_written"] == 500_000 // 4096 + 1
     assert list(out.glob("*.tar"))
+    assert eve_file.stat().st_size > shard.CHUNK_BYTES  # parsed by forked workers
+    assert summary["worker_peak_rss_bytes"] > 0
 
 
 @pytest.mark.parametrize("window_bits", ["0", "17"])
@@ -192,7 +194,9 @@ def test_cli_ingest_from_stdin(eve_file, tmp_path):
     proc = run_cli("ingest", "--input", "-", "--no-anon", "--out", str(out),
                    input_bytes=eve_file.read_bytes())
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout)["records_ok"] == 5000
+    summary = json.loads(proc.stdout)
+    assert summary["records_ok"] == 5000
+    assert summary["worker_peak_rss_bytes"] == 0  # a stream is parsed in process
 
 
 def test_cli_ingest_refuses_without_key(eve_file, tmp_path):
