@@ -22,7 +22,10 @@ shape's outcome with no ``json.loads``.
 Hex letters give an IPv6 address or a TLS hash a shape of its own, so a
 line its shape leaves undecided is looked up once more by a collapsed
 shape, in which most string values are one marker byte (``_collapse``).
-Every other line goes to ``parse_flow_record``.
+Every other line goes to ``parse_flow_record``. The two lookups and
+``parse_flow_record`` each write the kind of outcome of the lines they
+decide into one array per block, which is counted once
+(``_ShapeCache.parse``).
 
 Lines come from a stream (``_bounded_lines``) or, for a regular file cut into
 byte chunks, from the lines that start inside one chunk (``chunk_lines``);
@@ -43,7 +46,6 @@ import re
 import socket
 import stat
 import sys
-import threading
 from dataclasses import dataclass
 from typing import IO, Iterator, NamedTuple
 
@@ -114,14 +116,11 @@ class IngestCounters:
     # parsed flows the windower refused: more packets than MAX_WINDOWS_PER_FLOW windows hold
     records_skipped_window_span: int = 0
 
-    def count_skip(self, reason: Skip, lines: int = 1) -> None:
-        """Count skipped lines of one reason; records are added a batch at a time."""
-        if reason is Skip.NON_FLOW:
-            self.records_skipped_non_flow += lines
-        elif reason is Skip.IPV6:
-            self.records_skipped_ipv6 += lines
-        elif reason is Skip.MALFORMED:
-            self.records_skipped_malformed += lines
+    def count(self, outcomes: dict[Skip | None, int]) -> None:
+        """Add lines by their outcome: None for a record, else their Skip."""
+        for outcome, lines in outcomes.items():
+            name = "records_ok" if outcome is None else f"records_skipped_{outcome.value}"
+            setattr(self, name, getattr(self, name) + lines)
 
     def refuse(self, records: int) -> None:
         """Move records the windower refused from records_ok to their own counter."""
@@ -210,19 +209,18 @@ def parse_flow_record(line: bytes) -> FlowRecord | Skip:
 
 
 def parse_columns(lines: list[bytes], counters: IngestCounters) -> FlowColumns:
-    """Parse one block of lines into one column batch; counters track every line.
+    """Parse one block of lines into one column batch, adding every line to counters.
 
     The process's shape cache (_SHAPES) decides the lines whose shapes it
     has learned, and parse_flow_record the others. The cache gives a line
     the outcome parse_flow_record gives it, and records keep the order of
     their lines, so the batch and the counters are the same whichever lines
-    the cache decides. The block is parsed as one buffer, so its callers
-    bound it: shard.CHUNK_BYTES of lines plus one line, which may be
-    over-long.
+    the cache decides. The cache counts the block, records included, once
+    each of its lines has an outcome. The block is parsed as one buffer, so
+    its callers bound it: shard.CHUNK_BYTES of lines plus one line, which
+    may be over-long.
     """
-    batch = _SHAPES.parse(lines, counters)
-    counters.records_ok += len(batch)
-    return batch
+    return _SHAPES.parse(lines, counters)
 
 
 def _record_columns(table: np.ndarray) -> FlowColumns:
@@ -235,8 +233,9 @@ def _record_columns(table: np.ndarray) -> FlowColumns:
     return FlowColumns(src, dst, table[:, 8], table[:, 9])
 
 
-# What a learned shape gives: a record (index 0) or one of these skips
-_KINDS = (None, Skip.NON_FLOW, Skip.IPV6)
+# A line's outcome as an index: a record (0) or a skip. A learned shape gives
+# any but Skip.MALFORMED.
+_KINDS = (None, Skip.NON_FLOW, Skip.IPV6, Skip.MALFORMED)
 
 
 class _ShapeCache:
@@ -284,7 +283,7 @@ class _ShapeCache:
         self.integer_parts = np.zeros(0, bool)
 
     def parse(self, lines: list[bytes], counters: IngestCounters) -> FlowColumns:
-        """Parse a block of lines into one column batch, in line order, counting every line.
+        """Parse a block of lines into one column batch, in line order, and count every line.
 
         The block is one buffer, each line between two newlines, and a line
         over _SHAPE_BYTES_MAX bytes an empty one. Its shapes and digit runs
@@ -293,12 +292,14 @@ class _ShapeCache:
         their collapsed shapes. A line goes to parse_flow_record if it is
         over _SHAPE_BYTES_MAX bytes, is not ASCII or holds a newline, if
         neither of its shapes is learned, or if one of its digit runs breaks
-        the rule of its role.
+        the rule of its role. Each of the three writes the kind of the
+        lines it decides into kinds, and the block is counted once, from
+        those kinds.
         """
         n = len(lines)
         lengths = np.fromiter(map(len, lines), np.int64, n)
-        long = lengths > _SHAPE_BYTES_MAX
-        lengths[long] = 0
+        decidable = lengths <= _SHAPE_BYTES_MAX  # the lines a shape may decide
+        lengths[~decidable] = 0
         shaped = [b"" if len(line) > _SHAPE_BYTES_MAX else line for line in lines]
         data, line_start = _buffer(shaped, lengths)
         raw = np.frombuffer(data, np.uint8)
@@ -318,101 +319,85 @@ class _ShapeCache:
         del keep, marked
         line_run = np.searchsorted(run_start, line_start)  # each line's first run, then all runs
 
-        decidable = ~long  # the lines a shape may decide
-        if len(shapes) == n + 2:
-            ids = np.fromiter(map(self._ids.get, itertools.islice(shapes, 1, None),
-                                  itertools.repeat(_UNSEEN)), np.int64, n)
-        else:  # a line holds a newline, which no line source yields
-            ids = np.full(n, -1)
+        if len(shapes) != n + 2:  # a line holds a newline, which no line source yields
             decidable[:] = False
         if not data.isascii():
             decidable[np.searchsorted(line_start, np.flatnonzero(raw >= 0x80), "right") - 1] = False
-        ids[~decidable] = -1
-        unseen = np.flatnonzero(ids == _UNSEEN)
-        if len(unseen):
-            ids[unseen] = self._learn([shapes[i + 1] for i in unseen.tolist()])
-        missed = np.flatnonzero((ids < 0) & decidable)
-        parts = []  # (the indices of records' lines, their batch), each in line order
-        if (ids >= 0).any():
-            parts.append(self._decide(ids, value, run_start, run_stop, line_run, counters))
+        kinds = np.full(n, -1, np.intp)  # each line's kind, an index into _KINDS, or -1: undecided
+        ids = np.full(n, -1)
+        ids[decidable] = self._look_up(shapes[1:-1] if decidable.all() else
+                                       [shapes[i + 1] for i in np.flatnonzero(decidable).tolist()])
+        missed = np.flatnonzero(decidable & (ids < 0))
+        tables = [self._decide(np.arange(n), ids, value, run_start, run_stop, line_run, kinds)]
         if len(missed):
-            found, runs = self._look_up_collapsed(missed, shapes, run_start, run_stop, line_run)
-            if runs is not None:
-                decided = self._decide(found, value, *runs, counters)
-                if decided is not None:
-                    parts.append((missed[decided[0]], decided[1]))
-            ids[missed] = found
+            collapsed, dropped = _collapse([shapes[i + 1] for i in missed.tolist()])
+            # the missed lines' runs but those in collapsed values, so that a
+            # line's k-th run is the k-th one its collapsed shape's entry reads
+            first, counts = line_run[missed], line_run[missed + 1] - line_run[missed]
+            runs = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(dropped))
+            runs = runs[~dropped]
+            tables.append(self._decide(missed, self._look_up(collapsed), value, run_start[runs],
+                                       run_stop[runs], np.searchsorted(runs, first), kinds))
 
-        fields: list = []
-        fallen = []  # the lines of the records parse_flow_record gives
-        for i in np.flatnonzero(ids < 0).tolist():
-            result = parse_flow_record(lines[i])
-            if isinstance(result, Skip):
-                counters.count_skip(result)
+        fields, fallen = [], []  # the records parse_flow_record gives, and their lines
+        for i in np.flatnonzero(kinds < 0).tolist():
+            outcome = parse_flow_record(lines[i])
+            if isinstance(outcome, Skip):
+                kinds[i] = _KINDS.index(outcome)
             else:
-                fields += _fields(result)
+                kinds[i] = 0
+                fields += _fields(outcome)
                 fallen.append(i)
-        # numpy raises, and never saturates, on a field over 2^64 - 1
-        parts.append((fallen, _record_columns(np.array(fields, np.uint64).reshape(-1, 10))))
-        parts = [part for part in parts if part is not None and len(part[1])] or parts[-1:]
-        if len(parts) == 1:
-            return parts[0][1]
-        order = np.argsort(np.concatenate([records for records, _ in parts]), kind="stable")
-        return FlowColumns(*[
-            np.concatenate([getattr(batch, field.name) for _, batch in parts])[order]
-            for field in dataclasses.fields(FlowColumns)])
+        if fallen:
+            # numpy raises, and never saturates, on a field over 2^64 - 1
+            tables.append((fallen, np.array(fields, np.uint64).reshape(-1, 10)))
+        counters.count(dict(zip(_KINDS, np.bincount(kinds, minlength=len(_KINDS)).tolist())))
+        record_lines, tables = zip(*tables)
+        table = tables[0]
+        if len(tables) > 1:
+            table = np.concatenate(tables)[np.argsort(np.concatenate(record_lines))]
+        return _record_columns(table)
 
-    def _decide(self, ids, value, run_start, run_stop, line_run, counters):
-        """Count the skips of the lines ids gives entries; the indices and batch of their records.
+    def _decide(self, lines, ids, value, run_start, run_stop, line_run, kinds):
+        """Decide the lines ids gives entries; their record lines, in order, and those records.
 
-        None if they hold no record. ids of a line whose digit runs break the
-        rules of their roles becomes -1, for parse_flow_record.
+        ids, run_start, run_stop and line_run describe the lines of the block
+        that lines lists, and the records come as rows of ten uint64 for
+        _record_columns. Each decided line's kind is written to kinds. A line
+        whose digit runs break the rules of their roles is not decided: a
+        number's integer part (_check_integer_parts), or a record's octet
+        over 3 digits or 255 or count over _COUNT_DIGITS digits. The block is
+        counted from kinds once every line has one (parse).
         """
         self._check_integer_parts(ids, value, run_start, run_stop, line_run)
-        lines = np.flatnonzero(ids >= 0)
-        kinds = self.kinds[ids[lines]]
-        counts = np.bincount(kinds, minlength=len(_KINDS)).tolist()
-        for reason, count in zip(_KINDS[1:], counts[1:]):
-            counters.count_skip(reason, count)
-        if not counts[0]:
-            return None
-        return self._records(lines[kinds == 0], ids, value, run_start, run_stop, line_run)
+        found = np.flatnonzero(ids >= 0)
+        kind = self.kinds[ids[found]]
+        records = found[kind == 0]
+        runs = line_run[records, None] + self.slots[ids[records]]
+        start, stop = run_start[runs], run_stop[runs]
+        table = _numbers(value, start, stop, _COUNT_DIGITS)
+        kept = (stop - start <= _SLOT_DIGITS).all(1) & (table[:, :8] <= 255).all(1)
+        if not kept.all():
+            kind[kind == 0] = np.where(kept, 0, -1)
+            records, table = records[kept], table[kept]
+        kinds[lines[found]] = kind
+        return lines[records], table
 
-    def _learn(self, shapes: list[bytes]) -> list[int]:
-        """The entry number of each of shapes, the unknown shapes of one block, or -1.
+    def _look_up(self, shapes: list[bytes]) -> np.ndarray:
+        """The entry number of each of shapes, which are one block's decidable lines', or -1.
 
-        Learns each shape that occurs at least twice among them.
+        A shape the cache has not met is learned if it occurs at least twice
+        among them and the cache is not full.
         """
-        entries = {}
-        for shape, times in collections.Counter(shapes).items():
-            if times > 1 and len(self._ids) < _SHAPES_MAX:
-                entries[shape] = self._ids[shape] = self._add(shape)
-            else:
-                entries[shape] = -1
-        return [entries[shape] for shape in shapes]
-
-    def _look_up_collapsed(self, missed, shapes, run_start, run_stop, line_run):
-        """The entries of the missed lines' collapsed shapes, and the runs those shapes keep.
-
-        The missed lines are those the block's plain shapes leave undecided.
-        A collapsed shape that is not learned is learned if it occurs twice
-        among them. The runs are those of the missed lines but the digit runs
-        of collapsed values, as run_start, run_stop and line_run for the
-        missed lines alone, so that a line's k-th run is the k-th one its
-        entry reads; None when no line has an entry.
-        """
-        collapsed, dropped = _collapse([shapes[i + 1] for i in missed.tolist()])
-        found = np.fromiter(map(self._ids.get, collapsed, itertools.repeat(_UNSEEN)), np.int64,
-                            len(collapsed))
-        unseen = np.flatnonzero(found == _UNSEEN)
+        ids = np.fromiter(map(self._ids.get, shapes, itertools.repeat(_UNSEEN)), np.int64, len(shapes))
+        unseen = np.flatnonzero(ids == _UNSEEN)
         if len(unseen):
-            found[unseen] = self._learn([collapsed[i] for i in unseen.tolist()])
-        if not (found >= 0).any():
-            return found, None
-        first, counts = line_run[missed], line_run[missed + 1] - line_run[missed]
-        runs = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(dropped))
-        runs = runs[~dropped]
-        return found, (run_start[runs], run_stop[runs], np.searchsorted(runs, first))
+            new = [shapes[i] for i in unseen.tolist()]
+            for shape, times in collections.Counter(new).items():
+                if times > 1 and len(self._ids) < _SHAPES_MAX:
+                    self._ids[shape] = self._add(shape)
+            ids[unseen] = [self._ids.get(shape, -1) for shape in new]
+        return ids
 
     def _add(self, shape: bytes) -> int:
         """Learn shape; its entry number, or -1 if parse_flow_record decides its lines."""
@@ -439,21 +424,6 @@ class _ShapeCache:
         suspect, line = suspect[decided], line[decided]
         broken = self.integer_parts[self.offsets[ids[line]] + suspect - line_run[line]]
         ids[line[broken]] = -1
-
-    def _records(self, lines, ids, value, run_start, run_stop,
-                 line_run) -> tuple[np.ndarray, FlowColumns]:
-        """The indices and columns of the records on lines, decided record lines in order.
-
-        A line with an octet over 3 digits or 255, or a count over
-        _COUNT_DIGITS digits, is sent to parse_flow_record instead: ids of it
-        becomes -1.
-        """
-        runs = line_run[lines, None] + self.slots[ids[lines]]
-        start, stop = run_start[runs], run_stop[runs]
-        table = _numbers(value, start, stop, _COUNT_DIGITS)
-        kept = (stop - start <= _SLOT_DIGITS).all(1) & (table[:, :8] <= 255).all(1)
-        ids[lines[~kept]] = -1
-        return lines[kept], _record_columns(table[kept])
 
 
 _SHAPES = _ShapeCache()
@@ -645,30 +615,25 @@ class SocketLineSource:
         except OSError:
             self._listener.close()
             raise
-        # closing a socket does not wake a blocked accept(); poll instead
-        self._listener.settimeout(0.2)
-        self._closed = threading.Event()
 
     def close(self) -> None:
-        self._closed.set()
+        # closing a socket does not wake an accept() blocked on it; shutting it down does
         try:
-            self._listener.close()
+            self._listener.shutdown(socket.SHUT_RDWR)
         except OSError:
             pass
+        self._listener.close()
         try:
             os.unlink(self.path)
         except OSError:
             pass
 
     def __iter__(self) -> Iterator[bytes]:
-        while not self._closed.is_set():
+        while True:
             try:
                 conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
             except OSError:
-                return  # listener closed
-            conn.settimeout(None)
+                return  # listener shut down or closed
             with conn, conn.makefile("rb") as stream:
                 yield from _bounded_lines(stream)
 

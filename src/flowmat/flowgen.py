@@ -78,21 +78,29 @@ def _packet_counts(cfg: GenConfig, rng: np.random.Generator, n: int) -> np.ndarr
     return counts.astype(np.uint64)
 
 
+def _batches(cfg: GenConfig) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The source addresses, destination addresses and packet counts of each batch of flows.
+
+    The one order of draws from the seeded generator, so generate and
+    packet_total read the same flows.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    for start in range(0, cfg.n_flows, _BATCH):
+        n = min(_BATCH, cfg.n_flows - start)
+        src = _source_addrs(cfg, rng, n)
+        dst = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
+        yield src, dst, _packet_counts(cfg, rng, n)
+
+
 def generate(cfg: GenConfig) -> Iterator[bytes]:
     """Yield n_flows EVE flow-record lines; byte-identical for a fixed config."""
     cfg.validate()
-    rng = np.random.default_rng(cfg.seed)
-    remaining = cfg.n_flows
-    while remaining > 0:
-        n = min(remaining, _BATCH)
-        remaining -= n
-        srcs = _format_ips(_source_addrs(cfg, rng, n))
-        dsts = _format_ips(rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32))
-        pkts = _packet_counts(cfg, rng, n)
+    for src, dst, pkts in _batches(cfg):
+        srcs, dsts = _format_ips(src), _format_ips(dst)
         toserver = np.rint(pkts * cfg.split).astype(np.uint64)
         toclient = (pkts - toserver).tolist()
         toserver = toserver.tolist()
-        for i in range(n):
+        for i in range(len(srcs)):
             yield (
                 b'{"event_type":"flow","src_ip":"%s","dest_ip":"%s",'
                 b'"flow":{"pkts_toserver":%d,"pkts_toclient":%d}}'
@@ -105,13 +113,4 @@ def packet_total(cfg: GenConfig) -> int:
     cfg.validate()
     if cfg.geometric_mean is None:
         return cfg.n_flows * cfg.pkts_per_flow
-    rng = np.random.default_rng(cfg.seed)
-    total = 0
-    remaining = cfg.n_flows
-    while remaining > 0:
-        n = min(remaining, _BATCH)
-        remaining -= n
-        _source_addrs(cfg, rng, n)
-        rng.integers(0, 1 << 32, size=n, dtype=np.uint64)
-        total += int(_packet_counts(cfg, rng, n).sum())
-    return total
+    return sum(int(pkts.sum()) for _, _, pkts in _batches(cfg))

@@ -16,9 +16,9 @@ chunks of CHUNK_BYTES, read up to the size it had when it was opened
 read applies. A file of two or more chunks is handed to n children made with
 os.fork, n being the number of CPUs this process may run on or the number of
 chunks if that is smaller: child k takes chunks k, k + n, ... and sends each
-one's result over its own pipe, in order. The parent parses nothing; it
-takes the results in chunk order. A file of one chunk is parsed in process
-and forks nothing. A child blocks once its pipe is full, which bounds the
+one's result over its own pipe, in order, as one pickle after another. The
+parent parses nothing; it takes the results in chunk order. A file of one
+chunk is parsed in process and forks nothing. A child blocks once its pipe is full, which bounds the
 results waiting for the parent to a pipe's worth per child.
 
 multiprocessing is not used: it starts helper threads and adds import time,
@@ -26,8 +26,8 @@ and a forked child already holds everything it needs. A child keeps the
 memory it frees for its next chunk (_keep_freed_memory). A child ignores
 SIGINT and SIGTERM, which the parent handles, and exits quietly on a broken
 pipe once the parent is gone. The parent kills and reaps every child that is
-still running when it stops early, and a child that dies before sending a
-chunk is a WorkerError naming its exit status.
+still running when it stops early, and a child whose pipe ends before or
+within a chunk's pickle is a WorkerError naming its exit status.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ import ctypes
 import os
 import pickle
 import signal
-import struct
 import sys
 import time
 from typing import Iterable, Iterator, NoReturn
@@ -51,8 +50,6 @@ STREAM_BLOCK_LINES = 512
 
 # (batch, counters, (parse CPU seconds, anonymize CPU seconds)) of one chunk
 Chunk = tuple[FlowColumns, IngestCounters, tuple[float, float]]
-
-_LENGTH = struct.Struct("<Q")  # the size of one pickled chunk result
 
 # a child ignores these; the parent stops on them and stops its children
 _STOP_SIGNALS = {signal.SIGINT, signal.SIGTERM}
@@ -164,12 +161,10 @@ class _Worker:
 
     def receive(self, index: int) -> tuple:
         """The child's result for chunk index, the next one on its pipe."""
-        head = self.pipe.read(_LENGTH.size)
-        if len(head) == _LENGTH.size:
-            (length,) = _LENGTH.unpack(head)
-            payload = self.pipe.read(length)
-            if len(payload) == length:
-                return pickle.loads(payload)
+        try:
+            return pickle.load(self.pipe)
+        except (EOFError, pickle.UnpicklingError):  # the pipe ended before or within it
+            pass
         raise WorkerError(f"parse worker {self.pid} {self._ended()} before sending chunk {index}")
 
     def finish(self) -> None:
@@ -204,9 +199,7 @@ def _serve(parse, indices: range, write_fd: int) -> NoReturn:
         _keep_freed_memory()
         with open(write_fd, "wb") as pipe:
             for i in indices:
-                payload = pickle.dumps(parse(i), protocol=pickle.HIGHEST_PROTOCOL)
-                pipe.write(_LENGTH.pack(len(payload)))
-                pipe.write(payload)
+                pickle.dump(parse(i), pipe, protocol=pickle.HIGHEST_PROTOCOL)
                 pipe.flush()
         code = 0
     except (BrokenPipeError, KeyboardInterrupt):
