@@ -384,12 +384,14 @@ class _ShapeCache:
         return lines[records], table
 
     def _look_up(self, shapes: list[bytes]) -> np.ndarray:
-        """The entry number of each of shapes, which are one block's decidable lines', or -1.
+        """The entry number of each of shapes, or -1; learns those that occur twice among them.
 
-        A shape the cache has not met is learned if it occurs at least twice
-        among them and the cache is not full.
+        shapes are those of one block's decidable lines only: a non-ASCII
+        line's bytes may hold _MARKER, which _learned would read as one more
+        digit run. A shape is learned while the cache is not full.
         """
-        ids = np.fromiter(map(self._ids.get, shapes, itertools.repeat(_UNSEEN)), np.int64, len(shapes))
+        ids = np.fromiter(map(self._ids.get, shapes, itertools.repeat(_UNSEEN)), np.int64,
+                          len(shapes))
         unseen = np.flatnonzero(ids == _UNSEEN)
         if len(unseen):
             new = [shapes[i] for i in unseen.tolist()]

@@ -18,8 +18,9 @@ os.fork, n being the number of CPUs this process may run on or the number of
 chunks if that is smaller: child k takes chunks k, k + n, ... and sends each
 one's result over its own pipe, in order, as one pickle after another. The
 parent parses nothing; it takes the results in chunk order. A file of one
-chunk is parsed in process and forks nothing. A child blocks once its pipe is full, which bounds the
-results waiting for the parent to a pipe's worth per child.
+chunk is parsed in process and forks nothing. A child blocks once its pipe
+is full, which bounds the results waiting for the parent to a pipe's worth
+per child.
 
 multiprocessing is not used: it starts helper threads and adds import time,
 and a forked child already holds everything it needs. A child keeps the
