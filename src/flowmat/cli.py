@@ -26,44 +26,38 @@ def _emit(obj: dict, pretty: bool) -> None:
     click.echo(json.dumps(obj, indent=2 if pretty else None))
 
 
-@contextlib.contextmanager
-def _one_line_errors():
-    """Report an OSError as one line, "Error: ...", with exit status 1.
-
-    A broken pipe passes through: click ends the program on it with exit
-    status 1 and no message, as a reader that stopped early expects.
-    """
-    try:
-        yield
-    except OSError as exc:
-        if exc.errno == errno.EPIPE:
-            raise
-        raise click.ClickException(str(exc))
-
-
 class _Terminated(BaseException):
     """SIGTERM, raised where the program is, as SIGINT raises KeyboardInterrupt."""
 
 
-@contextlib.contextmanager
-def _stop_on_sigterm():
-    """Stop on SIGTERM the way SIGINT stops: by an exception that run_ingest sees.
+class _Commands(click.Group):
+    """The command group: how every command stops on SIGTERM and fails on an OSError.
 
-    run_ingest then finalizes the open TAR and stops its parse workers. The
-    program reports the signal in one line and exits with status 143
-    (128 + SIGTERM), as a process killed by it would.
+    While a command runs, SIGTERM raises _Terminated where the program is, as
+    SIGINT raises KeyboardInterrupt, so run_ingest finalizes the open TAR and
+    stops its parse workers. It is reported in one line with status 143
+    (128 + SIGTERM), as a process killed by it would exit, and the previous
+    handler is restored. An OSError is one line, "Error: ...", with status 1;
+    a broken pipe passes through, and click ends the program on it with
+    status 1 and no message, as a reader that stopped early expects.
     """
-    def terminate(signum, frame):
-        raise _Terminated
 
-    previous = signal.signal(signal.SIGTERM, terminate)
-    try:
-        yield
-    except _Terminated:
-        click.echo("Terminated: stopped on SIGTERM", err=True)
-        sys.exit(128 + signal.SIGTERM)
-    finally:
-        signal.signal(signal.SIGTERM, previous)
+    def invoke(self, ctx: click.Context):
+        def terminate(signum, frame):
+            raise _Terminated
+
+        previous = signal.signal(signal.SIGTERM, terminate)
+        try:
+            return super().invoke(ctx)
+        except _Terminated:
+            click.echo("Terminated: stopped on SIGTERM", err=True)
+            sys.exit(128 + signal.SIGTERM)
+        except OSError as exc:
+            if exc.errno == errno.EPIPE:
+                raise
+            raise click.ClickException(str(exc))
+        finally:
+            signal.signal(signal.SIGTERM, previous)
 
 
 def _make_anon(key_path: str | None, no_anon: bool) -> CryptoPan | None:
@@ -72,11 +66,11 @@ def _make_anon(key_path: str | None, no_anon: bool) -> CryptoPan | None:
         return None
     try:
         return CryptoPan(load_key(key_path))
-    except (KeyError_, OSError) as exc:
+    except KeyError_ as exc:
         raise click.ClickException(str(exc))
 
 
-@click.group()
+@click.group(cls=_Commands)
 def main() -> None:
     """Suricata EVE flows -> anonymized hypersparse traffic matrix archives."""
 
@@ -84,11 +78,12 @@ def main() -> None:
 def run() -> NoReturn:
     """The flowmat program: main, then exit without the interpreter's teardown.
 
+    main returns or exits with the status its command group gave the command.
     Finalizing the interpreter, with numpy, click and cryptography loaded,
-    takes tens of milliseconds after main has returned, and none of it is needed:
-    every file is closed and every worker reaped by then. So standard
-    output and error are flushed and the process exits with main's status.
-    If a flush fails, the interpreter exits as usual and reports it.
+    then takes tens of milliseconds, and none of it is needed: every file is
+    closed and every worker reaped. So standard output and error are flushed
+    and the process exits with main's status. If a flush fails, the
+    interpreter exits as usual and reports it.
     """
     status = 0
     try:
@@ -119,7 +114,7 @@ def ingest(input_spec, socket_path, key_path, no_anon, out_dir, window_bits, per
     if (input_spec is None) == (socket_path is None):
         raise click.UsageError("exactly one of --input or --socket is required")
     anon = _make_anon(key_path, no_anon)
-    with _stop_on_sigterm(), _one_line_errors(), contextlib.closing(
+    with contextlib.closing(
         open_source(socket_path or input_spec, socket_mode=socket_path is not None)
     ) as source:
         result = run_ingest(
@@ -160,19 +155,18 @@ def gen(flows, pkts_per_flow, geometric_mean, addr_model, zipf_exponent, seed, s
         cfg.validate()
     except flowgen.ConfigError as exc:
         raise click.ClickException(str(exc))
-    with _one_line_errors():
-        out = sys.stdout.buffer if out_path == "-" else open(out_path, "wb")
-        try:
-            for line in flowgen.generate(cfg):
-                out.write(line)
-                out.write(b"\n")
-        except flowgen.ConfigError as exc:  # a draw past 2^53, refused before its line
-            raise click.ClickException(str(exc))
-        finally:
-            if out_path != "-":
-                out.close()
-            else:
-                out.flush()
+    out = sys.stdout.buffer if out_path == "-" else open(out_path, "wb")
+    try:
+        for line in flowgen.generate(cfg):
+            out.write(line)
+            out.write(b"\n")
+    except flowgen.ConfigError as exc:  # a draw past 2^53, refused before its line
+        raise click.ClickException(str(exc))
+    finally:
+        if out_path != "-":
+            out.close()
+        else:
+            out.flush()
 
 
 @main.command()
@@ -182,9 +176,7 @@ def stats(tar_path, pretty):
     """Report per-matrix and aggregate statistics for a TAR archive."""
     from flowmat.stats import archive_stats
 
-    with _one_line_errors():
-        records = archive_stats(tar_path)
-    for record in records:
+    for record in archive_stats(tar_path):
         _emit(record, pretty)
 
 
@@ -192,8 +184,7 @@ def stats(tar_path, pretty):
 @click.argument("tar_path")
 def verify(tar_path):
     """Decode + re-encode every archive member; exit nonzero on any mismatch."""
-    with _one_line_errors():
-        failures = verify_archive(tar_path)
+    failures = verify_archive(tar_path)
     for failure in failures:
         click.echo(f"FAIL {failure}", err=True)
     if failures:
@@ -213,11 +204,9 @@ def verify(tar_path):
 def bench(input_path, key_path, no_anon, out_dir, window_bits, per_tar, pretty):
     """Time one ingest of a recorded EVE file, read in chunks, stage by stage."""
     anon = _make_anon(key_path, no_anon)
-    with _one_line_errors():
-        report = run_bench(
-            input_path, anon, out_dir,
-            window_packets=1 << window_bits, per_tar=per_tar,
-        )
+    report = run_bench(
+        input_path, anon, out_dir, window_packets=1 << window_bits, per_tar=per_tar
+    )
     if not report["reliable"]:
         click.echo(
             f"warning: fewer than {MIN_RELIABLE_RECORDS} records; rates are unreliable", err=True

@@ -217,13 +217,17 @@ def run_bench(
     has no rate (null) and is left out of fastest_stage and min_stage_rate,
     so the report stays strict JSON. End to end covers opening the file
     through closing the last TAR. The compression ratio is the matrices'
-    raw section bytes over the blob bytes written. Stdin ("-") is refused
-    before any input is read: the bench needs a file, whose size it reports.
+    raw section bytes over the blob bytes written. Stdin ("-") and any other
+    path that is not a regular file are refused before any input is read:
+    the bench needs a file, whose size it reports.
     """
-    if str(input_path) == "-":
+    path = str(input_path)
+    if path == "-":
         raise OSError("cannot open input '-': bench reads a recorded file, not stdin")
+    if Path(path).exists() and not Path(path).is_file():  # opening a FIFO waits for a writer
+        raise OSError(f"cannot open input {path!r}: bench reads a regular file")
     start = time.perf_counter()
-    source = open_source(str(input_path))
+    source = open_source(path)
     try:
         result = run_ingest(
             source, anon, out_dir, window_packets=window_packets, per_tar=per_tar

@@ -23,12 +23,13 @@ is full, which bounds the results waiting for the parent to a pipe's worth
 per child.
 
 multiprocessing is not used: it starts helper threads and adds import time,
-and a forked child already holds everything it needs. A child keeps the
-memory it frees for its next chunk (_keep_freed_memory). A child ignores
-SIGINT and SIGTERM, which the parent handles, and exits quietly on a broken
-pipe once the parent is gone. The parent kills and reaps every child that is
-still running when it stops early, and a child whose pipe ends before or
-within a chunk's pickle is a WorkerError naming its exit status.
+and a forked child already holds everything it needs. A child, and a process
+parsing a stream, keeps the memory it frees for its next chunk or block
+(_keep_freed_memory). A child ignores SIGINT and SIGTERM, which the parent
+handles, and exits quietly on a broken pipe once the parent is gone. The
+parent kills and reaps every child that is still running when it stops
+early, and a child whose pipe ends before or within a chunk's pickle is a
+WorkerError naming its exit status.
 """
 
 from __future__ import annotations
@@ -106,6 +107,7 @@ def parse_stream(lines: Iterable[bytes], anon: CryptoPan | None) -> Iterator[Chu
     first, so like a file chunk it holds less than CHUNK_BYTES of lines plus
     one line, which may be over-long. The last block ends with the lines.
     """
+    _keep_freed_memory()
     block: list[bytes] = []
     held = 0
     for line in lines:

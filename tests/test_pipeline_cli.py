@@ -11,8 +11,10 @@ import time
 import warnings
 
 import pytest
+from click.testing import CliRunner
 
 from flowmat import shard
+from flowmat.cli import main
 from flowmat.archive import decode_matrix, iter_archive
 from flowmat.cryptopan import CryptoPan
 from flowmat.eve import IngestCounters, open_source
@@ -507,6 +509,85 @@ def test_cli_sigterm_finalizes_the_open_tar(tmp_path):
     metas = [decode_matrix(blob)[1] for _, blob in iter_archive(tar)]
     assert [meta.packet_total for meta in metas] == [1 << 10] * 7
     assert not sock.exists()
+
+
+def test_cli_bench_sigterm_finalizes_the_open_tar(eve_file, tmp_path):
+    # the first TAR write then sleeps, so the signal finds the bench mid-ingest
+    # with an open TAR and its parse workers running
+    out, mark = tmp_path / "out", tmp_path / "written"
+    slow = (f"import pathlib, time; from flowmat.archive import ArchiveWriter; "
+            f"extend = ArchiveWriter.extend; ArchiveWriter.extend = lambda self, *args: "
+            f"(extend(self, *args), pathlib.Path({str(mark)!r}).touch(), time.sleep(60))[0]; "
+            f"from flowmat.cli import main; main()")
+    proc = subprocess.Popen(
+        [sys.executable, "-c", slow, "bench", "--input", str(eve_file), "--no-anon",
+         "--out", str(out), "--window-bits", "12"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not mark.exists():
+            assert proc.poll() is None and time.monotonic() < deadline, "no TAR write"
+            time.sleep(0.05)
+        proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 143, stderr
+    assert stderr.decode().splitlines() == ["Terminated: stopped on SIGTERM"]
+    assert stdout == b""
+    tars = list(out.glob("*.tar"))
+    assert tars and all(verify_archive(tar) == [] for tar in tars)
+
+
+def test_cli_gen_sigterm_is_one_line(tmp_path):
+    path = tmp_path / "big.ndjson"
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "flowmat", "gen", "--flows", "1000000000", "--out", str(path)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not (path.exists() and path.stat().st_size):
+            assert proc.poll() is None and time.monotonic() < deadline, "no output"
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        stdout, stderr = proc.communicate(timeout=30)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.communicate()
+    assert proc.returncode == 143, stderr
+    assert stderr.decode().splitlines() == ["Terminated: stopped on SIGTERM"]
+    assert stdout == b""
+
+
+def test_cli_bench_refuses_a_fifo_without_opening_it(tmp_path):
+    fifo = tmp_path / "eve.fifo"
+    os.mkfifo(fifo)
+    # with no writer, opening the FIFO would block forever
+    proc = subprocess.run([sys.executable, "-m", "flowmat", "bench", "--input", str(fifo),
+                           "--no-anon", "--out", str(tmp_path / "o")],
+                          capture_output=True, timeout=60)
+    assert_one_line_error(proc, "eve.fifo")
+    assert proc.stdout == b""
+    assert not (tmp_path / "o").exists()
+
+
+def test_commands_restore_the_callers_sigterm_handler(tmp_path):
+    def handler(signum, frame):
+        pass
+
+    previous = signal.signal(signal.SIGTERM, handler)
+    try:
+        runner = CliRunner()
+        assert runner.invoke(main, ["gen", "--flows", "3"]).exit_code == 0
+        assert runner.invoke(main, ["verify", str(tmp_path / "nope.tar")]).exit_code == 1
+        assert signal.getsignal(signal.SIGTERM) is handler
+    finally:
+        signal.signal(signal.SIGTERM, previous)
 
 
 @pytest.mark.parametrize("command", ["ingest", "bench"])
