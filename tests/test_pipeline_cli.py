@@ -515,10 +515,10 @@ def test_cli_bench_sigterm_finalizes_the_open_tar(eve_file, tmp_path):
     # the first TAR write then sleeps, so the signal finds the bench mid-ingest
     # with an open TAR and its parse workers running
     out, mark = tmp_path / "out", tmp_path / "written"
-    slow = (f"import pathlib, time; from flowmat.archive import ArchiveWriter; "
-            f"extend = ArchiveWriter.extend; ArchiveWriter.extend = lambda self, *args: "
+    slow = ("import pathlib, time; from flowmat.archive import ArchiveWriter; "
+            "extend = ArchiveWriter.extend; ArchiveWriter.extend = lambda self, *args: "
             f"(extend(self, *args), pathlib.Path({str(mark)!r}).touch(), time.sleep(60))[0]; "
-            f"from flowmat.cli import main; main()")
+            "from flowmat.cli import main; main()")
     proc = subprocess.Popen(
         [sys.executable, "-c", slow, "bench", "--input", str(eve_file), "--no-anon",
          "--out", str(out), "--window-bits", "12"],
