@@ -10,6 +10,9 @@ import signal
 import sys
 from typing import NoReturn
 
+# flowmat calls no BLAS routine, and an idle OpenBLAS thread spins after import numpy
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
 import click
 
 from flowmat.archive import DEFAULT_PER_TAR

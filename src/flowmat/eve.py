@@ -39,6 +39,7 @@ from __future__ import annotations
 import collections
 import dataclasses
 import enum
+import errno
 import itertools
 import json
 import os
@@ -596,12 +597,35 @@ def chunk_lines(fd: int, start: int, stop: int, size: int) -> list[bytes]:
     return [line if len(line) <= limit else line[: limit + 1] for line in lines if line]
 
 
+def _unlink_stale_socket(path: str) -> None:
+    """Remove the socket at path if no process listens on it; else raise OSError naming it.
+
+    The probe does not block: a listener whose backlog is full is in use too.
+    """
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as probe:
+        probe.setblocking(False)
+        try:
+            probe.connect(path)
+        except ConnectionRefusedError:
+            os.unlink(path)
+            return
+        except FileNotFoundError:
+            return
+        except BlockingIOError:
+            pass
+        except OSError as exc:
+            raise OSError(exc.errno, exc.strerror, path) from None
+    raise OSError(errno.EADDRINUSE, "another process listens on this socket", path)
+
+
 class SocketLineSource:
     """Listening unix stream socket yielding lines from successive peers.
 
     Accepts one connection at a time and re-listens after the peer
     disconnects, until close() is called. close() also removes the socket
-    file, whether or not the source was ever iterated.
+    file, whether or not the source was ever iterated, unless the path no
+    longer holds this socket. A socket left at the path by a process that
+    has gone is replaced; one that another process still listens on is not.
     """
 
     def __init__(self, path: str):
@@ -609,14 +633,16 @@ class SocketLineSource:
         if os.path.exists(path):
             if not stat.S_ISSOCK(os.stat(path).st_mode):
                 raise OSError(f"refusing to replace non-socket path: {path}")
-            os.unlink(path)
+            _unlink_stale_socket(path)
         self._listener = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
         try:
             self._listener.bind(path)
             self._listener.listen(1)
-        except OSError:
+            info = os.lstat(path)
+        except OSError as exc:
             self._listener.close()
-            raise
+            raise OSError(exc.errno, exc.strerror, path) from None
+        self._inode = (info.st_dev, info.st_ino)
 
     def close(self) -> None:
         # closing a socket does not wake an accept() blocked on it; shutting it down does
@@ -626,7 +652,9 @@ class SocketLineSource:
             pass
         self._listener.close()
         try:
-            os.unlink(self.path)
+            info = os.lstat(self.path)
+            if (info.st_dev, info.st_ino) == self._inode:
+                os.unlink(self.path)
         except OSError:
             pass
 

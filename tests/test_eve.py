@@ -1069,3 +1069,66 @@ def test_socket_source_two_connections(tmp_path):
     assert not consumer.is_alive()
     assert received.count(FLOW_LINE) == 2
     assert not os.path.exists(path)
+
+
+def test_socket_source_refuses_a_path_another_process_listens_on(tmp_path):
+    path = str(tmp_path / "eve.sock")
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as live:
+        live.bind(path)
+        live.listen(1)
+        inode = os.stat(path).st_ino
+        with pytest.raises(OSError, match="eve.sock") as info:
+            open_source(path, socket_mode=True)
+        assert info.value.filename == path
+        assert os.stat(path).st_ino == inode
+
+
+def test_socket_source_refuses_a_live_path_whose_backlog_is_full(tmp_path):
+    path = str(tmp_path / "eve.sock")
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as live:
+        live.bind(path)
+        live.listen(0)
+        queued = []
+        try:
+            while True:  # fill the backlog, so a blocking connect would wait
+                peer = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
+                peer.setblocking(False)
+                queued.append(peer)
+                peer.connect(path)
+        except BlockingIOError:
+            pass
+        try:
+            with pytest.raises(OSError, match="eve.sock"):
+                open_source(path, socket_mode=True)
+        finally:
+            for peer in queued:
+                peer.close()
+
+
+def test_socket_source_replaces_a_stale_socket(tmp_path):
+    path = str(tmp_path / "eve.sock")
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as gone:
+        gone.bind(path)  # closed without removing its path, as by a killed process
+    src = open_source(path, socket_mode=True)
+    try:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as peer:
+            peer.connect(path)  # a stale socket would refuse
+    finally:
+        src.close()
+    assert not os.path.exists(path)
+
+
+def test_socket_source_close_keeps_a_path_that_no_longer_holds_it(tmp_path):
+    path = tmp_path / "eve.sock"
+    src = open_source(str(path), socket_mode=True)
+    path.unlink()
+    path.write_bytes(b"someone else's")
+    src.close()
+    assert path.read_bytes() == b"someone else's"
+
+
+def test_socket_source_bind_error_names_the_path(tmp_path):
+    path = str(tmp_path / "missing" / "eve.sock")
+    with pytest.raises(FileNotFoundError) as info:
+        open_source(path, socket_mode=True)
+    assert info.value.filename == path

@@ -30,11 +30,38 @@ FLOW_LINE = (
 )
 
 
-def run_cli(*args, input_bytes=None, env=None):
+def run_cli(*args, input_bytes=None, env=None, timeout=None):
     return subprocess.run(
         [sys.executable, "-m", "flowmat", *args],
-        input=input_bytes, capture_output=True, env=env,
+        input=input_bytes, capture_output=True, env=env, timeout=timeout,
     )
+
+
+def without_blas_threads_setting() -> dict:
+    # importing flowmat.cli in this process sets it, and children inherit it
+    return {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task")
+def test_cli_import_leaves_one_thread():
+    code = "import os, flowmat.cli; print(len(os.listdir('/proc/self/task')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env=without_blas_threads_setting(), check=True)
+    assert proc.stdout == b"1\n"
+
+
+@pytest.mark.parametrize("module, given, expected", [
+    ("flowmat.cli", None, "1"),
+    ("flowmat.cli", "2", "2"),
+    ("flowmat.pipeline", None, "None"),
+])
+def test_only_the_command_line_caps_blas_threads(module, given, expected):
+    env = without_blas_threads_setting()
+    if given is not None:
+        env["OPENBLAS_NUM_THREADS"] = given
+    code = f"import os, {module}; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, env=env, check=True)
+    assert proc.stdout.decode() == expected + "\n"
 
 
 @pytest.fixture(scope="module")
@@ -248,6 +275,25 @@ def test_cli_ingest_from_a_socket_into_a_bad_out_removes_the_socket(tmp_path):
     proc = run_cli("ingest", "--socket", str(sock), "--no-anon", "--out", str(taken / "sub"))
     assert_one_line_error(proc, "taken")
     assert not sock.exists()
+
+
+def test_cli_ingest_socket_in_missing_directory(tmp_path):
+    sock = tmp_path / "missing" / "s.sock"
+    proc = run_cli("ingest", "--socket", str(sock), "--no-anon", "--out", str(tmp_path / "o"))
+    assert_one_line_error(proc, str(sock))
+
+
+def test_cli_ingest_refuses_a_socket_another_process_listens_on(tmp_path):
+    sock = tmp_path / "s.sock"
+    with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as live:
+        live.bind(str(sock))
+        live.listen(1)
+        inode = sock.stat().st_ino
+        # a second ingest that took the path would listen on it until killed
+        proc = run_cli("ingest", "--socket", str(sock), "--no-anon", "--out", str(tmp_path / "o"),
+                       timeout=60)
+        assert_one_line_error(proc, str(sock))
+        assert sock.stat().st_ino == inode
 
 
 def test_cli_gen_out_in_missing_directory(tmp_path):
