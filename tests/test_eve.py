@@ -1076,11 +1076,16 @@ def test_socket_source_refuses_a_path_another_process_listens_on(tmp_path):
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as live:
         live.bind(path)
         live.listen(1)
+        live.settimeout(5)
         inode = os.stat(path).st_ino
         with pytest.raises(OSError, match="eve.sock") as info:
             open_source(path, socket_mode=True)
         assert info.value.filename == path
         assert os.stat(path).st_ino == inode
+        live.accept()[0].close()  # the refused source's probe
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as peer:
+            peer.connect(path)
+            live.accept()[0].close()  # the path still leads to this listener
 
 
 def test_socket_source_refuses_a_live_path_whose_backlog_is_full(tmp_path):
