@@ -49,13 +49,15 @@ trailing bytes and, for version 2, the CRC32. Both readers then decompress a
 blob's blocks into consecutive regions of one buffer, slice the sections out
 by the header's counts and check them for canonical form.
 
-verify and stats read a TAR in groups of members (iter_member_groups). A
-member of at most GROUP_MEMBER_ENTRIES entries whose layout passes joins a
-group; a group's blocks are decompressed into one buffer, each section is
-gathered from it by index, and the canonical-form checks run once, with a
-segment id per member. Larger members, and members the grouped checks flag,
-are decoded alone by decode_matrix, which stays the reference for every
-check and message.
+verify and stats read a TAR through one walk, read_members, over groups of
+members (iter_member_groups). A member of at most GROUP_MEMBER_ENTRIES
+entries whose layout passes joins a group; a group's blocks are decompressed
+into one buffer, each section is gathered from it by index, and the
+canonical-form checks run once, with a segment id per member. Larger
+members, and members the grouped checks flag, are decoded alone on
+decode_matrix's path, which stays the reference for every check and
+message. A corrupt member is reported and the walk goes on. verify_archive
+is one loop over that walk; stats.archive_stats is another.
 """
 
 from __future__ import annotations
@@ -70,7 +72,7 @@ from pathlib import Path
 import numpy as np
 
 from flowmat import lz4block
-from flowmat.hypermat import DIMENSION, HyperMatrix, MatrixGroup, MatrixMeta
+from flowmat.hypermat import DIMENSION, HyperMatrix, MatrixGroup, MatrixMeta, total_sum
 
 MAGIC = b"HSTM"
 DEFAULT_PER_TAR = 64
@@ -149,17 +151,6 @@ def _crc32(head, block) -> int:
 def decode_matrix(blob: bytes) -> tuple[HyperMatrix, MatrixMeta]:
     matrix, meta, _ = _decode(blob)
     return matrix, meta
-
-
-def decode_and_reencode(blob: bytes) -> tuple[HyperMatrix, MatrixMeta, bool]:
-    """decode_matrix's result, and whether encoding the matrix again, in the
-    blob's version, gives back the blob.
-
-    The header and prefixes passed every check, so it does exactly when each
-    stored block equals the block compressed again from its decoded bytes.
-    """
-    matrix, meta, decompressed = _decode(blob)
-    return matrix, meta, all(_same_blocks(*decompressed))
 
 
 def _decode(blob: bytes):
@@ -492,8 +483,8 @@ class MemberGroup:
     """Consecutive members of one TAR, decoded together.
 
     Member i is names[i] and blobs[i]. metas[i] is its MatrixMeta when the
-    grouped checks accepted it, and None when it must be decoded alone with
-    decode_matrix, which then names what is wrong with it. The accepted
+    grouped checks accepted it, and None when read_members must decode it
+    alone, which then names what is wrong with it. The accepted
     members' sections are concatenated in member order: rows_present,
     row_ptr, col_ids and vals hold nrows[k], nrows[k] + 1, nvals[k] and
     nvals[k] items for the k-th accepted member, and packet_sums[k] is the
@@ -517,7 +508,7 @@ class MemberGroup:
 
         Its header and prefixes passed every check, so it does exactly when
         each of its blocks, compressed again from the decoded buffer, equals
-        the stored bytes, as decode_and_reencode tells of a member decoded alone.
+        the stored bytes, as _same_blocks tells of a member decoded alone.
         """
         if not self.packet_sums:
             return []
@@ -653,3 +644,60 @@ def _flag_noncanonical(rows_present, row_ptr, col_ids, vals, nrows, nvals, bad) 
     row_start[entry_starts[ptr_seg[heads]] + row_ptr[heads].astype(np.int64)] = True
     step_down = (col_ids[1:] <= col_ids[:-1]) & ~row_start[1:]
     bad[entry_seg[1:][step_down]] = True
+
+
+def read_members(path: str | Path, grouped, alone):
+    """Yield (name, meta, result) for each member of a TAR, in member order.
+
+    Members come in groups from iter_member_groups. A member the group
+    accepted gets the next item of grouped(group), which is called once per
+    group. Every other member is decoded alone, on decode_matrix's path, and
+    gets alone(matrix, decompressed), decompressed being the (buf, bounds,
+    stored) that _same_blocks takes. A corrupt member yields (name, None,
+    message), the message decode_matrix's IntegrityError gives, and the walk
+    goes on. A ContainerError propagates after the members before it.
+    """
+    for group in iter_member_groups(path):
+        results = iter(grouped(group))
+        for name, blob, meta in zip(group.names, group.blobs, group.metas):
+            if meta is not None:
+                yield name, meta, next(results)
+                continue
+            try:
+                matrix, meta, decompressed = _decode(blob)
+            except IntegrityError as exc:
+                yield name, None, str(exc)
+                continue
+            yield name, meta, alone(matrix, decompressed)
+
+
+def verify_archive(path: str | Path) -> list[str]:
+    """Decode, re-encode and cross-check every member of a TAR; returns failures.
+
+    Each member's LZ4 blocks are compressed again from its decoded buffer
+    and compared with the stored bytes, and its packet sum with the header.
+    Its header and prefixes passed every check, so this holds exactly when
+    encoding the matrix again, in its blob's version, gives back the blob;
+    recompressing the stored blocks lets blobs of either version verify.
+
+    A corrupt or cut TAR adds one failure, naming the byte offset and the
+    last good member, after the failures of the members before it.
+    """
+    failures: list[str] = []
+    try:
+        for name, meta, result in read_members(
+            path,
+            lambda group: zip(group.reencodes(), group.packet_sums),
+            lambda matrix, decompressed: (all(_same_blocks(*decompressed)), total_sum(matrix)),
+        ):
+            if meta is None:
+                failures.append(f"{name}: {result}")
+                continue
+            reencodes, total = result
+            if not reencodes:
+                failures.append(f"{name}: re-encode is not bit-identical")
+            elif total != meta.packet_total:
+                failures.append(f"{name}: packet_total {meta.packet_total} != matrix sum {total}")
+    except ContainerError as exc:
+        failures.append(str(exc))
+    return failures

@@ -64,8 +64,10 @@ class _Commands(click.Group):
 
 
 def _make_anon(key_path: str | None, no_anon: bool) -> CryptoPan | None:
-    """Refuse to run without a key unless --no-anon is explicit."""
+    """Refuse to run without a key unless --no-anon is explicit, and with both."""
     if no_anon:
+        if key_path is not None:
+            raise click.UsageError("--key and --no-anon exclude each other")
         return None
     try:
         return CryptoPan(load_key(key_path))

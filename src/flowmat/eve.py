@@ -614,8 +614,15 @@ def _unlink_stale_socket(path: str) -> None:
         except BlockingIOError:
             pass
         except OSError as exc:
-            raise OSError(exc.errno, exc.strerror, path) from None
+            raise _naming(exc, path) from None
     raise OSError(errno.EADDRINUSE, "another process listens on this socket", path)
+
+
+def _naming(exc: OSError, path: str) -> OSError:
+    """exc with path as its filename; one without an errno keeps its own message."""
+    if exc.errno is None:  # bind's "AF_UNIX path too long", for one
+        return OSError(f"{exc}: {path!r}")
+    return OSError(exc.errno, exc.strerror, path)
 
 
 class SocketLineSource:
@@ -641,7 +648,7 @@ class SocketLineSource:
             info = os.lstat(path)
         except OSError as exc:
             self._listener.close()
-            raise OSError(exc.errno, exc.strerror, path) from None
+            raise _naming(exc, path) from None
         self._inode = (info.st_dev, info.st_ino)
 
     def close(self) -> None:

@@ -20,9 +20,12 @@ in input order and window, build, encode and archive run sequentially in
 this process, so the archives are the same byte for byte.
 
 Every ingest times its four stages with a few clock reads per batch and
-per group, never per window or line. The bench is one such ingest of a
-recorded file, read in chunks like any other, with its rates derived from
-those timers.
+per group, never per window or line. The benchmark harness, run_bench, is
+one such ingest of a recorded file, read in chunks like any other, with its
+rates derived from those timers.
+
+Reading archives back is archive.read_members's walk; verify_archive, one
+loop over it, lives in flowmat.archive and is imported here too.
 """
 
 from __future__ import annotations
@@ -34,13 +37,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from flowmat import shard
-from flowmat.archive import (
-    DEFAULT_PER_TAR, ArchiveWriter, ContainerError, IntegrityError, decode_and_reencode,
-    encode_group, iter_member_groups,
-)
+# verify_archive lives beside the blob format; it is imported from here too
+from flowmat.archive import DEFAULT_PER_TAR, ArchiveWriter, encode_group, verify_archive
 from flowmat.cryptopan import CryptoPan
 from flowmat.eve import FileLineSource, IngestCounters, open_source
-from flowmat.hypermat import total_sum
 from flowmat.window import DEFAULT_WINDOW_BITS, Windower
 
 STAGES = ("parse", "anonymize", "window_build", "encode_archive")
@@ -219,7 +219,9 @@ def run_bench(
     through closing the last TAR. The compression ratio is the matrices'
     raw section bytes over the blob bytes written. Stdin ("-") and any other
     path that is not a regular file are refused before any input is read:
-    the bench needs a file, whose size it reports.
+    the bench needs a file. Its MB/s counts the bytes ingest read, the
+    file's size when it was opened, so a log that grows meanwhile does not
+    inflate it.
     """
     path = str(input_path)
     if path == "-":
@@ -235,7 +237,6 @@ def run_bench(
     finally:
         source.close()
     e2e_s = time.perf_counter() - start
-    input_bytes = Path(input_path).stat().st_size
 
     counters = result.counters
     n_lines, n_records = counters.lines_consumed, counters.records_ok
@@ -254,7 +255,7 @@ def run_bench(
             for name, sec in result.stage_seconds.items()
         },
         "end_to_end": {"seconds": round(e2e_s, 6), "records_per_second": round(e2e_rate, 1)},
-        "input_mb_per_second": round(input_bytes / 1e6 / e2e_s, 3),
+        "input_mb_per_second": round(source.size / 1e6 / e2e_s, 3),
         "compression_ratio": (
             round(result.raw_bytes / result.blob_bytes, 3) if result.blob_bytes else None
         ),
@@ -266,52 +267,3 @@ def run_bench(
         "under_memory_ceiling": result.peak_rss_bytes < MEMORY_CEILING_BYTES,
         "reliable": n_records >= MIN_RELIABLE_RECORDS,
     }
-
-
-def verify_archive(path: str | Path) -> list[str]:
-    """Decode, re-encode, and cross-check every member; returns failures.
-
-    Members come in groups from iter_member_groups. For each small member a
-    group accepted, every LZ4 block is compressed again from the group's
-    decoded buffer and compared with the stored bytes, and the group's
-    packet sum is compared with the header. Every other member, one over
-    GROUP_MEMBER_ENTRIES entries or one the grouped checks flagged, goes
-    through decode_and_reencode alone, the per-member path that gives the
-    same failures. Recompressing the stored blocks, rather than encoding the
-    matrix again, lets blobs of either version verify.
-
-    A corrupt or cut TAR adds one failure, naming the byte offset and the
-    last good member, after the failures of the members before it.
-    """
-    failures: list[str] = []
-    try:
-        for group in iter_member_groups(path):
-            grouped = zip(group.reencodes(), group.packet_sums)
-            for name, blob, meta in zip(group.names, group.blobs, group.metas):
-                if meta is None:
-                    failure = _verify_member(name, blob)
-                else:
-                    reencodes, total = next(grouped)
-                    failure = (_check_total(name, meta, total) if reencodes
-                               else f"{name}: re-encode is not bit-identical")
-                if failure:
-                    failures.append(failure)
-    except ContainerError as exc:
-        failures.append(str(exc))
-    return failures
-
-
-def _verify_member(name: str, blob: bytes) -> str | None:
-    try:
-        matrix, meta, reencodes = decode_and_reencode(blob)
-    except IntegrityError as exc:
-        return f"{name}: {exc}"
-    if not reencodes:
-        return f"{name}: re-encode is not bit-identical"
-    return _check_total(name, meta, total_sum(matrix))
-
-
-def _check_total(name: str, meta, total: int) -> str | None:
-    if total != meta.packet_total:
-        return f"{name}: packet_total {meta.packet_total} != matrix sum {total}"
-    return None

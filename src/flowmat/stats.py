@@ -5,14 +5,14 @@ addresses, so anonymized and passthrough runs of the same input agree
 exactly. Address-valued analytics (subnet rollups etc.) are deliberately
 absent.
 
-archive_stats reads a TAR in member groups (archive.iter_member_groups).
-The small members a group accepted, of at most GROUP_MEMBER_ENTRIES entries
-each, are summarized together by group_stats with segmented reduceat,
-bincount and np.unique over (member, value) keys, as Trigg et al. compute
-per-window network quantities over many windows at once (HPEC 2022). Larger
-members, and members the group's checks flag, go through decode_matrix and
-matrix_stats one at a time; that per-member path gives the same records and
-is the reference the grouped one is tested against.
+archive_stats is one loop over archive.read_members, the walk verify
+shares, with two kernels. The small members a group accepted, of at most
+GROUP_MEMBER_ENTRIES entries each, are summarized together by group_stats
+with segmented reduceat, bincount and np.unique over (member, value) keys,
+as Trigg et al. compute per-window network quantities over many windows at
+once (HPEC 2022). Larger members, and members the group's checks flag, are
+decoded alone and summarized by matrix_stats; that per-member path gives the
+same records and is the reference the grouped one is tested against.
 """
 
 from __future__ import annotations
@@ -22,9 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from flowmat.archive import (
-    ContainerError, IntegrityError, MemberGroup, decode_matrix, iter_member_groups,
-)
+from flowmat.archive import ContainerError, MemberGroup, read_members
 from flowmat.hypermat import HyperMatrix, MatrixMeta, total_sum
 
 
@@ -137,11 +135,8 @@ def _record(name: str, meta: MatrixMeta, s: MatrixStats) -> dict:
 def archive_stats(path) -> list[dict]:
     """Per-member stats records plus one aggregate record for a TAR.
 
-    Members come in groups from iter_member_groups. The small members a
-    group accepted are summarized together by group_stats; every other
-    member, one over GROUP_MEMBER_ENTRIES entries or one the grouped checks
-    flagged, is decoded alone by decode_matrix and summarized by
-    matrix_stats, the per-member path that gives the same records.
+    Members come from read_members: those a group accepted are summarized
+    together by group_stats, every other one alone by matrix_stats.
 
     A corrupt member yields an error record; remaining members still report.
     A corrupt or cut TAR yields one error record whose member is the byte
@@ -150,20 +145,12 @@ def archive_stats(path) -> list[dict]:
     records: list[dict] = []
     good: list[MatrixStats] = []
     try:
-        for group in iter_member_groups(path):
-            grouped = iter(group_stats(group))
-            for name, blob, meta in zip(group.names, group.blobs, group.metas):
-                if meta is None:
-                    try:
-                        m, meta = decode_matrix(blob)
-                    except IntegrityError as exc:
-                        records.append({"member": name, "error": str(exc)})
-                        continue
-                    s = matrix_stats(m)
-                else:
-                    s = next(grouped)
-                records.append(_record(name, meta, s))
-                good.append(s)
+        for name, meta, s in read_members(path, group_stats, lambda m, _: matrix_stats(m)):
+            if meta is None:  # s is what is wrong with the member
+                records.append({"member": name, "error": s})
+                continue
+            records.append(_record(name, meta, s))
+            good.append(s)
     except ContainerError as exc:
         records.append({"member": f"byte {exc.offset}", "error": str(exc)})
     records.append({"aggregate": True, "members": len(good), **aggregate_stats(good).as_dict()})

@@ -296,6 +296,15 @@ def test_cli_ingest_refuses_a_socket_another_process_listens_on(tmp_path):
         assert sock.stat().st_ino == inode
 
 
+def test_cli_ingest_socket_path_too_long_keeps_its_reason(tmp_path):
+    # past sun_path's 108 bytes bind raises an OSError without an errno
+    sock = str(tmp_path / ("s" * max(1, 125 - len(str(tmp_path)) - 1)))
+    proc = run_cli("ingest", "--socket", sock, "--no-anon", "--out", str(tmp_path / "o"))
+    assert_one_line_error(proc, sock)
+    assert b"too long" in proc.stderr
+    assert b"None" not in proc.stderr
+
+
 def test_cli_gen_out_in_missing_directory(tmp_path):
     proc = run_cli("gen", "--flows", "10", "--out", str(tmp_path / "missing" / "x.ndjson"))
     assert_one_line_error(proc, "x.ndjson")
@@ -447,6 +456,24 @@ def test_run_bench_report_shape(eve_file, tmp_path):
                                           matrix.col_ids, matrix.vals))
             blob += len(data)
     assert report["compression_ratio"] == pytest.approx(raw / blob, abs=1e-3)
+
+
+def test_run_bench_counts_the_bytes_it_ingested(eve_file, tmp_path, monkeypatch):
+    log = tmp_path / "eve.json"
+    log.write_bytes(eve_file.read_bytes())
+    size = log.stat().st_size
+
+    def ingest_while_the_log_grows(*args, **kwargs):
+        with open(log, "ab") as fh:
+            fh.write(eve_file.read_bytes())
+        return run_ingest(*args, **kwargs)
+
+    monkeypatch.setattr("flowmat.pipeline.run_ingest", ingest_while_the_log_grows)
+    report = run_bench(log, None, tmp_path / "o", window_packets=1 << 12)
+    assert log.stat().st_size == 2 * size
+    assert report["n_records"] == 5000
+    assert report["input_mb_per_second"] == pytest.approx(
+        size / 1e6 / report["end_to_end"]["seconds"], rel=1e-3)
 
 
 def test_cli_bench_missing_input(tmp_path):
@@ -648,6 +675,24 @@ def test_cli_rejects_out_of_range_options(command, option, value, eve_file, tmp_
     assert b"Invalid value for '" + option.encode() in proc.stderr
     assert b"Traceback" not in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["ingest", "bench"])
+def test_cli_key_with_no_anon_is_a_usage_error(command, eve_file, key_file, tmp_path):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, [command, "--input", str(eve_file), "--key", str(key_file),
+                                       "--no-anon", "--out", str(out)])
+    assert result.exit_code == 2
+    assert "--key and --no-anon exclude each other" in result.output
+    assert not out.exists()
+
+
+def test_cli_no_anon_with_a_key_in_the_environment_runs(tmp_path):
+    out = tmp_path / "out"
+    result = CliRunner().invoke(main, ["ingest", "--input", "-", "--no-anon", "--out", str(out)],
+                                input=FLOW_LINE, env={"FLOWMAT_KEY": KEY.hex()})
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["records_ok"] == 1
 
 
 @pytest.fixture
