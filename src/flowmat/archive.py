@@ -484,7 +484,7 @@ class MemberGroup:
 
     Member i is names[i] and blobs[i]. metas[i] is its MatrixMeta when the
     grouped checks accepted it, and None when read_members must decode it
-    alone, which then names what is wrong with it. The accepted
+    alone and name what is wrong with it, if anything. The accepted
     members' sections are concatenated in member order: rows_present,
     row_ptr, col_ids and vals hold nrows[k], nrows[k] + 1, nvals[k] and
     nvals[k] items for the k-th accepted member, and packet_sums[k] is the

@@ -8,7 +8,8 @@ plus-duplicate build from tagged triples and the packet total.
 Ingest builds every window a batch completes with one segmented sort
 (build_segments), which returns them as one MatrixGroup: the windows' arrays
 end to end and each window's bounds in them, never an object per window.
-A member the readers decode alone (archive.decode_matrix) is a HyperMatrix.
+A member the readers decode alone (archive.read_members, on decode_matrix's
+path) is a HyperMatrix.
 """
 
 from __future__ import annotations

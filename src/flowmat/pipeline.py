@@ -22,10 +22,8 @@ this process, so the archives are the same byte for byte.
 Every ingest times its four stages with a few clock reads per batch and
 per group, never per window or line. The benchmark harness, run_bench, is
 one such ingest of a recorded file, read in chunks like any other, with its
-rates derived from those timers.
-
-Reading archives back is archive.read_members's walk; verify_archive, one
-loop over it, lives in flowmat.archive and is imported here too.
+rates derived from those timers. verify_archive, which reads an archive
+back, lives in flowmat.archive and is imported here too.
 """
 
 from __future__ import annotations
@@ -37,7 +35,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from flowmat import shard
-# verify_archive lives beside the blob format; it is imported from here too
 from flowmat.archive import DEFAULT_PER_TAR, ArchiveWriter, encode_group, verify_archive
 from flowmat.cryptopan import CryptoPan
 from flowmat.eve import FileLineSource, IngestCounters, open_source
@@ -219,9 +216,8 @@ def run_bench(
     through closing the last TAR. The compression ratio is the matrices'
     raw section bytes over the blob bytes written. Stdin ("-") and any other
     path that is not a regular file are refused before any input is read:
-    the bench needs a file. Its MB/s counts the bytes ingest read, the
-    file's size when it was opened, so a log that grows meanwhile does not
-    inflate it.
+    the bench needs a file. Its MB/s is of the bytes ingest read: the
+    file's size when it was opened, whatever the file grows to meanwhile.
     """
     path = str(input_path)
     if path == "-":
