@@ -325,11 +325,12 @@ class _ShapeCache:
         if not data.isascii():
             decidable[np.searchsorted(line_start, np.flatnonzero(raw >= 0x80), "right") - 1] = False
         kinds = np.full(n, -1, np.intp)  # each line's kind, an index into _KINDS, or -1: undecided
+        table = np.empty((n, 10), np.uint64)  # each record line's eight octets and two counts
         ids = np.full(n, -1)
         ids[decidable] = self._look_up(shapes[1:-1] if decidable.all() else
                                        [shapes[i + 1] for i in np.flatnonzero(decidable).tolist()])
         missed = np.flatnonzero(decidable & (ids < 0))
-        tables = [self._decide(np.arange(n), ids, value, run_start, run_stop, line_run, kinds)]
+        self._decide(np.arange(n), ids, value, run_start, run_stop, line_run, kinds, table)
         if len(missed):
             collapsed, dropped = _collapse([shapes[i + 1] for i in missed.tolist()])
             # the missed lines' runs but those in collapsed values, so that a
@@ -337,29 +338,20 @@ class _ShapeCache:
             first, counts = line_run[missed], line_run[missed + 1] - line_run[missed]
             runs = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(dropped))
             runs = runs[~dropped]
-            tables.append(self._decide(missed, self._look_up(collapsed), value, run_start[runs],
-                                       run_stop[runs], np.searchsorted(runs, first), kinds))
+            self._decide(missed, self._look_up(collapsed), value, run_start[runs],
+                         run_stop[runs], np.searchsorted(runs, first), kinds, table)
 
-        fields, fallen = [], []  # the records parse_flow_record gives, and their lines
         for i in np.flatnonzero(kinds < 0).tolist():
             outcome = parse_flow_record(lines[i])
             if isinstance(outcome, Skip):
                 kinds[i] = _KINDS.index(outcome)
             else:
                 kinds[i] = 0
-                fields += _fields(outcome)
-                fallen.append(i)
-        if fallen:
-            # numpy raises, and never saturates, on a field over 2^64 - 1
-            tables.append((fallen, np.array(fields, np.uint64).reshape(-1, 10)))
+                table[i] = _fields(outcome)  # numpy raises, and never saturates, past 2^64 - 1
         counters.count(dict(zip(_KINDS, np.bincount(kinds, minlength=len(_KINDS)).tolist())))
-        record_lines, tables = zip(*tables)
-        table = tables[0]
-        if len(tables) > 1:
-            table = np.concatenate(tables)[np.argsort(np.concatenate(record_lines))]
-        return _record_columns(table)
+        return _record_columns(table[kinds == 0])
 
-    def _decide(self, lines, ids, value, run_start, run_stop, line_run, kinds):
+    def _decide(self, lines, ids, value, run_start, run_stop, line_run, kinds, table) -> None:
         """Decide the lines ids gives entries; their record lines, in order, and those records.
 
         ids, run_start, run_stop and line_run describe the lines of the block
@@ -376,13 +368,13 @@ class _ShapeCache:
         records = found[kind == 0]
         runs = line_run[records, None] + self.slots[ids[records]]
         start, stop = run_start[runs], run_stop[runs]
-        table = _numbers(value, start, stop, _COUNT_DIGITS)
-        kept = (stop - start <= _SLOT_DIGITS).all(1) & (table[:, :8] <= 255).all(1)
+        numbers = _numbers(value, start, stop, _COUNT_DIGITS)
+        kept = (stop - start <= _SLOT_DIGITS).all(1) & (numbers[:, :8] <= 255).all(1)
         if not kept.all():
             kind[kind == 0] = np.where(kept, 0, -1)
-            records, table = records[kept], table[kept]
+            records, numbers = records[kept], numbers[kept]
         kinds[lines[found]] = kind
-        return lines[records], table
+        table[lines[records]] = numbers
 
     def _look_up(self, shapes: list[bytes]) -> np.ndarray:
         """The entry number of each of shapes, or -1; learns those that occur twice among them.
@@ -530,32 +522,35 @@ def _numbers(value: np.ndarray, start: np.ndarray, stop: np.ndarray, width: int)
     return number
 
 
-def _bounded_lines(stream: IO[bytes]) -> Iterator[bytes]:
-    """Yield newline-delimited lines, capping per-line memory.
+def _whole_lines(data: bytes) -> list[bytes]:
+    """The lines of data, a run of whole lines, by the line rules of every source.
 
-    A physical line longer than MAX_LINE_BYTES is yielded as a single
-    over-long chunk (the parser rejects it) and its remainder is discarded.
+    Blank lines are dropped and a line over MAX_LINE_BYTES becomes its first
+    MAX_LINE_BYTES + 1 bytes, which parse_flow_record rejects. A last line
+    without its newline counts as whole.
     """
-    limit = MAX_LINE_BYTES + 1
-    while True:
-        chunk = stream.readline(limit)
-        if not chunk:
-            return
-        if chunk.endswith(b"\n"):
-            line = chunk[:-1]
-            if line:
-                yield line
-            continue
-        if len(chunk) < limit:
-            # EOF without trailing newline
-            yield chunk
-            return
-        # over-long line: drain the rest of it
-        while True:
-            rest = stream.readline(limit)
-            if not rest or rest.endswith(b"\n"):
-                break
-        yield chunk
+    limit = MAX_LINE_BYTES
+    return [line if len(line) <= limit else line[: limit + 1] for line in data.split(b"\n") if line]
+
+
+def _bounded_lines(stream: IO[bytes]) -> Iterator[bytes]:
+    """Yield the lines of stream by the rules of _whole_lines, holding at most one cut line.
+
+    The stream is read with read1, in pieces of up to _READ_ON_BYTES that are
+    ready, so a live socket's line is yielded once its newline arrives. The
+    start of a line whose newline has not been read is held, at most its
+    first MAX_LINE_BYTES + 1 bytes, and the pieces of an over-long line's
+    rest are dropped unread into that hold.
+    """
+    held = b""  # the start of a line whose newline has not been read
+    while piece := stream.read1(_READ_ON_BYTES):
+        if len(held) > MAX_LINE_BYTES and b"\n" not in piece:
+            continue  # the dropped rest of an over-long line
+        data = held + piece
+        cut = data.rfind(b"\n") + 1
+        yield from _whole_lines(data[:cut])
+        held = data[cut : cut + MAX_LINE_BYTES + 1]
+    yield from _whole_lines(held)
 
 
 def chunk_lines(fd: int, start: int, stop: int, size: int) -> list[bytes]:
@@ -573,13 +568,11 @@ def chunk_lines(fd: int, start: int, stop: int, size: int) -> list[bytes]:
     lead = 1 if start else 0  # the byte before start says whether a line starts at start
     data = os.pread(fd, stop - start + lead, start - lead)
     offset = start - lead + len(data)
-    lines = data.split(b"\n")
-    del data
-    if lead:
-        if len(lines) == 1:
-            return []
-        del lines[0]  # the end of a line that started before start
-    tail = [lines.pop()]  # empty, or the start of the line that crosses stop
+    first = data.find(b"\n") + 1 if lead else 0
+    if lead and not first:
+        return []
+    last = data.rfind(b"\n") + 1  # the lines before it end inside the chunk
+    tail = [data[last:]]  # empty, or the start of the line that crosses stop
     held = len(tail[0])
     while tail[0] and held <= MAX_LINE_BYTES and offset < size:
         piece = os.pread(fd, min(_READ_ON_BYTES, size - offset), offset)
@@ -592,9 +585,7 @@ def chunk_lines(fd: int, start: int, stop: int, size: int) -> list[bytes]:
         tail.append(piece)
         held += len(piece)
         offset += len(piece)
-    lines.append(b"".join(tail))
-    limit = MAX_LINE_BYTES
-    return [line if len(line) <= limit else line[: limit + 1] for line in lines if line]
+    return _whole_lines(data[first:last]) + _whole_lines(b"".join(tail))
 
 
 def _unlink_stale_socket(path: str) -> None:

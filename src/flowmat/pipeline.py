@@ -60,6 +60,8 @@ class IngestResult:
     # were forked; 0 when none were
     worker_peak_rss_bytes: int = 0
     seconds: float = 0.0
+    # this process's CPU seconds, without those of forked parse workers
+    parent_cpu_seconds: float = 0.0
     raw_bytes: int = 0   # the matrices' four arrays, as the blob sections hold them
     blob_bytes: int = 0
     stage_seconds: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
@@ -81,6 +83,7 @@ class IngestResult:
             "raw_bytes": self.raw_bytes,
             "blob_bytes": self.blob_bytes,
             "seconds": round(self.seconds, 3),
+            "parent_cpu_seconds": round(self.parent_cpu_seconds, 3),
             "stage_seconds": {k: round(v, 6) for k, v in self.stage_seconds.items()},
             "worker_cpu_seconds": {k: round(v, 6) for k, v in self.worker_cpu_seconds.items()},
         }
@@ -114,7 +117,7 @@ def run_ingest(
     and its own CPU seconds, so a stream's read waits stay in parse. Those
     CPU seconds are summed in result.worker_cpu_seconds.
     """
-    start = time.perf_counter()
+    start, cpu_start = time.perf_counter(), time.process_time()
     counters = IngestCounters()
     result = IngestResult(counters=counters)
     stages = result.stage_seconds
@@ -187,6 +190,7 @@ def run_ingest(
     if sharded and shard.forks(lines.size):  # closing chunks reaped the workers
         result.worker_peak_rss_bytes = peak_rss_bytes(resource.RUSAGE_CHILDREN)
     result.seconds = time.perf_counter() - start
+    result.parent_cpu_seconds = time.process_time() - cpu_start
     return result
 
 

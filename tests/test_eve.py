@@ -1071,6 +1071,32 @@ def test_socket_source_two_connections(tmp_path):
     assert not os.path.exists(path)
 
 
+def test_socket_line_arrives_before_its_peer_closes(tmp_path):
+    path = str(tmp_path / "eve.sock")
+    src = open_source(path, socket_mode=True)
+    received = []
+    arrived = threading.Event()
+
+    def consume():
+        for line in src:
+            received.append(line)
+            arrived.set()
+
+    consumer = threading.Thread(target=consume)
+    consumer.start()
+    try:
+        with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as peer:
+            peer.connect(path)
+            peer.sendall(FLOW_LINE + b"\n")
+            in_time = arrived.wait(5)
+    finally:
+        src.close()
+        consumer.join(timeout=5)
+    assert in_time, "the line waited for more bytes or for its peer to close"
+    assert not consumer.is_alive()
+    assert received == [FLOW_LINE]
+
+
 def test_socket_source_refuses_a_path_another_process_listens_on(tmp_path):
     path = str(tmp_path / "eve.sock")
     with socket.socket(socket.AF_UNIX, socket.SOCK_STREAM) as live:

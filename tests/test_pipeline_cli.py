@@ -129,6 +129,16 @@ def test_stream_read_waits_stay_in_parse(tmp_path):
     assert sum(stages.values()) <= result.seconds
 
 
+def test_parent_cpu_seconds_hold_a_streams_parse_and_anonymize(tmp_path):
+    lines = generate(GenConfig(n_flows=4 * shard.STREAM_BLOCK_LINES, seed=12))
+    result = run_ingest(lines, CryptoPan(KEY), tmp_path, window_packets=1 << 12)
+    cpu = result.worker_cpu_seconds
+    assert all(sec > 0 for sec in cpu.values())
+    # the stream is parsed and anonymized in this process, inside its CPU interval
+    assert result.parent_cpu_seconds >= cpu["parse"] + cpu["anonymize"]
+    assert result.as_dict()["parent_cpu_seconds"] == round(result.parent_cpu_seconds, 3)
+
+
 @pytest.mark.parametrize("kind", ["empty", "non_flow"])
 def test_stream_without_records_writes_no_window(kind, tmp_path):
     # 1,000 non-flow lines are two blocks, neither holding a record

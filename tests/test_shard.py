@@ -120,6 +120,11 @@ def test_chunk_lines_equal_bounded_lines_at_every_chunk_size(name, tmp_path, mon
     want = list(_bounded_lines(io.BytesIO(data)))
     for chunk in range(1, len(data) + 2):
         assert all_chunk_lines(data, chunk, tmp_path) == want, f"chunk {chunk}"
+    # the written rules, whatever size the stream's pieces come in
+    assert want == [line[:SMALL_MAX + 1] for line in data.split(b"\n") if line]
+    for read_size in range(1, len(data) + 2):
+        monkeypatch.setattr(eve, "_READ_ON_BYTES", read_size)
+        assert list(_bounded_lines(io.BytesIO(data))) == want, f"read size {read_size}"
 
 
 def test_chunk_lines_equal_bounded_lines_on_random_files(tmp_path, monkeypatch):
