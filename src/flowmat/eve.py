@@ -24,14 +24,15 @@ line its shape leaves undecided is looked up once more by a collapsed
 shape, in which most string values are one marker byte (``_collapse``).
 Every other line goes to ``parse_flow_record``. The two lookups and
 ``parse_flow_record`` each write the kind of outcome of the lines they
-decide into one array per block, which is counted once
-(``_ShapeCache.parse``).
+decide into one array per block, which is counted once, and a record's ten
+fields into its line's row of one table per block (``_ShapeCache.parse``).
 
-Lines come from a stream (``_bounded_lines``) or, for a regular file cut into
-byte chunks, from the lines that start inside one chunk (``chunk_lines``);
-both apply the same rules to blank, over-long and unterminated lines. The
-caller cuts them into blocks (``flowmat.shard``), and ``parse_columns``
-parses one block.
+Lines come from a stream (``_bounded_lines``), read in pieces of up to
+64 KiB that are ready, or, for a regular file cut into byte chunks, from
+the lines that start inside one chunk (``chunk_lines``). Both cut the bytes
+they read with one function, ``_whole_lines``, so blank, over-long and
+unterminated lines follow one set of rules. The caller cuts the lines into
+blocks (``flowmat.shard``), and ``parse_columns`` parses one block.
 """
 
 from __future__ import annotations
@@ -293,9 +294,10 @@ class _ShapeCache:
         their collapsed shapes. A line goes to parse_flow_record if it is
         over _SHAPE_BYTES_MAX bytes, is not ASCII or holds a newline, if
         neither of its shapes is learned, or if one of its digit runs breaks
-        the rule of its role. Each of the three writes the kind of the
-        lines it decides into kinds, and the block is counted once, from
-        those kinds.
+        the rule of its role. Each of the three writes the kind of each
+        line it decides into kinds, and a record's ten fields into its
+        line's row of table. The batch is the rows of the record lines, in
+        line order, and the block is counted once, from kinds.
         """
         n = len(lines)
         lengths = np.fromiter(map(len, lines), np.int64, n)
@@ -352,11 +354,11 @@ class _ShapeCache:
         return _record_columns(table[kinds == 0])
 
     def _decide(self, lines, ids, value, run_start, run_stop, line_run, kinds, table) -> None:
-        """Decide the lines ids gives entries; their record lines, in order, and those records.
+        """Decide the lines ids gives entries: write their kinds to kinds and records to table.
 
         ids, run_start, run_stop and line_run describe the lines of the block
-        that lines lists, and the records come as rows of ten uint64 for
-        _record_columns. Each decided line's kind is written to kinds. A line
+        that lines lists. kinds and table hold a slot per line of the block,
+        and a record is a row of ten uint64 for _record_columns. A line
         whose digit runs break the rules of their roles is not decided: a
         number's integer part (_check_integer_parts), or a record's octet
         over 3 digits or 255 or count over _COUNT_DIGITS digits. The block is
@@ -534,23 +536,27 @@ def _whole_lines(data: bytes) -> list[bytes]:
 
 
 def _bounded_lines(stream: IO[bytes]) -> Iterator[bytes]:
-    """Yield the lines of stream by the rules of _whole_lines, holding at most one cut line.
+    """Yield the lines of stream, cut by _whole_lines.
 
     The stream is read with read1, in pieces of up to _READ_ON_BYTES that are
-    ready, so a live socket's line is yielded once its newline arrives. The
-    start of a line whose newline has not been read is held, at most its
-    first MAX_LINE_BYTES + 1 bytes, and the pieces of an over-long line's
-    rest are dropped unread into that hold.
+    ready, so a live socket's line is yielded once its newline has arrived,
+    not once more bytes or the peer's close follow. The pieces of a line
+    whose newline has not been read are held until they pass MAX_LINE_BYTES,
+    and the rest of an over-long line is dropped. They are joined once, when
+    the newline arrives, so a line sent in small pieces costs time linear
+    in its length.
     """
-    held = b""  # the start of a line whose newline has not been read
+    held, size = [], 0  # the pieces of a line whose newline has not been read, and their bytes
     while piece := stream.read1(_READ_ON_BYTES):
-        if len(held) > MAX_LINE_BYTES and b"\n" not in piece:
-            continue  # the dropped rest of an over-long line
-        data = held + piece
-        cut = data.rfind(b"\n") + 1
-        yield from _whole_lines(data[:cut])
-        held = data[cut : cut + MAX_LINE_BYTES + 1]
-    yield from _whole_lines(held)
+        cut = piece.rfind(b"\n") + 1
+        if not cut:
+            if size <= MAX_LINE_BYTES:  # else the dropped rest of an over-long line
+                held.append(piece)
+                size += len(piece)
+            continue
+        yield from _whole_lines(b"".join([*held, piece[:cut]]))
+        held, size = [piece[cut:]], len(piece) - cut
+    yield from _whole_lines(b"".join(held))
 
 
 def chunk_lines(fd: int, start: int, stop: int, size: int) -> list[bytes]:
@@ -558,12 +564,13 @@ def chunk_lines(fd: int, start: int, stop: int, size: int) -> list[bytes]:
 
     A line starts at byte 0 or after a newline, so each line of the file
     belongs to exactly one chunk, and the lines of all chunks in order are
-    what _bounded_lines yields for the first size bytes: blank lines are
-    dropped, a line over MAX_LINE_BYTES becomes its first MAX_LINE_BYTES + 1
-    bytes, and the last line may lack its newline. The line that crosses
-    stop is read on in pieces of _READ_ON_BYTES, only until its end or until
-    it is over-long; a chunk that lies inside one line owns nothing. Reads
-    use os.pread, so chunks can be read from one descriptor in any order.
+    what _bounded_lines yields for the first size bytes: both are cut by
+    _whole_lines. The lines that end inside the chunk are cut from its bytes
+    between its first line start and its last newline. The line that
+    crosses stop is read on in pieces of _READ_ON_BYTES, only until its end
+    or until it is over-long; a chunk that lies inside one line owns
+    nothing. Reads use os.pread, so chunks can be read from one descriptor
+    in any order.
     """
     lead = 1 if start else 0  # the byte before start says whether a line starts at start
     data = os.pread(fd, stop - start + lead, start - lead)

@@ -1028,6 +1028,24 @@ def test_open_source_overlong_line(tmp_path):
     assert parse_flow_record(lines[1]) == parse_flow_record(FLOW_LINE)
 
 
+def test_stream_holds_an_overlong_line_only_up_to_its_cut():
+    # a 32 MiB line in 4 KiB pieces: the reader keeps about MAX_LINE_BYTES of it
+    pieces = itertools.chain([b"{"], itertools.repeat(b"x" * 4096, 8192), [b"\n" + FLOW_LINE])
+
+    class Stream:
+        def read1(self, size):
+            return next(pieces, b"")
+
+    tracemalloc.start()
+    try:
+        lines = list(eve._bounded_lines(Stream()))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert [len(line) for line in lines] == [MAX_LINE_BYTES + 1, len(FLOW_LINE)]
+    assert peak < 4 * MAX_LINE_BYTES
+
+
 def test_open_source_missing_file(tmp_path):
     with pytest.raises(OSError, match="no_such_file"):
         open_source(str(tmp_path / "no_such_file"))
