@@ -525,11 +525,10 @@ def _numbers(value: np.ndarray, start: np.ndarray, stop: np.ndarray, width: int)
 
 
 def _whole_lines(data: bytes) -> list[bytes]:
-    """The lines of data, a run of whole lines, by the line rules of every source.
+    """The lines of data, a run of whole lines, by the rules of every line source.
 
-    Blank lines are dropped and a line over MAX_LINE_BYTES becomes its first
-    MAX_LINE_BYTES + 1 bytes, which parse_flow_record rejects. A last line
-    without its newline counts as whole.
+    Blank lines are dropped, a line over MAX_LINE_BYTES becomes its first
+    MAX_LINE_BYTES + 1 bytes (malformed), and a last line may lack its newline.
     """
     limit = MAX_LINE_BYTES
     return [line if len(line) <= limit else line[: limit + 1] for line in data.split(b"\n") if line]
@@ -539,12 +538,10 @@ def _bounded_lines(stream: IO[bytes]) -> Iterator[bytes]:
     """Yield the lines of stream, cut by _whole_lines.
 
     The stream is read with read1, in pieces of up to _READ_ON_BYTES that are
-    ready, so a live socket's line is yielded once its newline has arrived,
-    not once more bytes or the peer's close follow. The pieces of a line
-    whose newline has not been read are held until they pass MAX_LINE_BYTES,
-    and the rest of an over-long line is dropped. They are joined once, when
-    the newline arrives, so a line sent in small pieces costs time linear
-    in its length.
+    ready, so a live socket's line is yielded once its newline has arrived.
+    A line's pieces are held until they pass MAX_LINE_BYTES and joined once
+    its newline arrives, so a line sent in small pieces costs time linear in
+    its length; the rest of an over-long line is dropped.
     """
     held, size = [], 0  # the pieces of a line whose newline has not been read, and their bytes
     while piece := stream.read1(_READ_ON_BYTES):
