@@ -72,7 +72,8 @@ from pathlib import Path
 import numpy as np
 
 from flowmat import lz4block
-from flowmat.hypermat import DIMENSION, HyperMatrix, MatrixGroup, MatrixMeta, total_sum
+from flowmat.hypermat import (DIMENSION, HyperMatrix, MatrixGroup, MatrixMeta,
+                               segment_ranges, total_sum)
 
 MAGIC = b"HSTM"
 DEFAULT_PER_TAR = 64
@@ -509,9 +510,8 @@ class MemberGroup:
         Its header and prefixes passed every check, so it does exactly when
         each of its blocks, compressed again from the decoded buffer, equals
         the stored bytes, as _same_blocks tells of a member decoded alone.
+        Only a group that accepted a member is asked (read_members).
         """
-        if not self.packet_sums:
-            return []
         buf, bounds, stored, owners = self._blocks
         same = np.ones(len(self.names), dtype=bool)
         same[owners[~np.fromiter(_same_blocks(buf, bounds, stored), bool, len(stored))]] = False
@@ -569,7 +569,7 @@ def _plan(blob: bytes):
 
 
 def _decode_group(members: list) -> MemberGroup:
-    """Decompress planned members into one buffer, gather their sections and check them."""
+    """Decompress members into one buffer, gather their sections by segment_ranges, check them."""
     names, blobs, plans = (list(column) for column in zip(*members))
     metas, nrows, nvals, blocks = zip(*plans)
     buf, bounds, stored, failed = _decompress(list(zip(blobs, blocks)))
@@ -587,7 +587,7 @@ def _decode_group(members: list) -> MemberGroup:
     arrays = []
     for (_, dtype), count in zip(_SECTIONS, counts):
         nbytes = count * dtype.itemsize
-        arrays.append(data[_segments(starts, nbytes)].view(dtype))
+        arrays.append(data[segment_ranges(starts, nbytes)].view(dtype))
         starts = starts + nbytes
     _flag_noncanonical(*arrays, nrows, nvals, bad)
 
@@ -603,12 +603,6 @@ def _decode_group(members: list) -> MemberGroup:
     packet_sums = (prefix[ends] - prefix[ends - nvals]).tolist()
     return MemberGroup(names, blobs, metas, arrays, nrows, nvals, packet_sums,
                        (buf, bounds, stored, owners))
-
-
-def _segments(starts, lengths):
-    """starts[k], starts[k] + 1, ..., starts[k] + lengths[k] - 1, for each k in order."""
-    ends = np.cumsum(lengths)
-    return np.arange(ends[-1]) + np.repeat(starts - (ends - lengths), lengths)
 
 
 def _flag_noncanonical(rows_present, row_ptr, col_ids, vals, nrows, nvals, bad) -> None:
@@ -651,14 +645,15 @@ def read_members(path: str | Path, grouped, alone):
 
     Members come in groups from iter_member_groups. A member the group
     accepted gets the next item of grouped(group), which is called once per
-    group. Every other member is decoded alone, on decode_matrix's path, and
-    gets alone(matrix, decompressed), decompressed being the (buf, bounds,
-    stored) that _same_blocks takes. A corrupt member yields (name, None,
-    message), the message decode_matrix's IntegrityError gives, and the walk
-    goes on. A ContainerError propagates after the members before it.
+    group that accepted any member, never for a lone member. Every other
+    member is decoded alone, on decode_matrix's path, and gets
+    alone(matrix, decompressed), decompressed being the (buf, bounds, stored)
+    that _same_blocks takes. A corrupt member yields (name, None, message),
+    the message decode_matrix's IntegrityError gives, and the walk goes on.
+    A ContainerError propagates after the members before it.
     """
     for group in iter_member_groups(path):
-        results = iter(grouped(group))
+        results = iter(grouped(group) if group.packet_sums else ())
         for name, blob, meta in zip(group.names, group.blobs, group.metas):
             if meta is not None:
                 yield name, meta, next(results)

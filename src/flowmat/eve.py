@@ -53,6 +53,8 @@ from typing import IO, Iterator, NamedTuple
 
 import numpy as np
 
+from flowmat.hypermat import segment_ranges
+
 MAX_LINE_BYTES = 1 << 20  # longer lines are malformed by contract
 _READ_ON_BYTES = 1 << 16  # read size for a line that crosses a chunk's end
 
@@ -337,9 +339,8 @@ class _ShapeCache:
             collapsed, dropped = _collapse([shapes[i + 1] for i in missed.tolist()])
             # the missed lines' runs but those in collapsed values, so that a
             # line's k-th run is the k-th one its collapsed shape's entry reads
-            first, counts = line_run[missed], line_run[missed + 1] - line_run[missed]
-            runs = np.repeat(first - np.cumsum(counts) + counts, counts) + np.arange(len(dropped))
-            runs = runs[~dropped]
+            first = line_run[missed]
+            runs = segment_ranges(first, line_run[missed + 1] - first)[~dropped]
             self._decide(missed, self._look_up(collapsed), value, run_start[runs],
                          run_stop[runs], np.searchsorted(runs, first), kinds, table)
 

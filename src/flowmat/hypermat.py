@@ -3,7 +3,7 @@
 Storage is proportional to the number of stored entries and present rows,
 never to the 4-billion-row logical dimension. Row = source address,
 column = destination address. Only the operations the pipeline needs exist:
-plus-duplicate build from tagged triples and the packet total.
+plus-duplicate build from tagged triples, the packet total and segment_ranges.
 
 Ingest builds every window a batch completes with one segmented sort
 (build_segments), which returns them as one MatrixGroup: the windows' arrays
@@ -80,16 +80,30 @@ class MatrixGroup:
                 + self.col_ids.nbytes + self.vals.nbytes)
 
 
+def segment_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """starts[k], starts[k] + 1, ..., starts[k] + lengths[k] - 1, for each k in order."""
+    ends = np.cumsum(lengths)
+    return np.arange(ends[-1] if len(ends) else 0) + np.repeat(starts - (ends - lengths), lengths)
+
+
+def _run_starts(keys: np.ndarray, segs: np.ndarray) -> np.ndarray:
+    """Where each run of equal (segment, key) pairs starts, in pairs sorted by both."""
+    new_run = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=new_run[1:])
+    new_run[1:] |= segs[1:] != segs[:-1]
+    return np.flatnonzero(new_run)
+
+
 def build_segments(
     segs: np.ndarray, rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, nseg: int
 ) -> MatrixGroup:
     """Plus-duplicate build of nseg matrices from one set of tagged triples.
 
     Triple i belongs to matrix segs[i] (0 <= segs[i] < nseg). One sort on
-    (segment, packed 64-bit (row, col) key) orders every matrix at once, one
-    reduceat folds runs of equal keys, and one insert puts each matrix's end
-    offset after its row offsets. Each matrix's values must sum below 2^64,
-    as every window does.
+    (segment, packed 64-bit (row, col) key) orders every matrix at once.
+    _run_starts finds its entries, whose values one reduceat sums, and then
+    their rows, and one insert puts each matrix's end offset after its row
+    offsets. Each matrix's values must sum below 2^64, as every window does.
     """
     if (vals == 0).any():
         raise ValueError("zero-valued triples must be dropped before build")
@@ -100,21 +114,13 @@ def build_segments(
     keys = keys[order]
     sorted_vals = vals.astype(np.uint64)[order]
 
-    new_entry = np.empty(len(keys), dtype=bool)
-    new_entry[:1] = True
-    np.not_equal(keys[1:], keys[:-1], out=new_entry[1:])
-    new_entry[1:] |= segs[1:] != segs[:-1]
-    starts = np.flatnonzero(new_entry)
+    starts = _run_starts(keys, segs)
     summed = np.add.reduceat(sorted_vals, starts)
     entry_segs = segs[starts]
     entry_rows = (keys[starts] >> np.uint64(32)).astype(np.uint32)
     col_ids = (keys[starts] & np.uint64(0xFFFFFFFF)).astype(np.uint32)
 
-    new_row = np.empty(len(starts), dtype=bool)
-    new_row[:1] = True
-    np.not_equal(entry_rows[1:], entry_rows[:-1], out=new_row[1:])
-    new_row[1:] |= entry_segs[1:] != entry_segs[:-1]
-    row_starts = np.flatnonzero(new_row)
+    row_starts = _run_starts(entry_rows, entry_segs)
     row_segs = entry_segs[row_starts]
 
     bounds = np.arange(nseg + 1)

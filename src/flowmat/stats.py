@@ -83,15 +83,13 @@ def aggregate_stats(per_matrix: list[MatrixStats]) -> MatrixStats:
 
 
 def group_stats(group: MemberGroup) -> list[MatrixStats]:
-    """matrix_stats of each member the group accepted, computed together.
+    """matrix_stats of each member the group accepted (one or more), computed together.
 
     Out-degrees are the row_ptr steps inside each member; in-degrees count
     the (member, column) keys. Maxima are segmented reduceats and the degree
     histograms one np.unique over (member, degree) keys.
     """
     n = len(group.packet_sums)
-    if not n:
-        return []
     nrows, nvals = group.nrows, group.nvals
     ids = np.arange(n)
     ptr_seg = np.repeat(ids, nrows + 1)

@@ -23,7 +23,7 @@ from typing import Iterator
 import numpy as np
 
 from flowmat.eve import FlowColumns
-from flowmat.hypermat import MatrixGroup, build_segments
+from flowmat.hypermat import MatrixGroup, build_segments, segment_ranges
 
 DEFAULT_WINDOW_BITS = 17
 _U64_MAX = (1 << 64) - 1
@@ -77,14 +77,15 @@ def _cut(first, last, head, tail, window: int, k0: int, k1: int):
 
     Returns (entry index, window index, packets) per piece. An entry's first
     piece skips the head packets its window held before it, its last piece
-    holds tail packets, and any piece between them fills a whole window.
+    holds tail packets, and any piece between them fills a whole window. An
+    entry's windows are one segment of segment_ranges; there may be none.
     """
     lo = int(np.searchsorted(last, k0))
     hi = int(np.searchsorted(first, k1))
     lo_win = np.maximum(first[lo:hi], k0)
     counts = np.minimum(last[lo:hi], k1 - 1) - lo_win + 1
     entry = np.repeat(np.arange(lo, hi), counts)
-    win = np.arange(len(entry)) + np.repeat(lo_win - (np.cumsum(counts) - counts), counts)
+    win = segment_ranges(lo_win, counts)
     end = np.where(win == last[entry], tail[entry], window)
     start = np.where(win == first[entry], head[entry], 0)
     return entry, win, end - start
@@ -106,18 +107,17 @@ class Windower:
         """Add a batch; yield the windows it completes, one segmented build at a time.
 
         A flow with either count above MAX_WINDOWS_PER_FLOW windows' worth of
-        packets is refused whole, counted in flows_refused, and leaves no
-        trace in any window. The batch takes effect as the generator is drained.
+        packets is refused whole and counted in flows_refused. Its two entries
+        get count 0, so the mask that drops zero counts leaves no trace of it
+        in any window. The batch takes effect as the generator is drained.
         """
-        refused = (batch.toserver > self._max_count) | (batch.toclient > self._max_count)
-        if refused.any():
-            self.flows_refused += int(refused.sum())
-            keep = ~refused
-            batch = FlowColumns(batch.src[keep], batch.dst[keep],
-                                batch.toserver[keep], batch.toclient[keep])
         rows = _interleave(batch.src, batch.dst)
         cols = _interleave(batch.dst, batch.src)
         vals = _interleave(batch.toserver, batch.toclient)
+        refused = (batch.toserver > self._max_count) | (batch.toclient > self._max_count)
+        if refused.any():
+            self.flows_refused += int(refused.sum())
+            vals[np.repeat(refused, 2)] = 0
         keep = np.flatnonzero(vals)
         if len(keep) == 0:
             return
