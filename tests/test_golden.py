@@ -137,10 +137,12 @@ def _ingest_pipe(data, anon, out_dir, **kwargs):
     source = FileLineSource(open(read_fd, "rb"), owns=True)
     try:
         assert source.size is None  # read as a stream
-        return run_ingest(source, anon, out_dir, **kwargs)
+        result = run_ingest(source, anon, out_dir, **kwargs)
     finally:
         source.close()
-        writer.join()
+        writer.join(timeout=60)
+    assert not writer.is_alive()
+    return result
 
 
 def _tar_digests(out_dir) -> dict:
