@@ -64,7 +64,11 @@ MANY_WINDOWS_DIGEST = {
 }
 
 
-SURICATA_LINES, SURICATA_SEED, SURICATA_WINDOW_BITS = 20_000, 2411, 12
+# 9.3 MB of Suricata-shaped lines (tests.conftest.suricata_lines): IPv4 and
+# IPv6 flows, other events and cut lines, in 240 windows of 2^12 packets
+SURICATA_LINES = 20_000
+SURICATA_SEED = 2411
+SURICATA_WINDOW_BITS = 12
 SURICATA_TARS = {
     "anon": {
         "1724000000_0.tar": "b104dbed8b0d61ee1490077ecaee98a4e3d25806280c434bd4445ae0c69eacd6",
@@ -145,11 +149,6 @@ def _ingest_pipe(data, anon, out_dir, **kwargs):
     return result
 
 
-def _tar_digests(out_dir) -> dict:
-    return {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out_dir.glob("*.tar"))}
-
-
 @pytest.mark.parametrize("source", ["stream", "file", "pipe"])
 @pytest.mark.parametrize("mode", sorted(GOLDEN_TARS))
 def test_golden_archives(mode, source, golden_lines, golden_file, tmp_path, monkeypatch):
@@ -157,7 +156,11 @@ def test_golden_archives(mode, source, golden_lines, golden_file, tmp_path, monk
     anon = CryptoPan(KEY) if mode == "anon" else None
     assert golden_file.stat().st_size > 10 * shard.CHUNK_BYTES
     _ingest(source, golden_lines, golden_file, anon, tmp_path)
-    assert _tar_digests(tmp_path) == GOLDEN_TARS[mode]
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*.tar"))
+    }
+    assert digests == GOLDEN_TARS[mode]
 
 
 @pytest.mark.parametrize("source", ["stream", "file", "pipe"])
@@ -199,4 +202,8 @@ def test_golden_suricata_archives(mode, source, suricata_input, tmp_path, monkey
     summary = _ingest(source, lines, path, anon, tmp_path,
                       window_packets=1 << SURICATA_WINDOW_BITS).as_dict()
     assert {key: summary[key] for key in SURICATA_RESULT} == SURICATA_RESULT
-    assert _tar_digests(tmp_path) == SURICATA_TARS[mode]
+    digests = {
+        path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(tmp_path.glob("*.tar"))
+    }
+    assert digests == SURICATA_TARS[mode]
