@@ -15,9 +15,9 @@ _EXPORTS = {
     "open_source": "eve",
     "CryptoPan": "cryptopan",
     "load_key": "cryptopan",
-    "HyperMatrix": "hypermat",
+    "MatrixGroup": "hypermat",
     "MatrixMeta": "hypermat",
-    "total_sum": "hypermat",
+    "packet_totals": "hypermat",
     "Windower": "window",
     "ArchiveWriter": "archive",
     "decode_matrix": "archive",

@@ -53,11 +53,13 @@ verify and stats read a TAR through one walk, read_members, over groups of
 members (iter_member_groups). A member of at most GROUP_MEMBER_ENTRIES
 entries whose layout passes joins a group; a group's blocks are decompressed
 into one buffer, each section is gathered from it by index, and the
-canonical-form checks run once, with a segment id per member. Larger
-members, and members the grouped checks flag, are decoded alone on
-decode_matrix's path, which stays the reference for every check and
-message. A corrupt member is reported and the walk goes on. verify_archive
-is one loop over that walk; stats.archive_stats is another.
+canonical-form checks run once, with a segment id per member. The members
+that pass are one hypermat.MatrixGroup, as the windows of one build were.
+Larger members, and members the grouped checks flag, are decoded alone on
+decode_matrix's path, into a MatrixGroup of one; that path stays the
+reference for every check and message. A corrupt member is reported and
+the walk goes on. verify_archive is one loop over that walk;
+stats.archive_stats is another.
 """
 
 from __future__ import annotations
@@ -72,8 +74,7 @@ from pathlib import Path
 import numpy as np
 
 from flowmat import lz4block
-from flowmat.hypermat import (DIMENSION, HyperMatrix, MatrixGroup, MatrixMeta,
-                               segment_ranges, total_sum)
+from flowmat.hypermat import DIMENSION, MatrixGroup, MatrixMeta, packet_totals, segment_ranges
 
 MAGIC = b"HSTM"
 DEFAULT_PER_TAR = 64
@@ -124,10 +125,10 @@ def encode_group(group: MatrixGroup, first_seq: int, packet_totals, created_unix
     """
     arrays = (group.rows_present, group.row_ptr, group.col_ids, group.vals)
     row_bounds, entry_bounds = group.row_bounds.tolist(), group.entry_bounds.tolist()
-    # HyperMatrix's dtypes: 4 + 8 bytes a row, 4 + 8 an entry, 8 for each row_ptr's end
+    # the sections' dtypes: 4 + 8 bytes a row, 4 + 8 an entry, 8 for each row_ptr's end
     if (tuple(a.itemsize for a in arrays) != _ITEM_SIZES or group.nbytes
             != 12 * (row_bounds[-1] + entry_bounds[-1]) + 8 * (len(row_bounds) - 1)):
-        raise ValueError("matrix arrays do not have HyperMatrix's dtypes")
+        raise ValueError("matrix arrays do not have the blob sections' dtypes")
     rows_present, row_ptr, col_ids, vals = map(memoryview, arrays)
     blobs = []
     for k, (seq, packet_total, r0, r1, e0, e1) in enumerate(zip(
@@ -149,7 +150,8 @@ def _crc32(head, block) -> int:
     return zlib.crc32(block, zlib.crc32(head))
 
 
-def decode_matrix(blob: bytes) -> tuple[HyperMatrix, MatrixMeta]:
+def decode_matrix(blob: bytes) -> tuple[MatrixGroup, MatrixMeta]:
+    """The blob's matrix, as a group of one, and its header's meta."""
     matrix, meta, _ = _decode(blob)
     return matrix, meta
 
@@ -168,7 +170,9 @@ def _decode(blob: bytes):
         arrays[name] = np.frombuffer(buf, dtype, count, offset).copy()
         offset += count * dtype.itemsize
     _check_canonical(arrays, nvals)
-    return HyperMatrix(**arrays), meta, (buf, bounds, stored)
+    matrix = MatrixGroup(**arrays, row_bounds=np.array([0, nrows_present]),
+                         entry_bounds=np.array([0, nvals]))
+    return matrix, meta, (buf, bounds, stored)
 
 
 def _same_blocks(buf: bytearray, bounds: list[int], stored: list[bytes]):
@@ -485,22 +489,17 @@ class MemberGroup:
 
     Member i is names[i] and blobs[i]. metas[i] is its MatrixMeta when the
     grouped checks accepted it, and None when read_members must decode it
-    alone and name what is wrong with it, if anything. The accepted
-    members' sections are concatenated in member order: rows_present,
-    row_ptr, col_ids and vals hold nrows[k], nrows[k] + 1, nvals[k] and
-    nvals[k] items for the k-th accepted member, and packet_sums[k] is the
-    sum of its vals modulo 2^64, as total_sum computes it.
+    alone and name what is wrong with it, if anything. Matrix k of the
+    MatrixGroup matrices is the k-th accepted member, and packet_sums[k] its
+    packet total, from packet_totals. A lone member's group has no matrices.
     """
 
-    def __init__(self, names, blobs, metas, arrays=(None,) * 4, nrows=None, nvals=None,
-                 packet_sums=(), blocks=None):
+    def __init__(self, names, blobs, metas, matrices=None, blocks=None):
         self.names = names
         self.blobs = blobs
         self.metas = metas
-        self.rows_present, self.row_ptr, self.col_ids, self.vals = arrays
-        self.nrows = nrows
-        self.nvals = nvals
-        self.packet_sums = packet_sums
+        self.matrices = matrices
+        self.packet_sums = [] if matrices is None else packet_totals(matrices)
         self._blocks = blocks
 
     def reencodes(self) -> list[bool]:
@@ -596,13 +595,9 @@ def _decode_group(members: list) -> MemberGroup:
         good = ~bad
         arrays = [a[np.repeat(good, count)] for a, count in zip(arrays, counts)]
         nrows, nvals = nrows[good], nvals[good]
-    vals = arrays[3]
-    prefix = np.zeros(len(vals) + 1, dtype=np.uint64)
-    np.cumsum(vals, out=prefix[1:])  # wraps modulo 2^64, so differences do too
-    ends = np.cumsum(nvals)
-    packet_sums = (prefix[ends] - prefix[ends - nvals]).tolist()
-    return MemberGroup(names, blobs, metas, arrays, nrows, nvals, packet_sums,
-                       (buf, bounds, stored, owners))
+    matrices = MatrixGroup(*arrays, np.concatenate(([0], np.cumsum(nrows))),
+                           np.concatenate(([0], np.cumsum(nvals))))
+    return MemberGroup(names, blobs, metas, matrices, (buf, bounds, stored, owners))
 
 
 def _flag_noncanonical(rows_present, row_ptr, col_ids, vals, nrows, nvals, bad) -> None:
@@ -683,7 +678,8 @@ def verify_archive(path: str | Path) -> list[str]:
         for name, meta, result in read_members(
             path,
             lambda group: zip(group.reencodes(), group.packet_sums),
-            lambda matrix, decompressed: (all(_same_blocks(*decompressed)), total_sum(matrix)),
+            lambda matrix, decompressed: (all(_same_blocks(*decompressed)),
+                                          packet_totals(matrix)[0]),
         ):
             if meta is None:
                 failures.append(f"{name}: {result}")

@@ -3,13 +3,13 @@
 Storage is proportional to the number of stored entries and present rows,
 never to the 4-billion-row logical dimension. Row = source address,
 column = destination address. Only the operations the pipeline needs exist:
-plus-duplicate build from tagged triples, the packet total and segment_ranges.
+plus-duplicate build from tagged triples, packet_totals and segment_ranges.
 
-Ingest builds every window a batch completes with one segmented sort
-(build_segments), which returns them as one MatrixGroup: the windows' arrays
-end to end and each window's bounds in them, never an object per window.
-A member the readers decode alone (archive.read_members, on decode_matrix's
-path) is a HyperMatrix.
+MatrixGroup is the one matrix type: matrices' arrays end to end and each
+matrix's bounds in them, never an object per matrix. Ingest builds every
+window a batch completes with one segmented sort (build_segments) into one
+group; the readers decode a member alone (archive.decode_matrix) into a
+group of one, and a run of small members into one group.
 """
 
 from __future__ import annotations
@@ -29,41 +29,16 @@ class MatrixMeta:
 
 
 @dataclass(frozen=True)
-class HyperMatrix:
-    """Canonical doubly-compressed sparse matrix of shape DIMENSION x DIMENSION.
-
-    rows_present is strictly increasing; col_ids strictly increase within
-    each row (duplicates were summed at build); vals are >= 1.
-    """
-
-    rows_present: np.ndarray  # uint32, sorted unique
-    row_ptr: np.ndarray       # uint64, len(rows_present)+1
-    col_ids: np.ndarray       # uint32
-    vals: np.ndarray          # uint64
-
-    @property
-    def nvals(self) -> int:
-        return len(self.col_ids)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, HyperMatrix):
-            return NotImplemented
-        return (
-            np.array_equal(self.rows_present, other.rows_present)
-            and np.array_equal(self.row_ptr, other.row_ptr)
-            and np.array_equal(self.col_ids, other.col_ids)
-            and np.array_equal(self.vals, other.vals)
-        )
-
-
-@dataclass(frozen=True)
 class MatrixGroup:
-    """Canonical matrices built together, their arrays laid end to end.
+    """Canonical doubly-compressed sparse matrices of shape DIMENSION x DIMENSION,
+    their arrays laid end to end.
 
     Matrix k owns rows_present[r0:r1], row_ptr[r0 + k:r1 + k + 1], col_ids[e0:e1]
     and vals[e0:e1], where r0, r1 = row_bounds[k:k + 2] and e0, e1 =
     entry_bounds[k:k + 2]. Its row_ptr slice is its own, from 0 to its end
-    offset e1 - e0, so each slice is exactly the array of a HyperMatrix.
+    offset e1 - e0. In each matrix rows_present is strictly increasing,
+    col_ids strictly increase within each row (duplicates were summed at
+    build), and vals are >= 1.
     """
 
     rows_present: np.ndarray  # uint32
@@ -74,10 +49,28 @@ class MatrixGroup:
     entry_bounds: np.ndarray  # int64, likewise
 
     @property
+    def nvals(self) -> int:
+        return len(self.col_ids)
+
+    @property
     def nbytes(self) -> int:
         """Bytes of the four arrays, as the matrices' blob sections hold them."""
         return (self.rows_present.nbytes + self.row_ptr.nbytes
                 + self.col_ids.nbytes + self.vals.nbytes)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MatrixGroup):
+            return NotImplemented
+        return all(map(np.array_equal, vars(self).values(), vars(other).values()))
+
+
+def packet_totals(group: MatrixGroup) -> list[int]:
+    """Each matrix's sum of values modulo 2^64, in order."""
+    if len(group.entry_bounds) == 2:  # one matrix: all of vals, summed without a copy
+        return [int(group.vals.sum(dtype=np.uint64))]
+    prefix = np.zeros(len(group.vals) + 1, dtype=np.uint64)
+    np.cumsum(group.vals, out=prefix[1:])  # wraps modulo 2^64, so differences do too
+    return (prefix[group.entry_bounds[1:]] - prefix[group.entry_bounds[:-1]]).tolist()
 
 
 def segment_ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -99,17 +92,23 @@ def build_segments(
 ) -> MatrixGroup:
     """Plus-duplicate build of nseg matrices from one set of tagged triples.
 
-    Triple i belongs to matrix segs[i] (0 <= segs[i] < nseg). One sort on
-    (segment, packed 64-bit (row, col) key) orders every matrix at once.
-    _run_starts finds its entries, whose values one reduceat sums, and then
-    their rows, and one insert puts each matrix's end offset after its row
-    offsets. Each matrix's values must sum below 2^64, as every window does.
+    Triple i belongs to matrix segs[i] (0 <= segs[i] < nseg). The triples
+    are sorted by packed 64-bit (row, col) key, then stably by segment;
+    the order of equal keys does not change their sum. The segment sort
+    takes the segments in the smallest unsigned type that holds them, which
+    numpy sorts by radix. _run_starts finds the entries, whose values one
+    reduceat sums, and then their rows, and one insert puts each matrix's
+    end offset after its row offsets. Each matrix's values must sum below
+    2^64, as every window does.
     """
     if (vals == 0).any():
         raise ValueError("zero-valued triples must be dropped before build")
 
     keys = (rows.astype(np.uint64) << np.uint64(32)) | cols.astype(np.uint64)
-    order = np.lexsort((keys, segs))
+    order = np.argsort(keys)
+    if nseg > 1:
+        seg_type = np.min_scalar_type(nseg - 1)
+        order = order[np.argsort(segs[order].astype(seg_type), kind="stable")]
     segs = segs[order]
     keys = keys[order]
     sorted_vals = vals.astype(np.uint64)[order]
@@ -131,7 +130,3 @@ def build_segments(
     row_ptr = np.insert(offsets, row_bounds[1:], np.diff(entry_bounds))
     return MatrixGroup(entry_rows[row_starts], row_ptr, col_ids, summed,
                        row_bounds, entry_bounds)
-
-
-def total_sum(m: HyperMatrix) -> int:
-    return int(m.vals.sum(dtype=np.uint64))

@@ -38,6 +38,7 @@ from flowmat import shard
 from flowmat.archive import DEFAULT_PER_TAR, ArchiveWriter, encode_group, verify_archive
 from flowmat.cryptopan import CryptoPan
 from flowmat.eve import FileLineSource, IngestCounters, open_source
+from flowmat.hypermat import packet_totals
 from flowmat.window import DEFAULT_WINDOW_BITS, Windower
 
 STAGES = ("parse", "anonymize", "window_build", "encode_archive")
@@ -143,11 +144,14 @@ def run_ingest(
         result.worker_cpu_seconds["parse"] += parse_s
         result.worker_cpu_seconds["anonymize"] += anonymize_s
 
-    def write(group, first_seq, packet_totals, created) -> None:
+    def write(group) -> None:
         lap("window_build")
-        blobs = encode_group(group, first_seq, packet_totals, created)
+        # windows are numbered in the order they are written, from 0
+        first_seq, created = result.windows_written, int(time.time())
+        totals = packet_totals(group)
+        blobs = encode_group(group, first_seq, totals, created)
         result.windows_written += len(blobs)
-        result.packets_total += sum(packet_totals)
+        result.packets_total += sum(totals)
         result.raw_bytes += group.nbytes
         result.blob_bytes += sum(map(len, blobs))
         result.tars_finalized += len(writer.extend(blobs, first_seq, created))
@@ -155,8 +159,8 @@ def run_ingest(
 
     def window(batch) -> None:
         # a helper, so no group outlives its write while the next chunk is awaited
-        for windows in windower.push(batch):
-            write(*windows)
+        for group in windower.push(batch):
+            write(group)
         lap("window_build")
 
     sharded = isinstance(lines, FileLineSource) and lines.size is not None
@@ -174,7 +178,7 @@ def run_ingest(
         counters.refuse(windower.flows_refused)
         tail = windower.flush()
         if tail is not None:
-            write(*tail)
+            write(tail)
             result.windows_partial = 1
     except BaseException:
         # the open TAR still gets its end-of-archive blocks; the original error

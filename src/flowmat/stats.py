@@ -7,12 +7,13 @@ absent.
 
 archive_stats is one loop over archive.read_members, the walk verify
 shares, with two kernels. The small members a group accepted, of at most
-GROUP_MEMBER_ENTRIES entries each, are summarized together by group_stats
-with segmented reduceat, bincount and np.unique over (member, value) keys,
-as Trigg et al. compute per-window network quantities over many windows at
-once (HPEC 2022). Larger members, and members the group's checks flag, are
-decoded alone and summarized by matrix_stats; that per-member path gives the
-same records and is the reference the grouped one is tested against.
+GROUP_MEMBER_ENTRIES entries each, are one hypermat.MatrixGroup, summarized
+together by group_stats with segmented reduceat, bincount and np.unique over
+(member, value) keys, as Trigg et al. compute per-window network quantities
+over many windows at once (HPEC 2022). Larger members, and members the
+group's checks flag, are decoded alone into a MatrixGroup of one and
+summarized by matrix_stats; that per-member path gives the same records and
+is the reference the grouped one is tested against.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from flowmat.archive import ContainerError, MemberGroup, read_members
-from flowmat.hypermat import HyperMatrix, MatrixMeta, total_sum
+from flowmat.hypermat import MatrixGroup, MatrixMeta, packet_totals
 
 
 @dataclass
@@ -48,14 +49,15 @@ class MatrixStats:
         }
 
 
-def matrix_stats(m: HyperMatrix) -> MatrixStats:
+def matrix_stats(m: MatrixGroup) -> MatrixStats:
+    """The stats of a group of one matrix."""
     if m.nvals == 0:
         return MatrixStats()
     out_degrees = np.diff(m.row_ptr).astype(np.int64)
     in_degrees = np.unique(m.col_ids, return_counts=True)[1]
     degrees, counts = np.unique(out_degrees, return_counts=True)
     return MatrixStats(
-        packet_total=total_sum(m),
+        packet_total=packet_totals(m)[0],
         nvals=m.nvals,
         unique_sources=len(m.rows_present),
         unique_destinations=len(in_degrees),
@@ -89,24 +91,24 @@ def group_stats(group: MemberGroup) -> list[MatrixStats]:
     the (member, column) keys. Maxima are segmented reduceats and the degree
     histograms one np.unique over (member, degree) keys.
     """
-    n = len(group.packet_sums)
-    nrows, nvals = group.nrows, group.nvals
+    matrices = group.matrices
+    nrows, nvals = np.diff(matrices.row_bounds), np.diff(matrices.entry_bounds)
+    n = len(nrows)
     ids = np.arange(n)
     ptr_seg = np.repeat(ids, nrows + 1)
     within = ptr_seg[1:] == ptr_seg[:-1]
-    out_degrees = np.diff(group.row_ptr.astype(np.int64))[within]
+    out_degrees = np.diff(matrices.row_ptr.astype(np.int64))[within]
     row_seg = ptr_seg[1:][within]
     entry_seg = np.repeat(ids, nvals)
-    cols, in_degrees = np.unique((entry_seg << 32) | group.col_ids, return_counts=True)
+    cols, in_degrees = np.unique((entry_seg << 32) | matrices.col_ids, return_counts=True)
     unique_destinations = np.bincount(cols >> 32, minlength=n)
 
     # an empty member has no rows and no columns: its maxima stay 0
     nonempty = nvals > 0
     max_fanout = np.zeros(n, dtype=np.int64)
     max_fanin = np.zeros(n, dtype=np.int64)
-    row_starts = np.cumsum(nrows) - nrows
     col_starts = np.cumsum(unique_destinations) - unique_destinations
-    max_fanout[nonempty] = np.maximum.reduceat(out_degrees, row_starts[nonempty])
+    max_fanout[nonempty] = np.maximum.reduceat(out_degrees, matrices.row_bounds[:-1][nonempty])
     max_fanin[nonempty] = np.maximum.reduceat(in_degrees, col_starts[nonempty])
 
     width = int(out_degrees.max(initial=0)) + 1

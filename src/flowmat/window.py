@@ -8,15 +8,16 @@ every non-final window sums to exactly the configured packet count and an
 entry crossing a boundary is split between windows. The windows a batch
 completes are built by one segmented sort (hypermat.build_segments) per
 MAX_WINDOWS_PER_BUILD of them, and each build is handed on whole, as one
-group of windows, never as an object per window; the entries of the window
-still open are carried to the next batch as arrays.
+hypermat.MatrixGroup, never as an object per window. A window is nothing but
+its matrix: its packet total is its values' sum (hypermat.packet_totals),
+and its sequence number and creation time are the writer's. The entries of
+the window still open are carried to the next batch as arrays.
 A flow whose counts would span more than MAX_WINDOWS_PER_FLOW windows is
 refused whole and counted, so one line cannot cost unbounded work.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Iterator
 
@@ -39,16 +40,10 @@ MAX_WINDOWS_PER_BUILD = 1024
 # and a direction of up to 2^31 packets still fits at the default window size.
 MAX_WINDOWS_PER_FLOW = 1 << 14
 
-# Consecutive windows: their matrices, the first one's sequence number, each
-# one's packet total and their creation time, as archive.encode_group takes them
-Windows = tuple[MatrixGroup, int, list[int], int]
-
-
 @dataclass
 class TripleBuffer:
-    """The open window: its sequence number and (row, col, count) array chunks."""
+    """The open window: its (row, col, count) array chunks."""
 
-    seq: int
     rows: list[np.ndarray] = field(default_factory=list)
     cols: list[np.ndarray] = field(default_factory=list)
     vals: list[np.ndarray] = field(default_factory=list)
@@ -101,9 +96,9 @@ class Windower:
         self.window_packets = window_packets
         self._max_count = min(MAX_WINDOWS_PER_FLOW * window_packets, _U64_MAX)
         self.flows_refused = 0
-        self._buffer = TripleBuffer(seq=0)
+        self._buffer = TripleBuffer()
 
-    def push(self, batch: FlowColumns) -> Iterator[Windows]:
+    def push(self, batch: FlowColumns) -> Iterator[MatrixGroup]:
         """Add a batch; yield the windows it completes, one segmented build at a time.
 
         A flow with either count above MAX_WINDOWS_PER_FLOW windows' worth of
@@ -142,7 +137,7 @@ class Windower:
 
         entry, _, pieces = _cut(first, last, head, tail, window, n_done, n_done + 1)
         if n_done:
-            self._buffer = TripleBuffer(seq=opened.seq + n_done)
+            self._buffer = TripleBuffer()
         self._buffer.add(rows[entry], cols[entry], pieces)
         self._buffer.packets_accumulated = int(ends[-1] % window)
 
@@ -156,15 +151,13 @@ class Windower:
                 seg_rows = np.concatenate((open_rows, seg_rows))
                 seg_cols = np.concatenate((open_cols, seg_cols))
                 pieces = np.concatenate((open_vals, pieces))
-            group = build_segments(segs, seg_rows, seg_cols, pieces, k1 - k0)
-            yield group, opened.seq + k0, [window] * (k1 - k0), int(time.time())
+            yield build_segments(segs, seg_rows, seg_cols, pieces, k1 - k0)
 
-    def flush(self) -> Windows | None:
+    def flush(self) -> MatrixGroup | None:
         """Build and hand back the partial trailing window, if any, as a group of one; reset."""
         buf = self._buffer
         if buf.packets_accumulated == 0:
             return None
-        self._buffer = TripleBuffer(seq=buf.seq + 1)
+        self._buffer = TripleBuffer()
         rows, cols, vals = buf.arrays()
-        group = build_segments(np.zeros(len(vals), dtype=np.int64), rows, cols, vals, 1)
-        return group, buf.seq, [buf.packets_accumulated], int(time.time())
+        return build_segments(np.zeros(len(vals), dtype=np.int64), rows, cols, vals, 1)

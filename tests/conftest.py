@@ -15,9 +15,7 @@ from flowmat.archive import (
 )
 from flowmat.eve import FlowColumns, FlowRecord
 from flowmat.flowgen import GenConfig, generate
-from flowmat.hypermat import (
-    DIMENSION, HyperMatrix, MatrixGroup, MatrixMeta, build_segments, total_sum,
-)
+from flowmat.hypermat import DIMENSION, MatrixGroup, MatrixMeta, build_segments, packet_totals
 from flowmat.pipeline import run_ingest
 from flowmat.stats import aggregate_stats, matrix_stats
 
@@ -31,7 +29,7 @@ VERSION = 1
 _SECTION_PREFIX = struct.Struct("<QQ")
 
 
-def encode_v1(m: HyperMatrix, meta: MatrixMeta) -> bytes:
+def encode_v1(m: MatrixGroup, meta: MatrixMeta) -> bytes:
     """The version 1 blob of m: each section its own LZ4 block, no checksum.
 
     This is the writer of version 1 as it was, kept so that the readers'
@@ -58,7 +56,7 @@ def encode_v1(m: HyperMatrix, meta: MatrixMeta) -> bytes:
     return b"".join(parts)
 
 
-def encode_v2(m: HyperMatrix, meta: MatrixMeta) -> bytes:
+def encode_v2(m: MatrixGroup, meta: MatrixMeta) -> bytes:
     """The version 2 blob of m, written from its layout alone, one matrix at a time.
 
     A reference for the grouped encoder, encode_group.
@@ -73,11 +71,9 @@ def encode_v2(m: HyperMatrix, meta: MatrixMeta) -> bytes:
     return head + struct.pack("<I", crc) + block
 
 
-def encode_one(m: HyperMatrix, meta: MatrixMeta) -> bytes:
-    """The blob encode_group writes for m as a group of one."""
-    group = MatrixGroup(m.rows_present, m.row_ptr, m.col_ids, m.vals,
-                        np.array([0, len(m.rows_present)]), np.array([0, m.nvals]))
-    return encode_group(group, meta.seq, [meta.packet_total], meta.created_unix_s)[0]
+def encode_one(m: MatrixGroup, meta: MatrixMeta) -> bytes:
+    """The blob encode_group writes for a group of one."""
+    return encode_group(m, meta.seq, [meta.packet_total], meta.created_unix_s)[0]
 
 
 def blob_version(blob: bytes) -> int:
@@ -111,36 +107,47 @@ def columns_from_records(records: list[FlowRecord]) -> FlowColumns:
     )
 
 
-def build(triples) -> HyperMatrix:
-    """Plus-duplicate build from an iterable of (row, col, val) triples."""
+def one_matrix(rows_present, row_ptr, col_ids, vals) -> MatrixGroup:
+    """The group of one matrix of these arrays."""
+    return MatrixGroup(rows_present, row_ptr, col_ids, vals,
+                       np.array([0, len(rows_present)]), np.array([0, len(col_ids)]))
+
+
+def total_sum(m: MatrixGroup) -> int:
+    """The packet total of a group of one."""
+    (total,) = packet_totals(m)
+    return total
+
+
+def build(triples) -> MatrixGroup:
+    """Plus-duplicate build of one matrix from an iterable of (row, col, val) triples."""
     triples = list(triples)
     rows = np.fromiter((t[0] for t in triples), dtype=np.uint32, count=len(triples))
     cols = np.fromiter((t[1] for t in triples), dtype=np.uint32, count=len(triples))
     vals = np.fromiter((t[2] for t in triples), dtype=np.uint64, count=len(triples))
-    (m,) = matrices(build_segments(np.zeros(len(triples), np.int64), rows, cols, vals, 1))
-    return m
+    return build_segments(np.zeros(len(triples), np.int64), rows, cols, vals, 1)
 
 
-def matrices(group: MatrixGroup) -> list[HyperMatrix]:
-    """Each matrix of a group, sliced out of its arrays."""
+def matrices(group: MatrixGroup) -> list[MatrixGroup]:
+    """Each matrix of a group as a group of one, sliced out of its arrays."""
     rb, eb = group.row_bounds.tolist(), group.entry_bounds.tolist()
     return [
-        HyperMatrix(group.rows_present[r0:r1], group.row_ptr[r0 + k:r1 + k + 1],
-                    group.col_ids[e0:e1], group.vals[e0:e1])
+        one_matrix(group.rows_present[r0:r1], group.row_ptr[r0 + k:r1 + k + 1],
+                   group.col_ids[e0:e1], group.vals[e0:e1])
         for k, (r0, r1, e0, e1) in enumerate(zip(rb, rb[1:], eb, eb[1:]))
     ]
 
 
-def window_matrices(windows) -> list[tuple[HyperMatrix, MatrixMeta]]:
-    """(matrix, meta) of each window of what Windower.push yields or flush returns."""
-    group, first_seq, packet_totals, created = windows
+def window_matrices(group: MatrixGroup, first_seq: int) -> list[tuple[MatrixGroup, MatrixMeta]]:
+    """(matrix, meta) of each window of a group Windower.push yields or flush returns,
+    numbered from first_seq as run_ingest numbers them, with creation time 0."""
     return [
-        (m, MatrixMeta(first_seq + k, total, created))
-        for k, (m, total) in enumerate(zip(matrices(group), packet_totals, strict=True))
+        (m, MatrixMeta(first_seq + k, total, 0))
+        for k, (m, total) in enumerate(zip(matrices(group), packet_totals(group), strict=True))
     ]
 
 
-def to_triples(m: HyperMatrix) -> list[tuple[int, int, int]]:
+def to_triples(m: MatrixGroup) -> list[tuple[int, int, int]]:
     """Sorted (row, col, val) list; build(to_triples(m)) == m."""
     if m.nvals == 0:
         return []
@@ -148,25 +155,24 @@ def to_triples(m: HyperMatrix) -> list[tuple[int, int, int]]:
     return list(zip(rows.tolist(), m.col_ids.tolist(), m.vals.tolist()))
 
 
-def row_degrees(m: HyperMatrix) -> list[tuple[int, int]]:
+def row_degrees(m: MatrixGroup) -> list[tuple[int, int]]:
     degrees = np.diff(m.row_ptr).astype(np.int64)
     return list(zip(m.rows_present.tolist(), degrees.tolist()))
 
 
-def col_degrees(m: HyperMatrix) -> list[tuple[int, int]]:
+def col_degrees(m: MatrixGroup) -> list[tuple[int, int]]:
     if m.nvals == 0:
         return []
     cols, counts = np.unique(m.col_ids, return_counts=True)
     return list(zip(cols.tolist(), counts.tolist()))
 
 
-def random_matrix(rng: np.random.Generator, max_entries: int = 200) -> HyperMatrix:
+def random_matrix(rng: np.random.Generator, max_entries: int = 200) -> MatrixGroup:
     n = int(rng.integers(0, max_entries + 1))
     rows = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     cols = rng.integers(0, 1 << 32, size=n, dtype=np.uint64).astype(np.uint32)
     vals = rng.integers(1, 1 << 20, size=n, dtype=np.uint64)
-    (m,) = matrices(build_segments(np.zeros(n, np.int64), rows, cols, vals, 1))
-    return m
+    return build_segments(np.zeros(n, np.int64), rows, cols, vals, 1)
 
 
 @pytest.fixture(autouse=True)

@@ -14,10 +14,10 @@ from flowmat.archive import decode_matrix, iter_archive
 from flowmat.cryptopan import CryptoPan
 from flowmat.eve import IngestCounters, parse_flow_record
 from flowmat.flowgen import GenConfig, generate, packet_total
-from flowmat.hypermat import MatrixMeta, total_sum
+from flowmat.hypermat import MatrixMeta
 from flowmat.pipeline import MEMORY_CEILING_BYTES, run_bench, run_ingest
 from flowmat.stats import archive_stats
-from tests.conftest import criterion_9_corpus, encode_one, random_matrix
+from tests.conftest import criterion_9_corpus, encode_one, random_matrix, total_sum
 
 KEY = bytes(range(32))
 WINDOW = 1 << 17

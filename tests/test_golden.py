@@ -12,14 +12,19 @@ line cutter is held to the file chunks' through real pipe reads. The
 many-window case pins thousands of small windows in TARs of five members, so
 the windows one segmented build completes are written across many TAR
 boundaries. The Suricata case pins Suricata-shaped lines: IPv4 and IPv6
-flows among other events and cut lines.
+flows among other events and cut lines. The benchmark's own inputs are held
+to the decoded-matrix digests it records (perfbench/digests.json), so a
+change that breaks its check shows here and not only as an incorrect run.
 """
 
 import hashlib
+import importlib.util
 import os
 import random
+import sys
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -207,3 +212,28 @@ def test_golden_suricata_archives(mode, source, suricata_input, tmp_path, monkey
         for path in sorted(tmp_path.glob("*.tar"))
     }
     assert digests == SURICATA_TARS[mode]
+
+
+def _perfbench(name: str, monkeypatch):
+    """A perfbench module, loaded by path: perfbench is a directory of scripts."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+@pytest.mark.parametrize("workload", ["uniform_bulk", "elephant_windows"])
+def test_benchmark_inputs_give_their_recorded_digests(workload, tmp_path, monkeypatch):
+    run, workloads = _perfbench("run", monkeypatch), _perfbench("workloads", monkeypatch)
+    path = tmp_path / "eve.json"
+    workloads.generate(workload, 1, path)
+    source = open_source(str(path))
+    try:
+        run_ingest(source, CryptoPan(bytes.fromhex(run.KEY_HEX)), tmp_path / "out",
+                   window_packets=1 << run.WINDOW_BITS, per_tar=run.PER_TAR)
+    finally:
+        source.close()
+    tars = sorted((tmp_path / "out").glob("*.tar"))
+    assert run.archive_digest(tars) == run.known_digest(workload, 1)

@@ -12,13 +12,14 @@ import pytest
 
 from flowmat.archive import (
     GROUP_ENTRIES, GROUP_MEMBER_ENTRIES, ArchiveWriter, IntegrityError, decode_matrix,
-    iter_archive, iter_member_groups,
+    encode_group, iter_archive, iter_member_groups,
 )
-from flowmat.hypermat import HyperMatrix, MatrixMeta
+from flowmat.hypermat import MatrixGroup, MatrixMeta, build_segments, packet_totals
 from flowmat.pipeline import verify_archive
 from flowmat.stats import archive_stats
 from tests.conftest import (
-    blob_version, build, encode_v1, encode_v2, per_member_stats, per_member_verify, with_crc,
+    blob_version, build, encode_v1, encode_v2, one_matrix, per_member_stats, per_member_verify,
+    with_crc,
 )
 
 CREATED = 1_724_000_000
@@ -156,7 +157,7 @@ def _category(failure: str) -> str:
     return failure
 
 
-def _matrix(rng, entries: int) -> HyperMatrix:
+def _matrix(rng, entries: int) -> MatrixGroup:
     """A matrix of exactly `entries` entries on a grid about half full, so
     rows and columns hold varied numbers of entries."""
     side = int(np.ceil(np.sqrt(2 * entries))) + 1
@@ -218,6 +219,23 @@ def test_group_of_empty_matrices(tmp_path):
     assert [(len(g.names), g.metas.count(None)) for g in iter_member_groups(path)] == [(3, 0)]
 
 
+def test_windows_built_together_read_back_as_their_group(tmp_path, rng):
+    n, nseg = 80, 7
+    segs = rng.integers(0, nseg, size=n)
+    segs[segs == 2] = 4  # window 2 is empty
+    rows = rng.integers(0, 6, size=n).astype(np.uint32)
+    cols = rng.integers(0, 6, size=n).astype(np.uint32)
+    vals = rng.integers(1, 1 << 40, size=n, dtype=np.uint64)
+    built = build_segments(segs, rows, cols, vals, nseg)
+    blobs = encode_group(built, 0, packet_totals(built), CREATED)
+    (path,) = ArchiveWriter(tmp_path, per_tar=nseg).extend(blobs, 0, CREATED)
+    (group,) = iter_member_groups(path)
+    assert group.metas.count(None) == 0
+    assert group.matrices == built
+    assert group.packet_sums == packet_totals(built)
+    assert group.packet_sums[2] == 0
+
+
 def test_cut_inside_pending_group_reports_members_before_the_cut(shaped_tars, tmp_path):
     data = shaped_tars["elephant"][0].read_bytes()
     offsets = [offset for offset, _ in _members(data)]
@@ -231,9 +249,9 @@ def test_cut_inside_pending_group_reports_members_before_the_cut(shaped_tars, tm
                         f"member {40:020d}.grb cut short"]
 
 
-def _crafted(rows_present, row_ptr, col_ids, vals) -> HyperMatrix:
+def _crafted(rows_present, row_ptr, col_ids, vals) -> MatrixGroup:
     """A matrix that may break canonical form, as a corrupt blob would hold it."""
-    return HyperMatrix(
+    return one_matrix(
         rows_present=np.array(rows_present, dtype=np.uint32),
         row_ptr=np.array(row_ptr, dtype=np.uint64),
         col_ids=np.array(col_ids, dtype=np.uint32),

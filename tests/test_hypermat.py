@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from flowmat.hypermat import MatrixMeta, build_segments, total_sum
-from tests.conftest import build, col_degrees, encode_one, matrices, row_degrees, to_triples
+from flowmat.hypermat import MatrixMeta, build_segments, packet_totals
+from tests.conftest import (
+    build, col_degrees, encode_one, matrices, row_degrees, to_triples, total_sum,
+)
 
 triples_strategy = st.lists(
     st.tuples(
@@ -148,7 +150,7 @@ def test_hypersparse_footprint(rng):
     assert footprint < 64 * n + 4096
 
 
-@pytest.mark.parametrize("nseg", [1, 3, 17])
+@pytest.mark.parametrize("nseg", [1, 3, 17, 300])
 def test_segmented_build_equals_each_segment_built_alone(rng, nseg):
     n = 2000
     segs = np.sort(rng.integers(0, nseg, size=n))
@@ -163,3 +165,18 @@ def test_segmented_build_equals_each_segment_built_alone(rng, nseg):
         alone = np.zeros(int(mask.sum()), np.int64)
         assert [matrix] == matrices(build_segments(alone, rows[mask], cols[mask], vals[mask], 1))
     assert built[nseg].nvals == 0  # a segment with no triples is the empty matrix
+
+
+def test_packet_totals_sum_each_matrix_modulo_2_64():
+    # matrices 0, 2 and 4 are empty; matrix 3's values wrap past 2^64
+    segs = np.array([1, 1, 3, 3, 3], dtype=np.int64)
+    rows = np.array([1, 2, 1, 2, 3], dtype=np.uint32)
+    cols = np.full(5, 7, dtype=np.uint32)
+    vals = np.array([7, 9, 2**63, 2**63 + 1, 4], dtype=np.uint64)
+    group = build_segments(segs, rows, cols, vals, 5)
+    bounds = group.entry_bounds.tolist()
+    want = [int(group.vals[e0:e1].sum(dtype=np.uint64)) for e0, e1 in zip(bounds, bounds[1:])]
+    assert packet_totals(group) == want == [0, 16, 0, 5, 0]
+    # a group of one: an empty matrix, and one that wraps
+    assert [packet_totals(m) for m in matrices(group)] == [[0], [16], [0], [5], [0]]
+    assert packet_totals(build([])) == [0]

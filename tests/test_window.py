@@ -1,12 +1,13 @@
+import weakref
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowmat.eve import FlowColumns, FlowRecord
-from flowmat.hypermat import total_sum
 from flowmat.window import MAX_WINDOWS_PER_BUILD, MAX_WINDOWS_PER_FLOW, Windower
-from tests.conftest import build, columns_from_records, to_triples, window_matrices
+from tests.conftest import build, columns_from_records, to_triples, total_sum, window_matrices
 
 U64_MAX = 2**64 - 1
 
@@ -25,15 +26,26 @@ def columns(flows) -> FlowColumns:
     return columns_from_records([FlowRecord(*f) for f in flows])
 
 
+# how many windows each Windower has handed on: the next one's sequence number
+_handed_on: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _numbered(w: Windower, group):
+    """(matrix, meta) of each window of a group w handed on, numbered as run_ingest does."""
+    pairs = window_matrices(group, _handed_on.get(w, 0))
+    _handed_on[w] = _handed_on.get(w, 0) + len(pairs)
+    return pairs
+
+
 def drain(w: Windower, flows):
     """Push flows as one column batch; return the completed (matrix, meta) pairs."""
-    return [pair for windows in w.push(columns(flows)) for pair in window_matrices(windows)]
+    return [pair for group in w.push(columns(flows)) for pair in _numbered(w, group)]
 
 
 def flush(w: Windower):
     """The (matrix, meta) of the partial trailing window, or None."""
     tail = w.flush()
-    return None if tail is None else window_matrices(tail)[0]
+    return None if tail is None else _numbered(w, tail)[0]
 
 
 def open_window(w: Windower) -> list[tuple[int, int, int]]:
