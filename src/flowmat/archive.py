@@ -468,9 +468,11 @@ def iter_archive(path: str | Path):
             last = name
         if fh.read(_BLOCK) != _ZERO_BLOCK:
             raise ContainerError(offset + _BLOCK, last, "second end-of-archive block missing")
-        rest = fh.read()
-        end = offset + 2 * _BLOCK + len(rest)
-        if end % _RECORD or rest.strip(b"\x00"):
+        end, zero = offset + 2 * _BLOCK, True
+        while rest := fh.read(_RECORD):  # a record at a time, whatever follows the TAR
+            end += len(rest)
+            zero = zero and not rest.strip(b"\x00")
+        if end % _RECORD or not zero:
             raise ContainerError(end, last, "record padding is cut short or not zero")
 
 

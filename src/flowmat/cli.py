@@ -86,9 +86,9 @@ def run() -> NoReturn:
     main returns or exits with the status its command group gave the command.
     Finalizing the interpreter, with numpy, click and cryptography loaded,
     then takes tens of milliseconds, and none of it is needed: every file is
-    closed and every worker reaped. So standard output and error are flushed
-    and the process exits with main's status. If a flush fails, the
-    interpreter exits as usual and reports it.
+    closed and every worker reaped. So the standard output and error the
+    program started with are flushed and the process exits with main's
+    status. If a flush fails, the interpreter exits as usual and reports it.
     """
     status = 0
     try:
@@ -96,8 +96,8 @@ def run() -> NoReturn:
     except SystemExit as exc:  # click and the commands exit with an int status
         status = exc.code or 0
     try:
-        sys.stdout.flush()
-        sys.stderr.flush()
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
     except OSError:
         sys.exit(status)
     os._exit(status)
@@ -160,6 +160,8 @@ def gen(flows, pkts_per_flow, geometric_mean, addr_model, zipf_exponent, seed, s
         cfg.validate()
     except flowgen.ConfigError as exc:
         raise click.ClickException(str(exc))
+    if out_path == "-" and sys.stdout is None:  # the program started with no stdout
+        raise OSError(errno.EBADF, "cannot write output '-': stdout is closed")
     out = sys.stdout.buffer if out_path == "-" else open(out_path, "wb")
     try:
         for line in flowgen.generate(cfg):

@@ -702,11 +702,13 @@ def open_source(spec: str, *, socket_mode: bool = False):
     """Open an EVE line source: a file path, "-" for stdin, or a unix socket.
 
     Returns an iterable of line byte strings with a close() method.
-    Raises OSError naming the path if it cannot be opened.
+    Raises OSError naming the path if it cannot be opened, or stdin if it is closed.
     """
     if socket_mode:
         return SocketLineSource(spec)
     if spec == "-":
+        if sys.stdin is None:  # the program started with no stdin
+            raise OSError(errno.EBADF, "cannot open input '-': stdin is closed")
         return FileLineSource(sys.stdin.buffer, owns=False)
     try:
         stream = open(spec, "rb")

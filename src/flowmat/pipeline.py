@@ -44,11 +44,6 @@ from flowmat.window import DEFAULT_WINDOW_BITS, Windower
 STAGES = ("parse", "anonymize", "window_build", "encode_archive")
 
 
-def peak_rss_bytes(who: int = resource.RUSAGE_SELF) -> int:
-    """The peak RSS of this process, or with RUSAGE_CHILDREN of the largest child it reaped."""
-    return resource.getrusage(who).ru_maxrss * 1024
-
-
 @dataclass
 class IngestResult:
     counters: IngestCounters
@@ -56,9 +51,9 @@ class IngestResult:
     windows_partial: int = 0
     tars_finalized: int = 0
     packets_total: int = 0
+    # this process's lifetime peak RSS: an in-process caller's earlier peaks count
     peak_rss_bytes: int = 0
-    # the largest peak RSS of a child this process reaped, once parse workers
-    # were forked; 0 when none were
+    # the largest peak RSS of the parse workers this ingest forked; 0 when none were
     worker_peak_rss_bytes: int = 0
     seconds: float = 0.0
     # this process's CPU seconds, without those of forked parse workers
@@ -104,10 +99,11 @@ def run_ingest(
     workers, up to the size the file had when it was opened
     (shard.parse_file); any other line iterable (stdin, a socket, a list) in
     blocks of lines in this process (shard.parse_stream). Both give the same
-    records in the same order and the same counters. When a stage, the lines
-    or a parse worker fails, the open TAR is finalized with the windows
-    written so far, every worker is stopped, and the exception propagates;
-    the open window is not written.
+    records in the same order and the same counters. shard reads each
+    worker's own peak RSS as it reaps it; result.worker_peak_rss_bytes is
+    the largest. When a stage, the lines or a parse worker fails, the open
+    TAR is finalized with the windows written so far, every worker is
+    stopped, and the exception propagates; the open window is not written.
 
     The stage timers are laps of one clock, so they sum to at most
     result.seconds. parse includes reading the source; window_build includes
@@ -163,9 +159,9 @@ def run_ingest(
             write(group)
         lap("window_build")
 
-    sharded = isinstance(lines, FileLineSource) and lines.size is not None
-    if sharded:
-        chunks = shard.parse_file(lines.fileno(), lines.size, anon)
+    worker_peaks: list[int] = []
+    if isinstance(lines, FileLineSource) and lines.size is not None:
+        chunks = shard.parse_file(lines.fileno(), lines.size, anon, worker_peaks)
     else:
         chunks = shard.parse_stream(lines, anon)
     try:
@@ -190,9 +186,8 @@ def run_ingest(
         result.tars_finalized += 1
     lap("encode_archive")
 
-    result.peak_rss_bytes = peak_rss_bytes()
-    if sharded and shard.forks(lines.size):  # closing chunks reaped the workers
-        result.worker_peak_rss_bytes = peak_rss_bytes(resource.RUSAGE_CHILDREN)
+    result.peak_rss_bytes = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
+    result.worker_peak_rss_bytes = max(worker_peaks, default=0)  # closing chunks reaped them
     result.seconds = time.perf_counter() - start
     result.parent_cpu_seconds = time.process_time() - cpu_start
     return result

@@ -27,9 +27,10 @@ and a forked child already holds everything it needs. A child, and a process
 parsing a stream, keeps the memory it frees for its next chunk or block
 (_keep_freed_memory). A child ignores SIGINT and SIGTERM, which the parent
 handles, and exits quietly on a broken pipe once the parent is gone. The
-parent kills and reaps every child that is still running when it stops
-early, and a child whose pipe ends before or within a chunk's pickle is a
-WorkerError naming its exit status.
+parent reaps every child with os.wait4, killing it first if it still runs
+when the parent stops early, and appends that child's own peak RSS to
+parse_file's peaks. A child whose pipe ends before or within a chunk's
+pickle is a WorkerError naming its exit status.
 """
 
 from __future__ import annotations
@@ -71,16 +72,11 @@ def worker_count() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def forks(size: int) -> bool:
-    """Whether parse_file forks children for size bytes: two chunks or more."""
-    return size > CHUNK_BYTES
-
-
-def parse_file(fd: int, size: int, anon: CryptoPan | None) -> Iterator[Chunk]:
+def parse_file(fd: int, size: int, anon: CryptoPan | None, peaks: list[int]) -> Iterator[Chunk]:
     """The result of each chunk of the first size bytes of fd, in file order."""
     chunk = CHUNK_BYTES
     n_chunks = -(-size // chunk)
-    n = min(worker_count(), n_chunks) if forks(size) else 0
+    n = min(worker_count(), n_chunks) if size > chunk else 0
 
     def work(index: int) -> Chunk:
         start = index * chunk
@@ -97,6 +93,7 @@ def parse_file(fd: int, size: int, anon: CryptoPan | None) -> Iterator[Chunk]:
     finally:
         for worker in workers:
             worker.stop()
+            peaks.append(worker.peak_rss_bytes)
 
 
 def parse_stream(lines: Iterable[bytes], anon: CryptoPan | None) -> Iterator[Chunk]:
@@ -137,6 +134,7 @@ class _Worker:
         self.pid = pid
         self.pipe = pipe
         self.exit_code: int | None = None
+        self.peak_rss_bytes = 0  # the child's own, once it is reaped
 
     @classmethod
     def start(cls, parse, indices: range, siblings: list[_Worker]) -> _Worker:
@@ -183,8 +181,9 @@ class _Worker:
 
     def wait(self) -> int:
         if self.exit_code is None:
-            _, status = os.waitpid(self.pid, 0)
+            _, status, usage = os.wait4(self.pid, 0)
             self.exit_code = os.waitstatus_to_exitcode(status)
+            self.peak_rss_bytes = usage.ru_maxrss * 1024
         return self.exit_code
 
     def _ended(self) -> str:

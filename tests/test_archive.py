@@ -5,6 +5,7 @@ import subprocess
 import tarfile
 import tempfile
 import time
+import tracemalloc
 import zlib
 from pathlib import Path
 
@@ -435,6 +436,27 @@ def test_container_truncation_is_reported(tmp_path, rng):
     for cut in sorted(cuts):
         bad.write_bytes(data[:cut])
         assert _check_reported(bad, original), cut
+
+
+def test_junk_after_a_tar_is_read_a_record_at_a_time(tmp_path, rng):
+    (path,) = ArchiveWriter(tmp_path / "out", per_tar=5).extend(_blobs(5, rng), 0, CREATED)
+    with open(path, "ab") as fh:
+        for _ in range(64):
+            fh.write(b"\x01" * (1 << 20))
+    want = (f"byte {path.stat().st_size}, after member {member_name(4)}: "
+            "record padding is cut short or not zero")
+    tracemalloc.start()
+    try:
+        failures = verify_archive(path)
+        _, verify_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        records = archive_stats(path)
+        _, stats_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert failures == [want]
+    assert [r.get("error") for r in records[:-1]] == [None] * 5 + [want]
+    assert max(verify_peak, stats_peak) < 1 << 20
 
 
 # --- groups of windows: one encoder and one writer for many members ----------

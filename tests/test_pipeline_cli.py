@@ -238,6 +238,23 @@ def test_cli_ingest_from_stdin(eve_file, tmp_path):
     assert summary["worker_peak_rss_bytes"] == 0  # a stream is parsed in process
 
 
+def test_worker_peak_rss_is_of_this_ingests_workers_alone(eve_file, tmp_path):
+    # one process reaps a child that touched 256 MB, then ingests a file in process
+    code = (
+        "import contextlib, subprocess, sys\n"
+        "from flowmat.eve import open_source\n"
+        "from flowmat.pipeline import run_ingest\n"
+        "subprocess.run([sys.executable, '-c', 'b\"x\" * (256 << 20)'], check=True)\n"
+        "with contextlib.closing(open_source(sys.argv[1])) as source:\n"
+        "    print(run_ingest(source, None, sys.argv[2]).worker_peak_rss_bytes)\n"
+    )
+    assert eve_file.stat().st_size > shard.CHUNK_BYTES  # parsed by forked workers
+    proc = subprocess.run([sys.executable, "-c", code, str(eve_file), str(tmp_path / "out")],
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert 0 < int(proc.stdout) < 128 << 20
+
+
 def test_cli_ingest_refuses_without_key(eve_file, tmp_path):
     import os
 
@@ -439,6 +456,43 @@ def test_cli_read_commands_missing_path(command, tmp_path):
     assert proc.stderr.startswith(b"Error: ") and b"nope.tar" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert proc.stdout == b""
+
+
+def run_cli_closing(stream: str, *args):
+    """run_cli with the program's stdin or stdout closed, as sh's <&- or >&- leaves it."""
+    redirect = {"stdin": "<&-", "stdout": ">&-"}[stream]
+    return subprocess.run(["sh", "-c", f'exec "$0" -m flowmat "$@" {redirect}', sys.executable,
+                           *args], capture_output=True, timeout=60)
+
+
+@pytest.mark.parametrize("stream, args", [
+    ("stdin", ["ingest", "--input", "-", "--no-anon", "--out"]),
+    ("stdout", ["gen", "--flows", "2", "--seed"]),
+])
+def test_cli_without_the_stream_it_needs_is_one_line(stream, args, tmp_path):
+    last = str(tmp_path / "out") if stream == "stdin" else "1"
+    proc = run_cli_closing(stream, *args, last)
+    assert proc.returncode == 1
+    assert b"Traceback" not in proc.stderr
+    assert proc.stderr.decode().splitlines() == [
+        f"Error: [Errno 9] cannot {'open input' if stream == 'stdin' else 'write output'} "
+        f"'-': {stream} is closed"]
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_with_stdout_closed_ends_with_the_commands_status(eve_file, tmp_path):
+    out = tmp_path / "out"
+    proc = run_cli_closing("stdout", "ingest", "--input", str(eve_file), "--no-anon",
+                           "--out", str(out))
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    tars = sorted(out.glob("*.tar"))
+    assert tars and all(verify_archive(tar) == [] for tar in tars)
+    for command in ("verify", "stats"):
+        proc = run_cli_closing("stdout", command, str(tars[0]))
+        assert (proc.returncode, proc.stderr) == (0, b""), command
+        proc = run_cli_closing("stdout", command, str(tmp_path / "nope.tar"))
+        assert proc.returncode == 1 and b"Traceback" not in proc.stderr, command
+        assert proc.stderr.startswith(b"Error: ") and b"nope.tar" in proc.stderr
 
 
 def test_verify_archive_reports_failures(eve_file, tmp_path):

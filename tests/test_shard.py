@@ -352,7 +352,7 @@ def test_parse_batches_count_every_line_like_the_stream(tmp_path, sharded, monke
     path.write_bytes(edge_corpus(4096, False))
     fd = os.open(path, os.O_RDONLY)
     try:
-        chunks = list(shard.parse_file(fd, path.stat().st_size, None))
+        chunks = list(shard.parse_file(fd, path.stat().st_size, None, []))
     finally:
         os.close(fd)
     # one batch per chunk, holding every record the chunk owns
@@ -460,7 +460,7 @@ def test_column_kernel_is_exact_at_its_boundaries(tmp_path, monkeypatch, sharded
     path.write_bytes(b"\n".join(lines) + b"\n")
     fd = os.open(path, os.O_RDONLY)
     try:
-        chunks = list(shard.parse_file(fd, path.stat().st_size, None))
+        chunks = list(shard.parse_file(fd, path.stat().st_size, None, []))
     finally:
         os.close(fd)
     assert len(sharded) == 3
@@ -539,7 +539,7 @@ def test_workers_ignore_sigterm(big_input, sharded):
     size = big_input.stat().st_size
     fd = os.open(big_input, os.O_RDONLY)
     try:
-        chunks = shard.parse_file(fd, size, None)
+        chunks = shard.parse_file(fd, size, None, [])
         with deadline(60), contextlib.closing(chunks):
             taken = [next(chunks), next(chunks)]  # every worker has sent a chunk
             for pid in sharded:
