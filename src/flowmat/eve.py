@@ -28,11 +28,12 @@ decide into one array per block, which is counted once, and a record's ten
 fields into its line's row of one table per block (``_ShapeCache.parse``).
 
 Lines come from a stream (``_bounded_lines``), read in pieces of up to
-64 KiB that are ready, or, for a regular file cut into byte chunks, from
-the lines that start inside one chunk (``chunk_lines``). Both cut the bytes
-they read with one function, ``_whole_lines``, so blank, over-long and
-unterminated lines follow one set of rules. The caller cuts the lines into
-blocks (``flowmat.shard``), and ``parse_columns`` parses one block.
+64 KiB that are ready and cut into a list (``_whole_lines``), or from the
+lines that start inside one byte chunk of a regular file (``chunk_lines``),
+which stay in the chunk's buffer, found by an index of its newlines. Both
+keep one set of rules for blank, over-long and unterminated lines.
+``parse_columns`` parses a chunk in place, or a stream's block of lines
+(``flowmat.shard``) joined.
 """
 
 from __future__ import annotations
@@ -212,19 +213,25 @@ def parse_flow_record(line: bytes) -> FlowRecord | Skip:
     return FlowRecord(src_addr, dst_addr, toserver, toclient)
 
 
-def parse_columns(lines: list[bytes], counters: IngestCounters) -> FlowColumns:
+def parse_columns(lines: list[bytes] | tuple, counters: IngestCounters) -> FlowColumns:
     """Parse one block of lines into one column batch, adding every line to counters.
 
-    The process's shape cache (_SHAPES) decides the lines whose shapes it
-    has learned, and parse_flow_record the others. The cache gives a line
-    the outcome parse_flow_record gives it, and records keep the order of
-    their lines, so the batch and the counters are the same whichever lines
-    the cache decides. The cache counts the block, records included, once
-    each of its lines has an outcome. The block is parsed as one buffer, so
-    its callers bound it: shard.CHUNK_BYTES of lines plus one line, which
-    may be over-long.
+    lines is a buffer and the start and stop of each line in it, between two
+    of its newlines (chunk_lines), read in place, or a list of lines, joined
+    into such a buffer; an item that holds a newline stays one line. The
+    process's shape cache (_SHAPES) decides the lines whose shapes it has
+    learned, and parse_flow_record the others. The cache gives a line the
+    outcome parse_flow_record gives it, and records keep the order of their
+    lines, so the batch and the counters are the same whichever lines the
+    cache decides. The cache counts the block, records included, once each
+    of its lines has an outcome. The block is parsed as one buffer, so its
+    callers bound it: shard.CHUNK_BYTES of lines plus one line, which may be
+    over-long.
     """
-    return _SHAPES.parse(lines, counters)
+    if isinstance(lines, list):
+        data, line_start = _buffer(lines, np.fromiter(map(len, lines), np.int64, len(lines)))
+        lines = data, line_start[:-1], line_start[1:] - 1
+    return _SHAPES.parse(*lines, counters)
 
 
 def _record_columns(table: np.ndarray) -> FlowColumns:
@@ -278,20 +285,23 @@ class _ShapeCache:
     def __init__(self) -> None:
         self._ids: dict[bytes, int] = {}  # a shape's entry number, or -1: decided line by line
         # per learned shape, by entry number: its kind (an index into _KINDS),
-        # where its flags start in integer_parts, and a record's eight octet
-        # runs and two count runs; per digit run of each shape, in order,
-        # whether it is a number's integer part
+        # where its runs start in integer_parts and how many it has there,
+        # and a record's eight octet runs and two count runs; the digit runs
+        # of each shape, in turn, that are a number's integer part
         self.kinds = np.zeros(0, np.intp)
         self.offsets = np.zeros(0, np.intp)
+        self.counts = np.zeros(0, np.intp)
         self.slots = np.zeros((0, 10), np.intp)
-        self.integer_parts = np.zeros(0, bool)
+        self.integer_parts = np.zeros(0, np.intp)
 
-    def parse(self, lines: list[bytes], counters: IngestCounters) -> FlowColumns:
-        """Parse a block of lines into one column batch, in line order, and count every line.
+    def parse(self, data: bytes, starts: np.ndarray, stops: np.ndarray,
+              counters: IngestCounters) -> FlowColumns:
+        """Parse lines data[start:stop] into one column batch, in line order, and count them.
 
-        The block is one buffer, each line between two newlines, and a line
-        over _SHAPE_BYTES_MAX bytes an empty one. Its shapes and digit runs
-        come from whole-buffer numpy passes, and a line's entry from one dict
+        If the lines lie back to back and none is over _SHAPE_BYTES_MAX
+        bytes, the shape pass reads data in place; else it reads the lines
+        joined, a longer line as an empty one. Shapes and digit runs come
+        from whole-buffer numpy passes, and a line's entry from one dict
         lookup. The lines that lookup leaves undecided have a second one, by
         their collapsed shapes. A line goes to parse_flow_record if it is
         over _SHAPE_BYTES_MAX bytes, is not ASCII or holds a newline, if
@@ -301,32 +311,33 @@ class _ShapeCache:
         line's row of table. The batch is the rows of the record lines, in
         line order, and the block is counted once, from kinds.
         """
-        n = len(lines)
-        lengths = np.fromiter(map(len, lines), np.int64, n)
-        decidable = lengths <= _SHAPE_BYTES_MAX  # the lines a shape may decide
-        lengths[~decidable] = 0
-        shaped = [b"" if len(line) > _SHAPE_BYTES_MAX else line for line in lines]
-        data, line_start = _buffer(shaped, lengths)
-        raw = np.frombuffer(data, np.uint8)
+        n = len(starts)
+        decidable = stops - starts <= _SHAPE_BYTES_MAX  # the lines a shape may decide
+        if n and decidable.all() and (starts[1:] == stops[:-1] + 1).all():
+            shaped, lo = data, int(starts[0]) - 1
+            line_start = np.append(starts, stops[-1] + 1) - lo
+        else:  # a line over _SHAPE_BYTES_MAX bytes, or bytes between two lines
+            lo, lengths = 0, np.where(decidable, stops - starts, 0)
+            shaped, line_start = _buffer([data[s:s + k] for s, k in zip(starts.tolist(), lengths.tolist())],
+                                         lengths)
+        raw = np.frombuffer(shaped, np.uint8, int(line_start[-1]), lo)
         value = raw - 48  # a digit's value
         digit = value < 10
         edge = digit[1:] != digit[:-1]  # a run starts or stops at the next byte
         edges = np.flatnonzero(edge)
         edges += 1
         run_start, run_stop = edges[0::2], edges[1::2]
-        keep = np.empty_like(digit)  # all but the second and later digits of each run
-        keep[0] = True
-        np.less_equal(digit[1:], edge, out=keep[1:])
         del digit, edge
         marked = raw.copy()
         marked[run_start] = _MARKER
-        shapes = marked[keep].tobytes().split(b"\n")
-        del keep, marked
+        # the digits left are the second and later ones of each run
+        shapes = marked.tobytes().translate(None, b"0123456789").split(b"\n")
+        del marked
         line_run = np.searchsorted(run_start, line_start)  # each line's first run, then all runs
 
-        if len(shapes) != n + 2:  # a line holds a newline, which no line source yields
+        if len(shapes) != n + 2:  # an item of a list of lines holds a newline
             decidable[:] = False
-        if not data.isascii():
+        if not shaped.isascii():
             decidable[np.searchsorted(line_start, np.flatnonzero(raw >= 0x80), "right") - 1] = False
         kinds = np.full(n, -1, np.intp)  # each line's kind, an index into _KINDS, or -1: undecided
         table = np.empty((n, 10), np.uint64)  # each record line's eight octets and two counts
@@ -344,8 +355,9 @@ class _ShapeCache:
             self._decide(missed, self._look_up(collapsed), value, run_start[runs],
                          run_stop[runs], np.searchsorted(runs, first), kinds, table)
 
-        for i in np.flatnonzero(kinds < 0).tolist():
-            outcome = parse_flow_record(lines[i])
+        undecided = np.flatnonzero(kinds < 0)
+        for i, start, stop in zip(undecided.tolist(), starts[undecided].tolist(), stops[undecided].tolist()):
+            outcome = parse_flow_record(data[start:stop])
             if isinstance(outcome, Skip):
                 kinds[i] = _KINDS.index(outcome)
             else:
@@ -405,6 +417,7 @@ class _ShapeCache:
         kind, slots, integer_parts = learned
         self.kinds = np.append(self.kinds, kind)
         self.offsets = np.append(self.offsets, len(self.integer_parts))
+        self.counts = np.append(self.counts, len(integer_parts))
         self.slots = np.concatenate([self.slots, [slots]])
         self.integer_parts = np.append(self.integer_parts, integer_parts)
         return len(self.kinds) - 1
@@ -412,16 +425,18 @@ class _ShapeCache:
     def _check_integer_parts(self, ids, value, run_start, run_stop, line_run) -> None:
         """Send to parse_flow_record each decided line with an integer part breaking its rule.
 
-        A run with a leading zero or too many digits is rare, and only such a
-        run is looked up; ids of the lines where it is an integer part become -1.
+        Only the runs a line's entry lists as integer parts are read, a few of
+        its runs: a Suricata line's timestamps hold most of them. ids of the
+        lines where one has a leading zero or too many digits become -1.
         """
-        length = run_stop - run_start
-        suspect = np.flatnonzero((length > 1) & (value[run_start] == 0) | (length > _INT_DIGITS))
-        line = np.searchsorted(line_run, suspect, "right") - 1
-        decided = ids[line] >= 0
-        suspect, line = suspect[decided], line[decided]
-        broken = self.integer_parts[self.offsets[ids[line]] + suspect - line_run[line]]
-        ids[line[broken]] = -1
+        lines = np.flatnonzero(ids >= 0)
+        count = self.counts[ids[lines]]
+        runs = self.integer_parts[segment_ranges(self.offsets[ids[lines]], count)]
+        runs += np.repeat(line_run[lines], count)
+        start = run_start[runs]
+        length = run_stop[runs] - start
+        broken = (length > 1) & (value[start] == 0) | (length > _INT_DIGITS)
+        ids[np.repeat(lines, count)[broken]] = -1
 
 
 _SHAPES = _ShapeCache()
@@ -430,13 +445,13 @@ _SHAPES = _ShapeCache()
 def _learned(shape: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     """What every line of shape gives if its digit runs keep their rules, or None.
 
-    That is its kind, a record's octet and count runs, and which runs are a
-    number's integer part, all read from the line of the shape whose k-th
-    digit run is the number k + 1: parse_flow_record's record of it spells
-    the numbers of the runs it read, and json.loads hands each integer part to
-    parse_int or parse_float. None if that line is malformed or the shape
-    holds a \\u escape, found escape-aware: a backslash not after another,
-    an even number of backslashes after it, then "\\u".
+    That is its kind, a record's octet and count runs, and the runs that are
+    a number's integer part, in order, all read from the line of the shape
+    whose k-th digit run is the number k + 1: parse_flow_record's record of
+    it spells the numbers of the runs it read, and json.loads hands each
+    integer part to parse_int or parse_float. None if that line is malformed
+    or the shape holds a \\u escape, found escape-aware: a backslash not
+    after another, an even number of backslashes after it, then "\\u".
     """
     parts = shape.split(bytes([_MARKER]))
     pieces = [b""] * (2 * len(parts) - 1)
@@ -451,6 +466,7 @@ def _learned(shape: bytes) -> tuple[int, np.ndarray, np.ndarray] | None:
     integer_parts = np.zeros(len(parts) - 1, bool)
     integer_parts[[abs(int(text)) - 1 for text in integers]] = True
     integer_parts[[int(re.match(r"-?([0-9]+)", text)[1]) - 1 for text in floats]] = True
+    integer_parts = np.flatnonzero(integer_parts)
     if isinstance(outcome, Skip):
         return _KINDS.index(outcome), np.zeros(10, np.intp), integer_parts
     return 0, np.array(_fields(outcome), np.intp) - 1, integer_parts
@@ -526,7 +542,7 @@ def _numbers(value: np.ndarray, start: np.ndarray, stop: np.ndarray, width: int)
 
 
 def _whole_lines(data: bytes) -> list[bytes]:
-    """The lines of data, a run of whole lines, by the rules of every line source.
+    """The lines of data, a run of whole lines, by the rules chunk_lines also keeps.
 
     Blank lines are dropped, a line over MAX_LINE_BYTES becomes its first
     MAX_LINE_BYTES + 1 bytes (malformed), and a last line may lack its newline.
@@ -557,40 +573,48 @@ def _bounded_lines(stream: IO[bytes]) -> Iterator[bytes]:
     yield from _whole_lines(b"".join(held))
 
 
-def chunk_lines(fd: int, start: int, stop: int, size: int) -> list[bytes]:
+def chunk_lines(fd: int, start: int, stop: int, size: int) -> tuple[bytes, np.ndarray, np.ndarray]:
     """The lines that start in bytes [start, stop) of a file read up to size.
 
-    A line starts at byte 0 or after a newline, so each line of the file
-    belongs to exactly one chunk, and the lines of all chunks in order are
-    what _bounded_lines yields for the first size bytes: both are cut by
-    _whole_lines. The lines that end inside the chunk are cut from its bytes
-    between its first line start and its last newline. The line that
-    crosses stop is read on in pieces of _READ_ON_BYTES, only until its end
-    or until it is over-long; a chunk that lies inside one line owns
-    nothing. Reads use os.pread, so chunks can be read from one descriptor
-    in any order.
+    Returns a buffer, and the start and stop of each line in it, between two
+    of its newlines. A line starts at byte 0 or after a newline, so each
+    line of the file belongs to exactly one chunk, and the lines of all
+    chunks in order are what _bounded_lines yields for the first size bytes,
+    by the rules of _whole_lines. The buffer is the chunk's bytes from the
+    newline before its first line (or a newline and byte 0), then the line
+    that crosses stop, read on in pieces of _READ_ON_BYTES, only until its
+    end or until it is over-long, and a newline; a chunk that lies inside
+    one line owns nothing. Reads use os.pread, so chunks can be read from
+    one descriptor in any order.
     """
     lead = 1 if start else 0  # the byte before start says whether a line starts at start
     data = os.pread(fd, stop - start + lead, start - lead)
     offset = start - lead + len(data)
-    first = data.find(b"\n") + 1 if lead else 0
-    if lead and not first:
-        return []
-    last = data.rfind(b"\n") + 1  # the lines before it end inside the chunk
-    tail = [data[last:]]  # empty, or the start of the line that crosses stop
-    held = len(tail[0])
-    while tail[0] and held <= MAX_LINE_BYTES and offset < size:
+    first = data.find(b"\n") if lead else 0  # the newline before the first line, or -1
+    pieces = [b"" if lead else b"\n", memoryview(data)[first:]] if first >= 0 else []
+    held = len(data) - data.rfind(b"\n") - 1 if pieces else 0  # the bytes of the line crossing stop
+    while held and held <= MAX_LINE_BYTES and offset < size:
         piece = os.pread(fd, min(_READ_ON_BYTES, size - offset), offset)
         end = piece.find(b"\n")
         if end >= 0:
-            tail.append(piece[:end])
+            pieces.append(piece[:end])
             break
         if not piece:
             break  # the file shrank
-        tail.append(piece)
+        pieces.append(piece)
         held += len(piece)
         offset += len(piece)
-    return _whole_lines(data[first:last]) + _whole_lines(b"".join(tail))
+    data = b"".join([*pieces, b"\n"])
+    newlines = np.flatnonzero(np.frombuffer(data, np.uint8) == ord("\n"))
+    kept = np.flatnonzero(np.diff(newlines) > 1)  # not blank
+    starts, stops = newlines[kept] + 1, newlines[kept + 1]
+    over = np.flatnonzero(stops - starts > MAX_LINE_BYTES)
+    if len(over):  # keep MAX_LINE_BYTES + 1 bytes, then a newline
+        stops[over] = starts[over] + MAX_LINE_BYTES + 1
+        cut = np.frombuffer(data, np.uint8).copy()
+        cut[stops[over]] = ord("\n")
+        data = cut.tobytes()
+    return data, starts, stops
 
 
 def _unlink_stale_socket(path: str) -> None:

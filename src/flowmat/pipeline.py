@@ -62,7 +62,8 @@ class IngestResult:
     blob_bytes: int = 0
     stage_seconds: dict = field(default_factory=lambda: dict.fromkeys(STAGES, 0.0))
     # CPU seconds the chunks of the input took to parse and to anonymize,
-    # summed over the processes that did them
+    # summed over the processes that did them; a file chunk's parse includes
+    # its read and cut into lines, a stream's reads are in no chunk's
     worker_cpu_seconds: dict = field(
         default_factory=lambda: dict.fromkeys(("parse", "anonymize"), 0.0))
 

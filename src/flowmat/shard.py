@@ -13,7 +13,9 @@ that takes it to CHUNK_BYTES (parse_stream). A regular file is cut into byte
 chunks of CHUNK_BYTES, read up to the size it had when it was opened
 (parse_file). A chunk owns the lines that start inside it
 (eve.chunk_lines), so every line is parsed once, by the rules a streamed
-read applies. A file of two or more chunks is handed to n children made with
+read applies. A chunk's parse CPU seconds count its read and cut into lines;
+a stream block's do not, as a block is read before it is parsed. A file of
+two or more chunks is handed to n children made with
 os.fork, n being the number of CPUs this process may run on or the number of
 chunks if that is smaller: child k takes chunks k, k + n, ... and sends each
 one's result over its own pipe, in order, as one pickle after another. The
@@ -79,8 +81,9 @@ def parse_file(fd: int, size: int, anon: CryptoPan | None, peaks: list[int]) -> 
     n = min(worker_count(), n_chunks) if size > chunk else 0
 
     def work(index: int) -> Chunk:
+        cpu = time.process_time()  # a chunk's read and cut count as its parse
         start = index * chunk
-        return _anonymized(chunk_lines(fd, start, min(start + chunk, size), size), anon)
+        return _anonymized(chunk_lines(fd, start, min(start + chunk, size), size), anon, cpu)
 
     workers: list[_Worker] = []
     try:
@@ -117,9 +120,12 @@ def parse_stream(lines: Iterable[bytes], anon: CryptoPan | None) -> Iterator[Chu
         yield _anonymized(block, anon)
 
 
-def _anonymized(lines: list[bytes], anon: CryptoPan | None) -> Chunk:
-    """The anonymized batch of lines, its counters, and its parse and anonymize CPU seconds."""
-    start = time.process_time()
+def _anonymized(lines: list[bytes] | tuple, anon: CryptoPan | None, start: float | None = None) -> Chunk:
+    """The anonymized batch of lines, its counters, and its parse and anonymize CPU seconds.
+
+    The parse CPU seconds count from start if it is given, else from this call.
+    """
+    start = time.process_time() if start is None else start
     counters = IngestCounters()
     batch = parse_columns(lines, counters)
     parsed = time.process_time()

@@ -451,7 +451,41 @@ def test_parse_columns_memory_grows_with_the_block_not_with_its_digit_runs():
     assert peak < 8 << 20
 
 
-def test_compact_clause_matches_strict_on_criterion_9_corpus():
+def test_file_chunk_memory_grows_with_the_block_not_with_its_digit_runs(tmp_path):
+    # the file path's twin of the test above: one chunk read and parsed in place, but for
+    # the line over _SHAPE_BYTES_MAX, which the shape pass must not read
+    runs = event(ALERT, b'"x":"%s"' % b"".join([b"1a"] * ((MAX_LINE_BYTES - 100) // 2)))
+    rnd = random.Random(3)
+    flows = [SURICATA_FLOW.replace(b"158.55.121.177", b"10.0.%d.%d" % (rnd.randrange(256), rnd.randrange(256)))
+             for _ in range((1 << 18) // len(SURICATA_FLOW))]
+    path = tmp_path / "runs.ndjson"
+    path.write_bytes(b"\n".join(flows + [runs]) + b"\n")
+    size = path.stat().st_size
+    fd = os.open(path, os.O_RDONLY)
+    tracemalloc.start()
+    try:
+        counters = IngestCounters()
+        batch = parse_columns(eve.chunk_lines(fd, 0, size, size), counters)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+        os.close(fd)
+    assert len(batch) == counters.records_ok == len(flows)
+    assert counters.lines_consumed == len(flows) + 1
+    assert peak < 8 << 20
+
+
+def test_list_item_holding_a_newline_stays_one_line():
+    # an item of a line list is one line whatever it holds; cut again at its newline, it
+    # would count as two records
+    counters = IngestCounters()
+    batch = parse_columns([FLOW_LINE, FLOW_LINE + b"\n" + FLOW_LINE, FLOW_LINE], counters)
+    assert counters.lines_consumed == 3
+    assert len(batch) == counters.records_ok == 2
+    assert counters.records_skipped_malformed == 1
+
+
+def test_shape_path_matches_strict_on_criterion_9_corpus():
     corpus, valid, _ = criterion_9_corpus()
     # the corpus holds as many records as it was made with
     assert strict_parsed(corpus)[1].records_ok == valid
@@ -858,7 +892,7 @@ def flow_lines(draw):
 
 @settings(max_examples=1000, deadline=None)
 @given(flow_lines())
-def test_compact_clause_matches_strict_on_generated_lines(line):
+def test_shape_path_matches_strict_on_generated_lines(line):
     assert_shape_path_matches_strict([line])
 
 
@@ -922,7 +956,7 @@ def mutate(line: bytes, op: str, where: int, byte: int) -> bytes:
 # shape of that non-ASCII line would read it as one more run
 @example(line=b'{"event_type":"flow","src_ip":"0.0.0.0","dest_ip":"0.0.0.0","flow":{"":"","":"",'
               b'"pkts_toserver":0,"":"","":"","pkts_toclient":0}}', op="insert", where=126, byte=128)
-def test_compact_clause_matches_strict_on_mutations(line, op, where, byte):
+def test_shape_path_matches_strict_on_mutations(line, op, where, byte):
     assert isinstance(parse_flow_record(line), FlowRecord)
     assert_shape_path_matches_strict([line, mutate(line, op, where, byte)])
 

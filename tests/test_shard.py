@@ -84,6 +84,15 @@ def ingest_file(path, out_dir, *, sharded: bool, anon=None, window_packets=1 << 
         source.close()
 
 
+def lines_of(chunk: tuple) -> list[bytes]:
+    """The lines of chunk_lines' buffer, data[start:stop] for each start and stop."""
+    data, starts, stops = chunk
+    bounds = list(zip(starts.tolist(), stops.tolist()))
+    # each line sits between two newline bytes of the buffer
+    assert all(start > 0 and data[start - 1] == data[stop] == ord("\n") for start, stop in bounds)
+    return [data[start:stop] for start, stop in bounds]
+
+
 def all_chunk_lines(data: bytes, chunk: int, tmp_path) -> list[bytes]:
     path = tmp_path / "chunked.ndjson"
     path.write_bytes(data)
@@ -91,7 +100,7 @@ def all_chunk_lines(data: bytes, chunk: int, tmp_path) -> list[bytes]:
     try:
         return [
             line for start in range(0, len(data), chunk)
-            for line in chunk_lines(fd, start, min(start + chunk, len(data)), len(data))
+            for line in lines_of(chunk_lines(fd, start, min(start + chunk, len(data)), len(data)))
         ]
     finally:
         os.close(fd)
@@ -147,11 +156,11 @@ def test_chunk_inside_an_overlong_line_owns_nothing(tmp_path):
     path.write_bytes(data)
     fd = os.open(path, os.O_RDONLY)
     try:
-        assert chunk_lines(fd, 100, 1000, len(data)) == []
-        assert chunk_lines(fd, MAX_LINE_BYTES, 2 * MAX_LINE_BYTES, len(data)) == []
-        first = chunk_lines(fd, 0, 100, len(data))
+        assert lines_of(chunk_lines(fd, 100, 1000, len(data))) == []
+        assert lines_of(chunk_lines(fd, MAX_LINE_BYTES, 2 * MAX_LINE_BYTES, len(data))) == []
+        first = lines_of(chunk_lines(fd, 0, 100, len(data)))
         assert [len(line) for line in first] == [1, MAX_LINE_BYTES + 1]
-        assert chunk_lines(fd, len(data) - 3, len(data), len(data)) == [b"b"]
+        assert lines_of(chunk_lines(fd, len(data) - 3, len(data), len(data))) == [b"b"]
     finally:
         os.close(fd)
 
