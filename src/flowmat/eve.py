@@ -590,7 +590,7 @@ def chunk_lines(fd: int, start: int, stop: int, size: int) -> tuple[bytes, np.nd
     lead = 1 if start else 0  # the byte before start says whether a line starts at start
     data = os.pread(fd, stop - start + lead, start - lead)
     offset = start - lead + len(data)
-    first = data.find(b"\n") if lead else 0  # the newline before the first line, or -1
+    first = data.find(b"\n") if lead else 0  # the buffer starts here; -1: inside one line
     pieces = [b"" if lead else b"\n", memoryview(data)[first:]] if first >= 0 else []
     held = len(data) - data.rfind(b"\n") - 1 if pieces else 0  # the bytes of the line crossing stop
     while held and held <= MAX_LINE_BYTES and offset < size:
